@@ -28,6 +28,7 @@ from .statespace import (
     SearchParams,
     TranspositionTable,
     extract_ship,
+    fold_rows,
     is_goal,
     make_initial_state,
     state_key,
@@ -106,12 +107,6 @@ class Search:
         """Rows appended beyond the all-dead seed."""
         return self.arena.depths[idx] - self.base_depth
 
-    def _fold_key(self, rows) -> int:
-        key = 0
-        for r in rows:
-            key = key << self.params.width | r
-        return key
-
     def _tick(self, force: bool = False) -> None:
         self.status.nodes_in_arena = len(self.arena)
         if self.queue:
@@ -166,13 +161,17 @@ def _expand_head(search: Search) -> None:
     idx = search.queue.popleft()
     window = arena.rows_back(idx, search.hist)
     search.status.states_expanded += 1
+    # a child's state is the parent's last 2p-1 rows plus the new one
+    w = params.width
+    prefix = fold_rows(window[1 - 2 * params.period :], w) << w
     for c in successors(params, search.tables, window, cfg.lookahead, cfg.extended):
         child = arena.add(c, idx)
-        if is_goal(params, arena, child):
+        key = prefix | c
+        if not key and is_goal(params, arena, child):
             if search._record_ship(child):
                 return
             continue  # a finished ship only grows dead rows from here
-        verdict, _ = transposition_insert(search.tt, state_key(params, arena, child), child)
+        verdict, _ = transposition_insert(search.tt, key, child)
         if verdict == "fresh":
             search.queue.append(child)
     search._tick()
@@ -184,8 +183,9 @@ def _dfs_probe(search: Search, root: int, limit: int) -> bool:
     params, arena, cfg = search.params, search.arena, search.config
     span = 2 * params.period
     root_level = search.level_of(root)
-    iters = [iter(successors(params, search.tables, arena.rows_back(root, search.hist), cfg.lookahead, cfg.extended))]
-    windows = [arena.rows_back(root, search.hist)]
+    window = arena.rows_back(root, search.hist)
+    iters = [iter(successors(params, search.tables, window, cfg.lookahead, cfg.extended))]
+    windows = [window]
     evers = [_ever_live(arena, root)]
     path: list[int] = []
     seen: dict[int, int] = {}
@@ -209,7 +209,7 @@ def _dfs_probe(search: Search, root: int, limit: int) -> bool:
             if search._record_ship(idx):
                 return True
             continue
-        key = search._fold_key(window[-span:])
+        key = fold_rows(window[-span:], params.width)
         prev = seen.get(key)
         if prev is not None and prev <= level:
             continue

@@ -102,11 +102,19 @@ def debruijn_size(params: SearchParams) -> int:
     return 2 * params.period * params.width
 
 
+# byte -> its bits in reverse order
+_REV8 = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 def reverse_row(row: int, width: int) -> int:
-    out = 0
-    for j in range(width):
-        out |= ((row >> j) & 1) << (width - 1 - j)
-    return out
+    """Mirror the low `width` bits of row (cell j goes to width-1-j); bits
+    at or above width are dropped."""
+    out = _REV8[row & 255]
+    while width > 8:
+        row >>= 8
+        width -= 8
+        out = out << 8 | _REV8[row & 255]
+    return out >> (8 - width)
 
 
 # ---------------------------------------------------------------------------
@@ -211,20 +219,30 @@ def frame_width(params: SearchParams) -> int:
     return params.width + 2 * frame_margin(params)
 
 
+def frame_offsets(params: SearchParams, ref: RowRef | None = None) -> tuple[int | None, int | None]:
+    """Frame bit positions at which frame_row places a stored row's bit 0
+    and its mirror image's bit 0, None for a part that is left out. Both
+    are non-negative: the frame margin covers every shift."""
+    w, base = params.width, frame_base(params)
+    at = base - (ref.shift if ref else 0)
+    ghost = None
+    if params.symmetry == EVEN_MIRROR:
+        ghost = at - w
+    elif params.symmetry == ODD_MIRROR:
+        ghost = at - w + 1
+    if ref is not None and ref.reversed:
+        return ghost, at
+    return at, ghost
+
+
 def frame_row(params: SearchParams, row: int, ref: RowRef | None = None) -> int:
     """Place a stored row into frame coordinates (frame bit = cell + base)
     after applying the reference's reversal and shear, extending mirror
     halves so evolution near the axis sees the reflected cells."""
-    w, base = params.width, frame_base(params)
-    shift = ref.shift if ref else 0
-    rev = reverse_row(row, w)
-    if ref is not None and ref.reversed:
-        row, rev = rev, row
-    out = row << (base - shift)
-    if params.symmetry == EVEN_MIRROR:
-        out |= rev << (base - shift - w)
-    elif params.symmetry == ODD_MIRROR:
-        out |= rev << (base - shift - w + 1)
+    plain, mirror = frame_offsets(params, ref)
+    out = row << plain if plain is not None else 0
+    if mirror is not None:
+        out |= reverse_row(row, params.width) << mirror
     return out
 
 
@@ -318,12 +336,18 @@ def make_initial_state(params: SearchParams) -> tuple[NodeArena, int]:
     return arena, tip
 
 
+def fold_rows(rows, width: int) -> int:
+    """Pack rows into one integer, oldest in the highest bits, so that
+    fold_rows(rows + [c]) == fold_rows(rows) << width | c."""
+    key = 0
+    for row in rows:
+        key = key << width | row
+    return key
+
+
 def state_key(params: SearchParams, arena: NodeArena, idx: int) -> int:
     """Pack the last 2p rows into one integer; equal keys <=> same rows."""
-    key = 0
-    for row in arena.rows_back(idx, 2 * params.period):
-        key = key << params.width | row
-    return key
+    return fold_rows(arena.rows_back(idx, 2 * params.period), params.width)
 
 
 def is_goal(params: SearchParams, arena: NodeArena, idx: int) -> bool:

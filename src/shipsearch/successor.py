@@ -16,11 +16,18 @@ two constraint instances reaching one more row into the future to have a
 consistent witness, and for period 2 a strip-reachability table (p2)
 replaces ll. Column layout, boundary masks and sampling offsets come from
 the mode geometry in statespace.
+
+That geometry (which window row each lookup samples, with what shift and
+reversal, and where each column reads it) is the same at every level, so
+stage 1 compiles it once per window length and lookahead/extended flags
+and memoises it on SearchTables; a call then only frames the window's
+rows and runs the column loop. The vertex sets an edge mask leaves or
+enters are folded out of it in closed form, by shifts and masks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,8 +43,8 @@ from .statespace import (
     constraint_indices,
     edge_columns,
     frame_base,
-    frame_row,
-    state_rows,
+    frame_offsets,
+    reverse_row,
 )
 
 # ---------------------------------------------------------------------------
@@ -73,19 +80,6 @@ def _vset_tables(vmask):
 _LB_LO, _LB_HI = _vset_tables(_LMASK_V)
 _RB_LO, _RB_HI = _vset_tables(_RMASK_V)
 
-# per-byte edge mask -> vertex set, for both edge endpoints
-_RSET_B = [[0] * 256 for _ in range(8)]
-_LSET_B = [[0] * 256 for _ in range(8)]
-for _b in range(8):
-    for _m in range(256):
-        r = left = 0
-        for _i in range(8):
-            if _m >> _i & 1:
-                r |= 1 << _RIGHT_OF[8 * _b + _i]
-                left |= 1 << _LEFT_OF[8 * _b + _i]
-        _RSET_B[_b][_m] = r
-        _LSET_B[_b][_m] = left
-
 
 def _edges_with_left_in(vset):
     return _LB_LO[vset & 255] | _LB_HI[vset >> 8]
@@ -96,25 +90,23 @@ def _edges_with_right_in(vset):
 
 
 def _right_vertices(emask):
-    out = 0
-    b = 0
-    while emask:
-        if emask & 255:
-            out |= _RSET_B[b][emask & 255]
-        emask >>= 8
-        b += 1
-    return out
+    # an edge's right vertex drops its leftmost C and L cells: fold edge
+    # bits 3 and 0 out of the mask, then pack the 16 positions left over
+    x = (emask | emask >> 8) & 0x00FF00FF00FF00FF
+    x = (x | x >> 1) & 0x0055005500550055
+    x = (x | x >> 1) & 0x0033003300330033
+    x = (x | x >> 2) & 0x000F000F000F000F
+    x = (x | x >> 12) & 0x000000FF000000FF
+    return (x | x >> 24) & 0xFFFF
 
 
 def _left_vertices(emask):
-    out = 0
-    b = 0
-    while emask:
-        if emask & 255:
-            out |= _LSET_B[b][emask & 255]
-        emask >>= 8
-        b += 1
-    return out
+    # an edge's left vertex drops its rightmost L and C cells: fold edge
+    # bits 5 and 2 out; byte b's low nibble then holds vertices b<<2 | c
+    x = (emask | emask >> 32) & 0xFFFFFFFF
+    x = (x | x >> 4) & 0x0F0F0F0F
+    x = (x | x >> 4) & 0x00FF00FF
+    return (x | x >> 8) & 0xFFFF
 
 
 # lt-mask -> 64-bit edge mask with those whole lt bytes allowed
@@ -286,6 +278,7 @@ class SearchTables:
     start_set: int
     end_set: int
     shear: int
+    plans: dict = field(default_factory=dict)  # stage1 geometry by (len(rows), lookahead, extended)
 
 
 def _structural_masks(params: SearchParams):
@@ -371,24 +364,20 @@ def _filter_flags(params: SearchParams, lookahead: bool, extended: bool):
     return use_ll, use_p2
 
 
-def stage1_edges(params: SearchParams, tables: SearchTables, rows, lookahead=True, extended=True):
-    """64-bit edge mask per column: triple pairs of the new rows that pass
-    every per-column check against the known rows."""
-    i = len(rows)
-    ci = constraint_indices(params, i)
+def _stage1_plan(params: SearchParams, tables: SearchTables, n: int, lookahead: bool, extended: bool):
+    """The geometry of stage1 for windows of n rows, which is the same at
+    every level: per sampled row its window index (None before the
+    sequence starts) and the shifts that place it and its mirror image,
+    lifted so that at a column's frame position one shift and one mask
+    yield the sample already in its lookup-index field."""
+    ci = constraint_indices(params, n)
     st, lk = ci.star, ci.lookahead
-    base = frame_base(params)
     s = tables.shear
-
-    def framed(ref):
-        return frame_row(params, state_rows(rows, ref.index), ref)
-
-    ext_a = framed(st.above)
-    ext_b = framed(st.mid)
-    ext_d = framed(st.result)
-    ext_e = framed(lk.mid)
-    ext_f = framed(lk.above)
-
+    # (row, lift) per lookup-index field; lift = the field's index bit
+    # minus its read offset from pos: star's a3 (bit 3) and m3 (bit 0) are
+    # read at pos+s-1, dbit (bit 6) at pos+s, e3 (bit 7) and f3 (bit 10)
+    # at pos-1
+    samples = [(st.above, 4 - s), (st.mid, 1 - s), (st.result, 6 - s), (lk.mid, 8), (lk.above, 11)]
     use_ll, use_p2 = _filter_flags(params, lookahead, extended)
     if use_ll:
         # the two instances one row further out share their unknown
@@ -397,32 +386,65 @@ def stage1_edges(params: SearchParams, tables: SearchTables, rows, lookahead=Tru
         # then reads the reversed E, which is exactly the e3 sample)
         p, k = params.period, params.offset
         reflect = params.symmetry == GLIDE_REFLECT and k % 2 == 0
-        ext_h = framed(RowRef(i - p - 2 * k, s, lk.above.reversed ^ reflect))
-        ext_g = framed(RowRef(i - 2 * k, 0, lk.mid.reversed ^ reflect))
+        # ll's a5 (bit 5) and b5 (bit 0) at pos-2, its r3 = e3 (bit 10)
+        samples.append((RowRef(n - p - 2 * k, s, lk.above.reversed ^ reflect), 7))
+        samples.append((RowRef(n - 2 * k, 0, lk.mid.reversed ^ reflect), 2))
+        samples.append((lk.mid, 11))
     if use_p2:
-        ext_g2 = framed(RowRef(i - 2, 0))
+        # p2's r2w (bit 0) and r1w (bit 5) at pos-2
+        samples.append((RowRef(n - 2, 0), 2))
+        samples.append((st.result, 7))
+    frames = []
+    for ref, lift in samples:
+        plain, mirror = frame_offsets(params, ref)
+        frames.append(
+            (
+                ref.index if 0 <= ref.index < n else None,
+                None if plain is None else plain + lift,
+                None if mirror is None else mirror + lift,
+            )
+        )
+    base = frame_base(params)
+    columns = [(base + j, m) for j, m in zip(tables.columns, tables.masks)]
+    return frames, columns, use_ll, use_p2
+
+
+def stage1_edges(params: SearchParams, tables: SearchTables, rows, lookahead=True, extended=True):
+    """64-bit edge mask per column: triple pairs of the new rows that pass
+    every per-column check against the known rows."""
+    key = (len(rows), lookahead, extended)
+    plan = tables.plans.get(key)
+    if plan is None:
+        plan = tables.plans[key] = _stage1_plan(params, tables, *key)
+    frames, columns, use_ll, use_p2 = plan
+    w = params.width
+    ext = []
+    for idx, plain, mirror in frames:
+        if idx is None:
+            ext.append(0)
+            continue
+        row = rows[idx]
+        x = row << plain if plain is not None else 0
+        if mirror is not None:
+            x |= reverse_row(row, w) << mirror
+        ext.append(x)
+    a, b, d, e, f = ext[:5]
+    if use_ll:
+        h, g, e_ll = ext[5:]
+        ll = tables.ll
+    if use_p2:
+        g2, d_p2 = ext[5:]
+        p2 = tables.p2
 
     star = tables.star_l if lookahead else tables.star_only
-    ll = tables.ll
-    p2 = tables.p2
     out = []
-    for n, j in enumerate(tables.columns):
-        pos = base + j
-        m3 = (ext_b >> (pos + s - 1)) & 7
-        a3 = (ext_a >> (pos + s - 1)) & 7
-        dbit = (ext_d >> (pos + s)) & 1
-        e3 = (ext_e >> (pos - 1)) & 7
-        f3 = (ext_f >> (pos - 1)) & 7
-        e = star[m3 | a3 << 3 | dbit << 6 | e3 << 7 | f3 << 10] & tables.masks[n]
-        if use_ll and e:
-            a5 = (ext_h >> (pos - 2)) & 31
-            b5 = (ext_g >> (pos - 2)) & 31
-            e &= _BCAST[ll[b5 | a5 << 5 | e3 << 10]]
-        if use_p2 and e:
-            r2w = (ext_g2 >> (pos - 2)) & 31
-            r1w = (ext_d >> (pos - 2)) & 31
-            e &= p2[r2w | r1w << 5]
-        out.append(e)
+    for pos, mask in columns:
+        m = star[(b >> pos & 7) | (a >> pos & 0x38) | (d >> pos & 0x40) | (e >> pos & 0x380) | (f >> pos & 0x1C00)] & mask
+        if use_ll and m:
+            m &= _BCAST[ll[(g >> pos & 31) | (h >> pos & 0x3E0) | (e_ll >> pos & 0x1C00)]]
+        if use_p2 and m:
+            m &= p2[(g2 >> pos & 31) | (d_p2 >> pos & 0x3E0)]
+        out.append(m)
     return out
 
 

@@ -1,7 +1,18 @@
 """Shared test fixtures: an independent set-of-cells evolver, known ships,
-and construction of the interleaved row sequence a search would walk."""
+construction of the interleaved row sequence a search would walk, and a
+per-call stage1 that the compiled one is checked against."""
 
-from shipsearch.statespace import DIAGONAL, reverse_row
+from shipsearch.statespace import (
+    DIAGONAL,
+    GLIDE_REFLECT,
+    RowRef,
+    constraint_indices,
+    frame_base,
+    frame_row,
+    reverse_row,
+    state_rows,
+)
+from shipsearch.successor import _BCAST, _filter_flags
 
 LWSS_CELLS = {(1, 0), (4, 0), (0, 1), (0, 2), (4, 2), (0, 3), (1, 3), (2, 3), (3, 3)}
 GLIDER_CELLS = {(1, 0), (2, 1), (0, 2), (1, 2), (2, 2)}
@@ -95,3 +106,53 @@ def ship_sequence(params, cells, want_dx=0, pad_rows=3):
     x0 = min(span) + (y0 if params.translation == DIAGONAL else 0)
     levels = p * (max(ys) - min(ys) + 1 + 2 * pad_rows)
     return merged_sequence(params, gens, x0, y0, levels)
+
+
+def reference_stage1_edges(params, tables, rows, lookahead=True, extended=True):
+    """stage1_edges worked out afresh on every call: the constraint
+    instances for len(rows), every sampled row framed in full, and each
+    lookup index assembled column by column at its frame position."""
+    i = len(rows)
+    ci = constraint_indices(params, i)
+    st, lk = ci.star, ci.lookahead
+    base = frame_base(params)
+    s = tables.shear
+
+    def framed(ref):
+        return frame_row(params, state_rows(rows, ref.index), ref)
+
+    ext_a = framed(st.above)
+    ext_b = framed(st.mid)
+    ext_d = framed(st.result)
+    ext_e = framed(lk.mid)
+    ext_f = framed(lk.above)
+
+    use_ll, use_p2 = _filter_flags(params, lookahead, extended)
+    if use_ll:
+        p, k = params.period, params.offset
+        reflect = params.symmetry == GLIDE_REFLECT and k % 2 == 0
+        ext_h = framed(RowRef(i - p - 2 * k, s, lk.above.reversed ^ reflect))
+        ext_g = framed(RowRef(i - 2 * k, 0, lk.mid.reversed ^ reflect))
+    if use_p2:
+        ext_g2 = framed(RowRef(i - 2, 0))
+
+    star = tables.star_l if lookahead else tables.star_only
+    out = []
+    for n, j in enumerate(tables.columns):
+        pos = base + j
+        m3 = (ext_b >> (pos + s - 1)) & 7
+        a3 = (ext_a >> (pos + s - 1)) & 7
+        dbit = (ext_d >> (pos + s)) & 1
+        e3 = (ext_e >> (pos - 1)) & 7
+        f3 = (ext_f >> (pos - 1)) & 7
+        e = star[m3 | a3 << 3 | dbit << 6 | e3 << 7 | f3 << 10] & tables.masks[n]
+        if use_ll and e:
+            a5 = (ext_h >> (pos - 2)) & 31
+            b5 = (ext_g >> (pos - 2)) & 31
+            e &= _BCAST[tables.ll[b5 | a5 << 5 | e3 << 10]]
+        if use_p2 and e:
+            r2w = (ext_g2 >> (pos - 2)) & 31
+            r1w = (ext_d >> (pos - 2)) & 31
+            e &= tables.p2[r2w | r1w << 5]
+        out.append(e)
+    return out

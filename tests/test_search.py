@@ -7,6 +7,7 @@ outcomes, deepening, narrowing, dedup and progress reporting.
 
 import pytest
 
+from shipsearch import search as search_mod
 from shipsearch.pattern import classify_ship
 from shipsearch.rules import parse_rule
 from shipsearch.search import (
@@ -19,7 +20,14 @@ from shipsearch.search import (
     reduce_width,
     run_search,
 )
-from shipsearch.statespace import DIAGONAL, EVEN_MIRROR, GLIDE_REFLECT, SearchParams
+from shipsearch.statespace import (
+    DIAGONAL,
+    EVEN_MIRROR,
+    GLIDE_REFLECT,
+    SearchParams,
+    is_goal,
+    state_key,
+)
 
 LIFE = parse_rule("B3/S23")
 
@@ -108,6 +116,39 @@ class TestOutcomes:
         assert len({ship.rows for ship, _ in res.ships}) == len(res.ships)
         for _, desc in res.ships:
             assert (desc.period, desc.dx, abs(desc.dy)) == (4, 0, 2)
+
+
+class TestCarriedKeys:
+    @pytest.mark.parametrize(
+        "params, config",
+        [
+            (SearchParams(LIFE, 2, 1, 5, GLIDE_REFLECT), SearchConfig(continue_after_find=True)),
+            (SearchParams(LIFE, 4, 1, 4, translation=DIAGONAL), SearchConfig()),
+            # compaction and narrowing (width 6 down to 4), ships found
+            (
+                SearchParams(LIFE, 3, 1, 6, EVEN_MIRROR),
+                SearchConfig(node_capacity=256, max_deepening=6, continue_after_find=True),
+            ),
+        ],
+        ids=["c2-glide", "c4-diagonal", "c3-even-deepen"],
+    )
+    def test_table_keys_are_state_keys_and_goals_are_caught(self, monkeypatch, params, config):
+        # every child the search expands either goes through the goal test
+        # or is offered to the transposition table; a key that differs from
+        # state_key, or a goal let through by the key == 0 gate, shows here
+        original = search_mod.transposition_insert
+        offered = []
+
+        def checked(table, key, idx):
+            assert key == state_key(table.params, table.arena, idx)
+            assert not is_goal(table.params, table.arena, idx)
+            offered.append(idx)
+            return original(table, key, idx)
+
+        monkeypatch.setattr(search_mod, "transposition_insert", checked)
+        res = run_search(params, config)
+        assert res.ships
+        assert len(offered) > res.status.states_expanded // 2
 
 
 class TestDeterminism:

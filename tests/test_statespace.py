@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shipsearch.pattern import Pattern
-from shipsearch.rules import parse_rule
+from shipsearch.rules import ROW_WIDTH_LIMIT, parse_rule
 from shipsearch.statespace import (
     ASYMMETRIC,
     DIAGONAL,
@@ -143,6 +143,14 @@ class TestRows:
     @given(st.integers(0, 2**8 - 1))
     def test_reverse_row_involution(self, row):
         assert reverse_row(reverse_row(row, 8), 8) == row
+
+    @given(st.integers(0, (1 << (ROW_WIDTH_LIMIT + 8)) - 1))
+    def test_reverse_row_matches_per_bit(self, row):
+        for width in range(1, ROW_WIDTH_LIMIT + 1):
+            naive = 0
+            for j in range(width):
+                naive |= ((row >> j) & 1) << (width - 1 - j)
+            assert reverse_row(row, width) == naive
 
     def test_reverse_row(self):
         assert reverse_row(0b001, 3) == 0b100

@@ -11,8 +11,9 @@ import time
 
 import pytest
 
-from helpers import GLIDER_CELLS, LWSS_CELLS, ship_sequence
+from helpers import GLIDER_CELLS, LWSS_CELLS, reference_stage1_edges, ship_sequence
 from shipsearch.rules import evolution_table, evolve_row_triple, parse_rule
+from shipsearch.search import Search, SearchConfig, reduce_width
 from shipsearch.statespace import (
     ASYMMETRIC,
     DIAGONAL,
@@ -25,7 +26,11 @@ from shipsearch.statespace import (
     instance_holds,
 )
 from shipsearch.successor import (
+    _LEFT_OF,
+    _RIGHT_OF,
+    _left_vertices,
     _p2_table,
+    _right_vertices,
     build_tables,
     stage1_edges,
     stage2_reach,
@@ -250,3 +255,69 @@ class TestEnumeration:
         for e in range(64):
             if left >> e & 1:
                 assert (e & 1) == 0 and (e >> 3 & 1) == 0
+
+
+# every symmetry and translation; p=2 runs the p2 filter (orthogonal,
+# unglided) and p>2 the ll filter; glide with odd and even k
+STAGE1_CASES = MODE_CASES + [
+    (2, 1, 4, EVEN_MIRROR, ORTHOGONAL),
+    (2, 1, 5, ODD_MIRROR, ORTHOGONAL),
+    (4, 1, 3, EVEN_MIRROR, ORTHOGONAL),
+    (4, 1, 3, GLIDE_REFLECT, ORTHOGONAL),
+    (5, 2, 3, GLIDE_REFLECT, ORTHOGONAL),
+]
+
+
+def _random_window(rng, n, w):
+    # sparse rows (a cell is live with probability 1/4), so that the
+    # extended filters see columns that star lets through
+    return [rng.getrandbits(w) & rng.getrandbits(w) for _ in range(n)]
+
+
+def _check_stage1(params, tables, rng, trials):
+    p, k = params.period, params.offset
+    hist = max(2 * p, p + 2 * k)
+    for n in (1, p, hist - 1, hist, hist + 3):
+        for _ in range(trials):
+            rows = _random_window(rng, n, params.width)
+            for la, ext in ((True, True), (True, False), (False, True)):
+                got = stage1_edges(params, tables, rows, la, ext)
+                assert got == reference_stage1_edges(params, tables, rows, la, ext), (n, rows, la, ext)
+
+
+class TestCompiledStage1:
+    @pytest.mark.parametrize("case", STAGE1_CASES, ids=lambda c: f"p{c[0]}k{c[1]}w{c[2]}-{c[3]}-{c[4]}")
+    def test_matches_per_call_reference(self, case):
+        p, k, w, sym, tr = case
+        rng = random.Random(str(case))
+        for rule_s in ("B3/S23", "B36/S125"):
+            params = SearchParams(parse_rule(rule_s), p, k, w, sym, tr)
+            _check_stage1(params, build_tables(params), rng, 12)
+
+    @pytest.mark.parametrize("case", STAGE1_CASES, ids=lambda c: f"p{c[0]}k{c[1]}w{c[2]}-{c[3]}-{c[4]}")
+    def test_matches_after_reduce_width(self, case):
+        p, k, _, sym, tr = case
+        rng = random.Random(str(case))
+        search = Search(SearchParams(LIFE, p, k, 6, sym, tr), SearchConfig(node_capacity=1 << 10))
+        _check_stage1(search.params, search.tables, rng, 3)  # memoises plans for width 6
+        reduce_width(search)
+        assert search.params.width == 5
+        _check_stage1(search.params, search.tables, rng, 6)
+
+
+class TestVertexFolds:
+    @staticmethod
+    def per_bit(emask, vertex_of):
+        out = 0
+        for e in range(64):
+            if emask >> e & 1:
+                out |= 1 << vertex_of[e]
+        return out
+
+    def test_single_edges_and_random_masks(self):
+        rng = random.Random(15)
+        masks = [1 << e for e in range(64)] + [0, (1 << 64) - 1]
+        masks += [rng.getrandbits(64) & rng.getrandbits(64) for _ in range(2000)]
+        for m in masks:
+            assert _left_vertices(m) == self.per_bit(m, _LEFT_OF), hex(m)
+            assert _right_vertices(m) == self.per_bit(m, _RIGHT_OF), hex(m)
