@@ -18,11 +18,11 @@ from .rules import Rule, evolution_table, evolve_row_triple
 from .statespace import (
     DIAGONAL,
     GLIDE_REFLECT,
-    ORTHOGONAL,
     RowRef,
     SearchParams,
     constraint_indices,
     edge_columns,
+    filter_flags,
     frame_base,
     frame_row,
     instance_holds,
@@ -191,14 +191,7 @@ def oracle_successors(
     p, k, w = params.period, params.offset, params.width
     table = evolution_table(params.rule)
     ci = constraint_indices(params, len(rows))
-    use_ll = lookahead and extended and p != 2
-    use_p2 = (
-        lookahead
-        and extended
-        and p == 2
-        and params.translation == ORTHOGONAL
-        and params.symmetry != GLIDE_REFLECT
-    )
+    use_ll, use_p2 = filter_flags(params, lookahead, extended)
     pad = [0] * (p - k - 1)
     out = []
     for c in range(1 << w):

@@ -100,6 +100,7 @@ class Search:
         self._ship_keys: set = set()
         self.status = SearchStatus(current_width=params.width)
         self._last_progress = 0
+        self._head: int | None = None  # queue head at the last _tick
 
     # -- small helpers ----------------------------------------------------
 
@@ -108,14 +109,18 @@ class Search:
         return self.arena.depths[idx] - self.base_depth
 
     def _tick(self, force: bool = False) -> None:
-        self.status.nodes_in_arena = len(self.arena)
+        # status is refreshed only for a report or when forced; a drained
+        # queue leaves the frontier level at the head noted last
         if self.queue:
-            self.status.frontier_level = self.level_of(self.queue[0])
-        if self.progress is None:
-            return
-        interval = self.config.progress_interval
-        due = interval and self.status.states_expanded - self._last_progress >= interval
-        if force or due:
+            self._head = self.queue[0]
+        if not force:
+            interval = self.config.progress_interval
+            if self.progress is None or not interval or self.status.states_expanded - self._last_progress < interval:
+                return
+        self.status.nodes_in_arena = len(self.arena)
+        if self._head is not None:
+            self.status.frontier_level = self.level_of(self._head)
+        if self.progress is not None:
             self._last_progress = self.status.states_expanded
             self.progress(replace(self.status))
 
@@ -181,11 +186,13 @@ def _dfs_probe(search: Search, root: int, limit: int) -> bool:
     """Depth-first from one frontier root to the given level. True when
     some descendant is still alive at the limit (the root is kept)."""
     params, arena, cfg = search.params, search.arena, search.config
-    span = 2 * params.period
+    w, span = params.width, 2 * params.period
+    mask = (1 << span * w) - 1  # a child's key: its parent's plus one row, less the oldest
     root_level = search.level_of(root)
     window = arena.rows_back(root, search.hist)
     iters = [iter(successors(params, search.tables, window, cfg.lookahead, cfg.extended))]
     windows = [window]
+    keys = [fold_rows(window[-span:], w)]
     evers = [_ever_live(arena, root)]
     path: list[int] = []
     seen: dict[int, int] = {}
@@ -195,30 +202,32 @@ def _dfs_probe(search: Search, root: int, limit: int) -> bool:
         if c is None:
             iters.pop()
             windows.pop()
+            keys.pop()
             evers.pop()
             if path:
                 path.pop()
             continue
-        window = windows[-1][1:] + [c]
+        key = (keys[-1] << w | c) & mask
         ever = evers[-1] or c != 0
         level = root_level + len(path) + 1
-        if ever and not any(window[-span:]):
+        if ever and key == 0:
             idx = root
             for r in path + [c]:
                 idx = arena.add(r, idx)
             if search._record_ship(idx):
                 return True
             continue
-        key = fold_rows(window[-span:], params.width)
         prev = seen.get(key)
         if prev is not None and prev <= level:
             continue
         seen[key] = level
         if level >= limit:
             return True
+        window = windows[-1][1:] + [c]
         iters.append(iter(successors(params, search.tables, window, cfg.lookahead, cfg.extended)))
         search.status.states_expanded += 1
         windows.append(window)
+        keys.append(key)
         evers.append(ever)
         path.append(c)
         search._tick()

@@ -200,23 +200,31 @@ def edge_columns(params: SearchParams) -> range:
     return range(-1, w + 1)
 
 
+def filter_flags(params: SearchParams, lookahead: bool, extended: bool) -> tuple[bool, bool]:
+    """(use_ll, use_p2): which extended filter the successor step applies.
+    Both reason through the lookahead row, so need it; the p=2 strip filter
+    sees a fixed column window of consecutive rows, which glide reversal
+    and diagonal shear both break."""
+    on = lookahead and extended
+    straight = params.translation == ORTHOGONAL and params.symmetry != GLIDE_REFLECT
+    return on and params.period != 2, on and params.period == 2 and straight
+
+
 # ---------------------------------------------------------------------------
 # frame evaluation (shared by is_consistent and the oracle)
 
-
-def frame_margin(params: SearchParams) -> int:
-    return 6
+FRAME_MARGIN = 6  # frame bits beyond the strip on each side; covers every shift
 
 
 def frame_base(params: SearchParams) -> int:
     """Frame bit position of cell 0 (mirror ghosts sit below it)."""
-    return frame_margin(params) + (params.width if params.mirrored else 0)
+    return FRAME_MARGIN + (params.width if params.mirrored else 0)
 
 
 def frame_width(params: SearchParams) -> int:
     if params.mirrored:
-        return 2 * params.width + 2 * frame_margin(params)
-    return params.width + 2 * frame_margin(params)
+        return 2 * params.width + 2 * FRAME_MARGIN
+    return params.width + 2 * FRAME_MARGIN
 
 
 def frame_offsets(params: SearchParams, ref: RowRef | None = None) -> tuple[int | None, int | None]:
@@ -278,13 +286,6 @@ def instance_holds(params: SearchParams, table, rows, inst: Instance) -> bool:
 # node arena, state keys, goal test, extraction
 
 
-@dataclass(frozen=True)
-class SearchNode:
-    row: int
-    parent: int
-    depth: int
-
-
 class NodeArena:
     """Append-only store of search nodes; compaction builds a fresh one."""
 
@@ -303,18 +304,14 @@ class NodeArena:
         self.depths.append(depth)
         return len(self.rows) - 1
 
-    def node(self, idx: int) -> SearchNode:
-        return SearchNode(self.rows[idx], self.parents[idx], self.depths[idx])
-
     def rows_back(self, idx: int, count: int) -> list[int]:
         """The last `count` rows ending at idx, oldest first, dead-padded."""
-        out = []
-        cur = idx
-        while cur >= 0 and len(out) < count:
-            out.append(self.rows[cur])
-            cur = self.parents[cur]
-        out.extend(0 for _ in range(count - len(out)))
-        out.reverse()
+        out = [0] * count
+        rows, parents = self.rows, self.parents
+        while idx >= 0 and count:
+            count -= 1
+            out[count] = rows[idx]
+            idx = parents[idx]
         return out
 
     def all_rows(self, idx: int) -> list[int]:

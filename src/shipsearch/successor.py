@@ -9,6 +9,7 @@ impossible (stage 1), a forward reachability sweep finds the columns'
 surviving vertices (stage 2), and a backward walk over vertex *sets*
 enumerates exactly the C rows on start-to-end paths, each once, without
 ever branching on the existentially-quantified lookahead row (stage 3).
+Stage 2 hands stage 3 the edges it kept going forward.
 
 The tables are rule-only and width-independent: star_l answers the next
 and lookahead constraints for one column, ll additionally requires the
@@ -21,8 +22,10 @@ That geometry (which window row each lookup samples, with what shift and
 reversal, and where each column reads it) is the same at every level, so
 stage 1 compiles it once per window length and lookahead/extended flags
 and memoises it on SearchTables; a call then only frames the window's
-rows and runs the column loop. The vertex sets an edge mask leaves or
-enters are folded out of it in closed form, by shifts and masks.
+rows and runs the column loop. A mirror ghost (a row's reflection) needs
+only 3 cells: no column reads more than 2 cells past the axis. The
+vertex sets an edge mask leaves or enters are folded out of it in closed
+form, by shifts and masks.
 """
 
 from __future__ import annotations
@@ -37,11 +40,11 @@ from .statespace import (
     EVEN_MIRROR,
     GLIDE_REFLECT,
     ODD_MIRROR,
-    ORTHOGONAL,
     RowRef,
     SearchParams,
     constraint_indices,
     edge_columns,
+    filter_flags,
     frame_base,
     frame_offsets,
     reverse_row,
@@ -117,6 +120,9 @@ for _m in range(256):
         if _m >> _lt & 1:
             acc |= 0xFF << (8 * _lt)
     _BCAST[_m] = acc
+
+# 3-cell row -> its mirror image
+_REV3 = [reverse_row(_v, 3) for _v in range(8)]
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +284,7 @@ class SearchTables:
     start_set: int
     end_set: int
     shear: int
+    cell_bits: list  # per edge column, the row bit of the C cell it pins (0 outside the strip)
     plans: dict = field(default_factory=dict)  # stage1 geometry by (len(rows), lookahead, extended)
 
 
@@ -341,27 +348,12 @@ def build_tables(params: SearchParams) -> SearchTables:
         start_set=start,
         end_set=1,
         shear=1 if params.translation == DIAGONAL else 0,
+        cell_bits=[1 << (j - 1) if 0 < j <= params.width else 0 for j in cols],
     )
 
 
 # ---------------------------------------------------------------------------
 # the three stages
-
-
-def _filter_flags(params: SearchParams, lookahead: bool, extended: bool):
-    # the extended filters reason through the lookahead row, so they are
-    # meaningless without it; the p=2 strip filter sees a fixed column
-    # window of consecutive rows, which glide reversal and diagonal shear
-    # both break, so it stays orthogonal-straight only
-    use_ll = lookahead and extended and params.period != 2
-    use_p2 = (
-        lookahead
-        and extended
-        and params.period == 2
-        and params.translation == ORTHOGONAL
-        and params.symmetry != GLIDE_REFLECT
-    )
-    return use_ll, use_p2
 
 
 def _stage1_plan(params: SearchParams, tables: SearchTables, n: int, lookahead: bool, extended: bool):
@@ -378,7 +370,7 @@ def _stage1_plan(params: SearchParams, tables: SearchTables, n: int, lookahead: 
     # read at pos+s-1, dbit (bit 6) at pos+s, e3 (bit 7) and f3 (bit 10)
     # at pos-1
     samples = [(st.above, 4 - s), (st.mid, 1 - s), (st.result, 6 - s), (lk.mid, 8), (lk.above, 11)]
-    use_ll, use_p2 = _filter_flags(params, lookahead, extended)
+    use_ll, use_p2 = filter_flags(params, lookahead, extended)
     if use_ll:
         # the two instances one row further out share their unknown
         # 5-windows only after reflecting them into a common orientation;
@@ -394,6 +386,9 @@ def _stage1_plan(params: SearchParams, tables: SearchTables, n: int, lookahead: 
         # p2's r2w (bit 0) and r1w (bit 5) at pos-2
         samples.append((RowRef(n - 2, 0), 2))
         samples.append((st.result, 7))
+    # a mirror ghost is the reflection of the row's low 3 cells, so its
+    # bit 0 sits w - 3 above that of the whole row's reflection
+    ghost = params.width - 3 if params.mirrored else 0
     frames = []
     for ref, lift in samples:
         plain, mirror = frame_offsets(params, ref)
@@ -401,7 +396,7 @@ def _stage1_plan(params: SearchParams, tables: SearchTables, n: int, lookahead: 
             (
                 ref.index if 0 <= ref.index < n else None,
                 None if plain is None else plain + lift,
-                None if mirror is None else mirror + lift,
+                None if mirror is None else mirror + lift + ghost,
             )
         )
     base = frame_base(params)
@@ -417,17 +412,17 @@ def stage1_edges(params: SearchParams, tables: SearchTables, rows, lookahead=Tru
     if plan is None:
         plan = tables.plans[key] = _stage1_plan(params, tables, *key)
     frames, columns, use_ll, use_p2 = plan
-    w = params.width
     ext = []
     for idx, plain, mirror in frames:
         if idx is None:
             ext.append(0)
-            continue
-        row = rows[idx]
-        x = row << plain if plain is not None else 0
-        if mirror is not None:
-            x |= reverse_row(row, w) << mirror
-        ext.append(x)
+        elif mirror is None:
+            ext.append(rows[idx] << plain)
+        elif plain is None:  # glide: the whole row enters reversed
+            ext.append(reverse_row(rows[idx], params.width) << mirror)
+        else:  # mirror symmetry: the row plus its ghost's 3 cells next to the axis
+            row = rows[idx]
+            ext.append(row << plain | _REV3[row & 7] << mirror)
     a, b, d, e, f = ext[:5]
     if use_ll:
         h, g, e_ll = ext[5:]
@@ -449,51 +444,53 @@ def stage1_edges(params: SearchParams, tables: SearchTables, rows, lookahead=Tru
 
 
 def stage2_reach(params: SearchParams, tables: SearchTables, edges):
-    """Forward vertex reachability; None as soon as it dies out."""
+    """Forward reachability: per column the edges whose left vertex is
+    reachable from the start, then the set of vertices reached at the
+    end; None as soon as it dies out."""
     cur = tables.start_set
-    reach = [cur]
+    fwd = []
     for e in edges:
         act = e & _edges_with_left_in(cur)
         if not act:
             return None
         cur = _right_vertices(act)
-        reach.append(cur)
+        fwd.append(act)
     if not cur & tables.end_set:
         return None
-    return reach
+    fwd.append(cur)
+    return fwd
 
 
-# edge masks by the leftmost C-track cell
-_C0 = [0, 0]
-for _e in range(64):
-    _C0[_e & 1] |= 1 << _e
+# edge masks whose leftmost C-track cell is dead
+_DEAD_C0 = sum(1 << _e for _e in range(0, 64, 2))
 
 
 def stage3_enumerate(params: SearchParams, tables: SearchTables, edges, reach):
     """All C rows on start-to-end paths, in increasing binary value.
 
-    Walks right to left over vertex sets, branching only on the C cell an
-    edge pins down; lookahead-track alternatives stay merged inside the
+    Walks right to left over vertex sets through stage2's forward edges
+    (reach; of edges only the count is read), branching only on the C
+    cell an edge pins down: the dead branch is followed at once and the
+    live one stacked. Lookahead-track alternatives stay merged inside the
     sets, so each row comes out exactly once, and the reachability filter
     guarantees no branch dead-ends."""
-    w = params.width
-    cols = tables.columns
-    n = len(edges)
+    bits = tables.cell_bits
     out = []
-    stack = [(n - 1, reach[n] & tables.end_set, 0)]
+    stack = [(len(edges) - 1, reach[-1] & tables.end_set, 0)]
     while stack:
         c, vset, acc = stack.pop()
-        if c < 0:
-            out.append(acc)
-            continue
-        act = edges[c] & _edges_with_right_in(vset) & _edges_with_left_in(reach[c])
-        col = cols[c] - 1
-        for bit in (1, 0):  # pushed live-first so dead pops first
-            sub = act & _C0[bit]
-            if sub:
-                nxt = _left_vertices(sub)
-                nacc = acc | (1 << col) if bit and 0 <= col < w else acc
-                stack.append((c - 1, nxt, nacc))
+        while c >= 0:
+            act = reach[c] & _edges_with_right_in(vset)
+            dead = act & _DEAD_C0
+            if dead:
+                if act != dead:
+                    stack.append((c - 1, _left_vertices(act ^ dead), acc | bits[c]))
+                vset = _left_vertices(dead)
+            else:
+                vset = _left_vertices(act)
+                acc |= bits[c]
+            c -= 1
+        out.append(acc)
     return out
 
 

@@ -1,18 +1,27 @@
 """Shared test fixtures: an independent set-of-cells evolver, known ships,
-construction of the interleaved row sequence a search would walk, and a
-per-call stage1 that the compiled one is checked against."""
+construction of the interleaved row sequence a search would walk, a
+per-call stage1 that the compiled one is checked against, and the
+vertex-set form of stages 2 and 3 that the edge-passing pair is checked
+against."""
 
 from shipsearch.statespace import (
     DIAGONAL,
     GLIDE_REFLECT,
     RowRef,
     constraint_indices,
+    filter_flags,
     frame_base,
     frame_row,
     reverse_row,
     state_rows,
 )
-from shipsearch.successor import _BCAST, _filter_flags
+from shipsearch.successor import (
+    _BCAST,
+    _edges_with_left_in,
+    _edges_with_right_in,
+    _left_vertices,
+    _right_vertices,
+)
 
 LWSS_CELLS = {(1, 0), (4, 0), (0, 1), (0, 2), (4, 2), (0, 3), (1, 3), (2, 3), (3, 3)}
 GLIDER_CELLS = {(1, 0), (2, 1), (0, 2), (1, 2), (2, 2)}
@@ -127,7 +136,7 @@ def reference_stage1_edges(params, tables, rows, lookahead=True, extended=True):
     ext_e = framed(lk.mid)
     ext_f = framed(lk.above)
 
-    use_ll, use_p2 = _filter_flags(params, lookahead, extended)
+    use_ll, use_p2 = filter_flags(params, lookahead, extended)
     if use_ll:
         p, k = params.period, params.offset
         reflect = params.symmetry == GLIDE_REFLECT and k % 2 == 0
@@ -156,3 +165,66 @@ def reference_stage1_edges(params, tables, rows, lookahead=True, extended=True):
             e &= tables.p2[r2w | r1w << 5]
         out.append(e)
     return out
+
+
+def reference_stage2_reach(params, tables, edges):
+    """Forward vertex reachability: the reachable vertex set before each
+    column and after the last; None as soon as it dies out."""
+    cur = tables.start_set
+    reach = [cur]
+    for e in edges:
+        act = e & _edges_with_left_in(cur)
+        if not act:
+            return None
+        cur = _right_vertices(act)
+        reach.append(cur)
+    if not cur & tables.end_set:
+        return None
+    return reach
+
+
+# edge masks by the leftmost C-track cell
+_C0 = [0, 0]
+for _e in range(64):
+    _C0[_e & 1] |= 1 << _e
+
+
+def reference_stage3_enumerate(params, tables, edges, reach):
+    """All C rows on start-to-end paths, in increasing binary value, from
+    reference_stage2_reach's vertex sets: every stack entry re-filters
+    its column's edges by both neighbouring sets and pushes each C-cell
+    branch, live first so that dead pops first."""
+    w = params.width
+    cols = tables.columns
+    n = len(edges)
+    out = []
+    stack = [(n - 1, reach[n] & tables.end_set, 0)]
+    while stack:
+        c, vset, acc = stack.pop()
+        if c < 0:
+            out.append(acc)
+            continue
+        act = edges[c] & _edges_with_right_in(vset) & _edges_with_left_in(reach[c])
+        col = cols[c] - 1
+        for bit in (1, 0):
+            sub = act & _C0[bit]
+            if sub:
+                nacc = acc | (1 << col) if bit and 0 <= col < w else acc
+                stack.append((c - 1, _left_vertices(sub), nacc))
+    return out
+
+
+def reference_row_count(tables, edges, reach):
+    """How many rows reference_stage3_enumerate lists, counted over its
+    (column, vertex set) states without listing them."""
+    memo = {}
+
+    def count(c, vset):
+        if c < 0:
+            return 1
+        if (c, vset) not in memo:
+            act = edges[c] & _edges_with_right_in(vset) & _edges_with_left_in(reach[c])
+            memo[c, vset] = sum(count(c - 1, _left_vertices(act & m)) for m in _C0 if act & m)
+        return memo[c, vset]
+
+    return count(len(edges) - 1, reach[-1] & tables.end_set)

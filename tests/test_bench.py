@@ -1,18 +1,59 @@
-"""The benchmark's self-check, run as a test.
+"""The benchmark's self-check, run as a test, and the names it relies on.
 
 `bench/run.py --check` runs four shortened searches, one per search
 shape the benchmark measures, and holds each to its reference counts
 (states expanded, ships, outcome, deepening rounds, compactions,
 narrowings), re-verifying every emitted ship. It measures no time.
+The fast tests check that every function the bench wraps still exists,
+that its stage replay composes the stages as the package does, and that
+the shortened deepening search repeats its reference counts in-process.
 """
 
+import importlib
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from shipsearch import cli
+from shipsearch import search as search_mod
+from shipsearch.rules import parse_rule
+from shipsearch.statespace import EVEN_MIRROR, SearchParams
+from shipsearch.successor import build_tables, stage1_edges, stage2_reach, stage3_enumerate, successors
+
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_target_resolves():
+    for name, module_name, path in _bench_module("tracer").ALL_TARGETS:
+        owner = importlib.import_module(module_name)
+        for part in path.split("."):
+            assert hasattr(owner, part), f"{name}: {module_name}.{path} is gone"
+            owner = getattr(owner, part)
+        assert callable(owner), name
+
+
+def test_stage_replay_composes_like_successors():
+    # the call shape of the bench's per-stage replay
+    params = SearchParams(parse_rule("B3/S23"), 4, 1, 7, EVEN_MIRROR)
+    tables = build_tables(params)
+    window = [0] * 7 + [0b11]
+    edges = stage1_edges(params, tables, window)
+    reach = stage2_reach(params, tables, edges)
+    assert reach is not None
+    rows = successors(params, tables, window)
+    assert len(rows) > 1
+    assert stage3_enumerate(params, tables, edges, reach) == rows
 
 
 @pytest.mark.slow
@@ -25,3 +66,29 @@ def test_bench_check_holds_reference_counts():
         timeout=600,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
+def test_deepening_search_repeats_reference_counts(monkeypatch, tmp_path):
+    # the shortened deepening search of `--check`, in-process: depth-first
+    # probes, compaction and narrowing
+    wl = _bench_module("workloads").QUICK["quick-c3-even-w6-deepen"]
+    counts = {}
+
+    def counting(fn, key):
+        def wrapper(*args):
+            counts[key] = counts.get(key, 0) + 1
+            return fn(*args)
+
+        return wrapper
+
+    for key, name in (("dfs_rounds", "dfs_round"), ("compactions", "compact"), ("narrowings", "reduce_width")):
+        monkeypatch.setattr(search_mod, name, counting(getattr(search_mod, name), key))
+
+    def run_search(*args, **kwargs):
+        res = search_mod.run_search(*args, **kwargs)
+        counts.update(states_expanded=res.status.states_expanded, ships_found=len(res.ships), outcome=res.status.outcome)
+        return res
+
+    monkeypatch.setattr(cli, "run_search", run_search)
+    assert cli.main(wl.argv() + ["--quiet", "--output", str(tmp_path / "ships.rle")]) == wl.exit_code
+    assert counts == wl.reference

@@ -5,6 +5,8 @@ the successor and oracle suites, so here we check orchestration, i.e.
 outcomes, deepening, narrowing, dedup and progress reporting.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from shipsearch import search as search_mod
@@ -151,6 +153,22 @@ class TestCarriedKeys:
         assert len(offered) > res.status.states_expanded // 2
 
 
+class TestProbeDedup:
+    @pytest.mark.parametrize(
+        "params, config, expanded",
+        [
+            (SearchParams(LIFE, 4, 1, 4, translation=DIAGONAL), SearchConfig(node_capacity=64), 324),
+            (SearchParams(LIFE, 2, 1, 5, GLIDE_REFLECT), SearchConfig(node_capacity=64, continue_after_find=True), 101),
+        ],
+        ids=["c4-diagonal", "c2-glide"],
+    )
+    def test_probe_keys_cover_the_last_2p_rows(self, params, config, expanded):
+        # depth-first probes skip a state already seen at no greater level
+        # within the same probe; keys over one row fewer (or more) than 2p
+        # expand 323 (325) and 101 (105) states here
+        assert run_search(params, config).status.states_expanded == expanded
+
+
 class TestDeterminism:
     def test_repeat_runs_identical(self):
         params = SearchParams(LIFE, 4, 1, 4, translation=DIAGONAL)
@@ -177,3 +195,46 @@ class TestProgress:
         run_search(SearchParams(LIFE, 2, 1, 3), SearchConfig(), progress=seen.append)
         assert seen
         assert seen[-1].outcome == EXHAUSTED
+
+
+def _refresh_on_every_call(self, force=False):
+    # Search._tick as it was before the status refresh was gated on a
+    # report: every call refreshes it
+    self.status.nodes_in_arena = len(self.arena)
+    if self.queue:
+        self.status.frontier_level = self.level_of(self.queue[0])
+    if self.progress is None:
+        return
+    interval = self.config.progress_interval
+    due = interval and self.status.states_expanded - self._last_progress >= interval
+    if force or due:
+        self._last_progress = self.status.states_expanded
+        self.progress(replace(self.status))
+
+
+class TestGatedRefresh:
+    @pytest.mark.parametrize(
+        "params, config",
+        [
+            (SearchParams(LIFE, 4, 1, 5, EVEN_MIRROR), SearchConfig(progress_interval=1)),
+            (SearchParams(LIFE, 4, 1, 5, EVEN_MIRROR), SearchConfig(progress_interval=97)),
+            (SearchParams(LIFE, 4, 1, 5, EVEN_MIRROR), SearchConfig()),
+            (SearchParams(LIFE, 4, 1, 4, translation=DIAGONAL), SearchConfig(progress_interval=5)),
+            # deepening rounds, compaction, narrowing and a drained queue
+            (
+                SearchParams(LIFE, 3, 1, 6, EVEN_MIRROR),
+                SearchConfig(node_capacity=256, max_deepening=6, continue_after_find=True, progress_interval=3),
+            ),
+        ],
+        ids=["exhaust-every", "exhaust-97", "exhaust-final-only", "diagonal-find", "c3-even-deepen"],
+    )
+    def test_reports_and_final_status_unchanged(self, monkeypatch, params, config):
+        def run(progress):
+            seen = []
+            res = run_search(params, config, progress=seen.append if progress else None)
+            return seen, res.status
+
+        gated = run(True), run(False)
+        monkeypatch.setattr(Search, "_tick", _refresh_on_every_call)
+        assert gated == (run(True), run(False))
+        assert gated[0][0][-1] == gated[1][1]

@@ -26,6 +26,7 @@ from shipsearch.statespace import (
     TranspositionTable,
     constraint_indices,
     debruijn_size,
+    filter_flags,
     extract_ship,
     is_consistent,
     is_goal,
@@ -284,6 +285,55 @@ class TestStateKey:
         same_key = state_key(params, arena, tip_a) == state_key(params, arena, tip_b)
         same_rows = arena.rows_back(tip_a, 4) == arena.rows_back(tip_b, 4)
         assert same_key == same_rows
+
+
+class TestRowsBack:
+    @staticmethod
+    def per_step(arena, idx, count):
+        out = []
+        for _ in range(count):
+            out.append(arena.rows[idx] if idx >= 0 else 0)
+            idx = arena.parents[idx] if idx >= 0 else -1
+        return out[::-1]
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 10**6)), min_size=1, max_size=40),
+        st.integers(0, 10**6),
+        st.integers(0, 50),
+    )
+    def test_matches_per_step_walk(self, nodes, pick, count):
+        # a random forest: each node's parent is -1 or an earlier node
+        arena = NodeArena()
+        for row, parent in nodes:
+            arena.add(row, parent % (len(arena) + 1) - 1)
+        idx = pick % len(arena)
+        assert arena.rows_back(idx, count) == self.per_step(arena, idx, count)
+
+
+class TestFilterFlags:
+    # (use_ll, use_p2) with lookahead and extended both on; every other
+    # setting turns both filters off
+    EXPECTED = [
+        (2, 1, ASYMMETRIC, ORTHOGONAL, (False, True)),
+        (2, 1, EVEN_MIRROR, ORTHOGONAL, (False, True)),
+        (2, 1, ODD_MIRROR, ORTHOGONAL, (False, True)),
+        (2, 1, GLIDE_REFLECT, ORTHOGONAL, (False, False)),
+        (2, 1, ASYMMETRIC, DIAGONAL, (False, False)),
+        (3, 1, ASYMMETRIC, ORTHOGONAL, (True, False)),
+        (3, 2, EVEN_MIRROR, ORTHOGONAL, (True, False)),
+        (4, 1, ODD_MIRROR, ORTHOGONAL, (True, False)),
+        (3, 1, GLIDE_REFLECT, ORTHOGONAL, (True, False)),
+        (5, 2, GLIDE_REFLECT, ORTHOGONAL, (True, False)),
+        (4, 1, ASYMMETRIC, DIAGONAL, (True, False)),
+    ]
+
+    @pytest.mark.parametrize("case", EXPECTED, ids=lambda c: f"p{c[0]}k{c[1]}-{c[2]}-{c[3]}")
+    def test_flags_per_mode(self, case):
+        p, k, sym, tr, both_on = case
+        params = SearchParams(LIFE, p, k, 4, sym, tr)
+        assert filter_flags(params, True, True) == both_on
+        for lookahead, extended in ((True, False), (False, True), (False, False)):
+            assert filter_flags(params, lookahead, extended) == (False, False)
 
 
 class TestTransposition:

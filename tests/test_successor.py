@@ -11,7 +11,15 @@ import time
 
 import pytest
 
-from helpers import GLIDER_CELLS, LWSS_CELLS, reference_stage1_edges, ship_sequence
+from helpers import (
+    GLIDER_CELLS,
+    LWSS_CELLS,
+    reference_row_count,
+    reference_stage1_edges,
+    reference_stage2_reach,
+    reference_stage3_enumerate,
+    ship_sequence,
+)
 from shipsearch.rules import evolution_table, evolve_row_triple, parse_rule
 from shipsearch.search import Search, SearchConfig, reduce_width
 from shipsearch.statespace import (
@@ -158,7 +166,7 @@ class TestSuccessorsAgainstBrute:
     @pytest.mark.parametrize("case", MODE_CASES, ids=lambda c: f"p{c[0]}k{c[1]}w{c[2]}-{c[3]}-{c[4]}")
     def test_matches_literal_filter(self, case):
         p, k, w, sym, tr = case
-        rng = random.Random(hash(case) & 0xFFFF)
+        rng = random.Random(repr(case))
         for rule_s in ("B3/S23", "B36/S125"):
             params = SearchParams(parse_rule(rule_s), p, k, w, sym, tr)
             tables = build_tables(params)
@@ -268,6 +276,10 @@ STAGE1_CASES = MODE_CASES + [
 ]
 
 
+# both mirror symmetries, with the p2 filter (p=2) and the ll filter
+MIRROR_CASES = [(p, k, sym) for p, k in ((2, 1), (3, 1), (4, 1)) for sym in (EVEN_MIRROR, ODD_MIRROR)]
+
+
 def _random_window(rng, n, w):
     # sparse rows (a cell is live with probability 1/4), so that the
     # extended filters see columns that star lets through
@@ -304,6 +316,16 @@ class TestCompiledStage1:
         assert search.params.width == 5
         _check_stage1(search.params, search.tables, rng, 6)
 
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 31, 32])
+    @pytest.mark.parametrize("case", MIRROR_CASES, ids=lambda c: f"p{c[0]}k{c[1]}-{c[2]}")
+    def test_mirror_ghost_widths(self, case, width):
+        # the ghost holds 3 reflected cells: equal to the whole reflection
+        # for w <= 3, and its dropped cells are never read for wider rows
+        p, k, sym = case
+        rng = random.Random(repr((case, width)))
+        params = SearchParams(LIFE, p, k, width, sym)
+        _check_stage1(params, build_tables(params), rng, 12)
+
 
 class TestVertexFolds:
     @staticmethod
@@ -321,3 +343,68 @@ class TestVertexFolds:
         for m in masks:
             assert _left_vertices(m) == self.per_bit(m, _LEFT_OF), hex(m)
             assert _right_vertices(m) == self.per_bit(m, _RIGHT_OF), hex(m)
+
+
+SETTINGS = [(True, True), (True, False), (False, True), (False, False)]
+
+
+def _check_stages_2_3(params, tables, rows, la, ext, max_rows=None):
+    """Stage2 dies exactly when the reference does; otherwise stage3 lists
+    the reference's rows in the reference's order. Windows with more than
+    max_rows rows are skipped before listing them; returns whether stage3
+    was compared."""
+    edges = stage1_edges(params, tables, rows, la, ext)
+    want_reach = reference_stage2_reach(params, tables, edges)
+    reach = stage2_reach(params, tables, edges)
+    assert (reach is None) == (want_reach is None), (rows, la, ext)
+    if reach is None:
+        return False
+    count = reference_row_count(tables, edges, want_reach)
+    if max_rows is not None and count > max_rows:
+        return False
+    got = stage3_enumerate(params, tables, edges, reach)
+    assert got == reference_stage3_enumerate(params, tables, edges, want_reach), (rows, la, ext)
+    assert len(got) == count
+    return True
+
+
+class TestStages2And3:
+    @pytest.mark.parametrize("case", MODE_CASES, ids=lambda c: f"p{c[0]}k{c[1]}-{c[3]}-{c[4]}")
+    def test_narrow_widths_match_reference(self, case):
+        p, k, _, sym, tr = case
+        hist = max(2 * p, p + 2 * k)
+        rng = random.Random(repr(case))
+        compared = 0
+        for w in (1, 2, 3, 4):
+            params = SearchParams(LIFE, p, k, w, sym, tr)
+            tables = build_tables(params)
+            for n in range(1, hist + 4):
+                for trial in range(4):
+                    rows = [0] * n if trial == 0 else _random_window(rng, n, w)
+                    for la, ext in SETTINGS:
+                        compared += _check_stages_2_3(params, tables, rows, la, ext)
+        assert compared > 100
+
+    @pytest.mark.parametrize("case", MODE_CASES, ids=lambda c: f"p{c[0]}k{c[1]}-{c[3]}-{c[4]}")
+    def test_wide_widths_match_reference(self, case):
+        # most windows this wide that survive stage2 yield 10^4 to 10^6
+        # rows, so stage3 is compared on those yielding at most 2000; the
+        # stage2 verdict is compared on every window
+        p, k, _, sym, tr = case
+        hist = max(2 * p, p + 2 * k)
+        rng = random.Random(repr(case))
+        for w in (29, 30, 31, 32):
+            params = SearchParams(LIFE, p, k, w, sym, tr)
+            tables = build_tables(params)
+            compared = 0
+            for n in range(1, hist + 4):
+                for sparsity in (2, 3, 4):
+                    rows = []
+                    for _ in range(n):
+                        row = rng.getrandbits(w)
+                        for _ in range(sparsity - 1):
+                            row &= rng.getrandbits(w)
+                        rows.append(row)
+                    for la, ext in SETTINGS:
+                        compared += _check_stages_2_3(params, tables, rows, la, ext, max_rows=2000)
+            assert compared > 0, w
