@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .pattern import classify_ship, emit_rle, oscillator_period, parse_rle
+from .pattern import ShipDescriptor, emit_rle, first_recurrence, parse_rle
 from .rules import format_rule, parse_rule
 from .search import SearchConfig, run_search
 from .statespace import (
@@ -101,21 +101,20 @@ def cmd_verify(args) -> int:
     if pattern.trim().is_empty():
         print("not a spaceship (empty)")
         return 1
-    desc = classify_ship(rule, pattern, args.max_period)
-    if desc is not None:
-        line = f"period {desc.period}, dx {desc.dx}, dy {desc.dy}, speed {desc.speed_text()}"
-        if desc.slope is not None:
-            line += f", slope {desc.slope}"
-        print(line)
-        return 0
-    osc = oscillator_period(rule, pattern, args.max_period)
-    if osc == 1:
-        print("not a spaceship (still life)")
-    elif osc is not None:
-        print(f"not a spaceship (oscillator, period {osc})")
-    else:
+    found = first_recurrence(rule, pattern, args.max_period)
+    if found is None:
         print(f"not a spaceship (no recurrence within {args.max_period} generations)")
-    return 1
+        return 1
+    period, dx, dy = found
+    if (dx, dy) == (0, 0):
+        print("not a spaceship (still life)" if period == 1 else f"not a spaceship (oscillator, period {period})")
+        return 1
+    desc = ShipDescriptor(period, dx, dy)
+    line = f"period {desc.period}, dx {desc.dx}, dy {desc.dy}, speed {desc.speed_text()}"
+    if desc.slope is not None:
+        line += f", slope {desc.slope}"
+    print(line)
+    return 0
 
 
 def cmd_stats(args) -> int:

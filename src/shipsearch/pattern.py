@@ -214,44 +214,32 @@ class ShipDescriptor:
         return full if full == short else f"{full} = {short}"
 
 
-def classify_ship(rule: Rule, pattern: Pattern, max_period: int) -> ShipDescriptor | None:
-    """Smallest period p <= max_period at which the trimmed pattern recurs
-    displaced by a nonzero amount. Oscillators, dying patterns, and patterns
-    that outgrow 4x their box (+2*max_period) report None.
-    """
-    table = evolution_table(rule)
-    start, x0, y0 = pattern.trim_tracked()
-    if start.is_empty():
-        return None
-    wcap = 4 * start.width + 2 * max_period
-    hcap = 4 * start.height + 2 * max_period
-    cur, x, y = start, 0, 0
-    for gen in range(1, max_period + 1):
-        cur, dx, dy = _evolve_step(table, cur)
-        x += dx
-        y += dy
-        if cur.is_empty():
-            return None
-        if cur.width > wcap or cur.height > hcap:
-            return None
-        if cur == start:
-            if (x, y) == (0, 0):
-                return None  # oscillator
-            return ShipDescriptor(gen, x, y)
-    return None
-
-
-def oscillator_period(rule: Rule, pattern: Pattern, max_period: int) -> int | None:
-    """Period of exact in-place recurrence, for reporting non-ships."""
+def first_recurrence(rule: Rule, pattern: Pattern, max_period: int) -> tuple[int, int, int] | None:
+    """(generation, dx, dy) of the first generation 1..max_period at which
+    the trimmed pattern recurs, displaced by (dx, dy); None for an empty or
+    dying pattern, or one that does not recur that soon. A pattern that
+    recurs displaced never recurs in place and vice versa, so the first
+    recurrence tells ships from oscillators."""
     table = evolution_table(rule)
     start, _, _ = pattern.trim_tracked()
-    if start.is_empty():
-        return None
     cur, x, y = start, 0, 0
     for gen in range(1, max_period + 1):
+        if cur.is_empty():
+            return None
         cur, dx, dy = _evolve_step(table, cur)
         x += dx
         y += dy
-        if cur == start and (x, y) == (0, 0):
-            return gen
+        if cur == start:
+            return gen, x, y
     return None
+
+
+def classify_ship(rule: Rule, pattern: Pattern, max_period: int) -> ShipDescriptor | None:
+    """Smallest period p <= max_period at which the trimmed pattern recurs
+    displaced by a nonzero amount. Oscillators, dying patterns and patterns
+    that do not recur within max_period report None.
+    """
+    found = first_recurrence(rule, pattern, max_period)
+    if found is None or found[1:] == (0, 0):
+        return None
+    return ShipDescriptor(*found)

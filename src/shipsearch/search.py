@@ -27,6 +27,7 @@ from .statespace import (
     NodeArena,
     SearchParams,
     TranspositionTable,
+    ever_live,
     extract_ship,
     fold_rows,
     is_goal,
@@ -93,8 +94,7 @@ class Search:
         self.arena, tip = make_initial_state(params)
         self.base_depth = self.arena.depths[tip]
         self.queue: deque[int] = deque([tip])
-        self.tt = TranspositionTable(params, self.arena, config.node_capacity)
-        transposition_insert(self.tt, state_key(params, self.arena, tip), tip)
+        self._new_table([tip])
         self.limit: int | None = None  # deepening level reached by previous rounds
         self.ships: list[tuple[Pattern, ShipDescriptor]] = []
         self._ship_keys: set = set()
@@ -107,6 +107,13 @@ class Search:
     def level_of(self, idx: int) -> int:
         """Rows appended beyond the all-dead seed."""
         return self.arena.depths[idx] - self.base_depth
+
+    def _new_table(self, nodes) -> None:
+        """Start a transposition table holding the states of nodes: the
+        all-dead seed, then the frontier in queue order."""
+        self.tt = TranspositionTable()
+        for idx in nodes:
+            transposition_insert(self.tt, state_key(self.params, self.arena, idx), idx)
 
     def _tick(self, force: bool = False) -> None:
         # status is refreshed only for a report or when forced; a drained
@@ -152,15 +159,6 @@ class Search:
         return True
 
 
-def _ever_live(arena: NodeArena, idx: int) -> bool:
-    cur = idx
-    while cur >= 0:
-        if arena.rows[cur]:
-            return True
-        cur = arena.parents[cur]
-    return False
-
-
 def _expand_head(search: Search) -> None:
     params, arena, cfg = search.params, search.arena, search.config
     idx = search.queue.popleft()
@@ -193,7 +191,7 @@ def _dfs_probe(search: Search, root: int, limit: int) -> bool:
     iters = [iter(successors(params, search.tables, window, cfg.lookahead, cfg.extended))]
     windows = [window]
     keys = [fold_rows(window[-span:], w)]
-    evers = [_ever_live(arena, root)]
+    evers = [ever_live(arena, root)]
     path: list[int] = []
     seen: dict[int, int] = {}
     search.status.states_expanded += 1
@@ -260,8 +258,9 @@ def dfs_round(search: Search) -> None:
 
 
 def compact(search: Search) -> None:
-    """Rebuild the arena from the frontier and its ancestry; the
-    transposition table starts over, reseeded with the live keys."""
+    """Rebuild the arena from the frontier and its ancestry. The
+    transposition table starts over from the seed and the frontier, so it
+    never holds more entries than the arena has nodes."""
     if not search.queue:
         return  # exhaustion is about to be declared; nothing to keep
     params, old = search.params, search.arena
@@ -281,10 +280,7 @@ def compact(search: Search) -> None:
     search.queue = deque(remap[i] for i in search.queue)
     search.arena = fresh
     search.base_depth = fresh.depths[tip]
-    search.tt = TranspositionTable(params, fresh, search.config.node_capacity)
-    transposition_insert(search.tt, state_key(params, fresh, tip), tip)
-    for idx in search.queue:
-        transposition_insert(search.tt, state_key(params, fresh, idx), idx)
+    search._new_table([tip, *search.queue])
     search._tick(force=True)
 
 

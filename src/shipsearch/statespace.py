@@ -347,19 +347,22 @@ def state_key(params: SearchParams, arena: NodeArena, idx: int) -> int:
     return fold_rows(arena.rows_back(idx, 2 * params.period), params.width)
 
 
+def ever_live(arena: NodeArena, idx: int) -> bool:
+    """Some row at idx or among its ancestors is alive."""
+    while idx >= 0:
+        if arena.rows[idx]:
+            return True
+        idx = arena.parents[idx]
+    return False
+
+
 def is_goal(params: SearchParams, arena: NodeArena, idx: int) -> bool:
     """Last 2p rows dead and something earlier alive."""
-    span = 2 * params.period
-    cur = idx
-    for _ in range(span):
-        if cur < 0 or arena.rows[cur]:
+    for _ in range(2 * params.period):
+        if idx < 0 or arena.rows[idx]:
             return False
-        cur = arena.parents[cur]
-    while cur >= 0:
-        if arena.rows[cur]:
-            return True
-        cur = arena.parents[cur]
-    return False
+        idx = arena.parents[idx]
+    return ever_live(arena, idx)
 
 
 def extract_ship(params: SearchParams, arena: NodeArena, idx: int) -> Pattern:
@@ -392,62 +395,25 @@ def extract_ship(params: SearchParams, arena: NodeArena, idx: int) -> Pattern:
 
 
 # ---------------------------------------------------------------------------
-# transposition table
+# transposition table: exact state key -> first node with that state
 
 
-class TranspositionTable:
-    """Fixed-capacity open-addressing map from state keys to node indices.
+class TranspositionTable(dict):
+    """Map from state key to the first node that reached that state.
 
-    Stores node references only; equality is confirmed by walking the 2p
-    parent rows. On a duplicate, the shorter state is retained. When full,
-    inserts degrade to no-ops (dedup is an optimization, never required
-    for soundness) and a flag records that this happened.
+    state_key packs the last 2p rows exactly, so equal keys are equal
+    states. Nodes arrive in nondecreasing depth (the queue is breadth-first
+    and compaction reseeds the seed before the frontier), so the first node
+    is also a shallowest one. Each entry is an arena node, and compaction
+    starts a fresh table, so the table never outgrows the arena.
     """
-
-    def __init__(self, params: SearchParams, arena: NodeArena, capacity: int):
-        self.params = params
-        self.arena = arena
-        size = 1
-        while size < capacity:
-            size <<= 1
-        self.mask = size - 1
-        self.slots = [-1] * size
-        self.count = 0
-        self.limit = max(1, (size * 7) // 8)
-        self.saturated = False
-
-    def _hash(self, key: int) -> int:
-        h = key & 0xFFFFFFFFFFFFFFFF
-        k = key >> 64
-        while k:
-            h ^= k & 0xFFFFFFFFFFFFFFFF
-            h = (h * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-            k >>= 64
-        h ^= h >> 33
-        h = (h * 0xFF51AFD7ED558CCD) & 0xFFFFFFFFFFFFFFFF
-        h ^= h >> 33
-        return h
-
-    def insert(self, key: int, idx: int) -> tuple[str, int | None]:
-        """Returns ("fresh", None) or ("duplicate", retained node index)."""
-        span = 2 * self.params.period
-        pos = self._hash(key) & self.mask
-        while True:
-            slot = self.slots[pos]
-            if slot < 0:
-                if self.count >= self.limit:
-                    self.saturated = True
-                    return ("fresh", None)
-                self.slots[pos] = idx
-                self.count += 1
-                return ("fresh", None)
-            if self.arena.rows_back(slot, span) == self.arena.rows_back(idx, span):
-                if self.arena.depths[idx] < self.arena.depths[slot]:
-                    self.slots[pos] = idx
-                    return ("duplicate", idx)
-                return ("duplicate", slot)
-            pos = (pos + 1) & self.mask
 
 
 def transposition_insert(table: TranspositionTable, key: int, idx: int) -> tuple[str, int | None]:
-    return table.insert(key, idx)
+    """Returns ("fresh", None) after recording idx, or ("duplicate", the
+    node recorded first for this key)."""
+    kept = table.get(key)
+    if kept is None:
+        table[key] = idx
+        return ("fresh", None)
+    return ("duplicate", kept)

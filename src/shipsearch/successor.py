@@ -273,7 +273,6 @@ def _cached(kind: str, rule: Rule, build):
 
 @dataclass
 class SearchTables:
-    params: SearchParams
     star_l: list
     star_only: list
     ll: list | None
@@ -337,7 +336,6 @@ def build_tables(params: SearchParams) -> SearchTables:
     else:
         start = 1
     return SearchTables(
-        params=params,
         star_l=star_l,
         star_only=star_only,
         ll=ll,

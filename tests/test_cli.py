@@ -81,6 +81,11 @@ class TestSearchCommand:
         assert main(["verify", str(path)]) == 0
         assert "speed 2c/4 = c/2" in capsys.readouterr().out
 
+    def test_node_capacity_reserves_nothing_up_front(self, capsys):
+        # 2^40 nodes: any per-capacity allocation at set-up would fail here
+        assert main(search_args("--node-capacity", str(1 << 40))) == 0
+        assert "#C period 4, dx 0, dy -2, speed 2c/4 = c/2" in capsys.readouterr().out
+
     def test_progress_goes_to_stderr(self, capsys):
         args = ["search", "--rule", "B3/S23", "--period", "2", "--offset", "1",
                 "--width", "3"]
@@ -119,6 +124,14 @@ class TestVerifyCommand:
         path = self.write(tmp_path, BLOCK_RLE)
         assert main(["verify", path]) == 1
         assert "not a spaceship (still life)" in capsys.readouterr().out
+
+    def test_no_recurrence(self, tmp_path, capsys):
+        path = self.write(tmp_path, GLIDER_RLE)
+        assert main(["verify", path, "--rule", "B3/S23", "--max-period", "3"]) == 1
+        assert "not a spaceship (no recurrence within 3 generations)" in capsys.readouterr().out
+        path = self.write(tmp_path, "x = 1, y = 1, rule = B3/S23\no!\n")  # dies at once
+        assert main(["verify", path]) == 1
+        assert "not a spaceship (no recurrence within 32 generations)" in capsys.readouterr().out
 
     def test_empty(self, tmp_path, capsys):
         path = self.write(tmp_path, EMPTY_RLE)

@@ -9,8 +9,8 @@ from shipsearch.pattern import (
     classify_ship,
     emit_rle,
     evolve_pattern,
+    first_recurrence,
     from_text,
-    oscillator_period,
     parse_rle,
 )
 from shipsearch.rules import parse_rule
@@ -148,14 +148,15 @@ class TestEvolve:
 class TestClassifyShip:
     def test_blinker_is_not_a_ship(self):
         assert classify_ship(LIFE, BLINKER, 4) is None
-        assert oscillator_period(LIFE, BLINKER, 4) == 2
+        assert first_recurrence(LIFE, BLINKER, 4) == (2, 0, 0)
 
     def test_block_is_not_a_ship(self):
         assert classify_ship(LIFE, BLOCK, 4) is None
-        assert oscillator_period(LIFE, BLOCK, 4) == 1
+        assert first_recurrence(LIFE, BLOCK, 4) == (1, 0, 0)
 
     def test_dying_pattern(self):
         assert classify_ship(LIFE, from_text("O"), 4) is None
+        assert first_recurrence(LIFE, from_text("O"), 4) is None
 
     def test_glider(self):
         d = classify_ship(LIFE, GLIDER, 4)

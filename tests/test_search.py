@@ -5,6 +5,7 @@ the successor and oracle suites, so here we check orchestration, i.e.
 outcomes, deepening, narrowing, dedup and progress reporting.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -120,37 +121,83 @@ class TestOutcomes:
             assert (desc.period, desc.dx, abs(desc.dy)) == (4, 0, 2)
 
 
+CARRIED_KEY_CASES = pytest.mark.parametrize(
+    "params, config",
+    [
+        (SearchParams(LIFE, 2, 1, 5, GLIDE_REFLECT), SearchConfig(continue_after_find=True)),
+        (SearchParams(LIFE, 4, 1, 4, translation=DIAGONAL), SearchConfig()),
+        # compaction and narrowing (width 6 down to 4), ships found
+        (
+            SearchParams(LIFE, 3, 1, 6, EVEN_MIRROR),
+            SearchConfig(node_capacity=256, max_deepening=6, continue_after_find=True),
+        ),
+    ],
+    ids=["c2-glide", "c4-diagonal", "c3-even-deepen"],
+)
+
+
 class TestCarriedKeys:
-    @pytest.mark.parametrize(
-        "params, config",
-        [
-            (SearchParams(LIFE, 2, 1, 5, GLIDE_REFLECT), SearchConfig(continue_after_find=True)),
-            (SearchParams(LIFE, 4, 1, 4, translation=DIAGONAL), SearchConfig()),
-            # compaction and narrowing (width 6 down to 4), ships found
-            (
-                SearchParams(LIFE, 3, 1, 6, EVEN_MIRROR),
-                SearchConfig(node_capacity=256, max_deepening=6, continue_after_find=True),
-            ),
-        ],
-        ids=["c2-glide", "c4-diagonal", "c3-even-deepen"],
-    )
+    def run_offering(self, monkeypatch, params, config, check):
+        """Run a search, calling check(search, key, idx, verdict) on every
+        transposition-table insert."""
+        searches = []
+        original_init, original_insert = Search.__init__, search_mod.transposition_insert
+
+        def init(self, *args, **kwargs):
+            searches.append(self)
+            original_init(self, *args, **kwargs)
+
+        def checked(table, key, idx):
+            verdict = original_insert(table, key, idx)
+            check(searches[-1], key, idx, verdict)
+            return verdict
+
+        monkeypatch.setattr(Search, "__init__", init)
+        monkeypatch.setattr(search_mod, "transposition_insert", checked)
+        return run_search(params, config)
+
+    @CARRIED_KEY_CASES
     def test_table_keys_are_state_keys_and_goals_are_caught(self, monkeypatch, params, config):
         # every child the search expands either goes through the goal test
         # or is offered to the transposition table; a key that differs from
         # state_key, or a goal let through by the key == 0 gate, shows here
-        original = search_mod.transposition_insert
         offered = []
 
-        def checked(table, key, idx):
-            assert key == state_key(table.params, table.arena, idx)
-            assert not is_goal(table.params, table.arena, idx)
+        def check(search, key, idx, verdict):
+            assert key == state_key(search.params, search.arena, idx)
+            assert not is_goal(search.params, search.arena, idx)
             offered.append(idx)
-            return original(table, key, idx)
 
-        monkeypatch.setattr(search_mod, "transposition_insert", checked)
-        res = run_search(params, config)
+        res = self.run_offering(monkeypatch, params, config, check)
         assert res.ships
         assert len(offered) > res.status.states_expanded // 2
+
+    @CARRIED_KEY_CASES
+    def test_duplicates_keep_a_node_no_deeper(self, monkeypatch, params, config):
+        # nodes reach the table in nondecreasing depth, so keeping the first
+        # node of a state keeps a shallowest one
+        dups = []
+
+        def check(search, key, idx, verdict):
+            if verdict[0] == "duplicate":
+                assert search.arena.depths[verdict[1]] <= search.arena.depths[idx]
+                dups.append(idx)
+
+        self.run_offering(monkeypatch, params, config, check)
+        assert dups
+
+
+class TestSetupMemory:
+    def test_capacity_reserves_nothing(self):
+        params = SearchParams(LIFE, 3, 1, 6, EVEN_MIRROR)
+        Search(params, SearchConfig(node_capacity=64))  # warm the per-rule table caches
+        tracemalloc.start()
+        try:
+            Search(params, SearchConfig(node_capacity=1 << 23))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestProbeDedup:

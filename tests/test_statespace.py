@@ -26,6 +26,7 @@ from shipsearch.statespace import (
     TranspositionTable,
     constraint_indices,
     debruijn_size,
+    ever_live,
     filter_flags,
     extract_ship,
     is_consistent,
@@ -186,6 +187,16 @@ class TestInitialAndGoal:
             tip = arena.add(0, tip)
         assert is_goal(params, arena, tip)
 
+    def test_ever_live_sees_every_ancestor(self):
+        params = SearchParams(LIFE, 2, 1, 4)
+        arena, tip = make_initial_state(params)
+        assert not ever_live(arena, tip) and not ever_live(arena, -1)
+        live = tip = arena.add(0b0110, tip)
+        for _ in range(3):
+            tip = arena.add(0, tip)
+        assert ever_live(arena, live) and ever_live(arena, tip)
+        assert not is_goal(params, arena, tip)  # 3 dead rows, fewer than 2p
+
 
 class TestConsistency:
     def test_initial_rows_consistent(self):
@@ -337,11 +348,10 @@ class TestFilterFlags:
 
 
 class TestTransposition:
-    def make(self, p=2, w=4, capacity=64):
-        params = SearchParams(LIFE, p, 1, w)
+    def make(self):
+        params = SearchParams(LIFE, 2, 1, 4)
         arena, tip = make_initial_state(params)
-        table = TranspositionTable(params, arena, capacity)
-        return params, arena, tip, table
+        return params, arena, tip, TranspositionTable()
 
     def test_initial_twice_is_duplicate(self):
         params, arena, tip, table = self.make()
@@ -358,38 +368,17 @@ class TestTransposition:
         b = arena.add(0b10, tip)
         for _ in range(4):
             b = arena.add(0, b)
-        table.insert(state_key(params, arena, a), a)
-        verdict, kept = table.insert(state_key(params, arena, b), b)
+        assert transposition_insert(table, state_key(params, arena, a), a) == ("fresh", None)
+        verdict, kept = transposition_insert(table, state_key(params, arena, b), b)
         assert verdict == "duplicate" and kept == a
-
-    def test_shorter_state_replaces(self):
-        params, arena, tip, table = self.make()
-        deep = arena.add(0b1, tip)
-        for _ in range(4):
-            deep = arena.add(0, deep)
-        table.insert(state_key(params, arena, deep), deep)
-        # the initial state has the same key (all-dead suffix) but is shorter
-        verdict, kept = table.insert(state_key(params, arena, tip), tip)
-        assert verdict == "duplicate" and kept == tip
 
     def test_distinct_suffixes_are_fresh(self):
         params, arena, tip, table = self.make()
         a = arena.add(0b1, tip)
         b = arena.add(0b10, tip)
-        assert table.insert(state_key(params, arena, a), a)[0] == "fresh"
-        assert table.insert(state_key(params, arena, b), b)[0] == "fresh"
-
-    def test_capacity_degrades_to_no_dedup(self):
-        params, arena, tip, table = self.make(capacity=4)
-        nodes = []
-        for row in range(1, 10):
-            n = arena.add(row, tip)
-            nodes.append(n)
-            table.insert(state_key(params, arena, n), n)
-        assert table.saturated
-        # saturated inserts still answer fresh rather than erroring
-        n = arena.add(12, tip)
-        assert table.insert(state_key(params, arena, n), n) == ("fresh", None)
+        assert transposition_insert(table, state_key(params, arena, a), a)[0] == "fresh"
+        assert transposition_insert(table, state_key(params, arena, b), b)[0] == "fresh"
+        assert table == {state_key(params, arena, a): a, state_key(params, arena, b): b}
 
 
 class TestExtraction:
