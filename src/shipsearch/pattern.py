@@ -61,16 +61,6 @@ class Pattern:
         )
 
 
-def from_text(text: str) -> Pattern:
-    """Build a pattern from '.'/'O' art (any non-'.' non-space char is live)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    width = max((len(ln) for ln in lines), default=0)
-    rows = tuple(
-        sum(1 << x for x, ch in enumerate(ln) if ch not in ". ") for ln in lines
-    )
-    return Pattern(rows, width)
-
-
 _HEADER_RE = re.compile(
     r"^x\s*=\s*(\d+)\s*,\s*y\s*=\s*(\d+)\s*(?:,\s*rule\s*=\s*(\S+)\s*)?$",
     re.IGNORECASE,

@@ -9,6 +9,10 @@ degrades into plain iterative deepening; with a large one the rounds are
 rare. If max_deepening is set and the limit outruns the frontier by more
 than that, the strip is narrowed by one column instead.
 
+Both loops expand a node through one child step, _children. The probe
+keeps its path in the arena and cuts the arena back as it backtracks, so
+a round can hold one probe path beyond the node capacity.
+
 Every candidate ship is re-verified by evolving the extracted pattern;
 a verification failure means the constraint machinery is wrong and is
 raised, never swallowed.
@@ -21,13 +25,11 @@ from dataclasses import dataclass, replace
 
 from .pattern import Pattern, ShipDescriptor, classify_ship
 from .statespace import (
-    DIAGONAL,
     GLIDE_REFLECT,
     ORTHOGONAL,
     NodeArena,
     SearchParams,
     TranspositionTable,
-    ever_live,
     extract_ship,
     fold_rows,
     is_goal,
@@ -49,8 +51,6 @@ class SearchConfig:
     delta: int | None = None  # deepening increment per round; default: the period
     max_deepening: int | None = None  # narrow the strip once limit - frontier exceeds this
     continue_after_find: bool = False
-    lookahead: bool = True
-    extended: bool = True
     progress_interval: int = 0  # expansions between progress callbacks; 0 = off
 
 
@@ -81,6 +81,8 @@ class Search:
         self.delta = config.delta if config.delta is not None else p
         if self.delta < 1:
             raise ValueError("delta must be at least 1")
+        if config.max_deepening is not None and config.max_deepening < 0:
+            raise ValueError("max_deepening must not be negative")
         if config.progress_interval < 0:
             raise ValueError("progress_interval must not be negative")
         self.params = params
@@ -159,76 +161,63 @@ class Search:
         return True
 
 
-def _expand_head(search: Search) -> None:
-    params, arena, cfg = search.params, search.arena, search.config
-    idx = search.queue.popleft()
+def _children(search: Search, idx: int):
+    """Expand one node: add each successor row to the arena as a child of
+    idx, record the children that finish a ship and yield the others as
+    (child, state key). Stops early when a recorded ship ends the search."""
+    params, arena = search.params, search.arena
     window = arena.rows_back(idx, search.hist)
     search.status.states_expanded += 1
     # a child's state is the parent's last 2p-1 rows plus the new one
     w = params.width
     prefix = fold_rows(window[1 - 2 * params.period :], w) << w
-    for c in successors(params, search.tables, window, cfg.lookahead, cfg.extended):
+    for c in successors(params, search.tables, window):
         child = arena.add(c, idx)
         key = prefix | c
         if not key and is_goal(params, arena, child):
             if search._record_ship(child):
                 return
             continue  # a finished ship only grows dead rows from here
-        verdict, _ = transposition_insert(search.tt, key, child)
-        if verdict == "fresh":
+        yield child, key
+
+
+def _expand_head(search: Search) -> None:
+    for child, key in _children(search, search.queue.popleft()):
+        if transposition_insert(search.tt, key, child)[0] == "fresh":
             search.queue.append(child)
-    search._tick()
+    if search.status.outcome == RUNNING:  # a ship that ends the search skips the tick
+        search._tick()
 
 
 def _dfs_probe(search: Search, root: int, limit: int) -> bool:
     """Depth-first from one frontier root to the given level. True when
-    some descendant is still alive at the limit (the root is kept)."""
-    params, arena, cfg = search.params, search.arena, search.config
-    w, span = params.width, 2 * params.period
-    mask = (1 << span * w) - 1  # a child's key: its parent's plus one row, less the oldest
-    root_level = search.level_of(root)
-    window = arena.rows_back(root, search.hist)
-    iters = [iter(successors(params, search.tables, window, cfg.lookahead, cfg.extended))]
-    windows = [window]
-    keys = [fold_rows(window[-span:], w)]
-    evers = [ever_live(arena, root)]
-    path: list[int] = []
-    seen: dict[int, int] = {}
-    search.status.states_expanded += 1
-    while iters:
-        c = next(iters[-1], None)
-        if c is None:
-            iters.pop()
-            windows.pop()
-            keys.pop()
-            evers.pop()
-            if path:
-                path.pop()
+    some descendant is still alive at the limit (the root is kept). The
+    path lives in the arena: each frame is a child step and the arena's
+    length when it was pushed, which the arena is cut back to before the
+    frame's next child; on return the arena is back at its first length."""
+    arena = search.arena
+    start = len(arena)
+    frames = [(_children(search, root), start)]
+    seen: dict[int, int] = {}  # state key -> lowest level it was reached at
+    while frames and search.status.outcome == RUNNING:
+        children, mark = frames[-1]
+        arena.truncate(mark)
+        step = next(children, None)
+        if step is None:
+            frames.pop()
             continue
-        key = (keys[-1] << w | c) & mask
-        ever = evers[-1] or c != 0
-        level = root_level + len(path) + 1
-        if ever and key == 0:
-            idx = root
-            for r in path + [c]:
-                idx = arena.add(r, idx)
-            if search._record_ship(idx):
-                return True
-            continue
+        child, key = step
+        level = search.level_of(child)
         prev = seen.get(key)
         if prev is not None and prev <= level:
             continue
         seen[key] = level
         if level >= limit:
+            arena.truncate(start)
             return True
-        window = windows[-1][1:] + [c]
-        iters.append(iter(successors(params, search.tables, window, cfg.lookahead, cfg.extended)))
-        search.status.states_expanded += 1
-        windows.append(window)
-        keys.append(key)
-        evers.append(ever)
-        path.append(c)
+        frames.append((_children(search, child), len(arena)))
         search._tick()
+    arena.truncate(start)
     return False
 
 

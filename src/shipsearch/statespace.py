@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .pattern import Pattern
-from .rules import ROW_WIDTH_LIMIT, Rule, evolution_table, evolve_row_triple
+from .rules import ROW_WIDTH_LIMIT, Rule, evolve_row_triple
 
 ASYMMETRIC = "asymmetric"
 EVEN_MIRROR = "even-mirror"
@@ -211,7 +211,7 @@ def filter_flags(params: SearchParams, lookahead: bool, extended: bool) -> tuple
 
 
 # ---------------------------------------------------------------------------
-# frame evaluation (shared by is_consistent and the oracle)
+# frame evaluation (the oracle and the test helpers)
 
 FRAME_MARGIN = 6  # frame bits beyond the strip on each side; covers every shift
 
@@ -259,17 +259,6 @@ def state_rows(rows: list[int], index: int) -> int:
     return rows[index] if 0 <= index < len(rows) else 0
 
 
-def is_consistent(params: SearchParams, rows: list[int]) -> bool:
-    """Every fully-in-sequence forward instance holds, and no in-sequence
-    strip evolves a live cell outside the searched width."""
-    table = evolution_table(params.rule)
-    for i in range(2 * params.period, len(rows)):
-        inst = constraint_indices(params, i).star
-        if not instance_holds(params, table, rows, inst):
-            return False
-    return True
-
-
 def instance_holds(params: SearchParams, table, rows, inst: Instance) -> bool:
     """Evaluate one instance over the frame: evolved inputs must equal the
     result row exactly, including every out-of-width position (the frame
@@ -287,7 +276,7 @@ def instance_holds(params: SearchParams, table, rows, inst: Instance) -> bool:
 
 
 class NodeArena:
-    """Append-only store of search nodes; compaction builds a fresh one."""
+    """Store of search nodes; the probe truncates its path, compaction builds a fresh one."""
 
     def __init__(self):
         self.rows: list[int] = []
@@ -303,6 +292,10 @@ class NodeArena:
         self.parents.append(parent)
         self.depths.append(depth)
         return len(self.rows) - 1
+
+    def truncate(self, n: int) -> None:
+        """Drop every node from index n on."""
+        del self.rows[n:], self.parents[n:], self.depths[n:]
 
     def rows_back(self, idx: int, count: int) -> list[int]:
         """The last `count` rows ending at idx, oldest first, dead-padded."""
@@ -347,22 +340,16 @@ def state_key(params: SearchParams, arena: NodeArena, idx: int) -> int:
     return fold_rows(arena.rows_back(idx, 2 * params.period), params.width)
 
 
-def ever_live(arena: NodeArena, idx: int) -> bool:
-    """Some row at idx or among its ancestors is alive."""
-    while idx >= 0:
-        if arena.rows[idx]:
-            return True
-        idx = arena.parents[idx]
-    return False
-
-
 def is_goal(params: SearchParams, arena: NodeArena, idx: int) -> bool:
     """Last 2p rows dead and something earlier alive."""
+    rows, parents = arena.rows, arena.parents
     for _ in range(2 * params.period):
-        if idx < 0 or arena.rows[idx]:
+        if idx < 0 or rows[idx]:
             return False
-        idx = arena.parents[idx]
-    return ever_live(arena, idx)
+        idx = parents[idx]
+    while idx >= 0 and not rows[idx]:
+        idx = parents[idx]
+    return idx >= 0
 
 
 def extract_ship(params: SearchParams, arena: NodeArena, idx: int) -> Pattern:

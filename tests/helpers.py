@@ -1,9 +1,11 @@
 """Shared test fixtures: an independent set-of-cells evolver, known ships,
-construction of the interleaved row sequence a search would walk, a
-per-call stage1 that the compiled one is checked against, and the
-vertex-set form of stages 2 and 3 that the edge-passing pair is checked
-against."""
+patterns from text art, construction of the interleaved row sequence a
+search would walk and the check that it is consistent, a per-call stage1
+that the compiled one is checked against, and the vertex-set form of
+stages 2 and 3 that the edge-passing pair is checked against."""
 
+from shipsearch.pattern import Pattern
+from shipsearch.rules import evolution_table
 from shipsearch.statespace import (
     DIAGONAL,
     GLIDE_REFLECT,
@@ -12,6 +14,7 @@ from shipsearch.statespace import (
     filter_flags,
     frame_base,
     frame_row,
+    instance_holds,
     reverse_row,
     state_rows,
 )
@@ -25,6 +28,16 @@ from shipsearch.successor import (
 
 LWSS_CELLS = {(1, 0), (4, 0), (0, 1), (0, 2), (4, 2), (0, 3), (1, 3), (2, 3), (3, 3)}
 GLIDER_CELLS = {(1, 0), (2, 1), (0, 2), (1, 2), (2, 2)}
+
+
+def from_text(text):
+    """Build a pattern from '.'/'O' art (any non-'.' non-space char is live)."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    width = max((len(ln) for ln in lines), default=0)
+    rows = tuple(
+        sum(1 << x for x, ch in enumerate(ln) if ch not in ". ") for ln in lines
+    )
+    return Pattern(rows, width)
 
 
 def evolve_cells(rule, cells, generations):
@@ -91,6 +104,17 @@ def merged_sequence(params, gens, x0, y0, levels):
             row = reverse_row(row, w)
         rows.append(row)
     return rows
+
+
+def is_consistent(params, rows):
+    """Every fully-in-sequence forward instance holds, and no in-sequence
+    strip evolves a live cell outside the searched width."""
+    table = evolution_table(params.rule)
+    for i in range(2 * params.period, len(rows)):
+        inst = constraint_indices(params, i).star
+        if not instance_holds(params, table, rows, inst):
+            return False
+    return True
 
 
 def ship_sequence(params, cells, want_dx=0, pad_rows=3):

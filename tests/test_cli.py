@@ -69,6 +69,13 @@ class TestSearchCommand:
         assert main(args) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_negative_max_deepening_exit_two(self, capsys):
+        assert main(search_args("--max-deepening", "-1")) == 2
+        captured = capsys.readouterr()
+        assert "error: max_deepening must not be negative" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_missing_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as info:
             main(["search", "--rule", "B3/S23"])

@@ -10,10 +10,11 @@ from shipsearch.pattern import (
     emit_rle,
     evolve_pattern,
     first_recurrence,
-    from_text,
     parse_rle,
 )
 from shipsearch.rules import parse_rule
+
+from helpers import from_text
 
 LIFE = parse_rule("B3/S23")
 

@@ -27,6 +27,7 @@ from shipsearch.statespace import (
     DIAGONAL,
     EVEN_MIRROR,
     GLIDE_REFLECT,
+    NodeArena,
     SearchParams,
     is_goal,
     state_key,
@@ -43,6 +44,10 @@ class TestConfigValidation:
     def test_delta_floor(self):
         with pytest.raises(ValueError, match="delta"):
             Search(SearchParams(LIFE, 2, 1, 4), SearchConfig(delta=0))
+
+    def test_max_deepening_sign(self):
+        with pytest.raises(ValueError, match="max_deepening"):
+            Search(SearchParams(LIFE, 2, 1, 4), SearchConfig(max_deepening=-1))
 
     def test_progress_interval_sign(self):
         with pytest.raises(ValueError, match="progress_interval"):
@@ -214,6 +219,94 @@ class TestProbeDedup:
         # within the same probe; keys over one row fewer (or more) than 2p
         # expand 323 (325) and 101 (105) states here
         assert run_search(params, config).status.states_expanded == expanded
+
+
+PROBE_CASES = pytest.mark.parametrize(
+    "params, config",
+    [
+        # compaction, narrowing and ships recorded inside probes
+        (
+            SearchParams(LIFE, 3, 1, 6, EVEN_MIRROR),
+            SearchConfig(node_capacity=256, max_deepening=6, continue_after_find=True),
+        ),
+        # every step is a deepening round, and a probe's ship ends the search
+        (SearchParams(LIFE, 2, 1, 5, GLIDE_REFLECT), SearchConfig(node_capacity=8)),
+    ],
+    ids=["c3-even-deepen", "c2-glide-probe-finds"],
+)
+
+
+class TestProbeArena:
+    @PROBE_CASES
+    def test_probe_path_lives_in_the_arena(self, monkeypatch, params, config):
+        # while a probe runs, every node past the arena's length before the
+        # probe is on the path from the root to the node being added, is
+        # that node's sibling, or (when the search continues after a find)
+        # a finished ship hanging off the path; no node is deeper than the
+        # limit. The probe leaves the arena as it found it, also when its
+        # ship ends the search.
+        probe = {}
+        original_probe, original_add = search_mod._dfs_probe, NodeArena.add
+        calls = []
+
+        def checked_add(arena, row, parent):
+            idx = original_add(arena, row, parent)
+            if probe and arena is probe["search"].arena:
+                search, start, root = probe["search"], probe["start"], probe["root"]
+                line, cur = {root}, parent
+                while cur >= start:
+                    line.add(cur)
+                    cur = arena.parents[cur]
+                assert cur == root
+                for i in range(start, idx):
+                    if i not in line and arena.parents[i] != parent:
+                        assert config.continue_after_find and arena.parents[i] in line
+                        assert is_goal(search.params, arena, i)
+                assert search.level_of(idx) <= probe["limit"]
+                probe["grew"] = max(probe["grew"], idx + 1 - start)
+            return idx
+
+        def checked_probe(search, root, limit):
+            probe.update(search=search, start=len(search.arena), root=root, limit=limit, grew=0)
+            keep = original_probe(search, root, limit)
+            assert len(search.arena) == probe["start"]
+            calls.append(probe["grew"])
+            probe.clear()
+            return keep
+
+        monkeypatch.setattr(NodeArena, "add", checked_add)
+        monkeypatch.setattr(search_mod, "_dfs_probe", checked_probe)
+        res = run_search(params, config)
+        assert res.ships
+        assert calls and max(calls) > 2
+
+    @PROBE_CASES
+    def test_child_step_keys_are_state_keys(self, monkeypatch, params, config):
+        # every child the child step yields, in the breadth-first loop and
+        # in the probe, carries its state key and is no goal
+        original, original_probe = search_mod._children, search_mod._dfs_probe
+        probing, yielded = [], []
+
+        def checked(search, idx):
+            for child, key in original(search, idx):
+                assert key == state_key(search.params, search.arena, child)
+                assert not is_goal(search.params, search.arena, child)
+                yielded.append(bool(probing))
+                yield child, key
+
+        def probe(search, root, limit):
+            probing.append(root)
+            try:
+                return original_probe(search, root, limit)
+            finally:
+                probing.pop()
+
+        monkeypatch.setattr(search_mod, "_children", checked)
+        monkeypatch.setattr(search_mod, "_dfs_probe", probe)
+        res = run_search(params, config)
+        assert res.ships
+        assert len(yielded) > res.status.states_expanded // 2
+        assert any(yielded)  # some come from the probe
 
 
 class TestDeterminism:

@@ -26,16 +26,16 @@ from shipsearch.statespace import (
     TranspositionTable,
     constraint_indices,
     debruijn_size,
-    ever_live,
     filter_flags,
     extract_ship,
-    is_consistent,
     is_goal,
     make_initial_state,
     reverse_row,
     state_key,
     transposition_insert,
 )
+
+from helpers import GLIDER_CELLS, LWSS_CELLS, evolve_cells, is_consistent, merged_sequence, orient_upward
 
 LIFE = parse_rule("B3/S23")
 
@@ -187,15 +187,17 @@ class TestInitialAndGoal:
             tip = arena.add(0, tip)
         assert is_goal(params, arena, tip)
 
-    def test_ever_live_sees_every_ancestor(self):
+    def test_goal_sees_a_live_row_at_any_depth(self):
+        # the live row can lie any distance behind the 2p dead ones
         params = SearchParams(LIFE, 2, 1, 4)
         arena, tip = make_initial_state(params)
-        assert not ever_live(arena, tip) and not ever_live(arena, -1)
-        live = tip = arena.add(0b0110, tip)
-        for _ in range(3):
+        for _ in range(12):
             tip = arena.add(0, tip)
-        assert ever_live(arena, live) and ever_live(arena, tip)
-        assert not is_goal(params, arena, tip)  # 3 dead rows, fewer than 2p
+            assert not is_goal(params, arena, tip)
+        tip = arena.add(0b0110, tip)
+        for dead in range(1, 12):
+            tip = arena.add(0, tip)
+            assert is_goal(params, arena, tip) == (dead >= 4)  # 3 dead rows are fewer than 2p
 
 
 class TestConsistency:
@@ -219,9 +221,6 @@ class TestConsistency:
         rows = [0, 0, 0, 0, 0b110, 0, 0b100]
         # r[6]=001? craft explicitly below instead
         assert not is_consistent(params, [0, 0, 0, 0, 0b111, 0, 0b010])
-
-
-from helpers import GLIDER_CELLS, LWSS_CELLS, evolve_cells, merged_sequence, orient_upward
 
 
 class TestMergedSequences:
