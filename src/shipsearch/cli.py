@@ -68,6 +68,7 @@ def cmd_search(args) -> int:
         continue_after_find=args.continue_after_find,
         progress_interval=0 if args.quiet else PROGRESS_EVERY,
     )
+    config.check(params)
     print(banner_text(params), file=sys.stderr)
 
     def report(status):
@@ -91,6 +92,9 @@ def cmd_search(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.max_period < 1:
+        print("error: --max-period must be at least 1", file=sys.stderr)
+        return 2
     with open(args.file) as fh:
         pattern, file_rule = parse_rle(fh.read())
     rule = parse_rule(args.rule) if args.rule else file_rule
@@ -183,10 +187,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

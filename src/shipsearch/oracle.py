@@ -17,16 +17,17 @@ from .pattern import Pattern, ShipDescriptor
 from .rules import Rule, evolution_table, evolve_row_triple
 from .statespace import (
     DIAGONAL,
+    FRAME_MARGIN,
     GLIDE_REFLECT,
+    Instance,
     RowRef,
     SearchParams,
     constraint_indices,
     edge_columns,
     filter_flags,
     frame_base,
-    frame_row,
-    instance_holds,
-    state_rows,
+    frame_offsets,
+    reverse_row,
 )
 
 
@@ -41,6 +42,34 @@ class OracleBudget:
 
 # ---------------------------------------------------------------------------
 # reference successor enumeration
+
+
+def frame_row(params: SearchParams, row: int, ref: RowRef | None = None) -> int:
+    """Place a stored row into frame coordinates (frame bit = cell + base)
+    after applying the reference's reversal and shear, extending mirror
+    halves so evolution near the axis sees the reflected cells."""
+    plain, mirror = frame_offsets(params, ref)
+    out = row << plain if plain is not None else 0
+    if mirror is not None:
+        out |= reverse_row(row, params.width) << mirror
+    return out
+
+
+def state_rows(rows: list[int], index: int) -> int:
+    """Row at a merged index, dead before the sequence starts."""
+    return rows[index] if 0 <= index < len(rows) else 0
+
+
+def instance_holds(params: SearchParams, table, rows, inst: Instance) -> bool:
+    """Evaluate one instance over the frame: evolved inputs must equal the
+    result row exactly, including every out-of-width position (the frame
+    equality covers both the constraint and the boundary condition)."""
+    fw = params.width * (2 if params.mirrored else 1) + 2 * FRAME_MARGIN
+    a = frame_row(params, state_rows(rows, inst.above.index), inst.above)
+    m = frame_row(params, state_rows(rows, inst.mid.index), inst.mid)
+    b = frame_row(params, state_rows(rows, inst.below.index), inst.below)
+    want = frame_row(params, state_rows(rows, inst.result.index), inst.result)
+    return evolve_row_triple(table, a, m, b, fw) == want
 
 
 def _ll_allowed(rule: Rule, a5: int, b5: int, r3: int) -> int:

@@ -53,6 +53,17 @@ class SearchConfig:
     continue_after_find: bool = False
     progress_interval: int = 0  # expansions between progress callbacks; 0 = off
 
+    def check(self, params: SearchParams) -> None:
+        """Raise ValueError for a setting no search with params accepts."""
+        if self.node_capacity < 4 * params.period:
+            raise ValueError(f"node_capacity must be at least 4 periods ({4 * params.period} nodes)")
+        if self.delta is not None and self.delta < 1:
+            raise ValueError("delta must be at least 1")
+        if self.max_deepening is not None and self.max_deepening < 0:
+            raise ValueError("max_deepening must not be negative")
+        if self.progress_interval < 0:
+            raise ValueError("progress_interval must not be negative")
+
 
 @dataclass
 class SearchStatus:
@@ -75,16 +86,9 @@ class Search:
 
     def __init__(self, params: SearchParams, config: SearchConfig | None = None, progress=None):
         config = config or SearchConfig()
+        config.check(params)
         p, k = params.period, params.offset
-        if config.node_capacity < 4 * p:
-            raise ValueError(f"node_capacity must be at least 4 periods ({4 * p} nodes)")
         self.delta = config.delta if config.delta is not None else p
-        if self.delta < 1:
-            raise ValueError("delta must be at least 1")
-        if config.max_deepening is not None and config.max_deepening < 0:
-            raise ValueError("max_deepening must not be negative")
-        if config.progress_interval < 0:
-            raise ValueError("progress_interval must not be negative")
         self.params = params
         self.config = config
         self.progress = progress

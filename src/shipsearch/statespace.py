@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .pattern import Pattern
-from .rules import ROW_WIDTH_LIMIT, Rule, evolve_row_triple
+from .rules import ROW_WIDTH_LIMIT, Rule
 
 ASYMMETRIC = "asymmetric"
 EVEN_MIRROR = "even-mirror"
@@ -211,7 +211,7 @@ def filter_flags(params: SearchParams, lookahead: bool, extended: bool) -> tuple
 
 
 # ---------------------------------------------------------------------------
-# frame evaluation (the oracle and the test helpers)
+# frame coordinates
 
 FRAME_MARGIN = 6  # frame bits beyond the strip on each side; covers every shift
 
@@ -221,16 +221,11 @@ def frame_base(params: SearchParams) -> int:
     return FRAME_MARGIN + (params.width if params.mirrored else 0)
 
 
-def frame_width(params: SearchParams) -> int:
-    if params.mirrored:
-        return 2 * params.width + 2 * FRAME_MARGIN
-    return params.width + 2 * FRAME_MARGIN
-
-
 def frame_offsets(params: SearchParams, ref: RowRef | None = None) -> tuple[int | None, int | None]:
-    """Frame bit positions at which frame_row places a stored row's bit 0
-    and its mirror image's bit 0, None for a part that is left out. Both
-    are non-negative: the frame margin covers every shift."""
+    """Frame bit positions of a stored row's bit 0 and of its mirror
+    image's bit 0 (cell j of the image sits at mirror + width - 1 - j),
+    None for a part that is left out. Both are non-negative: the frame
+    margin covers every shift."""
     w, base = params.width, frame_base(params)
     at = base - (ref.shift if ref else 0)
     ghost = None
@@ -241,34 +236,6 @@ def frame_offsets(params: SearchParams, ref: RowRef | None = None) -> tuple[int 
     if ref is not None and ref.reversed:
         return ghost, at
     return at, ghost
-
-
-def frame_row(params: SearchParams, row: int, ref: RowRef | None = None) -> int:
-    """Place a stored row into frame coordinates (frame bit = cell + base)
-    after applying the reference's reversal and shear, extending mirror
-    halves so evolution near the axis sees the reflected cells."""
-    plain, mirror = frame_offsets(params, ref)
-    out = row << plain if plain is not None else 0
-    if mirror is not None:
-        out |= reverse_row(row, params.width) << mirror
-    return out
-
-
-def state_rows(rows: list[int], index: int) -> int:
-    """Row at a merged index, dead before the sequence starts."""
-    return rows[index] if 0 <= index < len(rows) else 0
-
-
-def instance_holds(params: SearchParams, table, rows, inst: Instance) -> bool:
-    """Evaluate one instance over the frame: evolved inputs must equal the
-    result row exactly, including every out-of-width position (the frame
-    equality covers both the constraint and the boundary condition)."""
-    fw = frame_width(params)
-    a = frame_row(params, state_rows(rows, inst.above.index), inst.above)
-    m = frame_row(params, state_rows(rows, inst.mid.index), inst.mid)
-    b = frame_row(params, state_rows(rows, inst.below.index), inst.below)
-    want = frame_row(params, state_rows(rows, inst.result.index), inst.result)
-    return evolve_row_triple(table, a, m, b, fw) == want
 
 
 # ---------------------------------------------------------------------------

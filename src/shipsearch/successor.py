@@ -18,14 +18,15 @@ consistent witness, and for period 2 a strip-reachability table (p2)
 replaces ll. Column layout, boundary masks and sampling offsets come from
 the mode geometry in statespace.
 
-That geometry (which window row each lookup samples, with what shift and
-reversal, and where each column reads it) is the same at every level, so
-stage 1 compiles it once per window length and lookahead/extended flags
-and memoises it on SearchTables; a call then only frames the window's
-rows and runs the column loop. A mirror ghost (a row's reflection) needs
-only 3 cells: no column reads more than 2 cells past the axis. The
-vertex sets an edge mask leaves or enters are folded out of it in closed
-form, by shifts and masks.
+Which window row each lookup-index field samples, with what shift, mirror
+reflection or glide reversal, is the same at every level. So stage 1
+compiles it once per window length and lookahead/extended flags into byte
+tables memoised on SearchTables: the entry for one byte of one sampled
+row is that byte's share of every column's indices, all columns packed
+side by side in one integer. A call ORs one entry per sampled row-byte,
+then reads each column's indices with a shift and a mask. The vertex sets
+an edge mask leaves or enters are folded out of it in closed form, by
+shifts and masks.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .statespace import (
     filter_flags,
     frame_base,
     frame_offsets,
-    reverse_row,
 )
 
 # ---------------------------------------------------------------------------
@@ -110,19 +110,6 @@ def _left_vertices(emask):
     x = (x | x >> 4) & 0x0F0F0F0F
     x = (x | x >> 4) & 0x00FF00FF
     return (x | x >> 8) & 0xFFFF
-
-
-# lt-mask -> 64-bit edge mask with those whole lt bytes allowed
-_BCAST = [0] * 256
-for _m in range(256):
-    acc = 0
-    for _lt in range(8):
-        if _m >> _lt & 1:
-            acc |= 0xFF << (8 * _lt)
-    _BCAST[_m] = acc
-
-# 3-cell row -> its mirror image
-_REV3 = [reverse_row(_v, 3) for _v in range(8)]
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +178,13 @@ def _ll_table(rule: Rule):
         sel = np.where(ev5c == r3, t2[None, :, :], np.uint8(0))
         out[r3] = np.bitwise_or.reduce(sel, axis=2)
     return out.ravel().tolist()
+
+
+def _ll_edges(rule: Rule):
+    """ll with each entry widened to the 64-bit edge mask it allows: an
+    allowed t3 allows the whole byte of edges with lt = t3."""
+    widen = [sum(0xFF << 8 * lt for lt in range(8) if m >> lt & 1) for m in range(256)]
+    return [widen[m] for m in _cached("ll", rule, _ll_table)]
 
 
 _POP2 = np.array([0, 1, 1, 2], dtype=np.uint8)
@@ -354,21 +348,30 @@ def build_tables(params: SearchParams) -> SearchTables:
 # the three stages
 
 
+# stage1 packs column c's two lookup indices from bit _FIELD_SPAN * c on:
+# star's at bits 0-12, then ll's or p2's at bits 13-25
+_FIELD_SPAN = 26
+_NO_FILTER = (2**64 - 1,)  # the second lookup when neither ll nor p2 applies
+
+
 def _stage1_plan(params: SearchParams, tables: SearchTables, n: int, lookahead: bool, extended: bool):
-    """The geometry of stage1 for windows of n rows, which is the same at
-    every level: per sampled row its window index (None before the
-    sequence starts) and the shifts that place it and its mirror image,
-    lifted so that at a column's frame position one shift and one mask
-    yield the sample already in its lookup-index field."""
+    """Stage1 for windows of n rows, the same at every level, compiled
+    into byte tables. A lookup-index field is a fixed set of one row's
+    cells (shifted, reflected into the mirror half, or reversed under
+    glide), so each byte of a sampled row owns a fixed share of every
+    column's fields, all columns packed _FIELD_SPAN bits apart, and the
+    shares combine by OR. Returns a (window index, bit, table) per sampled
+    row-byte (none for rows before the sequence starts), the structural
+    masks, star, and the second table: ll as edge masks, p2 or a pass-all."""
     ci = constraint_indices(params, n)
     st, lk = ci.star, ci.lookahead
     s = tables.shear
-    # (row, lift) per lookup-index field; lift = the field's index bit
-    # minus its read offset from pos: star's a3 (bit 3) and m3 (bit 0) are
-    # read at pos+s-1, dbit (bit 6) at pos+s, e3 (bit 7) and f3 (bit 10)
-    # at pos-1
-    samples = [(st.above, 4 - s), (st.mid, 1 - s), (st.result, 6 - s), (lk.mid, 8), (lk.above, 11)]
+    # (row, low bit, width, read offset): the field holds the row's cells
+    # from read to read + width - 1 around the column; star's m3, a3, dbit, e3, f3
+    fields = [(st.mid, 0, 3, s - 1), (st.above, 3, 3, s - 1), (st.result, 6, 1, s)]
+    fields += [(lk.mid, 7, 3, -1), (lk.above, 10, 3, -1)]
     use_ll, use_p2 = filter_flags(params, lookahead, extended)
+    second = _NO_FILTER
     if use_ll:
         # the two instances one row further out share their unknown
         # 5-windows only after reflecting them into a common orientation;
@@ -376,30 +379,41 @@ def _stage1_plan(params: SearchParams, tables: SearchTables, n: int, lookahead: 
         # then reads the reversed E, which is exactly the e3 sample)
         p, k = params.period, params.offset
         reflect = params.symmetry == GLIDE_REFLECT and k % 2 == 0
-        # ll's a5 (bit 5) and b5 (bit 0) at pos-2, its r3 = e3 (bit 10)
-        samples.append((RowRef(n - p - 2 * k, s, lk.above.reversed ^ reflect), 7))
-        samples.append((RowRef(n - 2 * k, 0, lk.mid.reversed ^ reflect), 2))
-        samples.append((lk.mid, 11))
+        # ll's b5, a5 and r3 (= e3)
+        fields.append((RowRef(n - 2 * k, 0, lk.mid.reversed ^ reflect), 13, 5, -2))
+        fields.append((RowRef(n - p - 2 * k, s, lk.above.reversed ^ reflect), 18, 5, -2))
+        fields.append((lk.mid, 23, 3, -1))
+        second = _cached("ll_edges", params.rule, _ll_edges)
     if use_p2:
-        # p2's r2w (bit 0) and r1w (bit 5) at pos-2
-        samples.append((RowRef(n - 2, 0), 2))
-        samples.append((st.result, 7))
-    # a mirror ghost is the reflection of the row's low 3 cells, so its
-    # bit 0 sits w - 3 above that of the whole row's reflection
-    ghost = params.width - 3 if params.mirrored else 0
-    frames = []
-    for ref, lift in samples:
+        fields.append((RowRef(n - 2, 0), 13, 5, -2))  # p2's r2w, r1w
+        fields.append((st.result, 18, 5, -2))
+        second = tables.p2
+    w = params.width
+    first = frame_base(params) + tables.columns[0]  # frame position of the first column
+    ncols = len(tables.columns)
+    shares: dict[int, list[int]] = {}  # window index -> per row cell, its share of the fields
+    for ref, low, width, read in fields:
+        if not 0 <= ref.index < n:
+            continue
+        share = shares.setdefault(ref.index, [0] * w)
         plain, mirror = frame_offsets(params, ref)
-        frames.append(
-            (
-                ref.index if 0 <= ref.index < n else None,
-                None if plain is None else plain + lift,
-                None if mirror is None else mirror + lift + ghost,
-            )
-        )
-    base = frame_base(params)
-    columns = [(base + j, m) for j, m in zip(tables.columns, tables.masks)]
-    return frames, columns, use_ll, use_p2
+        for cell in range(w):
+            at = [plain + cell] if plain is not None else []
+            if mirror is not None:
+                at.append(mirror + w - 1 - cell)
+            for q in at:
+                q -= first + read  # the cell's distance from the first column's field
+                for c in range(max(0, q - width + 1), min(ncols, q + 1)):
+                    share[cell] |= 1 << (_FIELD_SPAN * c + low + q - c)
+    reads = []
+    for idx, share in shares.items():
+        for b in range(0, w, 8):
+            table = [0]
+            for bit in share[b : b + 8]:
+                table += [x | bit for x in table]
+            reads.append((idx, b, table))
+    star = tables.star_l if lookahead else tables.star_only
+    return reads, tables.masks, star, second
 
 
 def stage1_edges(params: SearchParams, tables: SearchTables, rows, lookahead=True, extended=True):
@@ -409,35 +423,14 @@ def stage1_edges(params: SearchParams, tables: SearchTables, rows, lookahead=Tru
     plan = tables.plans.get(key)
     if plan is None:
         plan = tables.plans[key] = _stage1_plan(params, tables, *key)
-    frames, columns, use_ll, use_p2 = plan
-    ext = []
-    for idx, plain, mirror in frames:
-        if idx is None:
-            ext.append(0)
-        elif mirror is None:
-            ext.append(rows[idx] << plain)
-        elif plain is None:  # glide: the whole row enters reversed
-            ext.append(reverse_row(rows[idx], params.width) << mirror)
-        else:  # mirror symmetry: the row plus its ghost's 3 cells next to the axis
-            row = rows[idx]
-            ext.append(row << plain | _REV3[row & 7] << mirror)
-    a, b, d, e, f = ext[:5]
-    if use_ll:
-        h, g, e_ll = ext[5:]
-        ll = tables.ll
-    if use_p2:
-        g2, d_p2 = ext[5:]
-        p2 = tables.p2
-
-    star = tables.star_l if lookahead else tables.star_only
+    reads, masks, star, second = plan
+    acc = 0
+    for idx, b, table in reads:
+        acc |= table[rows[idx] >> b & 255]
     out = []
-    for pos, mask in columns:
-        m = star[(b >> pos & 7) | (a >> pos & 0x38) | (d >> pos & 0x40) | (e >> pos & 0x380) | (f >> pos & 0x1C00)] & mask
-        if use_ll and m:
-            m &= _BCAST[ll[(g >> pos & 31) | (h >> pos & 0x3E0) | (e_ll >> pos & 0x1C00)]]
-        if use_p2 and m:
-            m &= p2[(g2 >> pos & 31) | (d_p2 >> pos & 0x3E0)]
-        out.append(m)
+    for mask in masks:
+        out.append(star[acc & 0x1FFF] & second[acc >> 13 & 0x1FFF] & mask)
+        acc >>= _FIELD_SPAN
     return out
 
 

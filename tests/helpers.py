@@ -4,6 +4,7 @@ search would walk and the check that it is consistent, a per-call stage1
 that the compiled one is checked against, and the vertex-set form of
 stages 2 and 3 that the edge-passing pair is checked against."""
 
+from shipsearch.oracle import frame_row, instance_holds, state_rows
 from shipsearch.pattern import Pattern
 from shipsearch.rules import evolution_table
 from shipsearch.statespace import (
@@ -13,13 +14,9 @@ from shipsearch.statespace import (
     constraint_indices,
     filter_flags,
     frame_base,
-    frame_row,
-    instance_holds,
     reverse_row,
-    state_rows,
 )
 from shipsearch.successor import (
-    _BCAST,
     _edges_with_left_in,
     _edges_with_right_in,
     _left_vertices,
@@ -182,7 +179,8 @@ def reference_stage1_edges(params, tables, rows, lookahead=True, extended=True):
         if use_ll and e:
             a5 = (ext_h >> (pos - 2)) & 31
             b5 = (ext_g >> (pos - 2)) & 31
-            e &= _BCAST[tables.ll[b5 | a5 << 5 | e3 << 10]]
+            allowed = tables.ll[b5 | a5 << 5 | e3 << 10]  # over lt, edge bits ct | lt << 3
+            e &= sum(0xFF << 8 * lt for lt in range(8) if allowed >> lt & 1)
         if use_p2 and e:
             r2w = (ext_g2 >> (pos - 2)) & 31
             r1w = (ext_d >> (pos - 2)) & 31

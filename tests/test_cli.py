@@ -76,6 +76,22 @@ class TestSearchCommand:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--node-capacity", "0"], "error: node_capacity must be at least 4 periods (8 nodes)"),
+            (["--node-capacity", "-5"], "error: node_capacity must be at least 4 periods (8 nodes)"),
+            (["--max-deepening", "-1"], "error: max_deepening must not be negative"),
+        ],
+        ids=["capacity-zero", "capacity-negative", "deepening-negative"],
+    )
+    def test_bad_config_prints_only_the_error(self, extra, message, capsys):
+        args = [a for a in search_args(*extra) if a != "--quiet"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [message]
+        assert captured.out == ""
+
     def test_missing_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as info:
             main(["search", "--rule", "B3/S23"])
@@ -139,6 +155,14 @@ class TestVerifyCommand:
         path = self.write(tmp_path, "x = 1, y = 1, rule = B3/S23\no!\n")  # dies at once
         assert main(["verify", path]) == 1
         assert "not a spaceship (no recurrence within 32 generations)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("max_period", ["0", "-3"])
+    def test_nonpositive_max_period_exit_two(self, tmp_path, capsys, max_period):
+        path = self.write(tmp_path, GLIDER_RLE)
+        assert main(["verify", path, "--rule", "B3/S23", "--max-period", max_period]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: --max-period must be at least 1"]
+        assert captured.out == ""
 
     def test_empty(self, tmp_path, capsys):
         path = self.write(tmp_path, EMPTY_RLE)

@@ -20,8 +20,10 @@ from helpers import (
     reference_stage3_enumerate,
     ship_sequence,
 )
+from shipsearch import successor as successor_mod
+from shipsearch.oracle import instance_holds
 from shipsearch.rules import evolution_table, evolve_row_triple, parse_rule
-from shipsearch.search import Search, SearchConfig, reduce_width
+from shipsearch.search import Search, SearchConfig, reduce_width, run_search
 from shipsearch.statespace import (
     ASYMMETRIC,
     DIAGONAL,
@@ -31,7 +33,6 @@ from shipsearch.statespace import (
     ORTHOGONAL,
     SearchParams,
     constraint_indices,
-    instance_holds,
 )
 from shipsearch.successor import (
     _LEFT_OF,
@@ -325,6 +326,90 @@ class TestCompiledStage1:
         rng = random.Random(repr((case, width)))
         params = SearchParams(LIFE, p, k, width, sym)
         _check_stage1(params, build_tables(params), rng, 12)
+
+
+# one per symmetry and translation, glide with odd and even k; p=2 runs
+# the p2 filter where it applies, p>2 the ll filter
+BYTE_MODES = [
+    (3, 1, ASYMMETRIC, ORTHOGONAL),
+    (2, 1, EVEN_MIRROR, ORTHOGONAL),
+    (3, 1, ODD_MIRROR, ORTHOGONAL),
+    (2, 1, GLIDE_REFLECT, ORTHOGONAL),
+    (3, 2, GLIDE_REFLECT, ORTHOGONAL),
+    (4, 1, ASYMMETRIC, DIAGONAL),
+]
+
+
+class TestStage1ByteTables:
+    @pytest.mark.parametrize("width", [1, 7, 8, 9, 16, 17, 24, 25, 31, 32])
+    @pytest.mark.parametrize("case", BYTE_MODES, ids=lambda c: f"p{c[0]}k{c[1]}-{c[2]}-{c[3]}")
+    def test_byte_boundaries_match_reference(self, case, width):
+        # each byte of a row has its own table: windows whose one live
+        # cell sits next to a byte boundary or at either edge of the row
+        # show a cell credited to the wrong byte, a field off by one or a
+        # byte left out; dense and sparse windows cover the rest
+        p, k, sym, tr = case
+        rng = random.Random(repr((case, width)))
+        params = SearchParams(LIFE, p, k, width, sym, tr)
+        tables = build_tables(params)
+        hist = max(2 * p, p + 2 * k)
+        cells = sorted({c for c in (0, 1, 2, 7, 8, 15, 16, 23, 24, width - 1) if c < width})
+        for n in (1, hist, hist + 2):
+            windows = [[(1 << width) - 1] * n, [rng.getrandbits(width) for _ in range(n)]]
+            windows += [_random_window(rng, n, width) for _ in range(6)]
+            for at in range(n):
+                for cell in cells:
+                    rows = [0] * n
+                    rows[at] = 1 << cell
+                    windows.append(rows)
+            for rows in windows:
+                for la, ext in ((True, True), (True, False), (False, True)):
+                    got = stage1_edges(params, tables, rows, la, ext)
+                    assert got == reference_stage1_edges(params, tables, rows, la, ext), (n, rows, la, ext)
+
+
+class TestStage1Plans:
+    def test_search_setup_builds_no_plan(self):
+        search = Search(SearchParams(LIFE, 4, 1, 7, EVEN_MIRROR))
+        assert search.tables.plans == {}
+
+    def test_one_plan_per_key_through_compaction_and_narrowing(self, monkeypatch):
+        built = []
+        original = successor_mod._stage1_plan
+
+        def plan(params, tables, *key):
+            built.append((tables, key))
+            return original(params, tables, *key)
+
+        monkeypatch.setattr(successor_mod, "_stage1_plan", plan)
+        params = SearchParams(LIFE, 3, 1, 6, EVEN_MIRROR)
+        res = run_search(params, SearchConfig(node_capacity=256, max_deepening=6, continue_after_find=True))
+        assert res.status.current_width < params.width  # narrowed, so tables were rebuilt
+        for i, (tables, key) in enumerate(built):
+            assert key == (6, True, True)  # the search's window length, filters on
+            assert all(other is not tables for other, _ in built[i + 1 :])
+        assert len(built) == params.width - res.status.current_width + 1
+
+    def test_reduce_width_tables_start_empty(self):
+        search = Search(SearchParams(LIFE, 3, 1, 6, EVEN_MIRROR), SearchConfig(node_capacity=1 << 10))
+        successors(search.params, search.tables, [0] * search.hist)
+        assert len(search.tables.plans) == 1
+        reduce_width(search)
+        assert search.tables.plans == {}
+
+    @pytest.mark.parametrize(
+        "case", BYTE_MODES + [(7, 2, EVEN_MIRROR, ORTHOGONAL)], ids=lambda c: f"p{c[0]}k{c[1]}-{c[2]}-{c[3]}"
+    )
+    def test_width_32_plan_is_small(self, case):
+        # at most one 256-entry table per sampled row and byte
+        p, k, sym, tr = case
+        params = SearchParams(LIFE, p, k, 32, sym, tr)
+        tables = build_tables(params)
+        hist = max(2 * p, p + 2 * k)
+        for la, ext in ((True, True), (True, False), (False, True)):
+            reads = successor_mod._stage1_plan(params, tables, hist, la, ext)[0]
+            assert len(reads) <= hist * 4
+            assert all(len(table) <= 256 for _, _, table in reads)
 
 
 class TestVertexFolds:
