@@ -47,6 +47,8 @@ def list_profiles() -> None:
 def run_profile(name: str, capacity: int) -> int:
     rule, p, k, w, sym, _ = PROFILES[name]
     params = SearchParams(parse_rule(rule), p, k, w, sym)
+    config = SearchConfig(node_capacity=capacity, max_deepening=6 * p, progress_interval=200_000)
+    config.check(params)
     print(banner_text(params), file=sys.stderr)
     started = time.time()
 
@@ -58,7 +60,6 @@ def run_profile(name: str, capacity: int) -> int:
             file=sys.stderr,
         )
 
-    config = SearchConfig(node_capacity=capacity, max_deepening=6 * p, progress_interval=200_000)
     result = run_search(params, config, progress=report)
     print(f"outcome: {result.status.outcome}", file=sys.stderr)
     for ship, desc in result.ships:
@@ -84,7 +85,11 @@ def main() -> int:
     if args.list:
         list_profiles()
         return 0
-    return run_profile(args.run, args.capacity)
+    try:
+        return run_profile(args.run, args.capacity)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

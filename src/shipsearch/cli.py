@@ -122,14 +122,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    # width does not enter the per-rule tables, only the per-column masks,
-    # so any legal value serves for a stats run
-    params = SearchParams(
-        rule=parse_rule(args.rule),
-        period=args.period,
-        offset=args.offset,
-        width=4,
-    )
+    # neither offset nor width enters the per-rule tables (width only the
+    # per-column masks), so any legal values serve for a stats run
+    params = SearchParams(rule=parse_rule(args.rule), period=args.period, offset=1, width=4)
     tables = build_tables(params)
 
     def density(entries, bits) -> float:
@@ -141,7 +136,7 @@ def cmd_stats(args) -> int:
         print(f"pair strip table density: {density(tables.p2, 64):.1f}%")
         print(f"pruned: {100.0 * tables.p2_fraction:.1f}%")
     if tables.ll is not None:
-        print(f"lookahead chain table density: {density(tables.ll, 8):.1f}%")
+        print(f"lookahead chain table density: {density(tables.ll, 64):.1f}%")
     return 0
 
 
@@ -177,7 +172,6 @@ def _build_parser() -> argparse.ArgumentParser:
     stats = sub.add_parser("stats", help="report constraint-table statistics")
     stats.add_argument("--rule", required=True)
     stats.add_argument("--period", type=int, default=2)
-    stats.add_argument("--offset", type=int, default=1)
     stats.set_defaults(func=cmd_stats)
 
     return parser

@@ -205,13 +205,7 @@ def _filters_ok(params: SearchParams, rows, c: int, lam: int, use_ll: bool, use_
     return True
 
 
-def oracle_successors(
-    params: SearchParams,
-    rows,
-    lookahead: bool = True,
-    extended: bool = True,
-    budget: OracleBudget | None = None,
-) -> list[int]:
+def oracle_successors(params: SearchParams, rows, budget: OracleBudget | None = None) -> list[int]:
     """Every admissible next row, by literal enumeration. Must agree
     exactly with successor.successors for the same arguments."""
     budget = budget or OracleBudget()
@@ -220,15 +214,12 @@ def oracle_successors(
     p, k, w = params.period, params.offset, params.width
     table = evolution_table(params.rule)
     ci = constraint_indices(params, len(rows))
-    use_ll, use_p2 = filter_flags(params, lookahead, extended)
+    use_ll, use_p2 = filter_flags(params)
     pad = [0] * (p - k - 1)
     out = []
     for c in range(1 << w):
         seq = rows + [c]
         if not instance_holds(params, table, seq, ci.star):
-            continue
-        if not lookahead:
-            out.append(c)
             continue
         for lam in range(1 << w):
             if not instance_holds(params, table, seq + pad + [lam], ci.lookahead):

@@ -27,11 +27,6 @@ class Pattern:
     def is_empty(self) -> bool:
         return all(r == 0 for r in self.rows)
 
-    def cell(self, x: int, y: int) -> int:
-        if 0 <= y < len(self.rows) and 0 <= x < self.width:
-            return (self.rows[y] >> x) & 1
-        return 0
-
     def population(self) -> int:
         return sum(bin(r).count("1") for r in self.rows)
 

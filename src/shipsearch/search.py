@@ -2,12 +2,13 @@
 
 The frontier grows breadth-first so the shortest ships surface first.
 When the node arena approaches capacity, a deepening round probes every
-frontier state depth-first to a limit that rises each round: roots whose
-subtree dies before the limit are dropped, the survivors are kept, and
-compaction rebuilds the arena from them. With a tiny capacity this
-degrades into plain iterative deepening; with a large one the rounds are
-rare. If max_deepening is set and the limit outruns the frontier by more
-than that, the strip is narrowed by one column instead.
+frontier state depth-first to a limit that rises by one period each
+round: roots whose subtree dies before the limit are dropped, the
+survivors are kept, and compaction rebuilds the arena from them. With a
+tiny capacity this degrades into plain iterative deepening; with a large
+one the rounds are rare. If max_deepening is set and the limit outruns
+the frontier by more than that, the strip is narrowed by one column
+instead.
 
 Both loops expand a node through one child step, _children. The probe
 keeps its path in the arena and cuts the arena back as it backtracks, so
@@ -48,7 +49,6 @@ WIDTH_EXHAUSTED = "width_exhausted"
 @dataclass(frozen=True)
 class SearchConfig:
     node_capacity: int = 1 << 22
-    delta: int | None = None  # deepening increment per round; default: the period
     max_deepening: int | None = None  # narrow the strip once limit - frontier exceeds this
     continue_after_find: bool = False
     progress_interval: int = 0  # expansions between progress callbacks; 0 = off
@@ -57,8 +57,6 @@ class SearchConfig:
         """Raise ValueError for a setting no search with params accepts."""
         if self.node_capacity < 4 * params.period:
             raise ValueError(f"node_capacity must be at least 4 periods ({4 * params.period} nodes)")
-        if self.delta is not None and self.delta < 1:
-            raise ValueError("delta must be at least 1")
         if self.max_deepening is not None and self.max_deepening < 0:
             raise ValueError("max_deepening must not be negative")
         if self.progress_interval < 0:
@@ -88,7 +86,6 @@ class Search:
         config = config or SearchConfig()
         config.check(params)
         p, k = params.period, params.offset
-        self.delta = config.delta if config.delta is not None else p
         self.params = params
         self.config = config
         self.progress = progress
@@ -229,9 +226,10 @@ def dfs_round(search: Search) -> None:
     """One deepening round over the whole frontier; prunes dead roots in
     place and raises the limit, or narrows the strip when capped."""
     frontier = search.level_of(search.queue[0])
-    limit = frontier + search.delta
+    p = search.params.period
+    limit = frontier + p
     if search.limit is not None:
-        limit = max(limit, search.limit + search.delta)
+        limit = max(limit, search.limit + p)
     cap = search.config.max_deepening
     if cap is not None and limit - frontier > cap:
         reduce_width(search)

@@ -200,14 +200,15 @@ def edge_columns(params: SearchParams) -> range:
     return range(-1, w + 1)
 
 
-def filter_flags(params: SearchParams, lookahead: bool, extended: bool) -> tuple[bool, bool]:
-    """(use_ll, use_p2): which extended filter the successor step applies.
-    Both reason through the lookahead row, so need it; the p=2 strip filter
-    sees a fixed column window of consecutive rows, which glide reversal
-    and diagonal shear both break."""
-    on = lookahead and extended
+def filter_flags(params: SearchParams) -> tuple[bool, bool]:
+    """(use_ll, use_p2): which extended filter the successor step applies
+    on top of the next and lookahead constraints. ll chains the lookahead
+    row one step further and serves every period but 2; at period 2 the
+    strip filter p2 replaces it, but only where it sees a fixed column
+    window of consecutive rows, which glide reversal and diagonal shear
+    both break, so those period-2 modes run neither."""
     straight = params.translation == ORTHOGONAL and params.symmetry != GLIDE_REFLECT
-    return on and params.period != 2, on and params.period == 2 and straight
+    return params.period != 2, params.period == 2 and straight
 
 
 # ---------------------------------------------------------------------------

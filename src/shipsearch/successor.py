@@ -15,18 +15,19 @@ The tables are rule-only and width-independent: star_l answers the next
 and lookahead constraints for one column, ll additionally requires the
 two constraint instances reaching one more row into the future to have a
 consistent witness, and for period 2 a strip-reachability table (p2)
-replaces ll. Column layout, boundary masks and sampling offsets come from
-the mode geometry in statespace.
+replaces ll. Which of ll and p2 applies follows from the params alone
+(statespace.filter_flags). Column layout, boundary masks and sampling
+offsets come from the mode geometry in statespace.
 
 Which window row each lookup-index field samples, with what shift, mirror
 reflection or glide reversal, is the same at every level. So stage 1
-compiles it once per window length and lookahead/extended flags into byte
-tables memoised on SearchTables: the entry for one byte of one sampled
-row is that byte's share of every column's indices, all columns packed
-side by side in one integer. A call ORs one entry per sampled row-byte,
-then reads each column's indices with a shift and a mask. The vertex sets
-an edge mask leaves or enters are folded out of it in closed form, by
-shifts and masks.
+compiles it once per window length into byte tables memoised on
+SearchTables: the entry for one byte of one sampled row is that byte's
+share of every column's indices, all columns packed side by side in one
+integer. A call ORs one entry per sampled row-byte, then reads each
+column's indices with a shift and a mask. The vertex sets an edge mask
+leaves or enters are folded out of it in closed form, by shifts and
+masks.
 """
 
 from __future__ import annotations
@@ -127,8 +128,7 @@ def _ints_from_bits(bits2d):
 def _star_tables(rule: Rule):
     """star_l[m3 | a3<<3 | dbit<<6 | e3<<7 | f3<<10] = 64-bit mask of edge
     values (ct | lt<<3) satisfying both one-column checks:
-    evolve(a3,m3,ct) center == dbit and evolve(f3,e3,lt) center == center(ct).
-    star_only ignores the second check and pins the lookahead track dead."""
+    evolve(a3,m3,ct) center == dbit and evolve(f3,e3,lt) center == center(ct)."""
     ev = np.array(evolution_table(rule), dtype=np.uint8)
     idx = np.arange(8192)
     m3 = idx & 7
@@ -145,12 +145,7 @@ def _star_tables(rule: Rule):
     cond_l = second[:, :, None] == center_ct[None, None, :]  # (idx, lt, ct)
 
     full = cond_a[:, None, :] & cond_l  # bit position ct | lt<<3 = lt-major
-    star_l = _ints_from_bits(full.reshape(8192, 64))
-
-    only = np.zeros((8192, 8, 8), dtype=bool)
-    only[:, 0, :] = cond_a
-    star_only = _ints_from_bits(only.reshape(8192, 64))
-    return star_l, star_only
+    return _ints_from_bits(full.reshape(8192, 64))
 
 
 def _evolve5_center3(ev):
@@ -166,25 +161,21 @@ def _evolve5_center3(ev):
 
 
 def _ll_table(rule: Rule):
-    """ll[b5 | a5<<5 | r3<<10] = 8-bit mask of lookahead-track triples t3
-    for which some 5-windows x5, y5 satisfy both next-step instances:
-    center3(evolve5(a5,b5,x5)) == r3 and center3(evolve5(b5,x5,y5)) == t3."""
+    """ll[b5 | a5<<5 | r3<<10] = 64-bit mask of edge values (ct | lt<<3)
+    whose lookahead-track triple lt has some 5-windows x5, y5 satisfying
+    both next-step instances:
+    center3(evolve5(a5,b5,x5)) == r3 and center3(evolve5(b5,x5,y5)) == lt.
+    An allowed lt allows the whole byte of edges with that lt."""
     ev = np.array(evolution_table(rule), dtype=np.uint8)
     ev5c = _evolve5_center3(ev)
     pow2 = (1 << np.arange(8)).astype(np.uint8)
-    t2 = np.bitwise_or.reduce(pow2[ev5c], axis=2)  # [b5, x5] mask over t3
+    t2 = np.bitwise_or.reduce(pow2[ev5c], axis=2)  # [b5, x5] mask over lt
     out = np.zeros((8, 32, 32), dtype=np.uint8)  # [r3, a5, b5]
     for r3 in range(8):
         sel = np.where(ev5c == r3, t2[None, :, :], np.uint8(0))
         out[r3] = np.bitwise_or.reduce(sel, axis=2)
-    return out.ravel().tolist()
-
-
-def _ll_edges(rule: Rule):
-    """ll with each entry widened to the 64-bit edge mask it allows: an
-    allowed t3 allows the whole byte of edges with lt = t3."""
-    widen = [sum(0xFF << 8 * lt for lt in range(8) if m >> lt & 1) for m in range(256)]
-    return [widen[m] for m in _cached("ll", rule, _ll_table)]
+    lts = np.unpackbits(out.reshape(-1, 1), axis=1, bitorder="little")  # [entry, lt]
+    return (lts * np.uint8(0xFF)).view("<u8").ravel().tolist()
 
 
 _POP2 = np.array([0, 1, 1, 2], dtype=np.uint8)
@@ -268,8 +259,7 @@ def _cached(kind: str, rule: Rule, build):
 @dataclass
 class SearchTables:
     star_l: list
-    star_only: list
-    ll: list | None
+    ll: list | None  # None where filter_flags applies no ll; p2 likewise
     p2: list | None
     p2_fraction: float | None
     columns: list
@@ -278,7 +268,7 @@ class SearchTables:
     end_set: int
     shear: int
     cell_bits: list  # per edge column, the row bit of the C cell it pins (0 outside the strip)
-    plans: dict = field(default_factory=dict)  # stage1 geometry by (len(rows), lookahead, extended)
+    plans: dict = field(default_factory=dict)  # stage1 geometry by window length
 
 
 def _structural_masks(params: SearchParams):
@@ -316,12 +306,10 @@ def _structural_masks(params: SearchParams):
 
 
 def build_tables(params: SearchParams) -> SearchTables:
-    star_l, star_only = _cached("star", params.rule, _star_tables)
-    ll = p2 = fraction = None
-    if params.period == 2:
-        p2, fraction = _cached("p2", params.rule, _p2_table)
-    else:
-        ll = _cached("ll", params.rule, _ll_table)
+    star_l = _cached("star", params.rule, _star_tables)
+    use_ll, use_p2 = filter_flags(params)
+    ll = _cached("ll", params.rule, _ll_table) if use_ll else None
+    p2, fraction = _cached("p2", params.rule, _p2_table) if use_p2 else (None, None)
     cols, masks = _structural_masks(params)
     if params.symmetry == EVEN_MIRROR:
         start = (1 << 0) | (1 << 3) | (1 << 12) | (1 << 15)
@@ -331,7 +319,6 @@ def build_tables(params: SearchParams) -> SearchTables:
         start = 1
     return SearchTables(
         star_l=star_l,
-        star_only=star_only,
         ll=ll,
         p2=p2,
         p2_fraction=fraction,
@@ -354,7 +341,7 @@ _FIELD_SPAN = 26
 _NO_FILTER = (2**64 - 1,)  # the second lookup when neither ll nor p2 applies
 
 
-def _stage1_plan(params: SearchParams, tables: SearchTables, n: int, lookahead: bool, extended: bool):
+def _stage1_plan(params: SearchParams, tables: SearchTables, n: int):
     """Stage1 for windows of n rows, the same at every level, compiled
     into byte tables. A lookup-index field is a fixed set of one row's
     cells (shifted, reflected into the mirror half, or reversed under
@@ -362,7 +349,7 @@ def _stage1_plan(params: SearchParams, tables: SearchTables, n: int, lookahead: 
     column's fields, all columns packed _FIELD_SPAN bits apart, and the
     shares combine by OR. Returns a (window index, bit, table) per sampled
     row-byte (none for rows before the sequence starts), the structural
-    masks, star, and the second table: ll as edge masks, p2 or a pass-all."""
+    masks, star, and the second table: ll, p2 or a pass-all."""
     ci = constraint_indices(params, n)
     st, lk = ci.star, ci.lookahead
     s = tables.shear
@@ -370,7 +357,7 @@ def _stage1_plan(params: SearchParams, tables: SearchTables, n: int, lookahead: 
     # from read to read + width - 1 around the column; star's m3, a3, dbit, e3, f3
     fields = [(st.mid, 0, 3, s - 1), (st.above, 3, 3, s - 1), (st.result, 6, 1, s)]
     fields += [(lk.mid, 7, 3, -1), (lk.above, 10, 3, -1)]
-    use_ll, use_p2 = filter_flags(params, lookahead, extended)
+    use_ll, use_p2 = filter_flags(params)
     second = _NO_FILTER
     if use_ll:
         # the two instances one row further out share their unknown
@@ -383,7 +370,7 @@ def _stage1_plan(params: SearchParams, tables: SearchTables, n: int, lookahead: 
         fields.append((RowRef(n - 2 * k, 0, lk.mid.reversed ^ reflect), 13, 5, -2))
         fields.append((RowRef(n - p - 2 * k, s, lk.above.reversed ^ reflect), 18, 5, -2))
         fields.append((lk.mid, 23, 3, -1))
-        second = _cached("ll_edges", params.rule, _ll_edges)
+        second = tables.ll
     if use_p2:
         fields.append((RowRef(n - 2, 0), 13, 5, -2))  # p2's r2w, r1w
         fields.append((st.result, 18, 5, -2))
@@ -412,17 +399,16 @@ def _stage1_plan(params: SearchParams, tables: SearchTables, n: int, lookahead: 
             for bit in share[b : b + 8]:
                 table += [x | bit for x in table]
             reads.append((idx, b, table))
-    star = tables.star_l if lookahead else tables.star_only
-    return reads, tables.masks, star, second
+    return reads, tables.masks, tables.star_l, second
 
 
-def stage1_edges(params: SearchParams, tables: SearchTables, rows, lookahead=True, extended=True):
+def stage1_edges(params: SearchParams, tables: SearchTables, rows):
     """64-bit edge mask per column: triple pairs of the new rows that pass
     every per-column check against the known rows."""
-    key = (len(rows), lookahead, extended)
-    plan = tables.plans.get(key)
+    n = len(rows)
+    plan = tables.plans.get(n)
     if plan is None:
-        plan = tables.plans[key] = _stage1_plan(params, tables, *key)
+        plan = tables.plans[n] = _stage1_plan(params, tables, n)
     reads, masks, star, second = plan
     acc = 0
     for idx, b, table in reads:
@@ -485,13 +471,16 @@ def stage3_enumerate(params: SearchParams, tables: SearchTables, edges, reach):
     return out
 
 
-def successors(params: SearchParams, tables: SearchTables, rows, lookahead=True, extended=True):
-    """Candidate next rows for the partial sequence, sorted increasing.
+def successors(params: SearchParams, tables: SearchTables, rows):
+    """Candidate next rows for the partial sequence, sorted increasing:
+    those that satisfy the next constraint, with some lookahead row that
+    satisfies the constraint after it and passes the ll or p2 filter
+    where filter_flags applies one.
 
     rows is the known sequence, oldest first; entries before it count as
-    dead. Deeper history than 2p rows matters only to the extended
+    dead. Deeper history than 2p rows matters only to the ll and p2
     filters (it widens what they can prune, never what they admit)."""
-    edges = stage1_edges(params, tables, rows, lookahead, extended)
+    edges = stage1_edges(params, tables, rows)
     reach = stage2_reach(params, tables, edges)
     if reach is None:
         return []

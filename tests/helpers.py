@@ -1,8 +1,9 @@
 """Shared test fixtures: an independent set-of-cells evolver, known ships,
 patterns from text art, construction of the interleaved row sequence a
-search would walk and the check that it is consistent, a per-call stage1
-that the compiled one is checked against, and the vertex-set form of
-stages 2 and 3 that the edge-passing pair is checked against."""
+search would walk and the check that it is consistent, the literal
+successor filter without the ll and p2 tables, a per-call stage1 that the
+compiled one is checked against, and the vertex-set form of stages 2 and
+3 that the edge-passing pair is checked against."""
 
 from shipsearch.oracle import frame_row, instance_holds, state_rows
 from shipsearch.pattern import Pattern
@@ -138,7 +139,30 @@ def ship_sequence(params, cells, want_dx=0, pad_rows=3):
     return merged_sequence(params, gens, x0, y0, levels)
 
 
-def reference_stage1_edges(params, tables, rows, lookahead=True, extended=True):
+def brute_successors(params, rows, lookahead=True):
+    """All candidate rows passing the constraint instances literally: the
+    next constraint, and unless lookahead is off, the one after it for
+    some lookahead row. Neither ll nor p2 applies."""
+    table = evolution_table(params.rule)
+    p, k, w = params.period, params.offset, params.width
+    ci = constraint_indices(params, len(rows))
+    out = []
+    for c in range(1 << w):
+        seq = rows + [c]
+        if not instance_holds(params, table, seq, ci.star):
+            continue
+        if lookahead:
+            pad = [0] * (p - k - 1)
+            if not any(
+                instance_holds(params, table, seq + pad + [lam], ci.lookahead)
+                for lam in range(1 << w)
+            ):
+                continue
+        out.append(c)
+    return out
+
+
+def reference_stage1_edges(params, tables, rows):
     """stage1_edges worked out afresh on every call: the constraint
     instances for len(rows), every sampled row framed in full, and each
     lookup index assembled column by column at its frame position."""
@@ -157,7 +181,7 @@ def reference_stage1_edges(params, tables, rows, lookahead=True, extended=True):
     ext_e = framed(lk.mid)
     ext_f = framed(lk.above)
 
-    use_ll, use_p2 = filter_flags(params, lookahead, extended)
+    use_ll, use_p2 = filter_flags(params)
     if use_ll:
         p, k = params.period, params.offset
         reflect = params.symmetry == GLIDE_REFLECT and k % 2 == 0
@@ -166,7 +190,6 @@ def reference_stage1_edges(params, tables, rows, lookahead=True, extended=True):
     if use_p2:
         ext_g2 = framed(RowRef(i - 2, 0))
 
-    star = tables.star_l if lookahead else tables.star_only
     out = []
     for n, j in enumerate(tables.columns):
         pos = base + j
@@ -175,12 +198,11 @@ def reference_stage1_edges(params, tables, rows, lookahead=True, extended=True):
         dbit = (ext_d >> (pos + s)) & 1
         e3 = (ext_e >> (pos - 1)) & 7
         f3 = (ext_f >> (pos - 1)) & 7
-        e = star[m3 | a3 << 3 | dbit << 6 | e3 << 7 | f3 << 10] & tables.masks[n]
+        e = tables.star_l[m3 | a3 << 3 | dbit << 6 | e3 << 7 | f3 << 10] & tables.masks[n]
         if use_ll and e:
             a5 = (ext_h >> (pos - 2)) & 31
             b5 = (ext_g >> (pos - 2)) & 31
-            allowed = tables.ll[b5 | a5 << 5 | e3 << 10]  # over lt, edge bits ct | lt << 3
-            e &= sum(0xFF << 8 * lt for lt in range(8) if allowed >> lt & 1)
+            e &= tables.ll[b5 | a5 << 5 | e3 << 10]
         if use_p2 and e:
             r2w = (ext_g2 >> (pos - 2)) & 31
             r1w = (ext_d >> (pos - 2)) & 31

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import brute_successors
 from shipsearch.cli import banner_text
 from shipsearch.oracle import oracle_successors
 from shipsearch.pattern import classify_ship
@@ -104,15 +105,14 @@ def test_successors_match_oracle_across_rules_and_modes():
         hist = max(2 * p, p + 2 * k)
         window = [0] * hist
         for _ in range(52):
-            # random walk along the unfiltered relation keeps every tested
+            # random walk along the next constraint alone keeps every tested
             # state reachable; dead ends restart from the empty strip
-            options = successors(params, tables, window, lookahead=False, extended=False)
+            options = brute_successors(params, window, lookahead=False)
             window = window[1:] + [rng.choice(options)] if options else [0] * hist
             states += 1
-            for lookahead, extended in ((True, True), (True, False), (False, False)):
-                fast = successors(params, tables, window, lookahead, extended)
-                slow = oracle_successors(params, window, lookahead=lookahead, extended=extended)
-                assert fast == slow, (format(rule), p, k, symmetry, translation, window)
+            fast = successors(params, tables, window)
+            slow = oracle_successors(params, window)
+            assert fast == slow, (format(rule), p, k, symmetry, translation, window)
     elapsed = time.perf_counter() - started
     assert states >= 1000
     assert len(rules) >= 20
@@ -186,3 +186,17 @@ def test_scripts_run(script, args, expect):
     )
     assert proc.returncode == 0, proc.stderr
     assert expect in proc.stdout
+
+
+def test_long_search_bad_capacity_is_a_usage_error():
+    # the capacity is checked before the banner, so nothing is searched
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "long_searches.py"), "--run", "weekender", "--capacity", "0"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "error: node_capacity must be at least 4 periods" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "state space" not in proc.stderr  # no banner

@@ -198,7 +198,8 @@ class TestStatsCommand:
     def test_higher_period_reports_chain_table(self, capsys):
         assert main(["stats", "--rule", "B3/S23", "--period", "3"]) == 0
         out = capsys.readouterr().out
-        assert "lookahead chain table density" in out
+        assert "lookahead chain table density: 63.9%" in out
+        assert "edge table density: 25.0%" in out
         assert "pruned:" not in out
 
 

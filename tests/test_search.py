@@ -41,10 +41,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="node_capacity"):
             Search(SearchParams(LIFE, 3, 1, 4), SearchConfig(node_capacity=11))
 
-    def test_delta_floor(self):
-        with pytest.raises(ValueError, match="delta"):
-            Search(SearchParams(LIFE, 2, 1, 4), SearchConfig(delta=0))
-
     def test_max_deepening_sign(self):
         with pytest.raises(ValueError, match="max_deepening"):
             Search(SearchParams(LIFE, 2, 1, 4), SearchConfig(max_deepening=-1))

@@ -321,8 +321,8 @@ class TestRowsBack:
 
 
 class TestFilterFlags:
-    # (use_ll, use_p2) with lookahead and extended both on; every other
-    # setting turns both filters off
+    # (use_ll, use_p2) per mode: ll at every period but 2, p2 at period 2
+    # unless glide or diagonal
     EXPECTED = [
         (2, 1, ASYMMETRIC, ORTHOGONAL, (False, True)),
         (2, 1, EVEN_MIRROR, ORTHOGONAL, (False, True)),
@@ -339,11 +339,9 @@ class TestFilterFlags:
 
     @pytest.mark.parametrize("case", EXPECTED, ids=lambda c: f"p{c[0]}k{c[1]}-{c[2]}-{c[3]}")
     def test_flags_per_mode(self, case):
-        p, k, sym, tr, both_on = case
+        p, k, sym, tr, flags = case
         params = SearchParams(LIFE, p, k, 4, sym, tr)
-        assert filter_flags(params, True, True) == both_on
-        for lookahead, extended in ((True, False), (False, True), (False, False)):
-            assert filter_flags(params, lookahead, extended) == (False, False)
+        assert filter_flags(params) == flags
 
 
 class TestTransposition:

@@ -1,9 +1,9 @@
 """Constraint tables and the three-stage successor enumeration.
 
 The table tests recompute entries the slow way (per-cell evolution) and
-compare. The enumeration tests check successors() against a literal
-all-candidates filter and against known ships: feeding a real ship's
-interleaved rows in must always yield the ship's actual next row.
+compare. The enumeration tests check successors() against the oracle's
+literal all-candidates filter and against known ships: feeding a real
+ship's interleaved rows in must always yield the ship's actual next row.
 """
 
 import random
@@ -14,6 +14,7 @@ import pytest
 from helpers import (
     GLIDER_CELLS,
     LWSS_CELLS,
+    brute_successors,
     reference_row_count,
     reference_stage1_edges,
     reference_stage2_reach,
@@ -21,7 +22,7 @@ from helpers import (
     ship_sequence,
 )
 from shipsearch import successor as successor_mod
-from shipsearch.oracle import instance_holds
+from shipsearch.oracle import oracle_successors
 from shipsearch.rules import evolution_table, evolve_row_triple, parse_rule
 from shipsearch.search import Search, SearchConfig, reduce_width, run_search
 from shipsearch.statespace import (
@@ -32,7 +33,6 @@ from shipsearch.statespace import (
     ODD_MIRROR,
     ORTHOGONAL,
     SearchParams,
-    constraint_indices,
 )
 from shipsearch.successor import (
     _LEFT_OF,
@@ -83,7 +83,6 @@ class TestStarTables:
             if ct != 7 and ((ct >> 1) & 1) == (1 if lt == 7 else 0):
                 expect |= 1 << e
         assert tables.star_l[0] == expect
-        assert tables.star_only[0] == 0x7F
 
     def test_star_entries_match_slow_evolution(self):
         rng = random.Random(11)
@@ -125,29 +124,9 @@ class TestLlTable:
                     if center3(a5, b5, x5) != r3:
                         continue
                     for y5 in range(32):
-                        mask |= 1 << center3(b5, x5, y5)
+                        lt = center3(b5, x5, y5)
+                        mask |= 0xFF << 8 * lt  # every edge ct | lt << 3
                 assert tables.ll[idx] == mask
-
-
-def brute_successors(params, rows, lookahead=True):
-    """All candidate rows passing the constraint instances literally."""
-    table = evolution_table(params.rule)
-    p, k, w = params.period, params.offset, params.width
-    ci = constraint_indices(params, len(rows))
-    out = []
-    for c in range(1 << w):
-        seq = rows + [c]
-        if not instance_holds(params, table, seq, ci.star):
-            continue
-        if lookahead:
-            pad = [0] * (p - k - 1)
-            if not any(
-                instance_holds(params, table, seq + pad + [lam], ci.lookahead)
-                for lam in range(1 << w)
-            ):
-                continue
-        out.append(c)
-    return out
 
 
 MODE_CASES = [
@@ -174,9 +153,7 @@ class TestSuccessorsAgainstBrute:
             for trial in range(8):
                 n = rng.choice([2 * p, 3 * p, 3 * p + 2])
                 rows = [0] * n if trial == 0 else [rng.getrandbits(w) for _ in range(n)]
-                for la in (True, False):
-                    got = successors(params, tables, rows, lookahead=la, extended=False)
-                    assert got == brute_successors(params, rows, la)
+                assert successors(params, tables, rows) == oracle_successors(params, rows)
 
 
 class TestFilters:
@@ -190,27 +167,19 @@ class TestFilters:
                 # sparse states: dense random rows rarely admit any
                 # successor at all, leaving nothing to prune
                 rows = [rng.getrandbits(4) & rng.getrandbits(4) for _ in range(3 * p + 1)]
-                plain = successors(params, tables, rows, extended=False)
-                filtered = successors(params, tables, rows, extended=True)
+                plain = brute_successors(params, rows)
+                filtered = successors(params, tables, rows)
                 assert set(filtered) <= set(plain)
                 strict += len(filtered) < len(plain)
             assert strict > 0, "filter never pruned anything"
-
-    def test_lookahead_off_ignores_extended(self):
-        params = SearchParams(LIFE, 2, 1, 4)
-        tables = build_tables(params)
-        rows = [0, 0, 2, 4, 6, 1]
-        a = successors(params, tables, rows, lookahead=False, extended=True)
-        b = successors(params, tables, rows, lookahead=False, extended=False)
-        assert a == b
 
     def test_width_one_lookahead_distinction(self):
         # a lone live cell satisfies the direct constraint from dead rows
         # but no lookahead row can ever birth it
         params = SearchParams(LIFE, 3, 1, 1)
         tables = build_tables(params)
-        assert successors(params, tables, [0] * 6, lookahead=True) == [0]
-        assert successors(params, tables, [0] * 6, lookahead=False) == [0, 1]
+        assert successors(params, tables, [0] * 6) == [0]
+        assert brute_successors(params, [0] * 6, lookahead=False) == [0, 1]
 
 
 class TestKnownShips:
@@ -221,7 +190,7 @@ class TestKnownShips:
         first = next(i for i, r in enumerate(rows) if r)
         checked = 0
         for n in range(max(p2, first - p2), len(rows)):
-            got = successors(params, tables, rows[:n], lookahead=True, extended=True)
+            got = successors(params, tables, rows[:n])
             assert rows[n] in got, f"true continuation pruned at level {n}"
             checked += 1
         assert checked > 2 * params.period
@@ -293,9 +262,7 @@ def _check_stage1(params, tables, rng, trials):
     for n in (1, p, hist - 1, hist, hist + 3):
         for _ in range(trials):
             rows = _random_window(rng, n, params.width)
-            for la, ext in ((True, True), (True, False), (False, True)):
-                got = stage1_edges(params, tables, rows, la, ext)
-                assert got == reference_stage1_edges(params, tables, rows, la, ext), (n, rows, la, ext)
+            assert stage1_edges(params, tables, rows) == reference_stage1_edges(params, tables, rows), (n, rows)
 
 
 class TestCompiledStage1:
@@ -363,9 +330,7 @@ class TestStage1ByteTables:
                     rows[at] = 1 << cell
                     windows.append(rows)
             for rows in windows:
-                for la, ext in ((True, True), (True, False), (False, True)):
-                    got = stage1_edges(params, tables, rows, la, ext)
-                    assert got == reference_stage1_edges(params, tables, rows, la, ext), (n, rows, la, ext)
+                assert stage1_edges(params, tables, rows) == reference_stage1_edges(params, tables, rows), (n, rows)
 
 
 class TestStage1Plans:
@@ -377,16 +342,16 @@ class TestStage1Plans:
         built = []
         original = successor_mod._stage1_plan
 
-        def plan(params, tables, *key):
-            built.append((tables, key))
-            return original(params, tables, *key)
+        def plan(params, tables, n):
+            built.append((tables, n))
+            return original(params, tables, n)
 
         monkeypatch.setattr(successor_mod, "_stage1_plan", plan)
         params = SearchParams(LIFE, 3, 1, 6, EVEN_MIRROR)
         res = run_search(params, SearchConfig(node_capacity=256, max_deepening=6, continue_after_find=True))
         assert res.status.current_width < params.width  # narrowed, so tables were rebuilt
-        for i, (tables, key) in enumerate(built):
-            assert key == (6, True, True)  # the search's window length, filters on
+        for i, (tables, n) in enumerate(built):
+            assert n == 6  # the search's window length
             assert all(other is not tables for other, _ in built[i + 1 :])
         assert len(built) == params.width - res.status.current_width + 1
 
@@ -406,10 +371,9 @@ class TestStage1Plans:
         params = SearchParams(LIFE, p, k, 32, sym, tr)
         tables = build_tables(params)
         hist = max(2 * p, p + 2 * k)
-        for la, ext in ((True, True), (True, False), (False, True)):
-            reads = successor_mod._stage1_plan(params, tables, hist, la, ext)[0]
-            assert len(reads) <= hist * 4
-            assert all(len(table) <= 256 for _, _, table in reads)
+        reads = successor_mod._stage1_plan(params, tables, hist)[0]
+        assert len(reads) <= hist * 4
+        assert all(len(table) <= 256 for _, _, table in reads)
 
 
 class TestVertexFolds:
@@ -430,44 +394,51 @@ class TestVertexFolds:
             assert _right_vertices(m) == self.per_bit(m, _RIGHT_OF), hex(m)
 
 
-SETTINGS = [(True, True), (True, False), (False, True), (False, False)]
-
-
-def _check_stages_2_3(params, tables, rows, la, ext, max_rows=None):
+def _check_stages_2_3(params, tables, rows, max_rows=None):
     """Stage2 dies exactly when the reference does; otherwise stage3 lists
     the reference's rows in the reference's order. Windows with more than
     max_rows rows are skipped before listing them; returns whether stage3
     was compared."""
-    edges = stage1_edges(params, tables, rows, la, ext)
+    edges = stage1_edges(params, tables, rows)
     want_reach = reference_stage2_reach(params, tables, edges)
     reach = stage2_reach(params, tables, edges)
-    assert (reach is None) == (want_reach is None), (rows, la, ext)
+    assert (reach is None) == (want_reach is None), rows
     if reach is None:
         return False
     count = reference_row_count(tables, edges, want_reach)
     if max_rows is not None and count > max_rows:
         return False
     got = stage3_enumerate(params, tables, edges, reach)
-    assert got == reference_stage3_enumerate(params, tables, edges, want_reach), (rows, la, ext)
+    assert got == reference_stage3_enumerate(params, tables, edges, want_reach), rows
     assert len(got) == count
     return True
 
 
+def _sparse_row(rng, w, sparsity):
+    row = rng.getrandbits(w)
+    for _ in range(sparsity - 1):
+        row &= rng.getrandbits(w)
+    return row
+
+
 class TestStages2And3:
+    # rng draws the first windows of each kind and `more` the rest, so the
+    # first windows stay the same whatever the count
+
     @pytest.mark.parametrize("case", MODE_CASES, ids=lambda c: f"p{c[0]}k{c[1]}-{c[3]}-{c[4]}")
     def test_narrow_widths_match_reference(self, case):
         p, k, _, sym, tr = case
         hist = max(2 * p, p + 2 * k)
-        rng = random.Random(repr(case))
+        rng, more = random.Random(repr(case)), random.Random(repr(case) + " more")
         compared = 0
         for w in (1, 2, 3, 4):
             params = SearchParams(LIFE, p, k, w, sym, tr)
             tables = build_tables(params)
             for n in range(1, hist + 4):
-                for trial in range(4):
-                    rows = [0] * n if trial == 0 else _random_window(rng, n, w)
-                    for la, ext in SETTINGS:
-                        compared += _check_stages_2_3(params, tables, rows, la, ext)
+                windows = [[0] * n] + [_random_window(rng, n, w) for _ in range(3)]
+                windows += [_random_window(more, n, w) for _ in range(12)]
+                for rows in windows:
+                    compared += _check_stages_2_3(params, tables, rows)
         assert compared > 100
 
     @pytest.mark.parametrize("case", MODE_CASES, ids=lambda c: f"p{c[0]}k{c[1]}-{c[3]}-{c[4]}")
@@ -477,19 +448,15 @@ class TestStages2And3:
         # stage2 verdict is compared on every window
         p, k, _, sym, tr = case
         hist = max(2 * p, p + 2 * k)
-        rng = random.Random(repr(case))
+        rng, more = random.Random(repr(case)), random.Random(repr(case) + " more")
         for w in (29, 30, 31, 32):
             params = SearchParams(LIFE, p, k, w, sym, tr)
             tables = build_tables(params)
             compared = 0
             for n in range(1, hist + 4):
                 for sparsity in (2, 3, 4):
-                    rows = []
-                    for _ in range(n):
-                        row = rng.getrandbits(w)
-                        for _ in range(sparsity - 1):
-                            row &= rng.getrandbits(w)
-                        rows.append(row)
-                    for la, ext in SETTINGS:
-                        compared += _check_stages_2_3(params, tables, rows, la, ext, max_rows=2000)
+                    windows = [[_sparse_row(rng, w, sparsity) for _ in range(n)]]
+                    windows += [[_sparse_row(more, w, sparsity) for _ in range(n)] for _ in range(3)]
+                    for rows in windows:
+                        compared += _check_stages_2_3(params, tables, rows, max_rows=2000)
             assert compared > 0, w
