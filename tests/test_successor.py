@@ -181,6 +181,26 @@ class TestFilters:
         assert successors(params, tables, [0] * 6) == [0]
         assert brute_successors(params, [0] * 6, lookahead=False) == [0, 1]
 
+    # (p, k, symmetry, translation, ll built, p2 built)
+    MODES = [
+        (2, 1, ASYMMETRIC, ORTHOGONAL, False, True),
+        (2, 1, ODD_MIRROR, ORTHOGONAL, False, True),
+        (2, 1, GLIDE_REFLECT, ORTHOGONAL, False, False),
+        (2, 1, ASYMMETRIC, DIAGONAL, False, False),
+        (3, 1, EVEN_MIRROR, ORTHOGONAL, True, False),
+        (4, 1, ASYMMETRIC, DIAGONAL, True, False),
+    ]
+
+    @pytest.mark.parametrize("case", MODES, ids=lambda c: f"p{c[0]}k{c[1]}-{c[2]}-{c[3]}")
+    def test_tables_hold_only_the_applied_filter(self, case):
+        # build_tables builds the one extended table the mode runs and
+        # leaves the other unset, so period-2 glide and diagonal build none
+        p, k, sym, tr, want_ll, want_p2 = case
+        tables = build_tables(SearchParams(LIFE, p, k, 4, sym, tr))
+        assert (tables.ll is not None) == want_ll
+        assert (tables.p2 is not None) == want_p2
+        assert (tables.p2_fraction is not None) == want_p2
+
 
 class TestKnownShips:
     def check_ship(self, params, cells, want_dx=0):
