@@ -20,7 +20,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from shipsearch.cli import banner_text
+from shipsearch.cli import banner_text, progress_line
 from shipsearch.pattern import emit_rle
 from shipsearch.rules import parse_rule
 from shipsearch.search import SearchConfig, run_search
@@ -53,12 +53,7 @@ def run_profile(name: str, capacity: int) -> int:
     started = time.time()
 
     def report(status):
-        print(
-            f"[{time.time() - started:9.0f}s] width {status.current_width} "
-            f"level {status.frontier_level} limit {status.deepening_limit} "
-            f"arena {status.nodes_in_arena} expanded {status.states_expanded}",
-            file=sys.stderr,
-        )
+        print(f"[{time.time() - started:9.0f}s] {progress_line(status)}", file=sys.stderr)
 
     result = run_search(params, config, progress=report)
     print(f"outcome: {result.status.outcome}", file=sys.stderr)

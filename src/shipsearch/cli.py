@@ -23,6 +23,7 @@ from .statespace import (
     ORTHOGONAL,
     SearchParams,
     debruijn_size,
+    filter_flags,
 )
 from .successor import build_tables
 
@@ -45,7 +46,7 @@ def banner_text(params: SearchParams) -> str:
     )
 
 
-def _progress_line(status) -> str:
+def progress_line(status) -> str:
     return (
         f"progress: width {status.current_width} level {status.frontier_level} "
         f"limit {status.deepening_limit} arena {status.nodes_in_arena} "
@@ -72,7 +73,7 @@ def cmd_search(args) -> int:
     print(banner_text(params), file=sys.stderr)
 
     def report(status):
-        print(_progress_line(status), file=sys.stderr)
+        print(progress_line(status), file=sys.stderr)
 
     result = run_search(params, config, progress=None if args.quiet else report)
     if not args.quiet:
@@ -122,21 +123,25 @@ def cmd_verify(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    if args.period < 2:
+        print("error: --period must be at least 2", file=sys.stderr)
+        return 2
     # neither offset nor width enters the per-rule tables (width only the
     # per-column masks), so any legal values serve for a stats run
     params = SearchParams(rule=parse_rule(args.rule), period=args.period, offset=1, width=4)
     tables = build_tables(params)
+    use_ll, use_p2 = filter_flags(params)
 
     def density(entries, bits) -> float:
         return 100.0 * sum(e.bit_count() for e in entries) / (len(entries) * bits)
 
     print(f"rule {format_rule(params.rule)}, period {params.period}")
     print(f"edge table density: {density(tables.star_l, 64):.1f}%")
-    if tables.p2 is not None:
-        print(f"pair strip table density: {density(tables.p2, 64):.1f}%")
+    if use_p2:
+        print(f"pair strip table density: {density(tables.filter, 64):.1f}%")
         print(f"pruned: {100.0 * tables.p2_fraction:.1f}%")
-    if tables.ll is not None:
-        print(f"lookahead chain table density: {density(tables.ll, 64):.1f}%")
+    if use_ll:
+        print(f"lookahead chain table density: {density(tables.filter, 64):.1f}%")
     return 0
 
 

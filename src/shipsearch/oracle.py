@@ -16,9 +16,7 @@ import numpy as np
 from .pattern import Pattern, ShipDescriptor
 from .rules import Rule, evolution_table, evolve_row_triple
 from .statespace import (
-    DIAGONAL,
     FRAME_MARGIN,
-    GLIDE_REFLECT,
     Instance,
     RowRef,
     SearchParams,
@@ -160,48 +158,39 @@ def _p2_entry_ok(rule: Rule, r2w: int, r1w: int, ct: int, lt: int) -> bool:
 _P2_MEMO: dict[tuple, bool] = {}
 
 
-def _filters_ok(params: SearchParams, rows, c: int, lam: int, use_ll: bool, use_p2: bool) -> bool:
+def _filters_ok(params: SearchParams, rows, c: int, lam: int) -> bool:
     """Per-column extended checks for one candidate pair, sampled at the
     same frame positions the packed tables use."""
-    i = len(rows)
-    p, k = params.period, params.offset
+    ci = constraint_indices(params, len(rows))
+    if ci.filter is None:
+        return True
     rule = params.rule
     base = frame_base(params)
-    lk = constraint_indices(params, i).lookahead
-    ext_lam = frame_row(params, lam, lk.below)
-
+    near, far = (frame_row(params, state_rows(rows, ref.index), ref) for ref in ci.filter)
+    ext_lam = frame_row(params, lam, ci.lookahead.below)
+    use_ll, _ = filter_flags(params)
     if use_ll:
-        s = 1 if params.translation == DIAGONAL else 0
-        reflect = params.symmetry == GLIDE_REFLECT and k % 2 == 0
-        ext_h = frame_row(
-            params, state_rows(rows, i - p - 2 * k), RowRef(i - p - 2 * k, s, lk.above.reversed ^ reflect)
-        )
-        ext_g = frame_row(
-            params, state_rows(rows, i - 2 * k), RowRef(i - 2 * k, 0, lk.mid.reversed ^ reflect)
-        )
-        ext_e = frame_row(params, state_rows(rows, i - k), lk.mid)
+        lk = ci.lookahead
+        ext_e = frame_row(params, state_rows(rows, lk.mid.index), lk.mid)
         for j in edge_columns(params):
             pos = base + j
-            a5 = (ext_h >> (pos - 2)) & 31
-            b5 = (ext_g >> (pos - 2)) & 31
+            b5 = (near >> (pos - 2)) & 31
+            a5 = (far >> (pos - 2)) & 31
             r3 = (ext_e >> (pos - 1)) & 7
             t3 = (ext_lam >> (pos - 1)) & 7
             if not _ll_allowed(rule, a5, b5, r3) >> t3 & 1:
                 return False
+        return True
 
-    if use_p2:
-        ext_g2 = frame_row(params, state_rows(rows, i - 2))
-        ext_d = frame_row(params, state_rows(rows, i - 1))
-        ext_c = frame_row(params, c)
-        for j in edge_columns(params):
-            pos = base + j
-            r2w = (ext_g2 >> (pos - 2)) & 31
-            r1w = (ext_d >> (pos - 2)) & 31
-            ct = (ext_c >> (pos - 1)) & 7
-            lt = (ext_lam >> (pos - 1)) & 7
-            if not _p2_entry_ok(rule, r2w, r1w, ct, lt):
-                return False
-
+    ext_c = frame_row(params, c)
+    for j in edge_columns(params):
+        pos = base + j
+        r2w = (near >> (pos - 2)) & 31
+        r1w = (far >> (pos - 2)) & 31
+        ct = (ext_c >> (pos - 1)) & 7
+        lt = (ext_lam >> (pos - 1)) & 7
+        if not _p2_entry_ok(rule, r2w, r1w, ct, lt):
+            return False
     return True
 
 
@@ -214,7 +203,6 @@ def oracle_successors(params: SearchParams, rows, budget: OracleBudget | None = 
     p, k, w = params.period, params.offset, params.width
     table = evolution_table(params.rule)
     ci = constraint_indices(params, len(rows))
-    use_ll, use_p2 = filter_flags(params)
     pad = [0] * (p - k - 1)
     out = []
     for c in range(1 << w):
@@ -224,7 +212,7 @@ def oracle_successors(params: SearchParams, rows, budget: OracleBudget | None = 
         for lam in range(1 << w):
             if not instance_holds(params, table, seq + pad + [lam], ci.lookahead):
                 continue
-            if _filters_ok(params, rows, c, lam, use_ll, use_p2):
+            if _filters_ok(params, rows, c, lam):
                 out.append(c)
                 break
     return out

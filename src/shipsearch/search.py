@@ -33,6 +33,7 @@ from .statespace import (
     TranspositionTable,
     extract_ship,
     fold_rows,
+    history,
     is_goal,
     make_initial_state,
     state_key,
@@ -85,17 +86,12 @@ class Search:
     def __init__(self, params: SearchParams, config: SearchConfig | None = None, progress=None):
         config = config or SearchConfig()
         config.check(params)
-        p, k = params.period, params.offset
         self.params = params
         self.config = config
         self.progress = progress
         self.tables = build_tables(params)
-        # history window long enough for every back reference the
-        # successor machinery makes (2p for the constraints, p+2k for the
-        # chained lookahead rows)
-        self.hist = max(2 * p, p + 2 * k)
+        self.hist = history(params)  # the window successors() reads
         self.arena, tip = make_initial_state(params)
-        self.base_depth = self.arena.depths[tip]
         self.queue: deque[int] = deque([tip])
         self._new_table([tip])
         self.limit: int | None = None  # deepening level reached by previous rounds
@@ -108,8 +104,9 @@ class Search:
     # -- small helpers ----------------------------------------------------
 
     def level_of(self, idx: int) -> int:
-        """Rows appended beyond the all-dead seed."""
-        return self.arena.depths[idx] - self.base_depth
+        """Rows appended beyond the all-dead seed, nodes 0..2p-1 (compaction
+        keeps them there: they are everyone's ancestors)."""
+        return self.arena.depths[idx] - (2 * self.params.period - 1)
 
     def _new_table(self, nodes) -> None:
         """Start a transposition table holding the states of nodes: the
@@ -267,11 +264,9 @@ def compact(search: Search) -> None:
         if mark[i]:
             parent = old.parents[i]
             remap[i] = fresh.add(old.rows[i], remap[parent] if parent >= 0 else -1)
-    tip = remap[2 * params.period - 1]  # the all-dead seed is everyone's ancestor
     search.queue = deque(remap[i] for i in search.queue)
     search.arena = fresh
-    search.base_depth = fresh.depths[tip]
-    search._new_table([tip, *search.queue])
+    search._new_table([2 * params.period - 1, *search.queue])  # the seed's tip, then the frontier
     search._tick(force=True)
 
 

@@ -143,15 +143,14 @@ class Instance:
     below: RowRef
     result: RowRef
 
-    @property
-    def inputs(self) -> tuple[RowRef, RowRef, RowRef]:
-        return (self.above, self.mid, self.below)
-
 
 @dataclass(frozen=True)
 class ConstraintIndices:
     star: Instance
     lookahead: Instance
+    # the two rows whose 5-cell windows the ll or p2 lookup samples, in the
+    # order of its index; None where filter_flags applies neither
+    filter: tuple[RowRef, RowRef] | None
 
 
 def _mode_flags(params: SearchParams) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
@@ -182,7 +181,28 @@ def constraint_indices(params: SearchParams, i: int) -> ConstraintIndices:
         below=RowRef(i + p - k, -s, look_rev[2]),
         result=RowRef(i, 0, look_rev[3]),
     )
-    return ConstraintIndices(star, lookahead)
+    use_ll, use_p2 = filter_flags(params)
+    wide = None
+    if use_ll:
+        # the two lookahead instances one row further out share their
+        # unknown 5-windows only after reflecting them into a common
+        # orientation; for glide with even k that flips both rows (and ll's
+        # r3 then reads the reversed lookahead mid row, the star_l e3 sample)
+        flip = params.symmetry == GLIDE_REFLECT and k % 2 == 0
+        wide = (
+            RowRef(i - 2 * k, 0, lookahead.mid.reversed ^ flip),
+            RowRef(i - p - 2 * k, s, lookahead.above.reversed ^ flip),
+        )
+    elif use_p2:
+        wide = (RowRef(i - 2), RowRef(i - 1))
+    return ConstraintIndices(star, lookahead, wide)
+
+
+def history(params: SearchParams) -> int:
+    """Rows of history the successor step reads: 2p for the constraints,
+    p + 2k for the rows the ll filter chains one row further out."""
+    p, k = params.period, params.offset
+    return max(2 * p, p + 2 * k)
 
 
 def edge_columns(params: SearchParams) -> range:

@@ -16,23 +16,28 @@ and lookahead constraints for one column, ll additionally requires the
 two constraint instances reaching one more row into the future to have a
 consistent witness, and for period 2 a strip-reachability table (p2)
 replaces ll. Which of ll and p2 applies follows from the params alone
-(statespace.filter_flags). Column layout, boundary masks and sampling
-offsets come from the mode geometry in statespace.
+(statespace.filter_flags), so a search holds one filter table. Column
+layout, boundary masks, the window length and which rows each lookup
+samples come from the mode geometry in statespace.
+
+successors() reads the last statespace.history(params) rows of the
+window it is given, counted from the end; rows before the sequence start
+must be present as dead rows (NodeArena.rows_back pads with them). A
+longer window gives the same rows, a shorter one raises IndexError.
 
 Which window row each lookup-index field samples, with what shift, mirror
 reflection or glide reversal, is the same at every level. So stage 1
-compiles it once per window length into byte tables memoised on
-SearchTables: the entry for one byte of one sampled row is that byte's
-share of every column's indices, all columns packed side by side in one
-integer. A call ORs one entry per sampled row-byte, then reads each
-column's indices with a shift and a mask. The vertex sets an edge mask
-leaves or enters are folded out of it in closed form, by shifts and
-masks.
+compiles it on its first call into byte tables kept on SearchTables: the
+entry for one byte of one sampled row is that byte's share of every
+column's indices, all columns packed side by side in one integer. A call
+ORs one entry per sampled row-byte, then reads each column's indices
+with a shift and a mask. The vertex sets an edge mask leaves or enters
+are folded out of it in closed form, by shifts and masks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,15 +45,14 @@ from .rules import Rule, evolution_table
 from .statespace import (
     DIAGONAL,
     EVEN_MIRROR,
-    GLIDE_REFLECT,
     ODD_MIRROR,
-    RowRef,
     SearchParams,
     constraint_indices,
     edge_columns,
     filter_flags,
     frame_base,
     frame_offsets,
+    history,
 )
 
 # ---------------------------------------------------------------------------
@@ -259,16 +263,12 @@ def _cached(kind: str, rule: Rule, build):
 @dataclass
 class SearchTables:
     star_l: list
-    ll: list | None  # None where filter_flags applies no ll; p2 likewise
-    p2: list | None
+    filter: list | None  # ll or p2, whichever filter_flags applies; None for neither
     p2_fraction: float | None
-    columns: list
     masks: list
     start_set: int
-    end_set: int
-    shear: int
     cell_bits: list  # per edge column, the row bit of the C cell it pins (0 outside the strip)
-    plans: dict = field(default_factory=dict)  # stage1 geometry by window length
+    plan: tuple | None = None  # stage1 compiled into byte tables, on the first call
 
 
 def _structural_masks(params: SearchParams):
@@ -282,9 +282,8 @@ def _structural_masks(params: SearchParams):
     def may_live(col):
         return 0 <= col < w or (mirrored and col == -1)
 
-    cols = list(edge_columns(params))
     masks = []
-    for j in cols:
+    for j in edge_columns(params):
         m = 0
         for e in range(64):
             ct, lt = e & 7, e >> 3
@@ -302,15 +301,17 @@ def _structural_masks(params: SearchParams):
             if ok:
                 m |= 1 << e
         masks.append(m)
-    return cols, masks
+    return masks
 
 
 def build_tables(params: SearchParams) -> SearchTables:
     star_l = _cached("star", params.rule, _star_tables)
     use_ll, use_p2 = filter_flags(params)
-    ll = _cached("ll", params.rule, _ll_table) if use_ll else None
-    p2, fraction = _cached("p2", params.rule, _p2_table) if use_p2 else (None, None)
-    cols, masks = _structural_masks(params)
+    table, fraction = None, None
+    if use_ll:
+        table = _cached("ll", params.rule, _ll_table)
+    elif use_p2:
+        table, fraction = _cached("p2", params.rule, _p2_table)
     if params.symmetry == EVEN_MIRROR:
         start = (1 << 0) | (1 << 3) | (1 << 12) | (1 << 15)
     elif params.symmetry == ODD_MIRROR:
@@ -319,15 +320,11 @@ def build_tables(params: SearchParams) -> SearchTables:
         start = 1
     return SearchTables(
         star_l=star_l,
-        ll=ll,
-        p2=p2,
+        filter=table,
         p2_fraction=fraction,
-        columns=cols,
-        masks=masks,
+        masks=_structural_masks(params),
         start_set=start,
-        end_set=1,
-        shear=1 if params.translation == DIAGONAL else 0,
-        cell_bits=[1 << (j - 1) if 0 < j <= params.width else 0 for j in cols],
+        cell_bits=[1 << (j - 1) if 0 < j <= params.width else 0 for j in edge_columns(params)],
     )
 
 
@@ -341,48 +338,34 @@ _FIELD_SPAN = 26
 _NO_FILTER = (2**64 - 1,)  # the second lookup when neither ll nor p2 applies
 
 
-def _stage1_plan(params: SearchParams, tables: SearchTables, n: int):
-    """Stage1 for windows of n rows, the same at every level, compiled
-    into byte tables. A lookup-index field is a fixed set of one row's
-    cells (shifted, reflected into the mirror half, or reversed under
-    glide), so each byte of a sampled row owns a fixed share of every
-    column's fields, all columns packed _FIELD_SPAN bits apart, and the
-    shares combine by OR. Returns a (window index, bit, table) per sampled
-    row-byte (none for rows before the sequence starts), the structural
-    masks, star, and the second table: ll, p2 or a pass-all."""
-    ci = constraint_indices(params, n)
+def _stage1_plan(params: SearchParams, tables: SearchTables):
+    """Stage1 compiled into byte tables, the same at every level. A
+    lookup-index field is a fixed set of one row's cells (shifted,
+    reflected into the mirror half, or reversed under glide), so each byte
+    of a sampled row owns a fixed share of every column's fields, all
+    columns packed _FIELD_SPAN bits apart, and the shares combine by OR.
+    Returns a (window index counted from the end, bit, table) per sampled
+    row-byte of the last history(params) rows, the structural masks, star,
+    and the filter table or a pass-all."""
+    h = history(params)
+    ci = constraint_indices(params, h)
     st, lk = ci.star, ci.lookahead
-    s = tables.shear
+    s = 1 if params.translation == DIAGONAL else 0
     # (row, low bit, width, read offset): the field holds the row's cells
     # from read to read + width - 1 around the column; star's m3, a3, dbit, e3, f3
     fields = [(st.mid, 0, 3, s - 1), (st.above, 3, 3, s - 1), (st.result, 6, 1, s)]
     fields += [(lk.mid, 7, 3, -1), (lk.above, 10, 3, -1)]
-    use_ll, use_p2 = filter_flags(params)
-    second = _NO_FILTER
-    if use_ll:
-        # the two instances one row further out share their unknown
-        # 5-windows only after reflecting them into a common orientation;
-        # for glide with even k that flips all three sampled rows (and r3
-        # then reads the reversed E, which is exactly the e3 sample)
-        p, k = params.period, params.offset
-        reflect = params.symmetry == GLIDE_REFLECT and k % 2 == 0
-        # ll's b5, a5 and r3 (= e3)
-        fields.append((RowRef(n - 2 * k, 0, lk.mid.reversed ^ reflect), 13, 5, -2))
-        fields.append((RowRef(n - p - 2 * k, s, lk.above.reversed ^ reflect), 18, 5, -2))
-        fields.append((lk.mid, 23, 3, -1))
-        second = tables.ll
-    if use_p2:
-        fields.append((RowRef(n - 2, 0), 13, 5, -2))  # p2's r2w, r1w
-        fields.append((st.result, 18, 5, -2))
-        second = tables.p2
+    if ci.filter is not None:
+        # ll's b5 and a5, or p2's r2w and r1w
+        fields += [(ref, low, 5, -2) for ref, low in zip(ci.filter, (13, 18))]
+        if filter_flags(params)[0]:
+            fields.append((lk.mid, 23, 3, -1))  # ll's r3 (= e3)
     w = params.width
-    first = frame_base(params) + tables.columns[0]  # frame position of the first column
-    ncols = len(tables.columns)
+    cols = edge_columns(params)
+    first = frame_base(params) + cols[0]  # frame position of the first column
     shares: dict[int, list[int]] = {}  # window index -> per row cell, its share of the fields
     for ref, low, width, read in fields:
-        if not 0 <= ref.index < n:
-            continue
-        share = shares.setdefault(ref.index, [0] * w)
+        share = shares.setdefault(ref.index - h, [0] * w)
         plain, mirror = frame_offsets(params, ref)
         for cell in range(w):
             at = [plain + cell] if plain is not None else []
@@ -390,7 +373,7 @@ def _stage1_plan(params: SearchParams, tables: SearchTables, n: int):
                 at.append(mirror + w - 1 - cell)
             for q in at:
                 q -= first + read  # the cell's distance from the first column's field
-                for c in range(max(0, q - width + 1), min(ncols, q + 1)):
+                for c in range(max(0, q - width + 1), min(len(cols), q + 1)):
                     share[cell] |= 1 << (_FIELD_SPAN * c + low + q - c)
     reads = []
     for idx, share in shares.items():
@@ -399,16 +382,15 @@ def _stage1_plan(params: SearchParams, tables: SearchTables, n: int):
             for bit in share[b : b + 8]:
                 table += [x | bit for x in table]
             reads.append((idx, b, table))
-    return reads, tables.masks, tables.star_l, second
+    return reads, tables.masks, tables.star_l, _NO_FILTER if tables.filter is None else tables.filter
 
 
 def stage1_edges(params: SearchParams, tables: SearchTables, rows):
     """64-bit edge mask per column: triple pairs of the new rows that pass
-    every per-column check against the known rows."""
-    n = len(rows)
-    plan = tables.plans.get(n)
+    every per-column check against the last history(params) known rows."""
+    plan = tables.plan
     if plan is None:
-        plan = tables.plans[n] = _stage1_plan(params, tables, n)
+        plan = tables.plan = _stage1_plan(params, tables)
     reads, masks, star, second = plan
     acc = 0
     for idx, b, table in reads:
@@ -432,7 +414,7 @@ def stage2_reach(params: SearchParams, tables: SearchTables, edges):
             return None
         cur = _right_vertices(act)
         fwd.append(act)
-    if not cur & tables.end_set:
+    if not cur & 1:  # the end vertex: all four cells dead
         return None
     fwd.append(cur)
     return fwd
@@ -453,7 +435,7 @@ def stage3_enumerate(params: SearchParams, tables: SearchTables, edges, reach):
     guarantees no branch dead-ends."""
     bits = tables.cell_bits
     out = []
-    stack = [(len(edges) - 1, reach[-1] & tables.end_set, 0)]
+    stack = [(len(edges) - 1, reach[-1] & 1, 0)]
     while stack:
         c, vset, acc = stack.pop()
         while c >= 0:
@@ -477,9 +459,11 @@ def successors(params: SearchParams, tables: SearchTables, rows):
     satisfies the constraint after it and passes the ll or p2 filter
     where filter_flags applies one.
 
-    rows is the known sequence, oldest first; entries before it count as
-    dead. Deeper history than 2p rows matters only to the ll and p2
-    filters (it widens what they can prune, never what they admit)."""
+    rows is the known sequence, oldest first, at least history(params)
+    rows long with dead rows standing for those before the sequence
+    starts; only the last history(params) rows are read. Rows beyond the
+    last 2p matter only to the ll filter (it widens what it can prune,
+    never what it admits)."""
     edges = stage1_edges(params, tables, rows)
     reach = stage2_reach(params, tables, edges)
     if reach is None:

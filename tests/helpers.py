@@ -1,7 +1,8 @@
 """Shared test fixtures: an independent set-of-cells evolver, known ships,
 patterns from text art, construction of the interleaved row sequence a
 search would walk and the check that it is consistent, the literal
-successor filter without the ll and p2 tables, a per-call stage1 that the
+successor filter without the ll and p2 tables, dead-row padding up to the
+window successors() reads, a per-call stage1 that the
 compiled one is checked against, and the vertex-set form of stages 2 and
 3 that the edge-passing pair is checked against."""
 
@@ -10,11 +11,11 @@ from shipsearch.pattern import Pattern
 from shipsearch.rules import evolution_table
 from shipsearch.statespace import (
     DIAGONAL,
-    GLIDE_REFLECT,
-    RowRef,
     constraint_indices,
+    edge_columns,
     filter_flags,
     frame_base,
+    history,
     reverse_row,
 )
 from shipsearch.successor import (
@@ -162,15 +163,20 @@ def brute_successors(params, rows, lookahead=True):
     return out
 
 
+def padded(params, rows):
+    """rows with dead rows in front up to history(params) rows: the same
+    state, in the window successors() reads."""
+    return [0] * (history(params) - len(rows)) + list(rows)
+
+
 def reference_stage1_edges(params, tables, rows):
     """stage1_edges worked out afresh on every call: the constraint
     instances for len(rows), every sampled row framed in full, and each
     lookup index assembled column by column at its frame position."""
-    i = len(rows)
-    ci = constraint_indices(params, i)
+    ci = constraint_indices(params, len(rows))
     st, lk = ci.star, ci.lookahead
     base = frame_base(params)
-    s = tables.shear
+    s = 1 if params.translation == DIAGONAL else 0
 
     def framed(ref):
         return frame_row(params, state_rows(rows, ref.index), ref)
@@ -180,18 +186,12 @@ def reference_stage1_edges(params, tables, rows):
     ext_d = framed(st.result)
     ext_e = framed(lk.mid)
     ext_f = framed(lk.above)
-
-    use_ll, use_p2 = filter_flags(params)
-    if use_ll:
-        p, k = params.period, params.offset
-        reflect = params.symmetry == GLIDE_REFLECT and k % 2 == 0
-        ext_h = framed(RowRef(i - p - 2 * k, s, lk.above.reversed ^ reflect))
-        ext_g = framed(RowRef(i - 2 * k, 0, lk.mid.reversed ^ reflect))
-    if use_p2:
-        ext_g2 = framed(RowRef(i - 2, 0))
+    if ci.filter is not None:
+        near, far = map(framed, ci.filter)
+    use_ll, _ = filter_flags(params)
 
     out = []
-    for n, j in enumerate(tables.columns):
+    for n, j in enumerate(edge_columns(params)):
         pos = base + j
         m3 = (ext_b >> (pos + s - 1)) & 7
         a3 = (ext_a >> (pos + s - 1)) & 7
@@ -199,14 +199,10 @@ def reference_stage1_edges(params, tables, rows):
         e3 = (ext_e >> (pos - 1)) & 7
         f3 = (ext_f >> (pos - 1)) & 7
         e = tables.star_l[m3 | a3 << 3 | dbit << 6 | e3 << 7 | f3 << 10] & tables.masks[n]
-        if use_ll and e:
-            a5 = (ext_h >> (pos - 2)) & 31
-            b5 = (ext_g >> (pos - 2)) & 31
-            e &= tables.ll[b5 | a5 << 5 | e3 << 10]
-        if use_p2 and e:
-            r2w = (ext_g2 >> (pos - 2)) & 31
-            r1w = (ext_d >> (pos - 2)) & 31
-            e &= tables.p2[r2w | r1w << 5]
+        if ci.filter is not None and e:
+            # ll's b5, a5 and r3, or p2's r2w and r1w
+            index = (near >> (pos - 2)) & 31 | ((far >> (pos - 2)) & 31) << 5
+            e &= tables.filter[index | e3 << 10 if use_ll else index]
         out.append(e)
     return out
 
@@ -222,7 +218,7 @@ def reference_stage2_reach(params, tables, edges):
             return None
         cur = _right_vertices(act)
         reach.append(cur)
-    if not cur & tables.end_set:
+    if not cur & 1:
         return None
     return reach
 
@@ -239,10 +235,10 @@ def reference_stage3_enumerate(params, tables, edges, reach):
     its column's edges by both neighbouring sets and pushes each C-cell
     branch, live first so that dead pops first."""
     w = params.width
-    cols = tables.columns
+    cols = edge_columns(params)
     n = len(edges)
     out = []
-    stack = [(n - 1, reach[n] & tables.end_set, 0)]
+    stack = [(n - 1, reach[n] & 1, 0)]
     while stack:
         c, vset, acc = stack.pop()
         if c < 0:
@@ -271,4 +267,4 @@ def reference_row_count(tables, edges, reach):
             memo[c, vset] = sum(count(c - 1, _left_vertices(act & m)) for m in _C0 if act & m)
         return memo[c, vset]
 
-    return count(len(edges) - 1, reach[-1] & tables.end_set)
+    return count(len(edges) - 1, reach[-1] & 1)

@@ -31,6 +31,7 @@ from shipsearch.statespace import (
     ORTHOGONAL,
     SearchParams,
     debruijn_size,
+    history,
 )
 from shipsearch.successor import _p2_table, build_tables, successors
 
@@ -102,7 +103,7 @@ def test_successors_match_oracle_across_rules_and_modes():
         p, k = periods[i % len(periods)]
         params = SearchParams(rule, p, k, 3 + i % 4, symmetry, translation)
         tables = build_tables(params)
-        hist = max(2 * p, p + 2 * k)
+        hist = history(params)
         window = [0] * hist
         for _ in range(52):
             # random walk along the next constraint alone keeps every tested

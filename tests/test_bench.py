@@ -6,7 +6,7 @@ shape the benchmark measures, and holds each to its reference counts
 narrowings), re-verifying every emitted ship. It measures no time.
 The fast tests check that every function the bench wraps still exists,
 that its stage replay composes the stages as the package does, and that
-the shortened deepening search repeats its reference counts in-process.
+each shortened search repeats its reference counts in-process.
 """
 
 import importlib
@@ -68,21 +68,23 @@ def test_bench_check_holds_reference_counts():
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
 
 
-def test_deepening_search_repeats_reference_counts(monkeypatch, tmp_path):
-    # the shortened deepening search of `--check`, in-process: depth-first
-    # probes, compaction and narrowing
-    wl = _bench_module("workloads").QUICK["quick-c3-even-w6-deepen"]
-    counts = {}
+@pytest.mark.parametrize("name", list(_bench_module("workloads").QUICK))
+def test_quick_search_repeats_reference_counts(monkeypatch, tmp_path, name):
+    # each shortened search of `--check`, in-process: exhaustion, the p2
+    # filter, a first ship, and depth-first probes with compaction and
+    # narrowing
+    wl = _bench_module("workloads").QUICK[name]
+    counts = {"dfs_rounds": 0, "compactions": 0, "narrowings": 0}
 
     def counting(fn, key):
         def wrapper(*args):
-            counts[key] = counts.get(key, 0) + 1
+            counts[key] += 1
             return fn(*args)
 
         return wrapper
 
-    for key, name in (("dfs_rounds", "dfs_round"), ("compactions", "compact"), ("narrowings", "reduce_width")):
-        monkeypatch.setattr(search_mod, name, counting(getattr(search_mod, name), key))
+    for key, fn in (("dfs_rounds", "dfs_round"), ("compactions", "compact"), ("narrowings", "reduce_width")):
+        monkeypatch.setattr(search_mod, fn, counting(getattr(search_mod, fn), key))
 
     def run_search(*args, **kwargs):
         res = search_mod.run_search(*args, **kwargs)

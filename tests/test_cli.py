@@ -5,13 +5,17 @@ streams can be asserted cheaply; one subprocess smoke test covers the
 module entry point.
 """
 
+import importlib.util
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from shipsearch.cli import banner_text, main
+from shipsearch.cli import banner_text, main, progress_line
 from shipsearch.rules import parse_rule
+from shipsearch.search import EXHAUSTED, SearchResult, SearchStatus
 from shipsearch.statespace import SearchParams
 
 LIFE = parse_rule("B3/S23")
@@ -201,6 +205,36 @@ class TestStatsCommand:
         assert "lookahead chain table density: 63.9%" in out
         assert "edge table density: 25.0%" in out
         assert "pruned:" not in out
+
+    @pytest.mark.parametrize("period", ["1", "0", "-3"])
+    def test_period_below_two_exit_two(self, period, capsys):
+        # stats has no offset option, so the offset error is no help here
+        assert main(["stats", "--rule", "B3/S23", "--period", period]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --period must be at least 2\n"
+        assert captured.out == ""
+
+
+class TestLongSearchesScript:
+    def test_progress_line_after_elapsed_time(self, monkeypatch, capsys):
+        spec = importlib.util.spec_from_file_location(
+            "long_searches", Path(__file__).resolve().parents[1] / "scripts" / "long_searches.py"
+        )
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        status = SearchStatus(frontier_level=12, deepening_limit=18, nodes_in_arena=345, states_expanded=6789,
+                              current_width=8, outcome=EXHAUSTED)
+
+        def run_search(params, config, progress):
+            progress(status)
+            return SearchResult(ships=[], status=status)
+
+        monkeypatch.setattr(script, "run_search", run_search)
+        assert script.run_profile("dragon", 1 << 10) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0] == banner_text(SearchParams(LIFE, 6, 1, 8))
+        assert re.fullmatch(r"\[ +\d+s\] (.*)", lines[1]).group(1) == progress_line(status)
+        assert lines[2:] == ["outcome: exhausted"]
 
 
 def test_module_entry_point():

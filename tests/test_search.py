@@ -305,6 +305,29 @@ class TestProbeArena:
         assert any(yielded)  # some come from the probe
 
 
+class TestSeedChain:
+    def test_seed_chain_survives_compaction_and_narrowing(self, monkeypatch):
+        # level_of counts from node 2p-1: every compaction, also the one
+        # after a narrowing, keeps the dead seed chain as nodes 0..2p-1
+        params = SearchParams(LIFE, 3, 1, 6, EVEN_MIRROR)
+        n = 2 * params.period
+        original = search_mod.compact
+        widths = []
+
+        def checked(search):
+            original(search)
+            assert search.arena.rows[:n] == [0] * n
+            assert search.arena.parents[:n] == [-1, *range(n - 1)]
+            assert search.level_of(n - 1) == 0
+            assert search.tt[0] == n - 1  # the seed's state, recorded first
+            widths.append(search.params.width)
+
+        monkeypatch.setattr(search_mod, "compact", checked)
+        res = run_search(params, SearchConfig(node_capacity=256, max_deepening=6, continue_after_find=True))
+        assert res.ships
+        assert len(widths) > 2 and widths[-1] < params.width
+
+
 class TestDeterminism:
     def test_repeat_runs_identical(self):
         params = SearchParams(LIFE, 4, 1, 4, translation=DIAGONAL)

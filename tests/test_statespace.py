@@ -116,12 +116,17 @@ class TestIndexArithmetic:
         assert star.result.index == 8
         assert (look.above.index, look.mid.index, look.below.index) == (6, 9, 12)
         assert look.result.index == 10
-        assert all(r.shift == 0 and not r.reversed for r in (*ci.star.inputs, star.result))
+        assert all(r.shift == 0 and not r.reversed for r in (star.above, star.mid, star.below, star.result))
+        # the ll filter's rows, i - 2k and i - p - 2k
+        assert [(r.index, r.shift, r.reversed) for r in ci.filter] == [(8, 0, False), (5, 0, False)]
 
     def test_constraint_indices_p2(self):
-        star = constraint_indices(SearchParams(LIFE, 2, 1, 4), 6).star
+        ci = constraint_indices(SearchParams(LIFE, 2, 1, 4), 6)
+        star = ci.star
         assert (star.above.index, star.mid.index, star.below.index) == (2, 4, 6)
         assert star.result.index == 5
+        assert [r.index for r in ci.filter] == [4, 5]  # p2's two known rows
+        assert constraint_indices(SearchParams(LIFE, 2, 1, 4, GLIDE_REFLECT), 6).filter is None
 
     def test_diagonal_shifts(self):
         # the stored shear is one cell per image row regardless of k
@@ -131,14 +136,23 @@ class TestIndexArithmetic:
         assert ci.star.mid.shift == 0
         assert ci.star.below.shift == -1
         assert ci.lookahead.above.shift == 1
+        assert [r.shift for r in ci.filter] == [0, 1]
 
     def test_glide_reversal_flags(self):
+        def flags(inst):
+            return [r.reversed for r in (inst.above, inst.mid, inst.below, inst.result)]
+
         kodd = constraint_indices(SearchParams(LIFE, 2, 1, 4, GLIDE_REFLECT), 8)
-        assert [r.reversed for r in (*kodd.star.inputs, kodd.star.result)] == [False, True, False, True]
-        assert [r.reversed for r in (*kodd.lookahead.inputs, kodd.lookahead.result)] == [True, False, True, False]
+        assert flags(kodd.star) == [False, True, False, True]
+        assert flags(kodd.lookahead) == [True, False, True, False]
         keven = constraint_indices(SearchParams(LIFE, 3, 2, 4, GLIDE_REFLECT), 9)
-        assert [r.reversed for r in (*keven.star.inputs, keven.star.result)] == [False, False, False, True]
-        assert [r.reversed for r in (*keven.lookahead.inputs, keven.lookahead.result)] == [True, True, True, False]
+        assert flags(keven.star) == [False, False, False, True]
+        assert flags(keven.lookahead) == [True, True, True, False]
+        # ll's rows: the lookahead mid and above flags, both flipped for even k
+        assert kodd.filter is None  # period-2 glide runs neither filter
+        assert [r.reversed for r in keven.filter] == [False, False]
+        p3k1 = constraint_indices(SearchParams(LIFE, 3, 1, 4, GLIDE_REFLECT), 9)
+        assert [r.reversed for r in p3k1.filter] == [False, True]
 
 
 class TestRows:

@@ -6,6 +6,7 @@ literal all-candidates filter and against known ships: feeding a real
 ship's interleaved rows in must always yield the ship's actual next row.
 """
 
+import math
 import random
 import time
 
@@ -15,6 +16,7 @@ from helpers import (
     GLIDER_CELLS,
     LWSS_CELLS,
     brute_successors,
+    padded,
     reference_row_count,
     reference_stage1_edges,
     reference_stage2_reach,
@@ -32,7 +34,9 @@ from shipsearch.statespace import (
     GLIDE_REFLECT,
     ODD_MIRROR,
     ORTHOGONAL,
+    SYMMETRIES,
     SearchParams,
+    history,
 )
 from shipsearch.successor import (
     _LEFT_OF,
@@ -126,7 +130,7 @@ class TestLlTable:
                     for y5 in range(32):
                         lt = center3(b5, x5, y5)
                         mask |= 0xFF << 8 * lt  # every edge ct | lt << 3
-                assert tables.ll[idx] == mask
+                assert tables.filter[idx] == mask
 
 
 MODE_CASES = [
@@ -153,6 +157,7 @@ class TestSuccessorsAgainstBrute:
             for trial in range(8):
                 n = rng.choice([2 * p, 3 * p, 3 * p + 2])
                 rows = [0] * n if trial == 0 else [rng.getrandbits(w) for _ in range(n)]
+                rows = padded(params, rows)
                 assert successors(params, tables, rows) == oracle_successors(params, rows)
 
 
@@ -181,25 +186,24 @@ class TestFilters:
         assert successors(params, tables, [0] * 6) == [0]
         assert brute_successors(params, [0] * 6, lookahead=False) == [0, 1]
 
-    # (p, k, symmetry, translation, ll built, p2 built)
+    # (p, k, symmetry, translation, entries in the filter table: ll 8192, p2 1024)
     MODES = [
-        (2, 1, ASYMMETRIC, ORTHOGONAL, False, True),
-        (2, 1, ODD_MIRROR, ORTHOGONAL, False, True),
-        (2, 1, GLIDE_REFLECT, ORTHOGONAL, False, False),
-        (2, 1, ASYMMETRIC, DIAGONAL, False, False),
-        (3, 1, EVEN_MIRROR, ORTHOGONAL, True, False),
-        (4, 1, ASYMMETRIC, DIAGONAL, True, False),
+        (2, 1, ASYMMETRIC, ORTHOGONAL, 1024),
+        (2, 1, ODD_MIRROR, ORTHOGONAL, 1024),
+        (2, 1, GLIDE_REFLECT, ORTHOGONAL, None),
+        (2, 1, ASYMMETRIC, DIAGONAL, None),
+        (3, 1, EVEN_MIRROR, ORTHOGONAL, 8192),
+        (4, 1, ASYMMETRIC, DIAGONAL, 8192),
     ]
 
     @pytest.mark.parametrize("case", MODES, ids=lambda c: f"p{c[0]}k{c[1]}-{c[2]}-{c[3]}")
     def test_tables_hold_only_the_applied_filter(self, case):
-        # build_tables builds the one extended table the mode runs and
-        # leaves the other unset, so period-2 glide and diagonal build none
-        p, k, sym, tr, want_ll, want_p2 = case
+        # build_tables keeps the one extended table the mode runs, so
+        # period-2 glide and diagonal keep none
+        p, k, sym, tr, entries = case
         tables = build_tables(SearchParams(LIFE, p, k, 4, sym, tr))
-        assert (tables.ll is not None) == want_ll
-        assert (tables.p2 is not None) == want_p2
-        assert (tables.p2_fraction is not None) == want_p2
+        assert (None if tables.filter is None else len(tables.filter)) == entries
+        assert (tables.p2_fraction is not None) == (entries == 1024)
 
 
 class TestKnownShips:
@@ -277,11 +281,10 @@ def _random_window(rng, n, w):
 
 
 def _check_stage1(params, tables, rng, trials):
-    p, k = params.period, params.offset
-    hist = max(2 * p, p + 2 * k)
-    for n in (1, p, hist - 1, hist, hist + 3):
+    hist = history(params)
+    for n in (1, params.period, hist - 1, hist, hist + 3):
         for _ in range(trials):
-            rows = _random_window(rng, n, params.width)
+            rows = padded(params, _random_window(rng, n, params.width))
             assert stage1_edges(params, tables, rows) == reference_stage1_edges(params, tables, rows), (n, rows)
 
 
@@ -299,7 +302,7 @@ class TestCompiledStage1:
         p, k, _, sym, tr = case
         rng = random.Random(str(case))
         search = Search(SearchParams(LIFE, p, k, 6, sym, tr), SearchConfig(node_capacity=1 << 10))
-        _check_stage1(search.params, search.tables, rng, 3)  # memoises plans for width 6
+        _check_stage1(search.params, search.tables, rng, 3)  # compiles the plan for width 6
         reduce_width(search)
         assert search.params.width == 5
         _check_stage1(search.params, search.tables, rng, 6)
@@ -339,7 +342,7 @@ class TestStage1ByteTables:
         rng = random.Random(repr((case, width)))
         params = SearchParams(LIFE, p, k, width, sym, tr)
         tables = build_tables(params)
-        hist = max(2 * p, p + 2 * k)
+        hist = history(params)
         cells = sorted({c for c in (0, 1, 2, 7, 8, 15, 16, 23, 24, width - 1) if c < width})
         for n in (1, hist, hist + 2):
             windows = [[(1 << width) - 1] * n, [rng.getrandbits(width) for _ in range(n)]]
@@ -350,37 +353,37 @@ class TestStage1ByteTables:
                     rows[at] = 1 << cell
                     windows.append(rows)
             for rows in windows:
+                rows = padded(params, rows)
                 assert stage1_edges(params, tables, rows) == reference_stage1_edges(params, tables, rows), (n, rows)
 
 
 class TestStage1Plans:
     def test_search_setup_builds_no_plan(self):
         search = Search(SearchParams(LIFE, 4, 1, 7, EVEN_MIRROR))
-        assert search.tables.plans == {}
+        assert search.tables.plan is None
 
-    def test_one_plan_per_key_through_compaction_and_narrowing(self, monkeypatch):
+    def test_one_plan_per_width_through_compaction_and_narrowing(self, monkeypatch):
         built = []
         original = successor_mod._stage1_plan
 
-        def plan(params, tables, n):
-            built.append((tables, n))
-            return original(params, tables, n)
+        def plan(params, tables):
+            built.append(tables)
+            return original(params, tables)
 
         monkeypatch.setattr(successor_mod, "_stage1_plan", plan)
         params = SearchParams(LIFE, 3, 1, 6, EVEN_MIRROR)
         res = run_search(params, SearchConfig(node_capacity=256, max_deepening=6, continue_after_find=True))
         assert res.status.current_width < params.width  # narrowed, so tables were rebuilt
-        for i, (tables, n) in enumerate(built):
-            assert n == 6  # the search's window length
-            assert all(other is not tables for other, _ in built[i + 1 :])
+        for i, tables in enumerate(built):
+            assert all(other is not tables for other in built[i + 1 :])
         assert len(built) == params.width - res.status.current_width + 1
 
     def test_reduce_width_tables_start_empty(self):
         search = Search(SearchParams(LIFE, 3, 1, 6, EVEN_MIRROR), SearchConfig(node_capacity=1 << 10))
         successors(search.params, search.tables, [0] * search.hist)
-        assert len(search.tables.plans) == 1
+        assert search.tables.plan is not None
         reduce_width(search)
-        assert search.tables.plans == {}
+        assert search.tables.plan is None
 
     @pytest.mark.parametrize(
         "case", BYTE_MODES + [(7, 2, EVEN_MIRROR, ORTHOGONAL)], ids=lambda c: f"p{c[0]}k{c[1]}-{c[2]}-{c[3]}"
@@ -390,10 +393,40 @@ class TestStage1Plans:
         p, k, sym, tr = case
         params = SearchParams(LIFE, p, k, 32, sym, tr)
         tables = build_tables(params)
-        hist = max(2 * p, p + 2 * k)
-        reads = successor_mod._stage1_plan(params, tables, hist)[0]
+        hist = history(params)
+        reads = successor_mod._stage1_plan(params, tables)[0]
         assert len(reads) <= hist * 4
         assert all(len(table) <= 256 for _, _, table in reads)
+
+
+# every legal mode with p <= 8: each symmetry orthogonally, and diagonal
+LEGAL_MODES = [
+    (p, k, sym, tr)
+    for p in range(2, 9)
+    for k in range(1, p)
+    if math.gcd(k, p) == 1
+    for sym, tr in [(sym, ORTHOGONAL) for sym in SYMMETRIES] + [(ASYMMETRIC, DIAGONAL)]
+]
+
+
+class TestHistory:
+    @pytest.mark.parametrize("case", LEGAL_MODES, ids=lambda c: f"p{c[0]}k{c[1]}-{c[2]}-{c[3]}")
+    def test_window_length_is_tight(self, case):
+        # successors() reads exactly the last history(params) rows: one row
+        # fewer raises, and rows put in front change nothing
+        p, k, sym, tr = case
+        rng = random.Random(repr(case))
+        params = SearchParams(LIFE, p, k, 4, sym, tr)
+        tables = build_tables(params)
+        hist = history(params)
+        for trial in range(6):
+            window = [0] * hist if trial == 0 else _random_window(rng, hist, 4)
+            with pytest.raises(IndexError):
+                successors(params, tables, window[1:])
+            want = stage1_edges(params, tables, window), successors(params, tables, window)
+            for extra in (1, 5):
+                longer = [rng.getrandbits(4) for _ in range(extra)] + window
+                assert (stage1_edges(params, tables, longer), successors(params, tables, longer)) == want
 
 
 class TestVertexFolds:
@@ -448,17 +481,16 @@ class TestStages2And3:
     @pytest.mark.parametrize("case", MODE_CASES, ids=lambda c: f"p{c[0]}k{c[1]}-{c[3]}-{c[4]}")
     def test_narrow_widths_match_reference(self, case):
         p, k, _, sym, tr = case
-        hist = max(2 * p, p + 2 * k)
         rng, more = random.Random(repr(case)), random.Random(repr(case) + " more")
         compared = 0
         for w in (1, 2, 3, 4):
             params = SearchParams(LIFE, p, k, w, sym, tr)
             tables = build_tables(params)
-            for n in range(1, hist + 4):
+            for n in range(1, history(params) + 4):
                 windows = [[0] * n] + [_random_window(rng, n, w) for _ in range(3)]
                 windows += [_random_window(more, n, w) for _ in range(12)]
                 for rows in windows:
-                    compared += _check_stages_2_3(params, tables, rows)
+                    compared += _check_stages_2_3(params, tables, padded(params, rows))
         assert compared > 100
 
     @pytest.mark.parametrize("case", MODE_CASES, ids=lambda c: f"p{c[0]}k{c[1]}-{c[3]}-{c[4]}")
@@ -467,16 +499,15 @@ class TestStages2And3:
         # rows, so stage3 is compared on those yielding at most 2000; the
         # stage2 verdict is compared on every window
         p, k, _, sym, tr = case
-        hist = max(2 * p, p + 2 * k)
         rng, more = random.Random(repr(case)), random.Random(repr(case) + " more")
         for w in (29, 30, 31, 32):
             params = SearchParams(LIFE, p, k, w, sym, tr)
             tables = build_tables(params)
             compared = 0
-            for n in range(1, hist + 4):
+            for n in range(1, history(params) + 4):
                 for sparsity in (2, 3, 4):
                     windows = [[_sparse_row(rng, w, sparsity) for _ in range(n)]]
                     windows += [[_sparse_row(more, w, sparsity) for _ in range(n)] for _ in range(3)]
                     for rows in windows:
-                        compared += _check_stages_2_3(params, tables, rows, max_rows=2000)
+                        compared += _check_stages_2_3(params, tables, padded(params, rows), max_rows=2000)
             assert compared > 0, w
