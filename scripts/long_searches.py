@@ -20,8 +20,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from shipsearch.cli import banner_text, progress_line
-from shipsearch.pattern import emit_rle
+from shipsearch.cli import banner_text, progress_line, ship_text
 from shipsearch.rules import parse_rule
 from shipsearch.search import SearchConfig, run_search
 from shipsearch.statespace import ASYMMETRIC, EVEN_MIRROR, ODD_MIRROR, SearchParams
@@ -58,8 +57,7 @@ def run_profile(name: str, capacity: int) -> int:
     result = run_search(params, config, progress=report)
     print(f"outcome: {result.status.outcome}", file=sys.stderr)
     for ship, desc in result.ships:
-        print(f"#C period {desc.period}, dx {desc.dx}, dy {desc.dy}, speed {desc.speed_text()}")
-        print(emit_rle(ship, params.rule))
+        print(ship_text(ship, desc, params.rule), end="")
     return 0 if result.ships else 1
 
 

@@ -18,7 +18,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from shipsearch.rules import parse_rule
-from shipsearch.successor import _p2_table
+from shipsearch.statespace import SearchParams
+from shipsearch.successor import build_tables
 
 
 def random_rule_string(rng: random.Random) -> str:
@@ -43,7 +44,8 @@ def main() -> int:
         if rs in seen:
             continue
         seen.add(rs)
-        _, fraction = _p2_table(parse_rule(rs))
+        table = build_tables(SearchParams(parse_rule(rs), 2, 1, 4)).filter  # the pair table
+        fraction = 1.0 - sum(e.bit_count() for e in table) / (64 * len(table))
         rows.append((fraction, rs))
 
     rows.sort()

@@ -54,6 +54,12 @@ def progress_line(status) -> str:
     )
 
 
+def ship_text(ship, desc: ShipDescriptor, rule) -> str:
+    """A found ship as a #C line with its speed, then its RLE."""
+    comment = f"#C period {desc.period}, dx {desc.dx}, dy {desc.dy}, speed {desc.speed_text()}"
+    return comment + "\n" + emit_rle(ship, rule) + "\n"
+
+
 def cmd_search(args) -> int:
     params = SearchParams(
         rule=parse_rule(args.rule),
@@ -79,11 +85,7 @@ def cmd_search(args) -> int:
     if not args.quiet:
         print(f"search ended: {result.status.outcome}", file=sys.stderr)
 
-    chunks = []
-    for ship, desc in result.ships:
-        comment = f"#C period {desc.period}, dx {desc.dx}, dy {desc.dy}, speed {desc.speed_text()}"
-        chunks.append(comment + "\n" + emit_rle(ship, params.rule) + "\n")
-    text = "\n".join(chunks)
+    text = "\n".join(ship_text(ship, desc, params.rule) for ship, desc in result.ships)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
@@ -139,7 +141,7 @@ def cmd_stats(args) -> int:
     print(f"edge table density: {density(tables.star_l, 64):.1f}%")
     if use_p2:
         print(f"pair strip table density: {density(tables.filter, 64):.1f}%")
-        print(f"pruned: {100.0 * tables.p2_fraction:.1f}%")
+        print(f"pruned: {100.0 - density(tables.filter, 64):.1f}%")
     if use_ll:
         print(f"lookahead chain table density: {density(tables.filter, 64):.1f}%")
     return 0
@@ -163,7 +165,9 @@ def _build_parser() -> argparse.ArgumentParser:
     search.add_argument("--max-deepening", type=int, default=None,
                         help="narrow the strip when deepening outruns the frontier by this many rows")
     search.add_argument("--continue", dest="continue_after_find", action="store_true",
-                        help="keep searching after the first ship")
+                        help="keep searching after the first ship; at most one ship per pre-goal state "
+                        "is recorded until a compaction resets the duplicate table, so the ships "
+                        "found can depend on --node-capacity")
     search.add_argument("--output", "-o", help="write RLE here instead of stdout")
     search.add_argument("--quiet", "-q", action="store_true", help="suppress progress lines")
     search.set_defaults(func=cmd_search)

@@ -209,7 +209,10 @@ def _dfs_probe(search: Search, root: int, limit: int) -> bool:
         prev = seen.get(key)
         if prev is not None and prev <= level:
             continue
-        seen[key] = level
+        # seen only prunes, so once it holds node_capacity states it takes
+        # no new ones: a state it misses is expanded again, never lost
+        if prev is not None or len(seen) < search.config.node_capacity:
+            seen[key] = level
         if level >= limit:
             arena.truncate(start)
             return True

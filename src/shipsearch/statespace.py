@@ -296,13 +296,8 @@ class NodeArena:
         return out
 
     def all_rows(self, idx: int) -> list[int]:
-        out = []
-        cur = idx
-        while cur >= 0:
-            out.append(self.rows[cur])
-            cur = self.parents[cur]
-        out.reverse()
-        return out
+        """Every row from the root to idx, oldest first."""
+        return self.rows_back(idx, self.depths[idx] + 1)
 
 
 def make_initial_state(params: SearchParams) -> tuple[NodeArena, int]:

@@ -26,18 +26,19 @@ must be present as dead rows (NodeArena.rows_back pads with them). A
 longer window gives the same rows, a shorter one raises IndexError.
 
 Which window row each lookup-index field samples, with what shift, mirror
-reflection or glide reversal, is the same at every level. So stage 1
-compiles it on its first call into byte tables kept on SearchTables: the
-entry for one byte of one sampled row is that byte's share of every
-column's indices, all columns packed side by side in one integer. A call
-ORs one entry per sampled row-byte, then reads each column's indices
-with a shift and a mask. The vertex sets an edge mask leaves or enters
-are folded out of it in closed form, by shifts and masks.
+reflection or glide reversal, is the same at every level. So build_tables
+compiles stage 1 into byte tables kept on SearchTables: the entry for one
+byte of one sampled row is that byte's share of every column's indices,
+all columns packed side by side in one integer. A call ORs one entry per
+sampled row-byte, then reads each column's indices with a shift and a
+mask. The vertex sets an edge mask leaves or enters are folded out of it
+in closed form, by shifts and masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -129,6 +130,7 @@ def _ints_from_bits(bits2d):
     return [int.from_bytes(raw[span * i : span * (i + 1)], "little") for i in range(packed.shape[0])]
 
 
+@cache
 def _star_tables(rule: Rule):
     """star_l[m3 | a3<<3 | dbit<<6 | e3<<7 | f3<<10] = 64-bit mask of edge
     values (ct | lt<<3) satisfying both one-column checks:
@@ -164,6 +166,7 @@ def _evolve5_center3(ev):
     return out
 
 
+@cache
 def _ll_table(rule: Rule):
     """ll[b5 | a5<<5 | r3<<10] = 64-bit mask of edge values (ct | lt<<3)
     whose lookahead-track triple lt has some 5-windows x5, y5 satisfying
@@ -185,6 +188,7 @@ def _ll_table(rule: Rule):
 _POP2 = np.array([0, 1, 1, 2], dtype=np.uint8)
 
 
+@cache
 def _p2_table(rule: Rule):
     """Period-2 strip reachability: a 5-cell-wide strip of the last four
     merged rows must be able to reach the all-dead strip by appending rows,
@@ -195,8 +199,7 @@ def _p2_table(rule: Rule):
     the triples of the two new rows is true when some assignment of the
     new rows' outer window cells lands in that reachable set.
 
-    Returns (packed, fraction): packed[r2w | r1w<<5] is a 64-bit mask over
-    edge values, fraction is the pruned share of all 2^16 entries."""
+    Entry r2w | r1w<<5 is a 64-bit mask over edge values."""
     ev = np.array(evolution_table(rule), dtype=np.uint8)
     ev5c = _evolve5_center3(ev)
 
@@ -239,21 +242,10 @@ def _p2_table(rule: Rule):
     w5 = (outer[None, :] & 1) | (t[:, None] << 1) | ((outer[None, :] >> 1) << 4)  # (8, 4)
     ent = good_bits[:, :, w5[:, :, None, None], w5[None, None, :, :]]
     ent = ent.any(axis=(3, 5))  # [r2w, r1w, ct, lt]
-    fraction = 1.0 - float(ent.mean())
 
     # entry index = r2w | r1w<<5, bit = ct | lt<<3
     bits = np.transpose(ent, (1, 0, 3, 2)).reshape(1024, 64)
-    return _ints_from_bits(bits), fraction
-
-
-_rule_cache: dict[tuple, object] = {}
-
-
-def _cached(kind: str, rule: Rule, build):
-    key = (kind, rule)
-    if key not in _rule_cache:
-        _rule_cache[key] = build(rule)
-    return _rule_cache[key]
+    return _ints_from_bits(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -264,54 +256,37 @@ def _cached(kind: str, rule: Rule, build):
 class SearchTables:
     star_l: list
     filter: list | None  # ll or p2, whichever filter_flags applies; None for neither
-    p2_fraction: float | None
     masks: list
     start_set: int
     cell_bits: list  # per edge column, the row bit of the C cell it pins (0 outside the strip)
-    plan: tuple | None = None  # stage1 compiled into byte tables, on the first call
+    plan: list  # stage1 compiled into byte tables, see _stage1_plan
 
 
 def _structural_masks(params: SearchParams):
     """Per edge column, the edge values whose live cells all fall inside
     the searched strip (plus the mirror ghost column, whose cells must
-    agree with their reflection)."""
+    agree with their reflection): every pair of a C triple and an L
+    triple that are each allowed there."""
     w = params.width
     s = 1 if params.translation == DIAGONAL else 0
-    mirrored = params.mirrored
+    low = -1 if params.mirrored else 0  # the leftmost column a cell may live in
+    # at column 0 the ghost cell (triple bit 0) must equal its reflection
+    axis = {EVEN_MIRROR: 1, ODD_MIRROR: 2}.get(params.symmetry)
 
-    def may_live(col):
-        return 0 <= col < w or (mirrored and col == -1)
+    def triples(j, first):
+        # the triples over columns first..first+2 with no live cell outside
+        inside = sum(1 << b for b in range(3) if low <= first + b < w)
+        return [t for t in range(8) if not t & ~inside and (j or axis is None or (t & 1) == (t >> axis & 1))]
 
-    masks = []
-    for j in edge_columns(params):
-        m = 0
-        for e in range(64):
-            ct, lt = e & 7, e >> 3
-            ok = True
-            for b in range(3):
-                if ct >> b & 1 and not may_live(j - 1 + b):
-                    ok = False
-                if lt >> b & 1 and not may_live(j - s - 1 + b):
-                    ok = False
-            if ok and j == 0:
-                if params.symmetry == EVEN_MIRROR:
-                    ok = (ct & 1) == (ct >> 1 & 1) and (lt & 1) == (lt >> 1 & 1)
-                elif params.symmetry == ODD_MIRROR:
-                    ok = (ct & 1) == (ct >> 2 & 1) and (lt & 1) == (lt >> 2 & 1)
-            if ok:
-                m |= 1 << e
-        masks.append(m)
-    return masks
+    return [
+        sum(1 << (ct | lt << 3) for ct in triples(j, j - 1) for lt in triples(j, j - s - 1))
+        for j in edge_columns(params)
+    ]
 
 
 def build_tables(params: SearchParams) -> SearchTables:
-    star_l = _cached("star", params.rule, _star_tables)
     use_ll, use_p2 = filter_flags(params)
-    table, fraction = None, None
-    if use_ll:
-        table = _cached("ll", params.rule, _ll_table)
-    elif use_p2:
-        table, fraction = _cached("p2", params.rule, _p2_table)
+    table = _ll_table(params.rule) if use_ll else _p2_table(params.rule) if use_p2 else None
     if params.symmetry == EVEN_MIRROR:
         start = (1 << 0) | (1 << 3) | (1 << 12) | (1 << 15)
     elif params.symmetry == ODD_MIRROR:
@@ -319,12 +294,12 @@ def build_tables(params: SearchParams) -> SearchTables:
     else:
         start = 1
     return SearchTables(
-        star_l=star_l,
+        star_l=_star_tables(params.rule),
         filter=table,
-        p2_fraction=fraction,
         masks=_structural_masks(params),
         start_set=start,
         cell_bits=[1 << (j - 1) if 0 < j <= params.width else 0 for j in edge_columns(params)],
+        plan=_stage1_plan(params),
     )
 
 
@@ -338,15 +313,14 @@ _FIELD_SPAN = 26
 _NO_FILTER = (2**64 - 1,)  # the second lookup when neither ll nor p2 applies
 
 
-def _stage1_plan(params: SearchParams, tables: SearchTables):
+def _stage1_plan(params: SearchParams):
     """Stage1 compiled into byte tables, the same at every level. A
     lookup-index field is a fixed set of one row's cells (shifted,
     reflected into the mirror half, or reversed under glide), so each byte
     of a sampled row owns a fixed share of every column's fields, all
     columns packed _FIELD_SPAN bits apart, and the shares combine by OR.
     Returns a (window index counted from the end, bit, table) per sampled
-    row-byte of the last history(params) rows, the structural masks, star,
-    and the filter table or a pass-all."""
+    row-byte of the last history(params) rows."""
     h = history(params)
     ci = constraint_indices(params, h)
     st, lk = ci.star, ci.lookahead
@@ -382,21 +356,18 @@ def _stage1_plan(params: SearchParams, tables: SearchTables):
             for bit in share[b : b + 8]:
                 table += [x | bit for x in table]
             reads.append((idx, b, table))
-    return reads, tables.masks, tables.star_l, _NO_FILTER if tables.filter is None else tables.filter
+    return reads
 
 
 def stage1_edges(params: SearchParams, tables: SearchTables, rows):
     """64-bit edge mask per column: triple pairs of the new rows that pass
     every per-column check against the last history(params) known rows."""
-    plan = tables.plan
-    if plan is None:
-        plan = tables.plan = _stage1_plan(params, tables)
-    reads, masks, star, second = plan
     acc = 0
-    for idx, b, table in reads:
+    for idx, b, table in tables.plan:
         acc |= table[rows[idx] >> b & 255]
+    star, second = tables.star_l, tables.filter or _NO_FILTER
     out = []
-    for mask in masks:
+    for mask in tables.masks:
         out.append(star[acc & 0x1FFF] & second[acc >> 13 & 0x1FFF] & mask)
         acc >>= _FIELD_SPAN
     return out

@@ -2,15 +2,18 @@
 patterns from text art, construction of the interleaved row sequence a
 search would walk and the check that it is consistent, the literal
 successor filter without the ll and p2 tables, dead-row padding up to the
-window successors() reads, a per-call stage1 that the
-compiled one is checked against, and the vertex-set form of stages 2 and
-3 that the edge-passing pair is checked against."""
+window successors() reads, the per-edge structural masks and a per-call
+stage1 that the compiled ones are checked against, the vertex-set form of
+stages 2 and 3 that the edge-passing pair is checked against, and the
+share of a table's entries pruned."""
 
 from shipsearch.oracle import frame_row, instance_holds, state_rows
 from shipsearch.pattern import Pattern
 from shipsearch.rules import evolution_table
 from shipsearch.statespace import (
     DIAGONAL,
+    EVEN_MIRROR,
+    ODD_MIRROR,
     constraint_indices,
     edge_columns,
     filter_flags,
@@ -167,6 +170,39 @@ def padded(params, rows):
     """rows with dead rows in front up to history(params) rows: the same
     state, in the window successors() reads."""
     return [0] * (history(params) - len(rows)) + list(rows)
+
+
+def reference_structural_masks(params):
+    """Per edge column, every edge value tested cell by cell: each live
+    cell of its C and L triples lies in the strip or the mirror ghost
+    column, and at column 0 both triples agree with their reflection."""
+    w = params.width
+    s = 1 if params.translation == DIAGONAL else 0
+
+    def may_live(col):
+        return 0 <= col < w or (params.mirrored and col == -1)
+
+    masks = []
+    for j in edge_columns(params):
+        m = 0
+        for e in range(64):
+            ct, lt = e & 7, e >> 3
+            ok = all(may_live(j - 1 + b) for b in range(3) if ct >> b & 1)
+            ok = ok and all(may_live(j - s - 1 + b) for b in range(3) if lt >> b & 1)
+            if ok and j == 0:
+                if params.symmetry == EVEN_MIRROR:
+                    ok = (ct & 1) == (ct >> 1 & 1) and (lt & 1) == (lt >> 1 & 1)
+                elif params.symmetry == ODD_MIRROR:
+                    ok = (ct & 1) == (ct >> 2 & 1) and (lt & 1) == (lt >> 2 & 1)
+            if ok:
+                m |= 1 << e
+        masks.append(m)
+    return masks
+
+
+def pruned_percent(table):
+    """The share of a table's 64-bit entries' bits that are clear, in %."""
+    return 100.0 - 100.0 * sum(e.bit_count() for e in table) / (64 * len(table))
 
 
 def reference_stage1_edges(params, tables, rows):

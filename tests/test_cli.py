@@ -13,9 +13,10 @@ from pathlib import Path
 
 import pytest
 
-from shipsearch.cli import banner_text, main, progress_line
+from shipsearch.cli import banner_text, main, progress_line, ship_text
+from shipsearch.pattern import classify_ship, parse_rle
 from shipsearch.rules import parse_rule
-from shipsearch.search import EXHAUSTED, SearchResult, SearchStatus
+from shipsearch.search import EXHAUSTED, SHIP_FOUND, SearchResult, SearchStatus
 from shipsearch.statespace import SearchParams
 
 LIFE = parse_rule("B3/S23")
@@ -216,25 +217,40 @@ class TestStatsCommand:
 
 
 class TestLongSearchesScript:
-    def test_progress_line_after_elapsed_time(self, monkeypatch, capsys):
+    @staticmethod
+    def script_with_result(monkeypatch, status, ships):
+        """The script module, its run_search stubbed to report status once
+        and return ships."""
         spec = importlib.util.spec_from_file_location(
             "long_searches", Path(__file__).resolve().parents[1] / "scripts" / "long_searches.py"
         )
         script = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(script)
-        status = SearchStatus(frontier_level=12, deepening_limit=18, nodes_in_arena=345, states_expanded=6789,
-                              current_width=8, outcome=EXHAUSTED)
 
         def run_search(params, config, progress):
             progress(status)
-            return SearchResult(ships=[], status=status)
+            return SearchResult(ships=ships, status=status)
 
         monkeypatch.setattr(script, "run_search", run_search)
+        return script
+
+    def test_progress_line_after_elapsed_time(self, monkeypatch, capsys):
+        status = SearchStatus(frontier_level=12, deepening_limit=18, nodes_in_arena=345, states_expanded=6789,
+                              current_width=8, outcome=EXHAUSTED)
+        script = self.script_with_result(monkeypatch, status, [])
         assert script.run_profile("dragon", 1 << 10) == 1
         lines = capsys.readouterr().err.splitlines()
         assert lines[0] == banner_text(SearchParams(LIFE, 6, 1, 8))
         assert re.fullmatch(r"\[ +\d+s\] (.*)", lines[1]).group(1) == progress_line(status)
         assert lines[2:] == ["outcome: exhausted"]
+
+    def test_ship_printed_as_the_cli_prints_it(self, monkeypatch, capsys):
+        glider = parse_rle(GLIDER_RLE)[0]
+        desc = classify_ship(LIFE, glider, 4)
+        status = SearchStatus(current_width=8, outcome=SHIP_FOUND)
+        script = self.script_with_result(monkeypatch, status, [(glider, desc), (glider, desc)])
+        assert script.run_profile("dragon", 1 << 10) == 0
+        assert capsys.readouterr().out == 2 * ship_text(glider, desc, LIFE)
 
 
 def test_module_entry_point():

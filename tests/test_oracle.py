@@ -56,7 +56,7 @@ class TestAgreement:
         rng = random.Random(21)
         for rule_s in ("B3/S23", "B27/S0"):
             rule = parse_rule(rule_s)
-            packed, _ = _p2_table(rule)
+            packed = _p2_table(rule)
             for _ in range(400):
                 r2w, r1w = rng.randrange(32), rng.randrange(32)
                 ct, lt = rng.randrange(8), rng.randrange(8)

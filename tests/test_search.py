@@ -5,6 +5,8 @@ the successor and oracle suites, so here we check orchestration, i.e.
 outcomes, deepening, narrowing, dedup and progress reporting.
 """
 
+import random
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -24,9 +26,12 @@ from shipsearch.search import (
     run_search,
 )
 from shipsearch.statespace import (
+    ASYMMETRIC,
     DIAGONAL,
     EVEN_MIRROR,
     GLIDE_REFLECT,
+    ODD_MIRROR,
+    ORTHOGONAL,
     NodeArena,
     SearchParams,
     is_goal,
@@ -215,6 +220,98 @@ class TestProbeDedup:
         # within the same probe; keys over one row fewer (or more) than 2p
         # expand 323 (325) and 101 (105) states here
         assert run_search(params, config).status.states_expanded == expanded
+
+    @pytest.mark.parametrize(
+        "params, capacity",
+        [
+            (SearchParams(LIFE, 2, 1, 5, GLIDE_REFLECT), 8),
+            (SearchParams(LIFE, 4, 1, 4, translation=DIAGONAL), 16),
+        ],
+        ids=["c2-glide", "c4-diagonal"],
+    )
+    def test_seen_stays_within_node_capacity(self, params, capacity):
+        # unbounded, one probe's seen dict grows to 35 and 114 entries
+        # here; kept to the node capacity, it still lets the probes find
+        # the ship the default capacity finds
+        largest = 0
+        probe_code = search_mod._dfs_probe.__code__
+
+        def in_probe(frame, event, arg):
+            nonlocal largest
+            largest = max(largest, len(frame.f_locals.get("seen", ())))
+            return in_probe
+
+        sys.settrace(lambda frame, event, arg: in_probe if frame.f_code is probe_code else None)
+        try:
+            res = run_search(params, SearchConfig(node_capacity=capacity))
+        finally:
+            sys.settrace(None)
+        assert largest == capacity  # reached, and held there
+        assert res.status.outcome == SHIP_FOUND
+        assert res.ships == run_search(params).ships
+
+
+# small searches that compact and narrow: (p, k, w, symmetry, translation)
+HISTORY_MODES = [
+    (2, 1, 5, GLIDE_REFLECT, ORTHOGONAL),
+    (2, 1, 6, ODD_MIRROR, ORTHOGONAL),
+    (3, 1, 5, ASYMMETRIC, ORTHOGONAL),
+    (3, 1, 6, EVEN_MIRROR, ORTHOGONAL),
+    (3, 2, 5, GLIDE_REFLECT, ORTHOGONAL),
+    (4, 1, 4, ASYMMETRIC, DIAGONAL),
+]
+
+
+class TestFrontierHistory:
+    def test_compaction_and_narrowing_keep_each_history(self, monkeypatch):
+        # random node capacities (at least 4p) and deepening caps; after
+        # every compact and reduce_width the frontier's row histories are
+        # those before it, in order, less the states a narrowing drops,
+        # and the table's keys are its nodes' state keys
+        original_compact, original_reduce = search_mod.compact, search_mod.reduce_width
+        done = {"compact": 0, "narrow": 0}
+
+        def histories(search):
+            return [search.arena.all_rows(idx) for idx in search.queue]
+
+        def checked_compact(search):
+            before = histories(search)
+            original_compact(search)
+            assert histories(search) == before
+            if search.queue:  # with no frontier left the table is not rebuilt
+                for key, idx in search.tt.items():
+                    assert key == state_key(search.params, search.arena, idx)
+            done["compact"] += 1
+
+        def checked_reduce(search):
+            before, width = histories(search), search.params.width
+            original_reduce(search)
+            after = histories(search)
+            rest = iter(before)
+            assert all(h in rest for h in after)  # a subsequence of before
+            if search.params.width < width:
+                # the window successors() reads holds no cell of the
+                # dropped column (under glide, no live cell at all)
+                glide = search.params.symmetry == GLIDE_REFLECT
+                for h in after:
+                    assert not any(r if glide else r >> search.params.width for r in h[-search.hist :])
+                done["narrow"] += 1
+
+        monkeypatch.setattr(search_mod, "compact", checked_compact)
+        monkeypatch.setattr(search_mod, "reduce_width", checked_reduce)
+        rng = random.Random(0)
+        for p, k, w, sym, tr in HISTORY_MODES * 8:
+            params = SearchParams(LIFE, p, k, w, sym, tr)
+            cap = rng.choice([None, rng.randint(0, 3 * p)])
+            config = SearchConfig(
+                node_capacity=rng.randint(4 * p, 300),
+                max_deepening=cap,
+                # without narrowing, a search that continues runs for minutes
+                continue_after_find=cap is not None and rng.random() < 0.5,
+            )
+            search = run_search(params, config)
+            assert search.status.outcome != RUNNING
+        assert done["compact"] and done["narrow"]
 
 
 PROBE_CASES = pytest.mark.parametrize(

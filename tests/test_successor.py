@@ -17,10 +17,12 @@ from helpers import (
     LWSS_CELLS,
     brute_successors,
     padded,
+    pruned_percent,
     reference_row_count,
     reference_stage1_edges,
     reference_stage2_reach,
     reference_stage3_enumerate,
+    reference_structural_masks,
     ship_sequence,
 )
 from shipsearch import successor as successor_mod
@@ -56,22 +58,19 @@ LIFE = parse_rule("B3/S23")
 
 class TestP2Table:
     def test_life_pruned_fraction(self):
-        _, fraction = _p2_table(LIFE)
-        assert abs(100 * fraction - 18.5) <= 0.05
+        assert abs(pruned_percent(_p2_table(LIFE)) - 18.5) <= 0.05
 
     def test_b27s0_pruned_fraction(self):
-        _, fraction = _p2_table(parse_rule("B27/S0"))
-        assert abs(100 * fraction - 68.3) <= 0.05
+        assert abs(pruned_percent(_p2_table(parse_rule("B27/S0"))) - 68.3) <= 0.05
 
     def test_construction_under_a_second(self):
         for rule in ("B3/S23", "B27/S0"):
             start = time.perf_counter()
-            _p2_table(parse_rule(rule))
+            _p2_table.__wrapped__(parse_rule(rule))  # built afresh, not from the cache
             assert time.perf_counter() - start < 1.0
 
     def test_all_dead_entry_allowed(self):
-        packed, _ = _p2_table(LIFE)
-        assert packed[0] & 1  # dead windows, dead triples
+        assert _p2_table(LIFE)[0] & 1  # dead windows, dead triples
 
 
 class TestStarTables:
@@ -203,7 +202,6 @@ class TestFilters:
         p, k, sym, tr, entries = case
         tables = build_tables(SearchParams(LIFE, p, k, 4, sym, tr))
         assert (None if tables.filter is None else len(tables.filter)) == entries
-        assert (tables.p2_fraction is not None) == (entries == 1024)
 
 
 class TestKnownShips:
@@ -358,32 +356,31 @@ class TestStage1ByteTables:
 
 
 class TestStage1Plans:
-    def test_search_setup_builds_no_plan(self):
-        search = Search(SearchParams(LIFE, 4, 1, 7, EVEN_MIRROR))
-        assert search.tables.plan is None
-
-    def test_one_plan_per_width_through_compaction_and_narrowing(self, monkeypatch):
+    def test_tables_built_once_per_search_and_per_narrowing(self, monkeypatch):
+        # build_tables compiles the plan with the rest of the tables: one
+        # build for Search() and one for each narrowing, none for a
+        # compaction or a successors() call
         built = []
         original = successor_mod._stage1_plan
 
-        def plan(params, tables):
-            built.append(tables)
-            return original(params, tables)
+        def plan(params):
+            built.append(params.width)
+            return original(params)
 
         monkeypatch.setattr(successor_mod, "_stage1_plan", plan)
         params = SearchParams(LIFE, 3, 1, 6, EVEN_MIRROR)
         res = run_search(params, SearchConfig(node_capacity=256, max_deepening=6, continue_after_find=True))
         assert res.status.current_width < params.width  # narrowed, so tables were rebuilt
-        for i, tables in enumerate(built):
-            assert all(other is not tables for other in built[i + 1 :])
-        assert len(built) == params.width - res.status.current_width + 1
+        assert built == list(range(params.width, res.status.current_width - 1, -1))
 
-    def test_reduce_width_tables_start_empty(self):
+    def test_reduce_width_builds_the_narrower_plan(self):
         search = Search(SearchParams(LIFE, 3, 1, 6, EVEN_MIRROR), SearchConfig(node_capacity=1 << 10))
-        successors(search.params, search.tables, [0] * search.hist)
-        assert search.tables.plan is not None
+        assert search.tables.plan == successor_mod._stage1_plan(search.params)
+        old = search.tables
         reduce_width(search)
-        assert search.tables.plan is None
+        assert search.tables is not old
+        assert search.tables.plan == successor_mod._stage1_plan(search.params)
+        assert search.tables.plan != old.plan
 
     @pytest.mark.parametrize(
         "case", BYTE_MODES + [(7, 2, EVEN_MIRROR, ORTHOGONAL)], ids=lambda c: f"p{c[0]}k{c[1]}-{c[2]}-{c[3]}"
@@ -392,9 +389,8 @@ class TestStage1Plans:
         # at most one 256-entry table per sampled row and byte
         p, k, sym, tr = case
         params = SearchParams(LIFE, p, k, 32, sym, tr)
-        tables = build_tables(params)
         hist = history(params)
-        reads = successor_mod._stage1_plan(params, tables)[0]
+        reads = build_tables(params).plan
         assert len(reads) <= hist * 4
         assert all(len(table) <= 256 for _, _, table in reads)
 
@@ -407,6 +403,15 @@ LEGAL_MODES = [
     if math.gcd(k, p) == 1
     for sym, tr in [(sym, ORTHOGONAL) for sym in SYMMETRIES] + [(ASYMMETRIC, DIAGONAL)]
 ]
+
+
+class TestStructuralMasks:
+    @pytest.mark.parametrize("case", LEGAL_MODES, ids=lambda c: f"p{c[0]}k{c[1]}-{c[2]}-{c[3]}")
+    def test_masks_match_per_edge_definition(self, case):
+        p, k, sym, tr = case
+        for width in [*range(1, 10), 31, 32]:
+            params = SearchParams(LIFE, p, k, width, sym, tr)
+            assert build_tables(params).masks == reference_structural_masks(params), width
 
 
 class TestHistory:
