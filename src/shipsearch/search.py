@@ -10,9 +10,17 @@ one the rounds are rare. If max_deepening is set and the limit outruns
 the frontier by more than that, the strip is narrowed by one column
 instead.
 
-Both loops expand a node through one child step, _children. The probe
-keeps its path in the arena and cuts the arena back as it backtracks, so
-a round can hold one probe path beyond the node capacity.
+Both loops expand a node through one child step, _children, which is
+handed the node's successor rows. A breadth-first level with at least
+BATCH_MIN states queued gets those rows in chunks of up to BATCH_CHUNK
+states from one successors_batch call; its states are then expanded one
+at a time in queue order, and a chunk stops where expanding one state at
+a time would stop (a full arena or a ship that ends the search), so
+counts, progress reports, compactions and ships do not depend on the
+batching. Smaller levels and the probe call successors() per window.
+Nothing configures this. The probe keeps its path in the arena and cuts
+the arena back as it backtracks, so a round can hold one probe path
+beyond the node capacity.
 
 Every candidate ship is re-verified by evolving the extracted pattern;
 a verification failure means the constraint machinery is wrong and is
@@ -23,6 +31,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
+from itertools import islice
+
+import numpy as np
 
 from .pattern import Pattern, ShipDescriptor, classify_ship
 from .statespace import (
@@ -39,7 +50,14 @@ from .statespace import (
     state_key,
     transposition_insert,
 )
-from .successor import build_tables, successors
+from .successor import build_tables, successors, successors_batch
+
+# A level with at least BATCH_MIN states queued is expanded up to
+# BATCH_CHUNK states per successors_batch call. Below about 48 windows the
+# batched kernel costs more per window than successors(); past 4096 it
+# gains little, while its arrays grow with the chunk.
+BATCH_MIN = 64
+BATCH_CHUNK = 4096
 
 RUNNING = "running"
 SHIP_FOUND = "ship_found"
@@ -108,6 +126,11 @@ class Search:
         keeps them there: they are everyone's ancestors)."""
         return self.arena.depths[idx] - (2 * self.params.period - 1)
 
+    def arena_full(self) -> bool:
+        """True when one more expansion could overrun the node capacity: a
+        deepening round and compaction come first."""
+        return len(self.arena) + (1 << self.params.width) > self.config.node_capacity
+
     def _new_table(self, nodes) -> None:
         """Start a transposition table holding the states of nodes: the
         all-dead seed, then the frontier in queue order."""
@@ -159,17 +182,17 @@ class Search:
         return True
 
 
-def _children(search: Search, idx: int):
-    """Expand one node: add each successor row to the arena as a child of
-    idx, record the children that finish a ship and yield the others as
+def _children(search: Search, idx: int, window: list[int], rows):
+    """Expand one node, given its window (rows_back over search.hist rows)
+    and its successor rows: add each row to the arena as a child of idx,
+    record the children that finish a ship and yield the others as
     (child, state key). Stops early when a recorded ship ends the search."""
     params, arena = search.params, search.arena
-    window = arena.rows_back(idx, search.hist)
     search.status.states_expanded += 1
     # a child's state is the parent's last 2p-1 rows plus the new one
     w = params.width
     prefix = fold_rows(window[1 - 2 * params.period :], w) << w
-    for c in successors(params, search.tables, window):
+    for c in rows:
         child = arena.add(c, idx)
         key = prefix | c
         if not key and is_goal(params, arena, child):
@@ -179,12 +202,62 @@ def _children(search: Search, idx: int):
         yield child, key
 
 
-def _expand_head(search: Search) -> None:
-    for child, key in _children(search, search.queue.popleft()):
+def _scalar_children(search: Search, idx: int):
+    """_children with the rows of one per-window successors() call."""
+    window = search.arena.rows_back(idx, search.hist)
+    return _children(search, idx, window, successors(search.params, search.tables, window))
+
+
+def _expand(search: Search, children) -> None:
+    """Queue the fresh children of one expansion, then tick."""
+    for child, key in children:
         if transposition_insert(search.tt, key, child)[0] == "fresh":
             search.queue.append(child)
     if search.status.outcome == RUNNING:  # a ship that ends the search skips the tick
         search._tick()
+
+
+def _level_chunk(search: Search) -> list[int] | None:
+    """The queue head and the states after it on its level, at most
+    BATCH_CHUNK of them, when that level still has BATCH_MIN states
+    queued; else None."""
+    queue, depths = search.queue, search.arena.depths
+    depth = depths[queue[0]]
+    if len(queue) < BATCH_MIN or depths[queue[BATCH_MIN - 1]] != depth:
+        return None
+    return [idx for idx in islice(queue, BATCH_CHUNK) if depths[idx] == depth]
+
+
+def _windows(search: Search, chunk: list[int]) -> np.ndarray:
+    """rows_back(idx, search.hist) for every node of a one-level chunk, as
+    an array with one window per row."""
+    arena, hist = search.arena, search.hist
+    rows, parents = arena.rows, arena.parents
+    out = np.zeros((hist, len(chunk)), dtype=np.uint32)
+    cur = chunk
+    for back in range(min(hist, arena.depths[chunk[0]] + 1)):  # older rows are dead padding
+        out[hist - 1 - back] = [rows[i] for i in cur]
+        cur = [parents[i] for i in cur]
+    return out.T
+
+
+def _expand_head(search: Search) -> None:
+    """Expand the queue head, or, when its level still has BATCH_MIN states
+    queued, a chunk of that level whose successor rows come from one
+    successors_batch call. The chunk's parents are expanded one at a time
+    in queue order, exactly as the head alone would be, and the chunk
+    stops where run_search would stop expanding: at a full arena or a
+    ship that ends the search. Parents not reached stay queued."""
+    chunk = _level_chunk(search)
+    if chunk is None:
+        _expand(search, _scalar_children(search, search.queue.popleft()))
+        return
+    arena, hist = search.arena, search.hist
+    for idx, rows in zip(chunk, successors_batch(search.params, _windows(search, chunk))):
+        if search.status.outcome != RUNNING or search.arena_full():
+            return
+        search.queue.popleft()
+        _expand(search, _children(search, idx, arena.rows_back(idx, hist), rows))
 
 
 def _dfs_probe(search: Search, root: int, limit: int) -> bool:
@@ -195,7 +268,7 @@ def _dfs_probe(search: Search, root: int, limit: int) -> bool:
     frame's next child; on return the arena is back at its first length."""
     arena = search.arena
     start = len(arena)
-    frames = [(_children(search, root), start)]
+    frames = [(_scalar_children(search, root), start)]
     seen: dict[int, int] = {}  # state key -> lowest level it was reached at
     while frames and search.status.outcome == RUNNING:
         children, mark = frames[-1]
@@ -216,7 +289,7 @@ def _dfs_probe(search: Search, root: int, limit: int) -> bool:
         if level >= limit:
             arena.truncate(start)
             return True
-        frames.append((_children(search, child), len(arena)))
+        frames.append((_scalar_children(search, child), len(arena)))
         search._tick()
     arena.truncate(start)
     return False
@@ -251,10 +324,14 @@ def dfs_round(search: Search) -> None:
 def compact(search: Search) -> None:
     """Rebuild the arena from the frontier and its ancestry. The
     transposition table starts over from the seed and the frontier, so it
-    never holds more entries than the arena has nodes."""
-    if not search.queue:
-        return  # exhaustion is about to be declared; nothing to keep
+    never holds more entries than the arena has nodes. With no frontier
+    left, exhaustion is declared next: the arena is left as it is and the
+    table starts over from the seed alone, so that after a narrowing it
+    holds no key of the old width."""
     params, old = search.params, search.arena
+    if not search.queue:
+        search._new_table([2 * params.period - 1])
+        return
     mark = bytearray(len(old))
     for idx in search.queue:
         cur = idx
@@ -302,12 +379,11 @@ def reduce_width(search: Search) -> None:
 def run_search(params: SearchParams, config: SearchConfig | None = None, progress=None) -> SearchResult:
     """Drive a search to completion and return the ships found."""
     search = Search(params, config, progress)
-    cfg = search.config
     while search.status.outcome == RUNNING:
         if not search.queue:
             search.status.outcome = EXHAUSTED
             break
-        if len(search.arena) + (1 << search.params.width) > cfg.node_capacity:
+        if search.arena_full():
             dfs_round(search)
             if search.status.outcome == RUNNING:
                 compact(search)

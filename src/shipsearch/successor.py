@@ -33,6 +33,14 @@ all columns packed side by side in one integer. A call ORs one entry per
 sampled row-byte, then reads each column's indices with a shift and a
 mask. The vertex sets an edge mask leaves or enters are folded out of it
 in closed form, by shifts and masks.
+
+successors_batch gives successors() for a whole array of windows at
+once, with the same tables and folds as NumPy arrays: stage 1 gathers
+per-column uint32 slices of the byte tables, stage 2 sweeps all windows
+column by column, and stage 3 walks one backward frontier holding an
+entry per (window, partial row), over the windows stage 2 kept. The
+search uses it for large breadth-first levels and successors() for the
+rest; both must give the same rows in the same order.
 """
 
 from __future__ import annotations
@@ -440,3 +448,101 @@ def successors(params: SearchParams, tables: SearchTables, rows):
     if reach is None:
         return []
     return stage3_enumerate(params, tables, edges, reach)
+
+
+# ---------------------------------------------------------------------------
+# the three stages over a batch of windows
+
+_LB_LO_A, _LB_HI_A, _RB_LO_A, _RB_HI_A = (np.array(t, dtype=np.uint64) for t in (_LB_LO, _LB_HI, _RB_LO, _RB_HI))
+
+
+@dataclass(frozen=True)
+class _BatchTables:
+    reads: list  # per plan entry: window index, bit, first column, (columns, entries) uint32 fields
+    star: np.ndarray  # star_l as uint64
+    filter: np.ndarray | None  # ll or p2 as uint64
+    masks: np.ndarray  # per column, uint64
+    start_set: int
+    cell_bits: list
+
+
+@cache
+def _batch_tables(params: SearchParams) -> _BatchTables:
+    """SearchTables in the form successors_batch reads. Stage1's plan
+    entries are split per column: column c's two 13-bit indices are
+    bits _FIELD_SPAN * c on of an entry, too wide for one machine word,
+    so an entry becomes one uint32 table per column it touches."""
+    tables = build_tables(params)
+    ncols = len(tables.masks)
+    nbytes = (_FIELD_SPAN * ncols + 7) // 8
+    weights = np.uint32(1) << np.arange(_FIELD_SPAN, dtype=np.uint32)
+    reads = []
+    for idx, b, table in tables.plan:
+        raw = b"".join(x.to_bytes(nbytes, "little") for x in table)
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(len(table), nbytes), axis=1, bitorder="little")
+        fields = bits[:, : _FIELD_SPAN * ncols].reshape(len(table), ncols, _FIELD_SPAN) @ weights
+        used = np.flatnonzero(fields.any(axis=0))
+        if len(used):
+            lo, hi = used[0], used[-1] + 1
+            reads.append((idx, b, lo, np.ascontiguousarray(fields[:, lo:hi].T, dtype=np.uint32)))
+    return _BatchTables(
+        reads=reads,
+        star=np.array(tables.star_l, dtype=np.uint64),
+        filter=None if tables.filter is None else np.array(tables.filter, dtype=np.uint64),
+        masks=np.array(tables.masks, dtype=np.uint64),
+        start_set=tables.start_set,
+        cell_bits=tables.cell_bits,
+    )
+
+
+def successors_batch(params: SearchParams, windows) -> list[list[int]]:
+    """[successors(params, build_tables(params), w) for w in windows], for
+    an (N, at least history(params)) array of windows, through the same
+    three stages run over the whole batch at once:
+
+    - stage1 gathers each column's lookup indices from per-column byte
+      tables and ANDs the table masks;
+    - stage2 sweeps the columns forward over all N windows together;
+    - stage3 walks backward over the stage2 survivors only, holding one
+      (window, vertex set, row) entry per partial row and splitting an
+      entry where both the dead and the live C cell go on; a lexsort
+      then restores increasing rows within each window."""
+    bt = _batch_tables(params)
+    windows = np.asarray(windows, dtype=np.uint32)
+    n = len(windows)
+    fields = np.zeros((len(bt.masks), n), dtype=np.uint32)  # per column: star's index, then the filter's
+    for idx, b, lo, table in bt.reads:
+        fields[lo : lo + len(table)] |= table[:, windows[:, idx] >> b & 255]
+
+    # stage1's table lookups a column at a time, each followed by its
+    # stage2 step, so that no temporary spans every column
+    fwd = np.empty(fields.shape, dtype=np.uint64)
+    cur = np.full(n, bt.start_set, dtype=np.uint64)
+    for c, col in enumerate(fields):
+        e = bt.star[col & 0x1FFF] & bt.masks[c]
+        if bt.filter is not None:
+            e &= bt.filter[col >> 13]
+        e &= _LB_LO_A[cur & 255] | _LB_HI_A[cur >> 8]
+        fwd[c] = e
+        cur = _right_vertices(e)
+
+    at = np.flatnonzero(cur & 1)  # per entry, its window: those whose end vertex is reached
+    vset = np.ones(len(at), dtype=np.uint64)
+    acc = np.zeros(len(at), dtype=np.uint64)
+    for c in range(len(fwd) - 1, -1, -1):
+        act = fwd[c, at] & (_RB_LO_A[vset & 255] | _RB_HI_A[vset >> 8])
+        dead = act & _DEAD_C0
+        live = act ^ dead
+        d, l = np.flatnonzero(dead), np.flatnonzero(live)
+        if len(l):
+            at = np.concatenate((at[d], at[l]))
+            vset = _left_vertices(np.concatenate((dead[d], live[l])))
+            acc = np.concatenate((acc[d], acc[l] | bt.cell_bits[c]))
+        else:
+            vset = _left_vertices(dead)
+    rows = acc[np.lexsort((acc, at))].tolist()
+    out, pos = [], 0
+    for count in np.bincount(at, minlength=n).tolist():
+        out.append(rows[pos : pos + count])
+        pos += count
+    return out

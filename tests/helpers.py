@@ -4,16 +4,24 @@ search would walk and the check that it is consistent, the literal
 successor filter without the ll and p2 tables, dead-row padding up to the
 window successors() reads, the per-edge structural masks and a per-call
 stage1 that the compiled ones are checked against, the vertex-set form of
-stages 2 and 3 that the edge-passing pair is checked against, and the
-share of a table's entries pruned."""
+stages 2 and 3 that the edge-passing pair is checked against, the
+share of a table's entries pruned, and the bench's modules and search
+command lines."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
+from shipsearch import cli
 from shipsearch.oracle import frame_row, instance_holds, state_rows
 from shipsearch.pattern import Pattern
-from shipsearch.rules import evolution_table
+from shipsearch.rules import evolution_table, parse_rule
+from shipsearch.search import SearchConfig
 from shipsearch.statespace import (
     DIAGONAL,
     EVEN_MIRROR,
     ODD_MIRROR,
+    SearchParams,
     constraint_indices,
     edge_columns,
     filter_flags,
@@ -27,6 +35,8 @@ from shipsearch.successor import (
     _left_vertices,
     _right_vertices,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 LWSS_CELLS = {(1, 0), (4, 0), (0, 1), (0, 2), (4, 2), (0, 3), (1, 3), (2, 3), (3, 3)}
 GLIDER_CELLS = {(1, 0), (2, 1), (0, 2), (1, 2), (2, 2)}
@@ -304,3 +314,23 @@ def reference_row_count(tables, edges, reach):
         return memo[c, vset]
 
     return count(len(edges) - 1, reach[-1] & 1)
+
+
+def bench_module(name):
+    """bench/<name>.py, loaded without putting bench/ on sys.path."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def search_from_argv(argv):
+    """The SearchParams and SearchConfig of a `shipsearch search` command
+    line, as cli.cmd_search builds them (without progress lines)."""
+    args = cli._build_parser().parse_args(argv)
+    params = SearchParams(
+        parse_rule(args.rule), args.period, args.offset, args.width, cli._SYMMETRIES[args.symmetry], args.translation
+    )
+    config = SearchConfig(args.node_capacity, args.max_deepening, args.continue_after_find)
+    return params, config

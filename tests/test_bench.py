@@ -10,32 +10,21 @@ each shortened search repeats its reference counts in-process.
 """
 
 import importlib
-import importlib.util
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
+from helpers import ROOT, bench_module
 from shipsearch import cli
 from shipsearch import search as search_mod
 from shipsearch.rules import parse_rule
 from shipsearch.statespace import EVEN_MIRROR, SearchParams
 from shipsearch.successor import build_tables, stage1_edges, stage2_reach, stage3_enumerate, successors
 
-ROOT = Path(__file__).resolve().parents[1]
-
-
-def _bench_module(name):
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up there
-    spec.loader.exec_module(module)
-    return module
-
 
 def test_every_traced_target_resolves():
-    for name, module_name, path in _bench_module("tracer").ALL_TARGETS:
+    for name, module_name, path in bench_module("tracer").ALL_TARGETS:
         owner = importlib.import_module(module_name)
         for part in path.split("."):
             assert hasattr(owner, part), f"{name}: {module_name}.{path} is gone"
@@ -68,12 +57,12 @@ def test_bench_check_holds_reference_counts():
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
 
 
-@pytest.mark.parametrize("name", list(_bench_module("workloads").QUICK))
+@pytest.mark.parametrize("name", list(bench_module("workloads").QUICK))
 def test_quick_search_repeats_reference_counts(monkeypatch, tmp_path, name):
     # each shortened search of `--check`, in-process: exhaustion, the p2
     # filter, a first ship, and depth-first probes with compaction and
     # narrowing
-    wl = _bench_module("workloads").QUICK[name]
+    wl = bench_module("workloads").QUICK[name]
     counts = {"dfs_rounds": 0, "compactions": 0, "narrowings": 0}
 
     def counting(fn, key):

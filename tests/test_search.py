@@ -5,13 +5,16 @@ the successor and oracle suites, so here we check orchestration, i.e.
 outcomes, deepening, narrowing, dedup and progress reporting.
 """
 
+import inspect
 import random
 import sys
 import tracemalloc
+from collections import deque
 from dataclasses import replace
 
 import pytest
 
+from helpers import bench_module, search_from_argv
 from shipsearch import search as search_mod
 from shipsearch.pattern import classify_ship
 from shipsearch.rules import parse_rule
@@ -250,6 +253,31 @@ class TestProbeDedup:
         assert res.status.outcome == SHIP_FOUND
         assert res.ships == run_search(params).ships
 
+    def test_probe_skips_a_state_met_again_at_its_level(self):
+        # in B256/S at c/2, even width 5, capacity 26, probes reach states
+        # a second time at exactly the level seen holds for them and skip
+        # them; expanding those again (skipping only deeper ones) expands
+        # 96 states instead of 92
+        params = SearchParams(parse_rule("B256/S"), 2, 1, 5, EVEN_MIRROR)
+        probe = search_mod._dfs_probe
+        lines, start = inspect.getsourcelines(probe)
+        check = start + next(i for i, text in enumerate(lines) if "prev = seen.get(key)" in text) + 1
+        met = 0
+
+        def in_probe(frame, event, arg):
+            nonlocal met
+            if event == "line" and frame.f_lineno == check:
+                met += frame.f_locals["prev"] == frame.f_locals["level"]
+            return in_probe
+
+        sys.settrace(lambda frame, event, arg: in_probe if frame.f_code is probe.__code__ else None)
+        try:
+            res = run_search(params, SearchConfig(node_capacity=26, continue_after_find=True))
+        finally:
+            sys.settrace(None)
+        assert met == 2
+        assert res.status.states_expanded == 92
+
 
 # small searches that compact and narrow: (p, k, w, symmetry, translation)
 HISTORY_MODES = [
@@ -278,9 +306,8 @@ class TestFrontierHistory:
             before = histories(search)
             original_compact(search)
             assert histories(search) == before
-            if search.queue:  # with no frontier left the table is not rebuilt
-                for key, idx in search.tt.items():
-                    assert key == state_key(search.params, search.arena, idx)
+            for key, idx in search.tt.items():
+                assert key == state_key(search.params, search.arena, idx)
             done["compact"] += 1
 
         def checked_reduce(search):
@@ -312,6 +339,22 @@ class TestFrontierHistory:
             search = run_search(params, config)
             assert search.status.outcome != RUNNING
         assert done["compact"] and done["narrow"]
+
+    def test_narrowing_to_an_empty_frontier_restarts_the_table(self):
+        # a narrowing that drops every frontier state: exhaustion follows,
+        # but the table must already hold keys of the new width
+        params = SearchParams(LIFE, 3, 1, 6, EVEN_MIRROR)
+        search = Search(params)
+        while search.level_of(search.queue[0]) < 3:
+            search_mod._expand_head(search)
+        top = params.width - 1
+        search.queue = deque(i for i in search.queue if any(r >> top for r in search.arena.rows_back(i, search.hist)))
+        assert search.queue
+        reduce_width(search)
+        assert not search.queue and search.params.width == top
+        assert search.tt == {0: 2 * params.period - 1}  # the seed's state
+        for key, idx in search.tt.items():
+            assert key == state_key(search.params, search.arena, idx)
 
 
 PROBE_CASES = pytest.mark.parametrize(
@@ -380,8 +423,8 @@ class TestProbeArena:
         original, original_probe = search_mod._children, search_mod._dfs_probe
         probing, yielded = [], []
 
-        def checked(search, idx):
-            for child, key in original(search, idx):
+        def checked(search, idx, window, rows):
+            for child, key in original(search, idx, window, rows):
                 assert key == state_key(search.params, search.arena, child)
                 assert not is_goal(search.params, search.arena, child)
                 yielded.append(bool(probing))
@@ -494,3 +537,121 @@ class TestGatedRefresh:
         monkeypatch.setattr(Search, "_tick", _refresh_on_every_call)
         assert gated == (run(True), run(False))
         assert gated[0][0][-1] == gated[1][1]
+
+
+NEVER = 1 << 62  # a batch minimum no level reaches
+
+
+class BatchLog:
+    """Wraps successors_batch and _expand_head: how many windows went
+    through the kernel, at which widths, and how many chunks stopped
+    before their last parent for a ship or for a full arena."""
+
+    def __init__(self, monkeypatch):
+        self.windows, self.widths, self.ship_stops, self.full_stops = 0, set(), 0, 0
+        self.last = 0
+        kernel, expand = search_mod.successors_batch, search_mod._expand_head
+
+        def logged_kernel(params, windows):
+            self.windows += len(windows)
+            self.widths.add(params.width)
+            self.last = len(windows)
+            return kernel(params, windows)
+
+        def logged_expand(search):
+            self.last, before = 0, search.status.states_expanded
+            expand(search)
+            if search.status.states_expanded - before < self.last:
+                if search.status.outcome != RUNNING:
+                    self.ship_stops += 1
+                else:
+                    assert search.arena_full()
+                    self.full_stops += 1
+
+        monkeypatch.setattr(search_mod, "successors_batch", logged_kernel)
+        monkeypatch.setattr(search_mod, "_expand_head", logged_expand)
+
+
+def _reports(monkeypatch, minimum, params, config):
+    """Every progress report, the final status and the ships of one
+    search with the given batch minimum."""
+    monkeypatch.setattr(search_mod, "BATCH_MIN", minimum)
+    seen = []
+    res = run_search(params, replace(config, progress_interval=1), progress=seen.append)
+    return seen, res.status, res.ships
+
+
+class TestBatchedLevels:
+    # a level expanded through successors_batch must be indistinguishable
+    # from one expanded a state at a time: the same expansions, reports,
+    # arena sizes, compaction points and ships, in the same order
+
+    def check_same(self, monkeypatch, log, params, config):
+        batched = _reports(monkeypatch, 1, params, config)
+        kernel_windows = log.windows
+        assert _reports(monkeypatch, NEVER, params, config) == batched
+        assert log.windows == kernel_windows  # none at all with batching off
+        return batched[1]
+
+    @pytest.mark.parametrize("name", list(bench_module("workloads").QUICK))
+    def test_quick_workloads(self, monkeypatch, name):
+        params, config = search_from_argv(bench_module("workloads").QUICK[name].argv())
+        log = BatchLog(monkeypatch)
+        status = self.check_same(monkeypatch, log, params, config)
+        assert log.windows > 0
+        if status.outcome == SHIP_FOUND:
+            assert log.ship_stops == 1  # the first ship ends the search inside a chunk
+        if config.node_capacity < 1 << 10:
+            assert log.full_stops > 0
+            assert len(log.widths) > 1  # narrowed, and batched again at the new width
+
+    def test_history_modes_with_random_capacities(self, monkeypatch):
+        rng = random.Random(1)
+        log = BatchLog(monkeypatch)
+        for p, k, w, sym, tr in HISTORY_MODES * 2:
+            params = SearchParams(LIFE, p, k, w, sym, tr)
+            cap = rng.choice([None, rng.randint(0, 3 * p)])
+            config = SearchConfig(
+                node_capacity=rng.randint(4 * p, 300),
+                max_deepening=cap,
+                continue_after_find=cap is not None and rng.random() < 0.5,
+            )
+            self.check_same(monkeypatch, log, params, config)
+        assert log.windows > 0 and log.full_stops > 0
+
+    def test_chunk_windows_are_rows_back_windows(self):
+        # c/3 with k = 2 reads 7 rows, one more than the seed chain holds,
+        # so a window at level 0 has a dead row in front of the seed
+        params = SearchParams(LIFE, 3, 2, 5, GLIDE_REFLECT)
+        search = Search(params)
+        tip = search.queue[0]
+        child = search.arena.add(0b10110, tip)
+        grandchild = search.arena.add(0b00101, child)
+        for chunk in ([tip], [child], [grandchild]):
+            want = [search.arena.rows_back(idx, search.hist) for idx in chunk]
+            assert search_mod._windows(search, chunk).tolist() == want
+
+    def test_state_keys_wider_than_64_bits(self, monkeypatch):
+        # c/3 even width 11: 2pw = 66 bits, narrowed to width 5 where the
+        # ship is found
+        params = SearchParams(LIFE, 3, 1, 11, EVEN_MIRROR)
+        log = BatchLog(monkeypatch)
+        status = self.check_same(monkeypatch, log, params, SearchConfig(node_capacity=2100, max_deepening=0))
+        assert status.outcome == SHIP_FOUND
+        assert 11 in log.widths and 2 * params.period * 11 > 64
+
+
+class TestCarriedKeysForcedBatches(TestCarriedKeys):
+    """TestCarriedKeys with every level expanded through successors_batch."""
+
+    @pytest.fixture(autouse=True)
+    def forced(self, monkeypatch):
+        monkeypatch.setattr(search_mod, "BATCH_MIN", 1)
+
+
+class TestProbeArenaForcedBatches(TestProbeArena):
+    """TestProbeArena with every level expanded through successors_batch."""
+
+    @pytest.fixture(autouse=True)
+    def forced(self, monkeypatch):
+        monkeypatch.setattr(search_mod, "BATCH_MIN", 1)

@@ -6,15 +6,18 @@ literal all-candidates filter and against known ships: feeding a real
 ship's interleaved rows in must always yield the ship's actual next row.
 """
 
+import json
 import math
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
 from helpers import (
     GLIDER_CELLS,
     LWSS_CELLS,
+    ROOT,
     brute_successors,
     padded,
     pruned_percent,
@@ -23,8 +26,10 @@ from helpers import (
     reference_stage2_reach,
     reference_stage3_enumerate,
     reference_structural_masks,
+    search_from_argv,
     ship_sequence,
 )
+from shipsearch import search as search_mod
 from shipsearch import successor as successor_mod
 from shipsearch.oracle import oracle_successors
 from shipsearch.rules import evolution_table, evolve_row_triple, parse_rule
@@ -51,6 +56,7 @@ from shipsearch.successor import (
     stage2_reach,
     stage3_enumerate,
     successors,
+    successors_batch,
 )
 
 LIFE = parse_rule("B3/S23")
@@ -516,3 +522,59 @@ class TestStages2And3:
                     for rows in windows:
                         compared += _check_stages_2_3(params, tables, padded(params, rows), max_rows=2000)
             assert compared > 0, w
+
+
+def _batch_windows(params, tables, rng):
+    """All-dead, all-live, random (dense and sparse) and byte-boundary
+    windows of history(params) rows, less those yielding over 300 rows."""
+    w, hist = params.width, history(params)
+    windows = [[0] * hist, [(1 << w) - 1] * hist]
+    windows += [[rng.getrandbits(w) for _ in range(hist)] for _ in range(6)]
+    windows += [_random_window(rng, hist, w) for _ in range(6)]
+    for at in range(hist):
+        for cell in sorted({c for c in (0, 7, 8, 15, 16, 23, 24, w - 1) if c < w}):
+            rows = [0] * hist
+            rows[at] = 1 << cell
+            windows.append(rows)
+    kept = []
+    for rows in windows:
+        edges = stage1_edges(params, tables, rows)
+        reach = reference_stage2_reach(params, tables, edges)
+        if reach is None or reference_row_count(tables, edges, reach) <= 300:
+            kept.append(rows)
+    return kept
+
+
+class TestSuccessorsBatch:
+    @pytest.mark.parametrize("width", [1, 7, 8, 9, 13, 16, 17, 31, 32])
+    @pytest.mark.parametrize("case", MODE_CASES, ids=lambda c: f"p{c[0]}k{c[1]}-{c[3]}-{c[4]}")
+    def test_matches_successors_row_for_row(self, case, width):
+        p, k, _, sym, tr = case
+        rng = random.Random(repr(case))
+        params = SearchParams(LIFE, p, k, width, sym, tr)
+        tables = build_tables(params)
+        windows = _batch_windows(params, tables, rng)
+        want = [successors(params, tables, rows) for rows in windows]
+        assert [successors_batch(params, [rows])[0] for rows in windows] == want
+        for i in range(0, len(windows) - 1, 2):
+            assert successors_batch(params, windows[i : i + 2]) == want[i : i + 2]
+        # more windows than the search hands the kernel at once (those
+        # with few rows, so that the batch stays small), each with two
+        # older rows in front, which are not read
+        few = [i for i, rows in enumerate(want) if len(rows) <= 16]
+        picks = [few[i % len(few)] for i in range(search_mod.BATCH_CHUNK + 5)]
+        longer = [[rng.getrandbits(width), rng.getrandbits(width), *windows[i]] for i in picks]
+        assert successors_batch(params, longer) == [want[i] for i in picks]
+
+    def test_recorded_windows_give_recorded_rows(self):
+        recorded = json.loads((ROOT / "bench" / "windows.json").read_text())
+        compared = 0
+        for source, rec in recorded.items():
+            params, _ = search_from_argv(rec["argv"])
+            for width in sorted(set(rec["widths"])):
+                picks = [i for i, w in enumerate(rec["widths"]) if w == width]
+                narrowed = replace(params, width=width)
+                got = successors_batch(narrowed, [rec["windows"][i] for i in picks])
+                assert got == [rec["successors"][i] for i in picks], (source, width)
+                compared += len(picks)
+        assert compared == sum(len(rec["windows"]) for rec in recorded.values())
