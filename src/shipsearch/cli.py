@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 
 from .pattern import ShipDescriptor, emit_rle, first_recurrence, parse_rle
 from .rules import format_rule, parse_rule
@@ -76,21 +77,17 @@ def cmd_search(args) -> int:
         progress_interval=0 if args.quiet else PROGRESS_EVERY,
     )
     config.check(params)
-    print(banner_text(params), file=sys.stderr)
 
     def report(status):
         print(progress_line(status), file=sys.stderr)
 
-    result = run_search(params, config, progress=None if args.quiet else report)
-    if not args.quiet:
-        print(f"search ended: {result.status.outcome}", file=sys.stderr)
-
-    text = "\n".join(ship_text(ship, desc, params.rule) for ship, desc in result.ships)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    elif text:
-        sys.stdout.write(text)
+    # opened first, so that an unwritable path fails before the search
+    with open(args.output, "w") if args.output else nullcontext(sys.stdout) as out:
+        print(banner_text(params), file=sys.stderr)
+        result = run_search(params, config, progress=None if args.quiet else report)
+        if not args.quiet:
+            print(f"search ended: {result.status.outcome}", file=sys.stderr)
+        out.write("\n".join(ship_text(ship, desc, params.rule) for ship, desc in result.ships))
     return 0 if result.ships else 1
 
 

@@ -11,13 +11,16 @@ the frontier by more than that, the strip is narrowed by one column
 instead.
 
 Both loops expand a node through one child step, _children, which is
-handed the node's successor rows. A breadth-first level with at least
-BATCH_MIN states queued gets those rows in chunks of up to BATCH_CHUNK
-states from one successors_batch call; its states are then expanded one
-at a time in queue order, and a chunk stops where expanding one state at
-a time would stop (a full arena or a ship that ends the search), so
-counts, progress reports, compactions and ships do not depend on the
-batching. Smaller levels and the probe call successors() per window.
+handed the node's window and successor rows. The breadth-first loop has
+one path: it takes the first BATCH_CHUNK queued states when at least
+BATCH_MIN are queued, whatever their levels, and the head alone
+otherwise; it reads each window once, gets the rows of a large chunk
+from one successors_batch call on the search's own tables and those of
+the head from successors(), then expands the states one at a time in
+queue order. A chunk stops where expanding one state at a time would
+stop (a full arena or a ship that ends the search) and holds only states
+already in the arena, so counts, progress reports, compactions and ships
+do not depend on the batching. The probe calls successors() per window.
 Nothing configures this. The probe keeps its path in the arena and cuts
 the arena back as it backtracks, so a round can hold one probe path
 beyond the node capacity.
@@ -32,8 +35,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, replace
 from itertools import islice
-
-import numpy as np
 
 from .pattern import Pattern, ShipDescriptor, classify_ship
 from .statespace import (
@@ -52,8 +53,8 @@ from .statespace import (
 )
 from .successor import build_tables, successors, successors_batch
 
-# A level with at least BATCH_MIN states queued is expanded up to
-# BATCH_CHUNK states per successors_batch call. Below about 48 windows the
+# With at least BATCH_MIN states queued, the first BATCH_CHUNK of them, of
+# any levels, share one successors_batch call. Below about 48 windows the
 # batched kernel costs more per window than successors(); past 4096 it
 # gains little, while its arrays grow with the chunk.
 BATCH_MIN = 64
@@ -202,62 +203,29 @@ def _children(search: Search, idx: int, window: list[int], rows):
         yield child, key
 
 
-def _scalar_children(search: Search, idx: int):
-    """_children with the rows of one per-window successors() call."""
-    window = search.arena.rows_back(idx, search.hist)
-    return _children(search, idx, window, successors(search.params, search.tables, window))
-
-
-def _expand(search: Search, children) -> None:
-    """Queue the fresh children of one expansion, then tick."""
-    for child, key in children:
-        if transposition_insert(search.tt, key, child)[0] == "fresh":
-            search.queue.append(child)
-    if search.status.outcome == RUNNING:  # a ship that ends the search skips the tick
-        search._tick()
-
-
-def _level_chunk(search: Search) -> list[int] | None:
-    """The queue head and the states after it on its level, at most
-    BATCH_CHUNK of them, when that level still has BATCH_MIN states
-    queued; else None."""
-    queue, depths = search.queue, search.arena.depths
-    depth = depths[queue[0]]
-    if len(queue) < BATCH_MIN or depths[queue[BATCH_MIN - 1]] != depth:
-        return None
-    return [idx for idx in islice(queue, BATCH_CHUNK) if depths[idx] == depth]
-
-
-def _windows(search: Search, chunk: list[int]) -> np.ndarray:
-    """rows_back(idx, search.hist) for every node of a one-level chunk, as
-    an array with one window per row."""
-    arena, hist = search.arena, search.hist
-    rows, parents = arena.rows, arena.parents
-    out = np.zeros((hist, len(chunk)), dtype=np.uint32)
-    cur = chunk
-    for back in range(min(hist, arena.depths[chunk[0]] + 1)):  # older rows are dead padding
-        out[hist - 1 - back] = [rows[i] for i in cur]
-        cur = [parents[i] for i in cur]
-    return out.T
-
-
 def _expand_head(search: Search) -> None:
-    """Expand the queue head, or, when its level still has BATCH_MIN states
-    queued, a chunk of that level whose successor rows come from one
-    successors_batch call. The chunk's parents are expanded one at a time
-    in queue order, exactly as the head alone would be, and the chunk
-    stops where run_search would stop expanding: at a full arena or a
-    ship that ends the search. Parents not reached stay queued."""
-    chunk = _level_chunk(search)
-    if chunk is None:
-        _expand(search, _scalar_children(search, search.queue.popleft()))
-        return
-    arena, hist = search.arena, search.hist
-    for idx, rows in zip(chunk, successors_batch(search.params, _windows(search, chunk))):
+    """Expand the queue head, or, when at least BATCH_MIN states are
+    queued, the first BATCH_CHUNK of them, whose successor rows come from
+    one successors_batch call. The parents are expanded one at a time in
+    queue order, exactly as the head alone would be, and the chunk stops
+    where run_search would stop expanding: at a full arena or a ship that
+    ends the search. Parents not reached stay queued."""
+    queue = search.queue
+    chunk = list(islice(queue, BATCH_CHUNK)) if len(queue) >= BATCH_MIN else [queue[0]]
+    windows = [search.arena.rows_back(idx, search.hist) for idx in chunk]
+    if len(chunk) >= BATCH_MIN:
+        rows = successors_batch(search.params, search.tables, windows)
+    else:
+        rows = [successors(search.params, search.tables, windows[0])]
+    for idx, window, succ in zip(chunk, windows, rows):
         if search.status.outcome != RUNNING or search.arena_full():
             return
-        search.queue.popleft()
-        _expand(search, _children(search, idx, arena.rows_back(idx, hist), rows))
+        queue.popleft()
+        for child, key in _children(search, idx, window, succ):
+            if transposition_insert(search.tt, key, child)[0] == "fresh":
+                queue.append(child)
+        if search.status.outcome == RUNNING:  # a ship that ends the search skips the tick
+            search._tick()
 
 
 def _dfs_probe(search: Search, root: int, limit: int) -> bool:
@@ -267,8 +235,13 @@ def _dfs_probe(search: Search, root: int, limit: int) -> bool:
     length when it was pushed, which the arena is cut back to before the
     frame's next child; on return the arena is back at its first length."""
     arena = search.arena
+
+    def expand(idx):
+        window = arena.rows_back(idx, search.hist)
+        return _children(search, idx, window, successors(search.params, search.tables, window))
+
     start = len(arena)
-    frames = [(_scalar_children(search, root), start)]
+    frames = [(expand(root), start)]
     seen: dict[int, int] = {}  # state key -> lowest level it was reached at
     while frames and search.status.outcome == RUNNING:
         children, mark = frames[-1]
@@ -289,7 +262,7 @@ def _dfs_probe(search: Search, root: int, limit: int) -> bool:
         if level >= limit:
             arena.truncate(start)
             return True
-        frames.append((_scalar_children(search, child), len(arena)))
+        frames.append((expand(child), len(arena)))
         search._tick()
     arena.truncate(start)
     return False

@@ -340,17 +340,19 @@ def extract_ship(params: SearchParams, arena: NodeArena, idx: int) -> Pattern:
 
     Takes every pth row starting at the first live one, undoes the glide
     reversals and diagonal shears, and mirrors half-rows to full width.
+    All rows are read at one width, wide enough for the widest: rows
+    found before a narrowing may use columns the search has since dropped.
     """
     rows = arena.all_rows(idx)
     first = next(j for j, r in enumerate(rows) if r)
+    w = max(params.width, max(rows).bit_length())
     picked = []
     for n, i in enumerate(range(first, len(rows), params.period)):
         row = rows[i]
         if params.row_orientation(i):
-            row = reverse_row(row, params.width)
+            row = reverse_row(row, w)
         picked.append((n, row))
 
-    w = params.width
     if params.symmetry == EVEN_MIRROR:
         # half-row bit 0 sits next to the axis, so the mirrored copy goes low
         out = [reverse_row(r, w) | r << w for _, r in picked]

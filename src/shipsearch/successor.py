@@ -35,18 +35,20 @@ mask. The vertex sets an edge mask leaves or enters are folded out of it
 in closed form, by shifts and masks.
 
 successors_batch gives successors() for a whole array of windows at
-once, with the same tables and folds as NumPy arrays: stage 1 gathers
-per-column uint32 slices of the byte tables, stage 2 sweeps all windows
-column by column, and stage 3 walks one backward frontier holding an
-entry per (window, partial row), over the windows stage 2 kept. The
-search uses it for large breadth-first levels and successors() for the
-rest; both must give the same rows in the same order.
+once, from the same SearchTables, whose NumPy form (SearchTables.arrays)
+is built on the first batch and kept with them for the rest of the
+search: stage 1 gathers per-column uint32 slices of the byte tables,
+stage 2 sweeps all windows column by column, and stage 3 walks one
+backward frontier holding an entry per (window, partial row), over the
+windows stage 2 kept. The search hands it every large chunk of queued
+breadth-first states, whatever their levels, and calls successors() for
+the rest; both must give the same rows in the same order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -260,6 +262,14 @@ def _p2_table(rule: Rule):
 # per-search tables
 
 
+@dataclass(frozen=True)
+class _BatchTables:
+    reads: list  # per plan entry: window index, bit, first column, (columns, entries) uint32 fields
+    star: np.ndarray  # star_l as uint64
+    filter: np.ndarray | None  # ll or p2 as uint64
+    masks: np.ndarray  # per column, uint64
+
+
 @dataclass
 class SearchTables:
     star_l: list
@@ -268,6 +278,32 @@ class SearchTables:
     start_set: int
     cell_bits: list  # per edge column, the row bit of the C cell it pins (0 outside the strip)
     plan: list  # stage1 compiled into byte tables, see _stage1_plan
+
+    @cached_property
+    def arrays(self) -> _BatchTables:
+        """These tables in the form successors_batch reads, built when it
+        first reads them; not a field, so == never compares them. Stage1's
+        plan entries are split per column: column c's two 13-bit indices
+        are bits _FIELD_SPAN * c on of an entry, too wide for one machine
+        word, so an entry becomes one uint32 table per column it touches."""
+        ncols = len(self.masks)
+        nbytes = (_FIELD_SPAN * ncols + 7) // 8
+        weights = np.uint32(1) << np.arange(_FIELD_SPAN, dtype=np.uint32)
+        reads = []
+        for idx, b, table in self.plan:
+            raw = b"".join(x.to_bytes(nbytes, "little") for x in table)
+            bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(len(table), nbytes), axis=1, bitorder="little")
+            fields = bits[:, : _FIELD_SPAN * ncols].reshape(len(table), ncols, _FIELD_SPAN) @ weights
+            used = np.flatnonzero(fields.any(axis=0))
+            if len(used):
+                lo, hi = used[0], used[-1] + 1
+                reads.append((idx, b, lo, np.ascontiguousarray(fields[:, lo:hi].T, dtype=np.uint32)))
+        return _BatchTables(
+            reads=reads,
+            star=np.array(self.star_l, dtype=np.uint64),
+            filter=None if self.filter is None else np.array(self.filter, dtype=np.uint64),
+            masks=np.array(self.masks, dtype=np.uint64),
+        )
 
 
 def _structural_masks(params: SearchParams):
@@ -456,49 +492,12 @@ def successors(params: SearchParams, tables: SearchTables, rows):
 _LB_LO_A, _LB_HI_A, _RB_LO_A, _RB_HI_A = (np.array(t, dtype=np.uint64) for t in (_LB_LO, _LB_HI, _RB_LO, _RB_HI))
 
 
-@dataclass(frozen=True)
-class _BatchTables:
-    reads: list  # per plan entry: window index, bit, first column, (columns, entries) uint32 fields
-    star: np.ndarray  # star_l as uint64
-    filter: np.ndarray | None  # ll or p2 as uint64
-    masks: np.ndarray  # per column, uint64
-    start_set: int
-    cell_bits: list
-
-
-@cache
-def _batch_tables(params: SearchParams) -> _BatchTables:
-    """SearchTables in the form successors_batch reads. Stage1's plan
-    entries are split per column: column c's two 13-bit indices are
-    bits _FIELD_SPAN * c on of an entry, too wide for one machine word,
-    so an entry becomes one uint32 table per column it touches."""
-    tables = build_tables(params)
-    ncols = len(tables.masks)
-    nbytes = (_FIELD_SPAN * ncols + 7) // 8
-    weights = np.uint32(1) << np.arange(_FIELD_SPAN, dtype=np.uint32)
-    reads = []
-    for idx, b, table in tables.plan:
-        raw = b"".join(x.to_bytes(nbytes, "little") for x in table)
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(len(table), nbytes), axis=1, bitorder="little")
-        fields = bits[:, : _FIELD_SPAN * ncols].reshape(len(table), ncols, _FIELD_SPAN) @ weights
-        used = np.flatnonzero(fields.any(axis=0))
-        if len(used):
-            lo, hi = used[0], used[-1] + 1
-            reads.append((idx, b, lo, np.ascontiguousarray(fields[:, lo:hi].T, dtype=np.uint32)))
-    return _BatchTables(
-        reads=reads,
-        star=np.array(tables.star_l, dtype=np.uint64),
-        filter=None if tables.filter is None else np.array(tables.filter, dtype=np.uint64),
-        masks=np.array(tables.masks, dtype=np.uint64),
-        start_set=tables.start_set,
-        cell_bits=tables.cell_bits,
-    )
-
-
-def successors_batch(params: SearchParams, windows) -> list[list[int]]:
-    """[successors(params, build_tables(params), w) for w in windows], for
-    an (N, at least history(params)) array of windows, through the same
-    three stages run over the whole batch at once:
+def successors_batch(params: SearchParams, tables: SearchTables, windows) -> list[list[int]]:
+    """[successors(params, tables, w) for w in windows], for an (N, at
+    least history(params)) array of windows, through the same three
+    stages run over the whole batch at once. It reads tables.arrays,
+    which the first call builds and the tables keep, so a search builds
+    them once per width; the windows may be of any levels:
 
     - stage1 gathers each column's lookup indices from per-column byte
       tables and ANDs the table masks;
@@ -507,7 +506,7 @@ def successors_batch(params: SearchParams, windows) -> list[list[int]]:
       (window, vertex set, row) entry per partial row and splitting an
       entry where both the dead and the live C cell go on; a lexsort
       then restores increasing rows within each window."""
-    bt = _batch_tables(params)
+    bt = tables.arrays
     windows = np.asarray(windows, dtype=np.uint32)
     n = len(windows)
     fields = np.zeros((len(bt.masks), n), dtype=np.uint32)  # per column: star's index, then the filter's
@@ -517,7 +516,7 @@ def successors_batch(params: SearchParams, windows) -> list[list[int]]:
     # stage1's table lookups a column at a time, each followed by its
     # stage2 step, so that no temporary spans every column
     fwd = np.empty(fields.shape, dtype=np.uint64)
-    cur = np.full(n, bt.start_set, dtype=np.uint64)
+    cur = np.full(n, tables.start_set, dtype=np.uint64)
     for c, col in enumerate(fields):
         e = bt.star[col & 0x1FFF] & bt.masks[c]
         if bt.filter is not None:
@@ -537,7 +536,7 @@ def successors_batch(params: SearchParams, windows) -> list[list[int]]:
         if len(l):
             at = np.concatenate((at[d], at[l]))
             vset = _left_vertices(np.concatenate((dead[d], live[l])))
-            acc = np.concatenate((acc[d], acc[l] | bt.cell_bits[c]))
+            acc = np.concatenate((acc[d], acc[l] | tables.cell_bits[c]))
         else:
             vset = _left_vertices(dead)
     rows = acc[np.lexsort((acc, at))].tolist()

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from shipsearch import cli as cli_mod
 from shipsearch.cli import banner_text, main, progress_line, ship_text
 from shipsearch.pattern import classify_ship, parse_rle
 from shipsearch.rules import parse_rule
@@ -108,6 +109,29 @@ class TestSearchCommand:
         assert capsys.readouterr().out == ""
         assert main(["verify", str(path)]) == 0
         assert "speed 2c/4 = c/2" in capsys.readouterr().out
+
+    def test_unwritable_output_fails_before_the_search(self, tmp_path, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(cli_mod, "run_search", never)
+        path = tmp_path / "missing" / "ship.rle"
+        assert main([a for a in search_args("--output", str(path)) if a != "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+        assert not path.parent.exists()
+
+    def test_ship_found_after_narrowing(self, capsys):
+        # the narrowed search finds a ship whose older rows are wider than
+        # the strip it ends at
+        args = ["search", "--rule", "B34/S1357", "--period", "2", "--offset", "1", "--width", "4",
+                "--symmetry", "odd", "--node-capacity", "28", "--max-deepening", "3", "--continue"]
+        assert main(args) == 0
+        captured = capsys.readouterr()
+        assert "progress: width 2" in captured.err
+        assert "search ended: exhausted" in captured.err
+        assert "2bo$obobo$bobo2$2bo!" in captured.out
 
     def test_node_capacity_reserves_nothing_up_front(self, capsys):
         # 2^40 nodes: any per-capacity allocation at set-up would fail here

@@ -8,6 +8,7 @@ and require is_consistent to accept it (and to reject a perturbation).
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -412,6 +413,21 @@ class TestExtraction:
         ship = extract_ship(params, arena, tip)
         # cell 0 sits on the axis, cell 1 reflects around it: 111
         assert ship == Pattern((0b111,), 3)
+
+    @pytest.mark.parametrize(
+        "sym, want", [(EVEN_MIRROR, Pattern((0b100001, 0b001100), 6)), (ODD_MIRROR, Pattern((0b10001, 0b00100), 5))]
+    )
+    def test_rows_wider_than_a_narrowed_strip(self, sym, want):
+        # the older row uses a third column that a narrowing has since
+        # dropped: every row is still mirrored about the same axis
+        wide = SearchParams(LIFE, 2, 1, 3, sym)
+        arena, tip = make_initial_state(wide)
+        for row in (0b100, 0, 0b001):
+            tip = arena.add(row, tip)
+        for _ in range(4):
+            tip = arena.add(0, tip)
+        narrowed = replace(wide, width=2)
+        assert extract_ship(narrowed, arena, tip) == extract_ship(wide, arena, tip) == want
 
     def test_phase_rows_every_period(self):
         params = SearchParams(LIFE, 2, 1, 4)

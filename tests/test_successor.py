@@ -365,7 +365,7 @@ class TestStage1Plans:
     def test_tables_built_once_per_search_and_per_narrowing(self, monkeypatch):
         # build_tables compiles the plan with the rest of the tables: one
         # build for Search() and one for each narrowing, none for a
-        # compaction or a successors() call
+        # compaction, a successors() call or a successors_batch call
         built = []
         original = successor_mod._stage1_plan
 
@@ -378,6 +378,12 @@ class TestStage1Plans:
         res = run_search(params, SearchConfig(node_capacity=256, max_deepening=6, continue_after_find=True))
         assert res.status.current_width < params.width  # narrowed, so tables were rebuilt
         assert built == list(range(params.width, res.status.current_width - 1, -1))
+
+    def test_tables_built_once_with_every_state_batched(self, monkeypatch):
+        # successors_batch reads the search's own tables, so a search
+        # whose every chunk goes through it builds no plan of its own
+        monkeypatch.setattr(search_mod, "BATCH_MIN", 1)
+        self.test_tables_built_once_per_search_and_per_narrowing(monkeypatch)
 
     def test_reduce_width_builds_the_narrower_plan(self):
         search = Search(SearchParams(LIFE, 3, 1, 6, EVEN_MIRROR), SearchConfig(node_capacity=1 << 10))
@@ -555,16 +561,27 @@ class TestSuccessorsBatch:
         tables = build_tables(params)
         windows = _batch_windows(params, tables, rng)
         want = [successors(params, tables, rows) for rows in windows]
-        assert [successors_batch(params, [rows])[0] for rows in windows] == want
+        assert [successors_batch(params, tables, [rows])[0] for rows in windows] == want
         for i in range(0, len(windows) - 1, 2):
-            assert successors_batch(params, windows[i : i + 2]) == want[i : i + 2]
+            assert successors_batch(params, tables, windows[i : i + 2]) == want[i : i + 2]
         # more windows than the search hands the kernel at once (those
         # with few rows, so that the batch stays small), each with two
         # older rows in front, which are not read
         few = [i for i, rows in enumerate(want) if len(rows) <= 16]
         picks = [few[i % len(few)] for i in range(search_mod.BATCH_CHUNK + 5)]
         longer = [[rng.getrandbits(width), rng.getrandbits(width), *windows[i]] for i in picks]
-        assert successors_batch(params, longer) == [want[i] for i in picks]
+        assert successors_batch(params, tables, longer) == [want[i] for i in picks]
+
+    def test_arrays_built_on_first_batch_and_kept_off_equality(self):
+        params = SearchParams(LIFE, 4, 1, 7, EVEN_MIRROR)
+        tables = Search(params).tables
+        assert "arrays" not in vars(tables)  # Search() builds no NumPy table
+        windows = [[0] * history(params)] * 2
+        successors_batch(params, tables, windows)
+        arrays = tables.arrays
+        successors_batch(params, tables, windows)
+        assert tables.arrays is arrays
+        assert tables == build_tables(params)  # only the fields are compared
 
     def test_recorded_windows_give_recorded_rows(self):
         recorded = json.loads((ROOT / "bench" / "windows.json").read_text())
@@ -574,7 +591,7 @@ class TestSuccessorsBatch:
             for width in sorted(set(rec["widths"])):
                 picks = [i for i, w in enumerate(rec["widths"]) if w == width]
                 narrowed = replace(params, width=width)
-                got = successors_batch(narrowed, [rec["windows"][i] for i in picks])
+                got = successors_batch(narrowed, build_tables(narrowed), [rec["windows"][i] for i in picks])
                 assert got == [rec["successors"][i] for i in picks], (source, width)
                 compared += len(picks)
         assert compared == sum(len(rec["windows"]) for rec in recorded.values())
