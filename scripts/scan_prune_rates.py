@@ -35,6 +35,9 @@ def main() -> int:
     parser.add_argument("--rules", type=int, default=100, help="sample size")
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
+    if args.rules < 1:
+        print("error: --rules must be at least 1", file=sys.stderr)
+        return 2
 
     rng = random.Random(args.seed)
     rows = []

@@ -10,6 +10,7 @@ Budgets stop an accidentally large call from hanging a test run.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -70,13 +71,10 @@ def instance_holds(params: SearchParams, table, rows, inst: Instance) -> bool:
     return evolve_row_triple(table, a, m, b, fw) == want
 
 
+@cache
 def _ll_allowed(rule: Rule, a5: int, b5: int, r3: int) -> int:
     """Mask over the lookahead row's triples that leave both chained
     constraint instances satisfiable, by trying every joint window."""
-    key = (rule, a5, b5, r3)
-    hit = _LL_MEMO.get(key)
-    if hit is not None:
-        return hit
     ev = evolution_table(rule)
     mask = 0
     for x5 in range(32):
@@ -84,21 +82,15 @@ def _ll_allowed(rule: Rule, a5: int, b5: int, r3: int) -> int:
             continue
         for y5 in range(32):
             mask |= 1 << ((evolve_row_triple(ev, b5, x5, y5, 5) >> 1) & 7)
-    _LL_MEMO[key] = mask
     return mask
 
 
-_LL_MEMO: dict[tuple, int] = {}
-
-
+@cache
 def _strip_good(rule: Rule) -> np.ndarray:
     """Bool array over four stacked 5-wide row windows (oldest first):
     True when appending further rows can reach the all-dead strip, each
     append obeying the center evolution and leaving both boundary results
     achievable for some count of unseen outside neighbors."""
-    cached = _GOOD_MEMO.get(rule)
-    if cached is not None:
-        return cached
     ev = evolution_table(rule)
 
     fe = [[[False] * 2 for _ in range(2)] for _ in range(6)]
@@ -133,29 +125,17 @@ def _strip_good(rule: Rule) -> np.ndarray:
         if np.array_equal(new, good):
             break
         good = new
-    out = good.astype(bool)
-    _GOOD_MEMO[rule] = out
-    return out
+    return good.astype(bool)
 
 
-_GOOD_MEMO: dict[Rule, np.ndarray] = {}
-
-
+@cache
 def _p2_entry_ok(rule: Rule, r2w: int, r1w: int, ct: int, lt: int) -> bool:
-    key = (rule, r2w, r1w, ct, lt)
-    hit = _P2_MEMO.get(key)
-    if hit is None:
-        good = _strip_good(rule)
-        hit = any(
-            good[r2w, r1w, (co & 1) | ct << 1 | (co >> 1) << 4, (lo & 1) | lt << 1 | (lo >> 1) << 4]
-            for co in range(4)
-            for lo in range(4)
-        )
-        _P2_MEMO[key] = hit
-    return hit
-
-
-_P2_MEMO: dict[tuple, bool] = {}
+    good = _strip_good(rule)
+    return any(
+        good[r2w, r1w, (co & 1) | ct << 1 | (co >> 1) << 4, (lo & 1) | lt << 1 | (lo >> 1) << 4]
+        for co in range(4)
+        for lo in range(4)
+    )
 
 
 def _filters_ok(params: SearchParams, rows, c: int, lam: int) -> bool:

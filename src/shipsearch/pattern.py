@@ -78,6 +78,8 @@ def parse_rle(text: str) -> tuple[Pattern, Rule | None]:
     if m is None:
         raise ValueError(f"RLE is missing its x/y header line (got {lines[pos]!r})")
     width, height = int(m.group(1)), int(m.group(2))
+    if height > 2**20 or width * height > 2**26:  # checked before any row is built
+        raise ValueError(f"RLE extents x = {width}, y = {height} exceed 2**20 rows or 2**26 cells")
     rule = parse_rule(m.group(3)) if m.group(3) else None
 
     body = "".join(lines[pos + 1 :])

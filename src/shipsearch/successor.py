@@ -16,7 +16,8 @@ and lookahead constraints for one column, ll additionally requires the
 two constraint instances reaching one more row into the future to have a
 consistent witness, and for period 2 a strip-reachability table (p2)
 replaces ll. Which of ll and p2 applies follows from the params alone
-(statespace.filter_flags), so a search holds one filter table. Column
+(statespace.filter_flags), so a search holds one filter table; where
+neither applies it holds a one-entry table that passes every edge. Column
 layout, boundary masks, the window length and which rows each lookup
 samples come from the mode geometry in statespace.
 
@@ -29,10 +30,10 @@ Which window row each lookup-index field samples, with what shift, mirror
 reflection or glide reversal, is the same at every level. So build_tables
 compiles stage 1 into byte tables kept on SearchTables: the entry for one
 byte of one sampled row is that byte's share of every column's indices,
-all columns packed side by side in one integer. A call ORs one entry per
-sampled row-byte, then reads each column's indices with a shift and a
-mask. The vertex sets an edge mask leaves or enters are folded out of it
-in closed form, by shifts and masks.
+one 32-bit word per column, side by side in one integer. A call ORs one
+entry per sampled row-byte, then reads each column's indices with a shift
+and a mask. The vertex sets an edge mask leaves or enters are folded out
+of it in closed form, by shifts and masks.
 
 successors_batch gives successors() for a whole array of windows at
 once, from the same SearchTables, whose NumPy form (SearchTables.arrays)
@@ -132,12 +133,10 @@ def _left_vertices(emask):
 # rule tables
 
 
-def _ints_from_bits(bits2d):
-    """Rows of bits (bit index = column) -> list of Python ints."""
-    packed = np.packbits(bits2d, axis=1, bitorder="little")
-    span = packed.shape[1]
-    raw = packed.tobytes()
-    return [int.from_bytes(raw[span * i : span * (i + 1)], "little") for i in range(packed.shape[0])]
+def _masks_from_bits(bits):
+    """Rows of 64 edge bits (bit index = edge value) -> 64-bit masks as
+    Python ints, which the scalar stages index fastest."""
+    return np.packbits(bits, axis=1, bitorder="little").view("<u8").ravel().tolist()
 
 
 @cache
@@ -161,7 +160,7 @@ def _star_tables(rule: Rule):
     cond_l = second[:, :, None] == center_ct[None, None, :]  # (idx, lt, ct)
 
     full = cond_a[:, None, :] & cond_l  # bit position ct | lt<<3 = lt-major
-    return _ints_from_bits(full.reshape(8192, 64))
+    return _masks_from_bits(full.reshape(8192, 64))
 
 
 def _evolve5_center3(ev):
@@ -192,7 +191,7 @@ def _ll_table(rule: Rule):
         sel = np.where(ev5c == r3, t2[None, :, :], np.uint8(0))
         out[r3] = np.bitwise_or.reduce(sel, axis=2)
     lts = np.unpackbits(out.reshape(-1, 1), axis=1, bitorder="little")  # [entry, lt]
-    return (lts * np.uint8(0xFF)).view("<u8").ravel().tolist()
+    return _masks_from_bits(np.repeat(lts, 8, axis=1))
 
 
 _POP2 = np.array([0, 1, 1, 2], dtype=np.uint8)
@@ -255,7 +254,7 @@ def _p2_table(rule: Rule):
 
     # entry index = r2w | r1w<<5, bit = ct | lt<<3
     bits = np.transpose(ent, (1, 0, 3, 2)).reshape(1024, 64)
-    return _ints_from_bits(bits)
+    return _masks_from_bits(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -266,14 +265,14 @@ def _p2_table(rule: Rule):
 class _BatchTables:
     reads: list  # per plan entry: window index, bit, first column, (columns, entries) uint32 fields
     star: np.ndarray  # star_l as uint64
-    filter: np.ndarray | None  # ll or p2 as uint64
+    filter: np.ndarray  # ll, p2 or pass-all as uint64
     masks: np.ndarray  # per column, uint64
 
 
 @dataclass
 class SearchTables:
     star_l: list
-    filter: list | None  # ll or p2, whichever filter_flags applies; None for neither
+    filter: list  # ll or p2, whichever filter_flags applies; for neither, one pass-all entry
     masks: list
     start_set: int
     cell_bits: list  # per edge column, the row bit of the C cell it pins (0 outside the strip)
@@ -282,18 +281,15 @@ class SearchTables:
     @cached_property
     def arrays(self) -> _BatchTables:
         """These tables in the form successors_batch reads, built when it
-        first reads them; not a field, so == never compares them. Stage1's
-        plan entries are split per column: column c's two 13-bit indices
-        are bits _FIELD_SPAN * c on of an entry, too wide for one machine
-        word, so an entry becomes one uint32 table per column it touches."""
+        first reads them; not a field, so == never compares them. Column
+        c's two 13-bit indices fill the c-th 32-bit word of a stage1 plan
+        entry, so an entry reads as one uint32 per column, and each plan
+        table becomes one uint32 table per column it touches."""
         ncols = len(self.masks)
-        nbytes = (_FIELD_SPAN * ncols + 7) // 8
-        weights = np.uint32(1) << np.arange(_FIELD_SPAN, dtype=np.uint32)
         reads = []
         for idx, b, table in self.plan:
-            raw = b"".join(x.to_bytes(nbytes, "little") for x in table)
-            bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(len(table), nbytes), axis=1, bitorder="little")
-            fields = bits[:, : _FIELD_SPAN * ncols].reshape(len(table), ncols, _FIELD_SPAN) @ weights
+            raw = b"".join(x.to_bytes(4 * ncols, "little") for x in table)
+            fields = np.frombuffer(raw, "<u4").reshape(len(table), ncols)
             used = np.flatnonzero(fields.any(axis=0))
             if len(used):
                 lo, hi = used[0], used[-1] + 1
@@ -301,7 +297,7 @@ class SearchTables:
         return _BatchTables(
             reads=reads,
             star=np.array(self.star_l, dtype=np.uint64),
-            filter=None if self.filter is None else np.array(self.filter, dtype=np.uint64),
+            filter=np.array(self.filter, dtype=np.uint64),
             masks=np.array(self.masks, dtype=np.uint64),
         )
 
@@ -330,7 +326,7 @@ def _structural_masks(params: SearchParams):
 
 def build_tables(params: SearchParams) -> SearchTables:
     use_ll, use_p2 = filter_flags(params)
-    table = _ll_table(params.rule) if use_ll else _p2_table(params.rule) if use_p2 else None
+    table = _ll_table(params.rule) if use_ll else _p2_table(params.rule) if use_p2 else [2**64 - 1]
     if params.symmetry == EVEN_MIRROR:
         start = (1 << 0) | (1 << 3) | (1 << 12) | (1 << 15)
     elif params.symmetry == ODD_MIRROR:
@@ -351,10 +347,9 @@ def build_tables(params: SearchParams) -> SearchTables:
 # the three stages
 
 
-# stage1 packs column c's two lookup indices from bit _FIELD_SPAN * c on:
-# star's at bits 0-12, then ll's or p2's at bits 13-25
-_FIELD_SPAN = 26
-_NO_FILTER = (2**64 - 1,)  # the second lookup when neither ll nor p2 applies
+# stage1 packs column c's two lookup indices into the c-th 32-bit word:
+# star's at bits 0-12, then ll's or p2's at bits 13-25 (0 for neither)
+_FIELD_SPAN = 32
 
 
 def _stage1_plan(params: SearchParams):
@@ -409,7 +404,7 @@ def stage1_edges(params: SearchParams, tables: SearchTables, rows):
     acc = 0
     for idx, b, table in tables.plan:
         acc |= table[rows[idx] >> b & 255]
-    star, second = tables.star_l, tables.filter or _NO_FILTER
+    star, second = tables.star_l, tables.filter
     out = []
     for mask in tables.masks:
         out.append(star[acc & 0x1FFF] & second[acc >> 13 & 0x1FFF] & mask)
@@ -518,9 +513,7 @@ def successors_batch(params: SearchParams, tables: SearchTables, windows) -> lis
     fwd = np.empty(fields.shape, dtype=np.uint64)
     cur = np.full(n, tables.start_set, dtype=np.uint64)
     for c, col in enumerate(fields):
-        e = bt.star[col & 0x1FFF] & bt.masks[c]
-        if bt.filter is not None:
-            e &= bt.filter[col >> 13]
+        e = bt.star[col & 0x1FFF] & bt.filter[col >> 13] & bt.masks[c]
         e &= _LB_LO_A[cur & 255] | _LB_HI_A[cur >> 8]
         fwd[c] = e
         cur = _right_vertices(e)

@@ -211,6 +211,19 @@ def test_scripts_run(script, args, expect):
     assert proc.stdout.startswith(expect)
 
 
+@pytest.mark.parametrize("rules", ["0", "-3"])
+def test_scan_needs_at_least_one_rule(rules):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "scan_prune_rates.py"), "--rules", rules],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: --rules must be at least 1\n"
+    assert proc.stdout == ""
+
+
 def test_long_search_bad_capacity_is_a_usage_error():
     # the capacity is checked before the banner, so nothing is searched
     proc = subprocess.run(

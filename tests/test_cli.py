@@ -207,8 +207,64 @@ class TestVerifyCommand:
         assert main(["verify", str(tmp_path / "absent.rle")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x = 3, y = 1000000000000000000000000000000\nbo$2bo$3o!\n",
+            "x = 3, y = 1048577\nbo$2bo$3o!\n",
+            "x = 1000000000000, y = 1\n1000000000000o!\n",
+        ],
+    )
+    def test_oversized_extents_exit_two(self, tmp_path, capsys, text):
+        # refused from the header, before a row is built
+        path = self.write(tmp_path, text)
+        assert main(["verify", path, "--rule", "B3/S23"]) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: RLE extents")
+        assert captured.out == ""
+
+    def test_oversized_extents_subprocess_no_traceback(self, tmp_path):
+        path = self.write(tmp_path, "x = 3, y = 1000000000000000000000000000000\nbo$2bo$3o!\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "shipsearch.cli", "verify", path, "--rule", "B3/S23"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: RLE extents")
+        assert "Traceback" not in proc.stderr
+
+    def test_wide_row_within_limits(self, tmp_path, capsys):
+        # a declared width far beyond the pattern is fine while x * y fits
+        path = self.write(tmp_path, "x = 70000, y = 1, rule = B3/S23\n3o!\n")
+        assert main(["verify", path]) == 1
+        assert "not a spaceship (oscillator, period 2)" in capsys.readouterr().out
+
+
+# rule -> (pair strip density, its pruned share, lookahead chain density)
+STATS_GRID = {
+    "B3/S23": ("81.5", "18.5", "63.9"),
+    "B36/S23": ("90.8", "9.2", "78.2"),
+    "B25/S1458": ("100.0", "0.0", "95.4"),
+    "B27/S0": ("31.7", "68.3", "25.3"),
+    "B35678/S5678": ("79.8", "20.2", "64.0"),
+    "B2/S": ("27.6", "72.4", "21.1"),
+}
+
 
 class TestStatsCommand:
+    @pytest.mark.parametrize("period", [2, 3, 5])
+    @pytest.mark.parametrize("rule", sorted(STATS_GRID))
+    def test_output_pinned(self, rule, period, capsys):
+        pair, pruned, chain = STATS_GRID[rule]
+        want = f"rule {rule}, period {period}\nedge table density: 25.0%\n"
+        if period == 2:
+            want += f"pair strip table density: {pair}%\npruned: {pruned}%\n"
+        else:
+            want += f"lookahead chain table density: {chain}%\n"
+        assert main(["stats", "--rule", rule, "--period", str(period)]) == 0
+        assert capsys.readouterr() == (want, "")
+
     def test_life_pruned_fraction(self, capsys):
         assert main(["stats", "--rule", "B3/S23"]) == 0
         out = capsys.readouterr().out

@@ -85,6 +85,17 @@ class TestParseRle:
         with pytest.raises(ValueError, match="extents"):
             parse_rle("x = 1, y = 1\no$o!")
 
+    @pytest.mark.parametrize(
+        "header", ["x = 3, y = 1000000000000000000000000000000", "x = 3, y = 1048577", "x = 65537, y = 1024"]
+    )
+    def test_oversized_extents_refused(self, header):
+        with pytest.raises(ValueError, match="extents"):
+            parse_rle(header + "\nbo$2bo$3o!")
+
+    def test_extents_at_the_limits(self):
+        assert parse_rle("x = 3, y = 1048576\nbo$2bo$3o!")[0].trim().rows == (2, 4, 7)
+        assert parse_rle("x = 65536, y = 1024\n3o!")[0].rows[0] == 7
+
     def test_missing_bang(self):
         with pytest.raises(ValueError, match="!"):
             parse_rle("x = 1, y = 1\no")

@@ -191,12 +191,13 @@ class TestFilters:
         assert successors(params, tables, [0] * 6) == [0]
         assert brute_successors(params, [0] * 6, lookahead=False) == [0, 1]
 
-    # (p, k, symmetry, translation, entries in the filter table: ll 8192, p2 1024)
+    # (p, k, symmetry, translation, entries in the filter table: ll 8192,
+    # p2 1024, one pass-all entry for neither)
     MODES = [
         (2, 1, ASYMMETRIC, ORTHOGONAL, 1024),
         (2, 1, ODD_MIRROR, ORTHOGONAL, 1024),
-        (2, 1, GLIDE_REFLECT, ORTHOGONAL, None),
-        (2, 1, ASYMMETRIC, DIAGONAL, None),
+        (2, 1, GLIDE_REFLECT, ORTHOGONAL, 1),
+        (2, 1, ASYMMETRIC, DIAGONAL, 1),
         (3, 1, EVEN_MIRROR, ORTHOGONAL, 8192),
         (4, 1, ASYMMETRIC, DIAGONAL, 8192),
     ]
@@ -204,10 +205,12 @@ class TestFilters:
     @pytest.mark.parametrize("case", MODES, ids=lambda c: f"p{c[0]}k{c[1]}-{c[2]}-{c[3]}")
     def test_tables_hold_only_the_applied_filter(self, case):
         # build_tables keeps the one extended table the mode runs, so
-        # period-2 glide and diagonal keep none
+        # period-2 glide and diagonal keep a table that passes every edge
         p, k, sym, tr, entries = case
         tables = build_tables(SearchParams(LIFE, p, k, 4, sym, tr))
-        assert (None if tables.filter is None else len(tables.filter)) == entries
+        assert len(tables.filter) == entries
+        if entries == 1:
+            assert tables.filter == [2**64 - 1]
 
 
 class TestKnownShips:
@@ -405,6 +408,36 @@ class TestStage1Plans:
         reads = build_tables(params).plan
         assert len(reads) <= hist * 4
         assert all(len(table) <= 256 for _, _, table in reads)
+
+    @pytest.mark.parametrize("width", [1, 7, 8, 9, 13, 16, 31, 32])
+    @pytest.mark.parametrize("case", MODE_CASES, ids=lambda c: f"p{c[0]}k{c[1]}-{c[3]}-{c[4]}")
+    def test_each_column_owns_one_32_bit_word(self, case, width):
+        # column c's two 13-bit indices are word c of every plan entry, and
+        # tables.arrays holds that same word for the columns a table touches
+        p, k, _, sym, tr = case
+        params = SearchParams(LIFE, p, k, width, sym, tr)
+        tables = build_tables(params)
+        ncols = len(tables.masks)
+        arrays = {(idx, b): (lo, table) for idx, b, lo, table in tables.arrays.reads}
+        for idx, b, table in tables.plan:
+            fields = [[x >> 32 * c & 0xFFFFFFFF for c in range(ncols)] for x in table]
+            for x, words in zip(table, fields):
+                assert x == sum(f << 32 * c for c, f in enumerate(words))
+                assert all(f < 1 << 26 for f in words)
+            lo, cols = arrays.get((idx, b), (0, []))
+            for c in range(ncols):
+                want = [words[c] for words in fields]
+                got = cols[c - lo].tolist() if lo <= c < lo + len(cols) else [0] * len(table)
+                assert got == want, (idx, b, c)
+
+    @pytest.mark.parametrize("case", MODE_CASES, ids=lambda c: f"p{c[0]}k{c[1]}-{c[3]}-{c[4]}")
+    def test_masks_are_python_ints(self, case):
+        # the scalar stages index and AND these per column, which is
+        # fastest on Python ints, not NumPy scalars
+        p, k, w, sym, tr = case
+        tables = build_tables(SearchParams(LIFE, p, k, w, sym, tr))
+        for masks in (tables.star_l, tables.filter, tables.masks):
+            assert all(type(m) is int for m in masks)
 
 
 # every legal mode with p <= 8: each symmetry orthogonally, and diagonal
