@@ -10,20 +10,24 @@ one the rounds are rare. If max_deepening is set and the limit outruns
 the frontier by more than that, the strip is narrowed by one column
 instead.
 
-Both loops expand a node through one child step, _children, which is
-handed the node's window and successor rows. The breadth-first loop has
-one path: it takes the first BATCH_CHUNK queued states when at least
-BATCH_MIN are queued, whatever their levels, and the head alone
-otherwise; it reads each window once, gets the rows of a large chunk
-from one successors_batch call on the search's own tables and those of
-the head from successors(), then expands the states one at a time in
-queue order. A chunk stops where expanding one state at a time would
-stop (a full arena or a ship that ends the search) and holds only states
-already in the arena, so counts, progress reports, compactions and ships
-do not depend on the batching. The probe calls successors() per window.
-Nothing configures this. The probe keeps its path in the arena and cuts
-the arena back as it backtracks, so a round can hold one probe path
-beyond the node capacity.
+With fewer than BATCH_MIN states queued, the breadth-first loop expands
+the head through the child step, _children, which is handed the node's
+window and successors() rows. Otherwise it takes the first BATCH_CHUNK
+queued states, whatever their levels: their windows come from one walk
+of the arena, their rows from one successors_batch call on the search's
+own tables, and their children's state keys from NumPy. The chunk's
+parents are then expanded in runs, each appending its children to the
+arena and offering them to the transposition table in bulk. A run ends
+where expanding one state at a time would do something between two
+parents: before the arena would be full, after a progress report falls
+due, and before a parent with a child whose state key is 0, the only
+kind that can finish a ship, which goes through _children alone. So
+counts, progress reports, compactions and ships do not depend on the
+batching, and nothing configures it. The probe expands through _children
+too, with successors() per window; each frame carries its window, from
+which its children's windows follow. The probe keeps its path in the
+arena and cuts the arena back as it backtracks, so a round can hold one
+probe path beyond the node capacity.
 
 Every candidate ship is re-verified by evolving the extracted pattern;
 a verification failure means the constraint machinery is wrong and is
@@ -32,9 +36,12 @@ raised, never swallowed.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, replace
 from itertools import islice
+
+import numpy as np
 
 from .pattern import Pattern, ShipDescriptor, classify_ship
 from .statespace import (
@@ -50,6 +57,7 @@ from .statespace import (
     make_initial_state,
     state_key,
     transposition_insert,
+    transposition_insert_many,
 )
 from .successor import build_tables, successors, successors_batch
 
@@ -205,46 +213,117 @@ def _children(search: Search, idx: int, window: list[int], rows):
 
 def _expand_head(search: Search) -> None:
     """Expand the queue head, or, when at least BATCH_MIN states are
-    queued, the first BATCH_CHUNK of them, whose successor rows come from
-    one successors_batch call. The parents are expanded one at a time in
-    queue order, exactly as the head alone would be, and the chunk stops
-    where run_search would stop expanding: at a full arena or a ship that
-    ends the search. Parents not reached stay queued."""
+    queued, the first BATCH_CHUNK of them, exactly as expanding them one
+    at a time in queue order would: the chunk stops where run_search
+    would stop expanding, at a full arena or a ship that ends the search,
+    and parents not reached stay queued.
+
+    A chunk's windows come from one walk of the arena and its successor
+    rows from one successors_batch call. Its parents are then expanded
+    in runs, each with one bulk append to the arena and one bulk offer
+    to the table; a run ends before the parent at which the arena would
+    be full, after the parent at which a progress report falls due, and
+    before a parent with a child whose state key is 0 (only such a child
+    can finish a ship), which goes through _children alone."""
     queue = search.queue
-    chunk = list(islice(queue, BATCH_CHUNK)) if len(queue) >= BATCH_MIN else [queue[0]]
-    windows = [search.arena.rows_back(idx, search.hist) for idx in chunk]
-    if len(chunk) >= BATCH_MIN:
-        rows = successors_batch(search.params, search.tables, windows)
-    else:
-        rows = [successors(search.params, search.tables, windows[0])]
-    for idx, window, succ in zip(chunk, windows, rows):
+    if search.status.outcome != RUNNING or search.arena_full():
+        return
+    if len(queue) < BATCH_MIN:
+        idx = queue[0]
+        window = search.arena.rows_back(idx, search.hist)
+        _expand_one(search, idx, window, successors(search.params, search.tables, window))
+        return
+    params, arena = search.params, search.arena
+    chunk = list(islice(queue, BATCH_CHUNK))
+    windows = arena.windows(chunk, search.hist)
+    at, rows = successors_batch(params, search.tables, windows)
+    keys = _child_keys(params, windows, at, rows)
+    counts = np.bincount(at, minlength=len(chunk))
+    first = [0, *np.cumsum(counts).tolist()]  # each parent's first child
+    goal_parents = iter(at[keys == 0].tolist())  # those with a key-0 child
+    goal_at = next(goal_parents, len(chunk))
+    room = search.config.node_capacity - (1 << params.width)  # arena_full() <=> len(arena) > room
+    interval = search.config.progress_interval if search.progress is not None else 0  # as _tick reads it
+    j = 0
+    while j < len(chunk):
         if search.status.outcome != RUNNING or search.arena_full():
             return
-        queue.popleft()
-        for child, key in _children(search, idx, window, succ):
-            if transposition_insert(search.tt, key, child)[0] == "fresh":
-                queue.append(child)
-        if search.status.outcome == RUNNING:  # a ship that ends the search skips the tick
-            search._tick()
+        if j == goal_at:
+            _expand_one(search, chunk[j], windows[j].tolist(), rows[first[j] : first[j + 1]].tolist())
+            goal_at = next(goal_parents, len(chunk))
+            j += 1
+            continue
+        # parents j..end-1: the arena fills before the first parent at
+        # which its length would pass room
+        end = min(goal_at, bisect_right(first, room - len(arena) + first[j]))
+        if interval:
+            end = min(end, j + max(1, search._last_progress + interval - search.status.states_expanded))
+        lo, hi = first[j], first[end]
+        start = len(arena)
+        arena.add_children(chunk[j:end], counts[j:end], rows[lo:hi].tolist())
+        fresh = transposition_insert_many(search.tt, keys[lo:hi].tolist(), start)
+        for _ in range(j, end):
+            queue.popleft()
+        queue.extend(fresh)
+        search.status.states_expanded += end - j
+        if not queue and end - j > 1:
+            search._head = chunk[end - 1]  # the head at the tick before the last parent's
+        search._tick()
+        j = end
+
+
+def _expand_one(search: Search, idx: int, window: list[int], rows) -> None:
+    """Expand the queue head idx through _children, given its window and
+    successor rows, offering its children to the table one at a time."""
+    queue = search.queue
+    queue.popleft()
+    for child, key in _children(search, idx, window, rows):
+        if transposition_insert(search.tt, key, child)[0] == "fresh":
+            queue.append(child)
+    if search.status.outcome == RUNNING:  # a ship that ends the search skips the tick
+        search._tick()
+
+
+def _child_keys(params: SearchParams, windows: np.ndarray, at: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """state_key of each child rows[i] of the parent whose window is
+    windows[at[i]]: the window's last 2p-1 rows, then the child's row.
+    The keys are uint64 where 2pw <= 64; wider keys are built in 64-bit
+    limbs of whole rows and combined into Python ints (an object array)."""
+    n, w = 2 * params.period, params.width
+    per = 64 // w  # rows per limb; limb i holds the rows i*per.. back from the child, newest lowest
+    shift = np.uint64(w)
+    limbs = []
+    for low in range(0, n, per):
+        limb = np.zeros(len(windows), dtype=np.uint64)
+        for back in range(min(low + per, n) - 1, low - 1, -1):
+            limb <<= shift
+            if back:
+                limb |= windows[:, -back]
+        limbs.append(limb[at])
+    keys = limbs[0] | rows
+    for i, limb in enumerate(limbs[1:], 1):
+        keys = keys.astype(object) | limb.astype(object) << i * per * w
+    return keys
 
 
 def _dfs_probe(search: Search, root: int, limit: int) -> bool:
     """Depth-first from one frontier root to the given level. True when
     some descendant is still alive at the limit (the root is kept). The
-    path lives in the arena: each frame is a child step and the arena's
+    path lives in the arena: each frame is a child step, the arena's
     length when it was pushed, which the arena is cut back to before the
-    frame's next child; on return the arena is back at its first length."""
+    frame's next child, and the node's window, from which each child's
+    window follows; on return the arena is back at its first length."""
     arena = search.arena
 
-    def expand(idx):
-        window = arena.rows_back(idx, search.hist)
-        return _children(search, idx, window, successors(search.params, search.tables, window))
+    def frame(idx, window):
+        rows = successors(search.params, search.tables, window)
+        return _children(search, idx, window, rows), len(arena), window
 
     start = len(arena)
-    frames = [(expand(root), start)]
+    frames = [frame(root, arena.rows_back(root, search.hist))]
     seen: dict[int, int] = {}  # state key -> lowest level it was reached at
     while frames and search.status.outcome == RUNNING:
-        children, mark = frames[-1]
+        children, mark, window = frames[-1]
         arena.truncate(mark)
         step = next(children, None)
         if step is None:
@@ -262,7 +341,7 @@ def _dfs_probe(search: Search, root: int, limit: int) -> bool:
         if level >= limit:
             arena.truncate(start)
             return True
-        frames.append((expand(child), len(arena)))
+        frames.append(frame(child, [*window[1:], arena.rows[child]]))
         search._tick()
     arena.truncate(start)
     return False

@@ -24,6 +24,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
+
+import numpy as np
 
 from .pattern import Pattern
 from .rules import ROW_WIDTH_LIMIT, Rule
@@ -281,6 +284,16 @@ class NodeArena:
         self.depths.append(depth)
         return len(self.rows) - 1
 
+    def add_children(self, parents: list[int], counts: np.ndarray, rows: list[int]) -> None:
+        """add() for each of rows in order, the first counts[0] of them as
+        children of parents[0], the next counts[1] of parents[1], and so on.
+        The repeats go through object arrays, so that children share their
+        parent's int rather than each holding a copy."""
+        depths = self.depths
+        self.rows += rows
+        self.parents += np.repeat(np.array(parents, dtype=object), counts).tolist()
+        self.depths += np.repeat(np.array([depths[p] + 1 for p in parents], dtype=object), counts).tolist()
+
     def truncate(self, n: int) -> None:
         """Drop every node from index n on."""
         del self.rows[n:], self.parents[n:], self.depths[n:]
@@ -294,6 +307,25 @@ class NodeArena:
             out[count] = rows[idx]
             idx = parents[idx]
         return out
+
+    def windows(self, nodes: list[int], count: int) -> np.ndarray:
+        """rows_back(idx, count) for every idx in nodes, as the rows of one
+        (len(nodes), count) uint32 array, read in one walk of count steps.
+        Each step reads each run of equal ancestors once; a walk that has
+        left the arena reads a dead row."""
+        rows, parents = self.rows, self.parents
+        out = np.empty((count, len(nodes)), dtype=np.uint32)
+        cur = nodes  # the distinct ancestors at this step, none of them -1
+        at = np.arange(len(nodes))  # per node, its ancestor's place in cur, or len(cur) once outside
+        for step in range(count):
+            out[-1 - step] = np.array([*map(rows.__getitem__, cur), 0], dtype=np.uint32)[at]
+            up = np.array(list(map(parents.__getitem__, cur)), dtype=np.intp)
+            new = (np.diff(up, prepend=-2) != 0) & (up >= 0)  # each run's first, outside the arena or not
+            place = np.cumsum(new) - 1
+            cur = up[new].tolist()
+            place[up < 0] = len(cur)
+            at = np.append(place, len(cur))[at]
+        return out.T
 
     def all_rows(self, idx: int) -> list[int]:
         """Every row from the root to idx, oldest first."""
@@ -389,3 +421,12 @@ def transposition_insert(table: TranspositionTable, key: int, idx: int) -> tuple
         table[key] = idx
         return ("fresh", None)
     return ("duplicate", kept)
+
+
+def transposition_insert_many(table: TranspositionTable, keys: list[int], first: int) -> list[int]:
+    """transposition_insert(table, keys[i], first + i) for each i in order,
+    in bulk; returns the nodes recorded, in order. The table and the
+    returned list share each recorded node's int."""
+    nodes = list(range(first, first + len(keys)))
+    kept = np.fromiter(map(table.setdefault, keys, nodes), dtype=np.intp, count=len(nodes))
+    return list(compress(nodes, kept == np.arange(first, first + len(nodes))))

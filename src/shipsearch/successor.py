@@ -41,9 +41,11 @@ is built on the first batch and kept with them for the rest of the
 search: stage 1 gathers per-column uint32 slices of the byte tables,
 stage 2 sweeps all windows column by column, and stage 3 walks one
 backward frontier holding an entry per (window, partial row), over the
-windows stage 2 kept. The search hands it every large chunk of queued
-breadth-first states, whatever their levels, and calls successors() for
-the rest; both must give the same rows in the same order.
+windows stage 2 kept. It returns one flat pair of arrays, each row with
+the position of its window. The search hands it every large chunk of
+queued breadth-first states, whatever their levels, and calls
+successors() for the rest; both must give the same rows in the same
+order.
 """
 
 from __future__ import annotations
@@ -487,12 +489,14 @@ def successors(params: SearchParams, tables: SearchTables, rows):
 _LB_LO_A, _LB_HI_A, _RB_LO_A, _RB_HI_A = (np.array(t, dtype=np.uint64) for t in (_LB_LO, _LB_HI, _RB_LO, _RB_HI))
 
 
-def successors_batch(params: SearchParams, tables: SearchTables, windows) -> list[list[int]]:
-    """[successors(params, tables, w) for w in windows], for an (N, at
-    least history(params)) array of windows, through the same three
-    stages run over the whole batch at once. It reads tables.arrays,
-    which the first call builds and the tables keep, so a search builds
-    them once per width; the windows may be of any levels:
+def successors_batch(params: SearchParams, tables: SearchTables, windows) -> tuple[np.ndarray, np.ndarray]:
+    """successors(params, tables, w) for every w of an (N, at least
+    history(params)) array of windows, through the same three stages run
+    over the whole batch at once, as two flat arrays: for each row found,
+    the position of its window (intp) and the row itself (uint64), grouped
+    by window in order and increasing within a window. It reads
+    tables.arrays, which the first call builds and the tables keep, so a
+    search builds them once per width; the windows may be of any levels:
 
     - stage1 gathers each column's lookup indices from per-column byte
       tables and ANDs the table masks;
@@ -500,7 +504,7 @@ def successors_batch(params: SearchParams, tables: SearchTables, windows) -> lis
     - stage3 walks backward over the stage2 survivors only, holding one
       (window, vertex set, row) entry per partial row and splitting an
       entry where both the dead and the live C cell go on; a lexsort
-      then restores increasing rows within each window."""
+      then orders the entries by window, then row."""
     bt = tables.arrays
     windows = np.asarray(windows, dtype=np.uint32)
     n = len(windows)
@@ -532,9 +536,5 @@ def successors_batch(params: SearchParams, tables: SearchTables, windows) -> lis
             acc = np.concatenate((acc[d], acc[l] | tables.cell_bits[c]))
         else:
             vset = _left_vertices(dead)
-    rows = acc[np.lexsort((acc, at))].tolist()
-    out, pos = [], 0
-    for count in np.bincount(at, minlength=n).tolist():
-        out.append(rows[pos : pos + count])
-        pos += count
-    return out
+    order = np.lexsort((acc, at))
+    return at[order], acc[order]

@@ -12,6 +12,7 @@ import tracemalloc
 from collections import deque
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from helpers import bench_module, search_from_argv
@@ -37,7 +38,9 @@ from shipsearch.statespace import (
     ORTHOGONAL,
     NodeArena,
     SearchParams,
+    history,
     is_goal,
+    make_initial_state,
     state_key,
 )
 
@@ -148,9 +151,11 @@ CARRIED_KEY_CASES = pytest.mark.parametrize(
 class TestCarriedKeys:
     def run_offering(self, monkeypatch, params, config, check):
         """Run a search, calling check(search, key, idx, verdict) on every
-        transposition-table insert."""
+        node offered to the transposition table, one at a time or in bulk;
+        verdict is what transposition_insert returns for that offer."""
         searches = []
-        original_init, original_insert = Search.__init__, search_mod.transposition_insert
+        original_init = Search.__init__
+        original_insert, original_many = search_mod.transposition_insert, search_mod.transposition_insert_many
 
         def init(self, *args, **kwargs):
             searches.append(self)
@@ -161,8 +166,17 @@ class TestCarriedKeys:
             check(searches[-1], key, idx, verdict)
             return verdict
 
+        def checked_many(table, keys, first):
+            fresh = original_many(table, keys, first)
+            recorded = set(fresh)
+            for idx, key in enumerate(keys, first):
+                verdict = ("fresh", None) if idx in recorded else ("duplicate", table[key])
+                check(searches[-1], key, idx, verdict)
+            return fresh
+
         monkeypatch.setattr(Search, "__init__", init)
         monkeypatch.setattr(search_mod, "transposition_insert", checked)
+        monkeypatch.setattr(search_mod, "transposition_insert_many", checked_many)
         return run_search(params, config)
 
     @CARRIED_KEY_CASES
@@ -194,6 +208,25 @@ class TestCarriedKeys:
 
         self.run_offering(monkeypatch, params, config, check)
         assert dups
+
+
+class TestChildKeys:
+    @pytest.mark.parametrize("p, k, w", [(2, 1, 5), (4, 1, 8), (3, 1, 11), (3, 2, 13), (4, 1, 32), (5, 2, 31)])
+    def test_keys_are_state_keys(self, p, k, w):
+        # one limb up to 2pw = 64 bits, then two, three and four limbs;
+        # sparse rows, so that some keys are 0 and some limbs are empty
+        rng = random.Random(repr((p, k, w)))
+        params = SearchParams(LIFE, p, k, w)
+        arena, tip = make_initial_state(params)
+        nodes = [tip]
+        for _ in range(60):
+            nodes.append(arena.add(rng.getrandbits(w) if rng.random() < 0.4 else 0, rng.choice(nodes)))
+        parents = sorted(rng.sample(nodes, 24))
+        at = np.sort(np.array([rng.randrange(len(parents)) for _ in range(80)], dtype=np.intp))
+        rows = np.array([rng.getrandbits(w) if rng.random() < 0.5 else 0 for _ in at], dtype=np.uint64)
+        keys = search_mod._child_keys(params, arena.windows(parents, history(params)), at, rows).tolist()
+        want = [state_key(params, arena, arena.add(row, parents[i])) for i, row in zip(at.tolist(), rows.tolist())]
+        assert keys == want and 0 in want
 
 
 class TestSetupMemory:
@@ -543,22 +576,24 @@ NEVER = 1 << 62  # a batch minimum no level reaches
 
 
 class BatchLog:
-    """Wraps successors_batch and _expand_head: how many windows went
-    through the kernel, at which widths, and how many chunks stopped
+    """Wraps successors_batch and _expand_head: how many windows and rows
+    went through the kernel, at which widths, and how many chunks stopped
     before their last parent for a ship or for a full arena. Nothing is
     logged while paused."""
 
     def __init__(self, monkeypatch):
-        self.windows, self.widths, self.ship_stops, self.full_stops = 0, set(), 0, 0
+        self.windows, self.rows, self.widths, self.ship_stops, self.full_stops = 0, 0, set(), 0, 0
         self.last, self.paused = 0, False
         kernel, expand = search_mod.successors_batch, search_mod._expand_head
 
         def logged_kernel(params, tables, windows):
+            at, rows = kernel(params, tables, windows)
             if not self.paused:
                 self.windows += len(windows)
+                self.rows += len(rows)
                 self.widths.add(params.width)
                 self.last = len(windows)
-            return kernel(params, tables, windows)
+            return at, rows
 
         def logged_expand(search):
             self.last, before = 0, search.status.states_expanded
@@ -574,12 +609,12 @@ class BatchLog:
         monkeypatch.setattr(search_mod, "_expand_head", logged_expand)
 
 
-def _reports(monkeypatch, minimum, params, config):
+def _reports(monkeypatch, minimum, params, config, interval=1):
     """Every progress report, the final status and the ships of one
-    search with the given batch minimum."""
+    search with the given batch minimum and progress interval."""
     monkeypatch.setattr(search_mod, "BATCH_MIN", minimum)
     seen = []
-    res = run_search(params, replace(config, progress_interval=1), progress=seen.append)
+    res = run_search(params, replace(config, progress_interval=interval), progress=seen.append)
     return seen, res.status, res.ships
 
 
@@ -603,12 +638,33 @@ class TestBatchedLevels:
         params, config = search_from_argv(bench_module("workloads").QUICK[name].argv())
         log = BatchLog(monkeypatch)
         status = self.check_same(monkeypatch, log, params, config)
-        assert log.windows > 0
+        assert log.windows > 0 and log.rows > 0
         if status.outcome == SHIP_FOUND:
             assert log.ship_stops == 1  # the first ship ends the search inside a chunk
         if config.node_capacity < 1 << 10:
             assert log.full_stops > 0
             assert len(log.widths) > 1  # narrowed, and batched again at the new width
+
+    @pytest.mark.parametrize("interval", [7, 97, 1000])
+    @pytest.mark.parametrize("name", list(bench_module("workloads").QUICK))
+    def test_reports_due_inside_a_chunk(self, monkeypatch, name, interval):
+        # a chunk expands its parents in runs, and a run ends at the parent
+        # after which a report falls due; a run that ends one parent late
+        # or early reports other counts
+        params, config = search_from_argv(bench_module("workloads").QUICK[name].argv())
+        single = _reports(monkeypatch, NEVER, params, config, interval)
+        for minimum in (1, search_mod.BATCH_MIN):
+            assert _reports(monkeypatch, minimum, params, config, interval) == single
+
+    @pytest.mark.parametrize("minimum", [1, 3, 5])
+    def test_drained_queue_keeps_the_last_head(self, monkeypatch, minimum):
+        # c/3 odd width 4 exhausts in a chunk whose last run spans two
+        # levels with no fresh child: the final status still gives the
+        # level of the head noted last, 29 (28 if it kept the run's first)
+        params = SearchParams(LIFE, 3, 1, 4, ODD_MIRROR)
+        batched = _reports(monkeypatch, minimum, params, SearchConfig(), interval=0)
+        assert batched == _reports(monkeypatch, NEVER, params, SearchConfig(), interval=0)
+        assert batched[1].frontier_level == 29
 
     def test_history_modes_with_random_capacities(self, monkeypatch):
         rng = random.Random(1)

@@ -10,6 +10,7 @@ and require is_consistent to accept it (and to reject a perturbation).
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -34,6 +35,7 @@ from shipsearch.statespace import (
     reverse_row,
     state_key,
     transposition_insert,
+    transposition_insert_many,
 )
 
 from helpers import GLIDER_CELLS, LWSS_CELLS, evolve_cells, is_consistent, merged_sequence, orient_upward
@@ -312,6 +314,15 @@ class TestStateKey:
         assert same_key == same_rows
 
 
+class _NoWrap(list):
+    """A list that refuses negative indices instead of reading from its end."""
+
+    def __getitem__(self, i):
+        if isinstance(i, int) and i < 0:
+            raise IndexError(i)
+        return super().__getitem__(i)
+
+
 class TestRowsBack:
     @staticmethod
     def per_step(arena, idx, count):
@@ -333,6 +344,55 @@ class TestRowsBack:
             arena.add(row, parent % (len(arena) + 1) - 1)
         idx = pick % len(arena)
         assert arena.rows_back(idx, count) == self.per_step(arena, idx, count)
+
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 10**6)), min_size=1, max_size=40),
+        st.lists(st.integers(0, 10**6), min_size=1, max_size=30),
+        st.integers(0, 12),
+        st.booleans(),
+    )
+    def test_windows_match_rows_back(self, nodes, picks, count, ordered):
+        # any nodes of a random forest, in queue-like order or not, with
+        # repeats; walks that leave the arena read dead rows, never rows[-1]
+        arena = NodeArena()
+        for row, parent in nodes:
+            arena.add(row, parent % (len(arena) + 1) - 1)
+        picks = [i % len(arena) for i in picks]
+        if ordered:
+            picks.sort()
+        arena.rows, arena.parents = _NoWrap(arena.rows), _NoWrap(arena.parents)
+        got = arena.windows(picks, count)
+        assert got.dtype == np.uint32 and got.shape == (len(picks), count)
+        assert got.tolist() == [arena.rows_back(i, count) for i in picks]
+
+
+class TestAddChildren:
+    @given(st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 10**6)), min_size=1, max_size=30), st.data())
+    def test_matches_add_per_child(self, nodes, data):
+        one, bulk = NodeArena(), NodeArena()
+        for row, parent in nodes:
+            for arena in (one, bulk):
+                arena.add(row, parent % (len(arena) + 1) - 1)
+        parents = data.draw(st.lists(st.integers(0, len(one) - 1), max_size=10))
+        counts = data.draw(st.lists(st.integers(0, 4), min_size=len(parents), max_size=len(parents)))
+        rows = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=sum(counts), max_size=sum(counts)))
+        it = iter(rows)
+        for parent, count in zip(parents, counts):
+            for _ in range(count):
+                one.add(next(it), parent)
+        bulk.add_children(parents, np.array(counts, dtype=np.intp), rows)
+        assert (bulk.rows, bulk.parents, bulk.depths) == (one.rows, one.parents, one.depths)
+
+    def test_children_share_their_parents_int(self):
+        # one int per parent, not per child: ints above 256 are not cached
+        arena = NodeArena()
+        for i in range(1000):
+            arena.add(0, i - 1)
+        parents = [int("998"), int("999")]
+        arena.add_children(parents, np.array([3, 2]), [5, 6, 7, 8, 9])
+        assert [p is parents[0] for p in arena.parents[-5:]] == [True, True, True, False, False]
+        assert all(p is parents[1] for p in arena.parents[-2:])
 
 
 class TestFilterFlags:
@@ -391,6 +451,19 @@ class TestTransposition:
         assert transposition_insert(table, state_key(params, arena, a), a)[0] == "fresh"
         assert transposition_insert(table, state_key(params, arena, b), b)[0] == "fresh"
         assert table == {state_key(params, arena, a): a, state_key(params, arena, b): b}
+
+
+    @given(st.lists(st.integers(0, 2**70), max_size=40), st.lists(st.integers(0, 2**70), max_size=10), st.integers(0, 10**6))
+    def test_many_matches_one_at_a_time(self, keys, before, first):
+        # first offer wins, in order, against the table and within the batch
+        one, bulk = TranspositionTable(), TranspositionTable()
+        for i, key in enumerate(before):
+            transposition_insert(one, key, -1 - i)
+            transposition_insert(bulk, key, -1 - i)
+        want = [idx for idx, key in enumerate(keys, first) if transposition_insert(one, key, idx)[0] == "fresh"]
+        got = transposition_insert_many(bulk, keys, first)
+        assert got == want and bulk == one
+        assert all(bulk[key] is idx for key, idx in zip((keys[i - first] for i in got), got))
 
 
 class TestExtraction:

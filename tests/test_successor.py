@@ -12,6 +12,7 @@ import random
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from helpers import (
@@ -584,6 +585,19 @@ def _batch_windows(params, tables, rng):
     return kept
 
 
+def _batch_rows(params, tables, windows):
+    """successors_batch's flat result, checked to be grouped by window in
+    order with rows increasing within each, as one list of rows per window."""
+    at, rows = successors_batch(params, tables, windows)
+    assert at.dtype == np.intp and rows.dtype == np.uint64 and len(at) == len(rows)
+    out = [[] for _ in windows]
+    for i, row in zip(at.tolist(), rows.tolist()):
+        assert not out[i] or out[i][-1] < row
+        assert i == len(out) - 1 or not out[i + 1]
+        out[i].append(row)
+    return out
+
+
 class TestSuccessorsBatch:
     @pytest.mark.parametrize("width", [1, 7, 8, 9, 13, 16, 17, 31, 32])
     @pytest.mark.parametrize("case", MODE_CASES, ids=lambda c: f"p{c[0]}k{c[1]}-{c[3]}-{c[4]}")
@@ -594,16 +608,16 @@ class TestSuccessorsBatch:
         tables = build_tables(params)
         windows = _batch_windows(params, tables, rng)
         want = [successors(params, tables, rows) for rows in windows]
-        assert [successors_batch(params, tables, [rows])[0] for rows in windows] == want
+        assert [_batch_rows(params, tables, [rows])[0] for rows in windows] == want
         for i in range(0, len(windows) - 1, 2):
-            assert successors_batch(params, tables, windows[i : i + 2]) == want[i : i + 2]
+            assert _batch_rows(params, tables, windows[i : i + 2]) == want[i : i + 2]
         # more windows than the search hands the kernel at once (those
         # with few rows, so that the batch stays small), each with two
         # older rows in front, which are not read
         few = [i for i, rows in enumerate(want) if len(rows) <= 16]
         picks = [few[i % len(few)] for i in range(search_mod.BATCH_CHUNK + 5)]
         longer = [[rng.getrandbits(width), rng.getrandbits(width), *windows[i]] for i in picks]
-        assert successors_batch(params, tables, longer) == [want[i] for i in picks]
+        assert _batch_rows(params, tables, longer) == [want[i] for i in picks]
 
     def test_arrays_built_on_first_batch_and_kept_off_equality(self):
         params = SearchParams(LIFE, 4, 1, 7, EVEN_MIRROR)
@@ -624,7 +638,7 @@ class TestSuccessorsBatch:
             for width in sorted(set(rec["widths"])):
                 picks = [i for i, w in enumerate(rec["widths"]) if w == width]
                 narrowed = replace(params, width=width)
-                got = successors_batch(narrowed, build_tables(narrowed), [rec["windows"][i] for i in picks])
+                got = _batch_rows(narrowed, build_tables(narrowed), [rec["windows"][i] for i in picks])
                 assert got == [rec["successors"][i] for i in picks], (source, width)
                 compared += len(picks)
         assert compared == sum(len(rec["windows"]) for rec in recorded.values())
