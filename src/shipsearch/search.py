@@ -11,9 +11,9 @@ the frontier by more than that, the strip is narrowed by one column
 instead.
 
 With fewer than BATCH_MIN states queued, the breadth-first loop expands
-the head through the child step, _children, which is handed the node's
-window and successors() rows. Otherwise it takes the first BATCH_CHUNK
-queued states, whatever their levels: their windows come from one walk
+the head alone, through _expand_one, with successors() rows. Otherwise
+it takes the first BATCH_CHUNK queued states, whatever their levels, or
+fewer where the arena has less room: their windows come from one walk
 of the arena, their rows from one successors_batch call on the search's
 own tables, and their children's state keys from NumPy. The chunk's
 parents are then expanded in runs, each appending its children to the
@@ -21,13 +21,18 @@ arena and offering them to the transposition table in bulk. A run ends
 where expanding one state at a time would do something between two
 parents: before the arena would be full, after a progress report falls
 due, and before a parent with a child whose state key is 0, the only
-kind that can finish a ship, which goes through _children alone. So
-counts, progress reports, compactions and ships do not depend on the
-batching, and nothing configures it. The probe expands through _children
-too, with successors() per window; each frame carries its window, from
-which its children's windows follow. The probe keeps its path in the
-arena and cuts the arena back as it backtracks, so a round can hold one
-probe path beyond the node capacity.
+kind that can finish a ship, which goes through _expand_one alone.
+
+A deepening round probes its roots in blocks of up to BATCH_CHUNK, the
+probes of a block in lockstep: each step computes the rows of every
+probe that needs them, through successors_batch for at least BATCH_MIN
+windows and successors() below that. A probe frame carries its window,
+from which each child's window follows, and no probe node goes into the
+arena, so a round holds the arena at its length; a child that may
+finish a ship has its path added below its root just long enough to be
+checked and recorded. Ships are recorded in root order, and progress
+ticks fall between steps. So counts, ships and progress reports do not
+depend on the batching, and nothing configures it.
 
 Every candidate ship is re-verified by evolving the extracted pattern;
 a verification failure means the constraint machinery is wrong and is
@@ -39,7 +44,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, replace
-from itertools import islice
+from itertools import compress, islice
 
 import numpy as np
 
@@ -191,32 +196,13 @@ class Search:
         return True
 
 
-def _children(search: Search, idx: int, window: list[int], rows):
-    """Expand one node, given its window (rows_back over search.hist rows)
-    and its successor rows: add each row to the arena as a child of idx,
-    record the children that finish a ship and yield the others as
-    (child, state key). Stops early when a recorded ship ends the search."""
-    params, arena = search.params, search.arena
-    search.status.states_expanded += 1
-    # a child's state is the parent's last 2p-1 rows plus the new one
-    w = params.width
-    prefix = fold_rows(window[1 - 2 * params.period :], w) << w
-    for c in rows:
-        child = arena.add(c, idx)
-        key = prefix | c
-        if not key and is_goal(params, arena, child):
-            if search._record_ship(child):
-                return
-            continue  # a finished ship only grows dead rows from here
-        yield child, key
-
-
 def _expand_head(search: Search) -> None:
     """Expand the queue head, or, when at least BATCH_MIN states are
-    queued, the first BATCH_CHUNK of them, exactly as expanding them one
-    at a time in queue order would: the chunk stops where run_search
-    would stop expanding, at a full arena or a ship that ends the search,
-    and parents not reached stay queued.
+    queued, the first BATCH_CHUNK of them (fewer where the arena has
+    less room), exactly as expanding them one at a time in queue order
+    would: the chunk stops where run_search would stop expanding, at a
+    full arena or a ship that ends the search, and parents not reached
+    stay queued.
 
     A chunk's windows come from one walk of the arena and its successor
     rows from one successors_batch call. Its parents are then expanded
@@ -224,7 +210,7 @@ def _expand_head(search: Search) -> None:
     to the table; a run ends before the parent at which the arena would
     be full, after the parent at which a progress report falls due, and
     before a parent with a child whose state key is 0 (only such a child
-    can finish a ship), which goes through _children alone."""
+    can finish a ship), which goes through _expand_one alone."""
     queue = search.queue
     if search.status.outcome != RUNNING or search.arena_full():
         return
@@ -234,7 +220,10 @@ def _expand_head(search: Search) -> None:
         _expand_one(search, idx, window, successors(search.params, search.tables, window))
         return
     params, arena = search.params, search.arena
-    chunk = list(islice(queue, BATCH_CHUNK))
+    room = search.config.node_capacity - (1 << params.width)  # arena_full() <=> len(arena) > room
+    # each parent with a child brings the arena a node nearer to full, so
+    # parents past the first room - len(arena) are seldom reached
+    chunk = list(islice(queue, min(BATCH_CHUNK, max(BATCH_MIN, room - len(arena)))))
     windows = arena.windows(chunk, search.hist)
     at, rows = successors_batch(params, search.tables, windows)
     keys = _child_keys(params, windows, at, rows)
@@ -242,7 +231,6 @@ def _expand_head(search: Search) -> None:
     first = [0, *np.cumsum(counts).tolist()]  # each parent's first child
     goal_parents = iter(at[keys == 0].tolist())  # those with a key-0 child
     goal_at = next(goal_parents, len(chunk))
-    room = search.config.node_capacity - (1 << params.width)  # arena_full() <=> len(arena) > room
     interval = search.config.progress_interval if search.progress is not None else 0  # as _tick reads it
     j = 0
     while j < len(chunk):
@@ -273,15 +261,27 @@ def _expand_head(search: Search) -> None:
 
 
 def _expand_one(search: Search, idx: int, window: list[int], rows) -> None:
-    """Expand the queue head idx through _children, given its window and
-    successor rows, offering its children to the table one at a time."""
-    queue = search.queue
+    """Expand the queue head idx, given its window (rows_back over
+    search.hist rows) and its successor rows: add each row to the arena
+    as a child of idx, record the children that finish a ship and offer
+    the others to the table one at a time. A recorded ship that ends the
+    search ends the expansion, with no tick."""
+    params, arena, queue = search.params, search.arena, search.queue
     queue.popleft()
-    for child, key in _children(search, idx, window, rows):
+    search.status.states_expanded += 1
+    # a child's state is the parent's last 2p-1 rows plus the new one
+    w = params.width
+    prefix = fold_rows(window[1 - 2 * params.period :], w) << w
+    for c in rows:
+        child = arena.add(c, idx)
+        key = prefix | c
+        if not key and is_goal(params, arena, child):
+            if search._record_ship(child):
+                return
+            continue  # a finished ship only grows dead rows from here
         if transposition_insert(search.tt, key, child)[0] == "fresh":
             queue.append(child)
-    if search.status.outcome == RUNNING:  # a ship that ends the search skips the tick
-        search._tick()
+    search._tick()
 
 
 def _child_keys(params: SearchParams, windows: np.ndarray, at: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -306,51 +306,114 @@ def _child_keys(params: SearchParams, windows: np.ndarray, at: np.ndarray, rows:
     return keys
 
 
-def _dfs_probe(search: Search, root: int, limit: int) -> bool:
-    """Depth-first from one frontier root to the given level. True when
-    some descendant is still alive at the limit (the root is kept). The
-    path lives in the arena: each frame is a child step, the arena's
-    length when it was pushed, which the arena is cut back to before the
-    frame's next child, and the node's window, from which each child's
-    window follows; on return the arena is back at its first length."""
-    arena = search.arena
+def _dfs_probe(search: Search, roots: list[int], limit: int) -> list[bool]:
+    """Depth-first from each of roots to the given level, in lockstep;
+    True for a root with a descendant still alive at the limit (the root
+    is kept). A ship that ends the search ends the list at its root.
 
-    def frame(idx, window):
-        rows = successors(search.params, search.tables, window)
-        return _children(search, idx, window, rows), len(arena), window
-
-    start = len(arena)
-    frames = [frame(root, arena.rows_back(root, search.hist))]
-    seen: dict[int, int] = {}  # state key -> lowest level it was reached at
-    while frames and search.status.outcome == RUNNING:
-        children, mark, window = frames[-1]
-        arena.truncate(mark)
-        step = next(children, None)
-        if step is None:
-            frames.pop()
-            continue
-        child, key = step
-        level = search.level_of(child)
-        prev = seen.get(key)
-        if prev is not None and prev <= level:
-            continue
-        # seen only prunes, so once it holds node_capacity states it takes
-        # no new ones: a state it misses is expanded again, never lost
-        if prev is not None or len(seen) < search.config.node_capacity:
-            seen[key] = level
-        if level >= limit:
-            arena.truncate(start)
-            return True
-        frames.append(frame(child, [*window[1:], arena.rows[child]]))
+    Each probe has its own frame stack, seen dict and depth-first order,
+    so it makes the expansions it would make alone. A frame is a node's
+    window, its children's state key prefix, its level and an iterator
+    over its successor rows. Each step computes the rows of every probe
+    whose top frame needs them; each probe then walks on until it needs
+    rows again or ends, and a tick follows. Ships are recorded after the
+    last step, in root order. Where one ends the search, the roots before
+    its root run on, and the expansions of those after it are taken back
+    out of the count."""
+    params, arena, status = search.params, search.arena, search.status
+    w, capacity = params.width, search.config.node_capacity
+    mask = (1 << 2 * params.period * w) - 1  # a state key's bits
+    ends = not search.config.continue_after_find  # a ship ends the search
+    n = len(roots)
+    keep, expanded = [False] * n, [0] * n  # per root: its verdict, its expansions so far
+    stacks, seens = [[] for _ in roots], [{} for _ in roots]  # seen: state key -> lowest level reached at
+    ships = [[] for _ in roots]  # per root, the probe rows down to each ship it found
+    last = n - 1  # the last root still probed: the one whose ship ends the search, if any
+    windows = arena.windows(roots, search.hist).tolist()
+    # per probe whose top frame needs its rows: the probe, then that frame less its rows
+    waiting = [
+        (i, window, fold_rows(window[1 - 2 * params.period :], w) << w, search.level_of(root))
+        for i, (root, window) in enumerate(zip(roots, windows))
+    ]
+    while waiting:
+        windows = [step[1] for step in waiting]
+        if len(windows) >= BATCH_MIN:
+            at, rows = successors_batch(params, search.tables, windows)
+            bounds = np.searchsorted(at, np.arange(len(windows) + 1)).tolist()
+            rows = rows.tolist()
+            found = [rows[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        else:
+            found = [successors(params, search.tables, window) for window in windows]
+        pushed = []
+        for (i, *frame), rows in zip(waiting, found):
+            if i > last:
+                continue
+            expanded[i] += 1
+            status.states_expanded += 1
+            stack, seen = stacks[i], seens[i]
+            stack.append((*frame, iter(rows)))
+            while stack:
+                window, prefix, level, children = stack[-1]
+                level += 1
+                for c in children:
+                    key = prefix | c
+                    if not key:
+                        path = [f[0][-1] for f in stack[1:]]
+                        path.append(c)
+                        if _on_path(arena, roots[i], path, lambda node: is_goal(params, arena, node)):
+                            ships[i].append(path)
+                            if ends:
+                                stack.clear()
+                                status.states_expanded -= sum(expanded[i + 1 :])
+                                expanded[i + 1 :] = [0] * (n - 1 - i)
+                                last = i
+                                break
+                            continue  # a finished ship only grows dead rows from here
+                    prev = seen.get(key)
+                    if prev is not None and prev <= level:
+                        continue
+                    # seen only prunes, so once it holds node_capacity states it takes
+                    # no new ones: a state it misses is expanded again, never lost
+                    if prev is not None or len(seen) < capacity:
+                        seen[key] = level
+                    if level >= limit:
+                        keep[i] = True
+                        stack.clear()
+                        break
+                    pushed.append((i, [*window[1:], c], key << w & mask, level))
+                    break
+                else:
+                    stack.pop()
+                    continue
+                break
+        waiting = pushed
         search._tick()
-    arena.truncate(start)
-    return False
+    for i in range(last + 1):
+        for path in ships[i]:
+            if _on_path(arena, roots[i], path, search._record_ship):
+                return keep[: i + 1]
+    return keep
+
+
+def _on_path(arena: NodeArena, root: int, rows: list[int], read):
+    """read(node) for the last node of rows added to the arena as a path
+    below root; the path is cut off again afterwards."""
+    start, node = len(arena), root
+    for row in rows:
+        node = arena.add(row, node)
+    try:
+        return read(node)
+    finally:
+        arena.truncate(start)
 
 
 def dfs_round(search: Search) -> None:
     """One deepening round over the whole frontier; prunes dead roots in
-    place and raises the limit, or narrows the strip when capped."""
-    frontier = search.level_of(search.queue[0])
+    place and raises the limit, or narrows the strip when capped. The
+    roots are probed in blocks of up to BATCH_CHUNK, in queue order; a
+    block's roots leave the queue once it is probed."""
+    queue = search.queue
+    frontier = search.level_of(queue[0])
     p = search.params.period
     limit = frontier + p
     if search.limit is not None:
@@ -362,13 +425,14 @@ def dfs_round(search: Search) -> None:
     search.limit = limit
     search.status.deepening_limit = limit
     survivors = deque()
-    while search.queue:
-        root = search.queue.popleft()
-        keep = _dfs_probe(search, root, limit)
+    while queue:
+        roots = list(islice(queue, BATCH_CHUNK))
+        keep = _dfs_probe(search, roots, limit)
+        for _ in keep:
+            queue.popleft()
         if search.status.outcome != RUNNING:
             return
-        if keep:
-            survivors.append(root)
+        survivors.extend(compress(roots, keep))
     search.queue = survivors
     search._tick(force=True)
 

@@ -267,7 +267,8 @@ def frame_offsets(params: SearchParams, ref: RowRef | None = None) -> tuple[int 
 
 
 class NodeArena:
-    """Store of search nodes; the probe truncates its path, compaction builds a fresh one."""
+    """Store of search nodes; a probe adds a path that may finish a ship and
+    truncates it again, compaction builds a fresh one."""
 
     def __init__(self):
         self.rows: list[int] = []

@@ -5,8 +5,9 @@ successor filter without the ll and p2 tables, dead-row padding up to the
 window successors() reads, the per-edge structural masks and a per-call
 stage1 that the compiled ones are checked against, the vertex-set form of
 stages 2 and 3 that the edge-passing pair is checked against, the
-share of a table's entries pruned, and the bench's modules and search
-command lines."""
+share of a table's entries pruned, the bench's modules and search
+command lines, and the one-root-at-a-time deepening probe that the
+lockstep probe is checked against."""
 
 import importlib.util
 import sys
@@ -16,7 +17,7 @@ from shipsearch import cli
 from shipsearch.oracle import frame_row, instance_holds, state_rows
 from shipsearch.pattern import Pattern
 from shipsearch.rules import evolution_table, parse_rule
-from shipsearch.search import SearchConfig
+from shipsearch.search import RUNNING, SearchConfig
 from shipsearch.statespace import (
     DIAGONAL,
     EVEN_MIRROR,
@@ -25,8 +26,10 @@ from shipsearch.statespace import (
     constraint_indices,
     edge_columns,
     filter_flags,
+    fold_rows,
     frame_base,
     history,
+    is_goal,
     reverse_row,
 )
 from shipsearch.successor import (
@@ -34,6 +37,7 @@ from shipsearch.successor import (
     _edges_with_right_in,
     _left_vertices,
     _right_vertices,
+    successors,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -334,3 +338,67 @@ def search_from_argv(argv):
     )
     config = SearchConfig(args.node_capacity, args.max_deepening, args.continue_after_find)
     return params, config
+
+
+def sequential_probe(search, root, limit):
+    """The deepening probe of one root, run on its own: depth-first to
+    the given level, True when some descendant is still alive at the
+    limit. Its path lives in the arena, which each frame cuts back to
+    its length before the frame's next child and which is back at its
+    first length on return; ships are recorded as they are found, and a
+    tick follows each frame pushed."""
+    params, arena = search.params, search.arena
+
+    def frame(idx, window):
+        # the child step: count the expansion on the first child asked for
+        search.status.states_expanded += 1
+        w = params.width
+        prefix = fold_rows(window[1 - 2 * params.period :], w) << w
+        for c in successors(params, search.tables, window):
+            child = arena.add(c, idx)
+            key = prefix | c
+            if not key and is_goal(params, arena, child):
+                if search._record_ship(child):
+                    return
+                continue
+            yield child, key
+
+    def push(idx, window):
+        return frame(idx, window), len(arena), window
+
+    start = len(arena)
+    frames = [push(root, arena.rows_back(root, search.hist))]
+    seen = {}
+    while frames and search.status.outcome == RUNNING:
+        children, mark, window = frames[-1]
+        arena.truncate(mark)
+        step = next(children, None)
+        if step is None:
+            frames.pop()
+            continue
+        child, key = step
+        level = search.level_of(child)
+        prev = seen.get(key)
+        if prev is not None and prev <= level:
+            continue
+        if prev is not None or len(seen) < search.config.node_capacity:
+            seen[key] = level
+        if level >= limit:
+            arena.truncate(start)
+            return True
+        frames.append(push(child, [*window[1:], arena.rows[child]]))
+        search._tick()
+    arena.truncate(start)
+    return False
+
+
+def sequential_probes(search, roots, limit):
+    """_dfs_probe's verdicts for roots, probing one root after another
+    with sequential_probe: the list ends at a root whose ship ends the
+    search."""
+    keep = []
+    for root in roots:
+        keep.append(sequential_probe(search, root, limit))
+        if search.status.outcome != RUNNING:
+            break
+    return keep

@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import bench_module, search_from_argv
+from helpers import bench_module, search_from_argv, sequential_probes
 from shipsearch import search as search_mod
 from shipsearch.pattern import classify_ship
 from shipsearch.rules import parse_rule
@@ -38,6 +38,7 @@ from shipsearch.statespace import (
     ORTHOGONAL,
     NodeArena,
     SearchParams,
+    fold_rows,
     history,
     is_goal,
     make_initial_state,
@@ -268,13 +269,14 @@ class TestProbeDedup:
     def test_seen_stays_within_node_capacity(self, params, capacity):
         # unbounded, one probe's seen dict grows to 35 and 114 entries
         # here; kept to the node capacity, it still lets the probes find
-        # the ship the default capacity finds
+        # the ship the default capacity finds. Every probe of a block
+        # keeps its own seen dict.
         largest = 0
         probe_code = search_mod._dfs_probe.__code__
 
         def in_probe(frame, event, arg):
             nonlocal largest
-            largest = max(largest, len(frame.f_locals.get("seen", ())))
+            largest = max(largest, *map(len, frame.f_locals.get("seens", [()])))
             return in_probe
 
         sys.settrace(lambda frame, event, arg: in_probe if frame.f_code is probe_code else None)
@@ -407,75 +409,70 @@ PROBE_CASES = pytest.mark.parametrize(
 
 class TestProbeArena:
     @PROBE_CASES
-    def test_probe_path_lives_in_the_arena(self, monkeypatch, params, config):
-        # while a probe runs, every node past the arena's length before the
-        # probe is on the path from the root to the node being added, is
-        # that node's sibling, or (when the search continues after a find)
-        # a finished ship hanging off the path; no node is deeper than the
-        # limit. The probe leaves the arena as it found it, also when its
+    def test_arena_is_back_at_its_length_after_each_block(self, monkeypatch, params, config):
+        # a block's probes keep their paths out of the arena; the only
+        # nodes added while it runs are the path from one of its roots to
+        # a child whose state key is 0, added one node below the other,
+        # never deeper than the limit, for is_goal and the ship record.
+        # The arena is back at its length after the block, also when its
         # ship ends the search.
-        probe = {}
+        block = {}
         original_probe, original_add = search_mod._dfs_probe, NodeArena.add
-        calls = []
+        paths = []
 
         def checked_add(arena, row, parent):
             idx = original_add(arena, row, parent)
-            if probe and arena is probe["search"].arena:
-                search, start, root = probe["search"], probe["start"], probe["root"]
-                line, cur = {root}, parent
-                while cur >= start:
-                    line.add(cur)
-                    cur = arena.parents[cur]
-                assert cur == root
-                for i in range(start, idx):
-                    if i not in line and arena.parents[i] != parent:
-                        assert config.continue_after_find and arena.parents[i] in line
-                        assert is_goal(search.params, arena, i)
-                assert search.level_of(idx) <= probe["limit"]
-                probe["grew"] = max(probe["grew"], idx + 1 - start)
+            if block and arena is block["search"].arena:
+                search, start = block["search"], block["start"]
+                assert parent == idx - 1 if idx > start else parent in block["roots"]
+                assert search.level_of(idx) <= block["limit"]
+                block["grew"] = max(block["grew"], idx + 1 - start)
             return idx
 
-        def checked_probe(search, root, limit):
-            probe.update(search=search, start=len(search.arena), root=root, limit=limit, grew=0)
-            keep = original_probe(search, root, limit)
-            assert len(search.arena) == probe["start"]
-            calls.append(probe["grew"])
-            probe.clear()
+        def checked_probe(search, roots, limit):
+            block.update(search=search, start=len(search.arena), roots=set(roots), limit=limit, grew=0)
+            keep = original_probe(search, roots, limit)
+            assert len(search.arena) == block["start"]
+            paths.append(block["grew"])
+            block.clear()
             return keep
 
         monkeypatch.setattr(NodeArena, "add", checked_add)
         monkeypatch.setattr(search_mod, "_dfs_probe", checked_probe)
         res = run_search(params, config)
         assert res.ships
-        assert calls and max(calls) > 2
+        assert paths and max(paths) > 2
 
     @PROBE_CASES
-    def test_child_step_keys_are_state_keys(self, monkeypatch, params, config):
-        # every child the child step yields, in the breadth-first loop and
-        # in the probe, carries its state key and is no goal
-        original, original_probe = search_mod._children, search_mod._dfs_probe
-        probing, yielded = [], []
+    def test_probe_children_carry_their_state_keys(self, monkeypatch, params, config):
+        # every child a probe checks against seen carries the state key of
+        # its path (the root's rows in the arena, then the rows of the
+        # probe's frames, then its own row) and is no goal, and its
+        # parent's frame carries the window successors() reads
+        probe = search_mod._dfs_probe
+        lines, start = inspect.getsourcelines(probe)
+        check = start + next(i for i, text in enumerate(lines) if "prev = seen.get(key)" in text) + 1
+        checked = []
 
-        def checked(search, idx, window, rows):
-            for child, key in original(search, idx, window, rows):
-                assert key == state_key(search.params, search.arena, child)
-                assert not is_goal(search.params, search.arena, child)
-                yielded.append(bool(probing))
-                yield child, key
+        def in_probe(frame, event, arg):
+            if event == "line" and frame.f_lineno == check:
+                f = frame.f_locals
+                search, stack = f["search"], f["stack"]
+                n, hist = 2 * search.params.period, search.hist
+                rows = search.arena.all_rows(f["roots"][f["i"]]) + [top[0][-1] for top in stack[1:]] + [f["c"]]
+                assert f["key"] == fold_rows(rows[-n:], search.params.width)
+                assert f["key"] or not any(rows)  # a goal's last 2p rows are dead, and some before are not
+                assert stack[-1][0] == ([0] * hist + rows[:-1])[-hist:]
+                checked.append(f["key"])
+            return in_probe
 
-        def probe(search, root, limit):
-            probing.append(root)
-            try:
-                return original_probe(search, root, limit)
-            finally:
-                probing.pop()
-
-        monkeypatch.setattr(search_mod, "_children", checked)
-        monkeypatch.setattr(search_mod, "_dfs_probe", probe)
-        res = run_search(params, config)
+        sys.settrace(lambda frame, event, arg: in_probe if frame.f_code is probe.__code__ else None)
+        try:
+            res = run_search(params, config)
+        finally:
+            sys.settrace(None)
         assert res.ships
-        assert len(yielded) > res.status.states_expanded // 2
-        assert any(yielded)  # some come from the probe
+        assert len(checked) > res.status.states_expanded // 2
 
 
 class TestSeedChain:
@@ -573,6 +570,7 @@ class TestGatedRefresh:
 
 
 NEVER = 1 << 62  # a batch minimum no level reaches
+DEFAULT_BATCH_MIN = search_mod.BATCH_MIN  # read before any test patches it
 
 
 class BatchLog:
@@ -629,7 +627,7 @@ class TestBatchedLevels:
         assert _reports(monkeypatch, NEVER, params, config) == batched
         assert log.windows == kernel_windows  # none at all with batching off
         log.paused = True  # the log describes the run with every state batched
-        assert _reports(monkeypatch, search_mod.BATCH_MIN, params, config) == batched
+        assert _reports(monkeypatch, DEFAULT_BATCH_MIN, params, config) == batched
         log.paused = False
         return batched[1]
 
@@ -653,7 +651,7 @@ class TestBatchedLevels:
         # or early reports other counts
         params, config = search_from_argv(bench_module("workloads").QUICK[name].argv())
         single = _reports(monkeypatch, NEVER, params, config, interval)
-        for minimum in (1, search_mod.BATCH_MIN):
+        for minimum in (1, DEFAULT_BATCH_MIN):
             assert _reports(monkeypatch, minimum, params, config, interval) == single
 
     @pytest.mark.parametrize("minimum", [1, 3, 5])
@@ -688,6 +686,133 @@ class TestBatchedLevels:
         status = self.check_same(monkeypatch, log, params, SearchConfig(node_capacity=2100, max_deepening=0))
         assert status.outcome == SHIP_FOUND
         assert 11 in log.widths and 2 * params.period * 11 > 64
+
+
+def _probe_run(monkeypatch, probe, minimum, params, config):
+    """One search with the given block probe and batch minimum: each
+    block's limit, roots and verdicts, the final status and the ships."""
+    monkeypatch.setattr(search_mod, "BATCH_MIN", minimum)
+    blocks = []
+
+    def logged(search, roots, limit):
+        keep = probe(search, roots, limit)
+        blocks.append((limit, list(roots), keep))
+        return keep
+
+    monkeypatch.setattr(search_mod, "_dfs_probe", logged)
+    res = run_search(params, config)
+    return blocks, res.status, [(ship.rows, ship.width, desc) for ship, desc in res.ships]
+
+
+class TestLockstepProbes:
+    # a block of probes run in lockstep must be indistinguishable from
+    # probing its roots one after another: the same verdicts, expansions,
+    # ships in the same order, outcome and final status
+
+    def check_same(self, monkeypatch, params, config):
+        lockstep = search_mod._dfs_probe
+        sequential = _probe_run(monkeypatch, sequential_probes, NEVER, params, config)
+        for minimum in (1, DEFAULT_BATCH_MIN, NEVER):
+            assert _probe_run(monkeypatch, lockstep, minimum, params, config) == sequential
+        return sequential
+
+    def test_history_modes_with_random_capacities(self, monkeypatch):
+        rng = random.Random(2)
+        outcomes, sizes = set(), []
+        for p, k, w, sym, tr in HISTORY_MODES * 3:
+            params = SearchParams(LIFE, p, k, w, sym, tr)
+            for continue_after_find in (False, True):
+                # without narrowing, a search that continues runs for minutes
+                cap = rng.randint(0, 3 * p) if continue_after_find else rng.choice([None, rng.randint(0, 3 * p)])
+                config = SearchConfig(rng.randint(4 * p, 300), cap, continue_after_find)
+                run = self.check_same(monkeypatch, params, config)
+                outcomes.add(run[1].outcome)
+                sizes += [len(roots) for _, roots, _ in run[0]]
+        assert outcomes == {SHIP_FOUND, EXHAUSTED}
+        # 86 blocks, 28 of them starting through the kernel at the default minimum
+        assert len(sizes) > 50 and sum(size >= DEFAULT_BATCH_MIN for size in sizes) > 10
+
+    @pytest.mark.parametrize("interval", [1, 97])
+    def test_reports_fall_between_steps(self, monkeypatch, interval):
+        # quick c/3: whatever the batch minimum, the same reports, some of
+        # them made between the steps of a block, each of those counting
+        # the arena as the block found it
+        params, config = search_from_argv(bench_module("workloads").QUICK["quick-c3-even-w6-deepen"].argv())
+        lockstep = search_mod._dfs_probe
+
+        def run(minimum):
+            monkeypatch.setattr(search_mod, "BATCH_MIN", minimum)
+            start, reports, inside = [], [], []
+
+            def probe(search, roots, limit):
+                start.append(len(search.arena))
+                try:
+                    return lockstep(search, roots, limit)
+                finally:
+                    start.pop()
+
+            def report(status):
+                reports.append(status)
+                if start:
+                    inside.append(status.nodes_in_arena == start[0])
+
+            monkeypatch.setattr(search_mod, "_dfs_probe", probe)
+            res = run_search(params, replace(config, progress_interval=interval), progress=report)
+            return reports, res.status, inside
+
+        single = run(NEVER)
+        assert single[2] and all(single[2])
+        for minimum in (1, DEFAULT_BATCH_MIN):
+            assert run(minimum) == single
+
+    @pytest.mark.parametrize("continue_after_find", [False, True], ids=["first-find", "continue"])
+    def test_earlier_roots_ship_comes_first(self, monkeypatch, continue_after_find):
+        # LWSS at capacity 64: in one block the fourth root's probe meets
+        # a ship before the second root's does. The second root's ship is
+        # recorded first; it ends the search with the expansions of
+        # probing the first two roots one after the other, or, when the
+        # search continues, the fourth root's follows it.
+        params = SearchParams(LIFE, 2, 1, 5, GLIDE_REFLECT)
+        config = SearchConfig(64, 4 if continue_after_find else None, continue_after_find)
+        lockstep, original_goal, original_record = search_mod._dfs_probe, search_mod.is_goal, Search._record_ship
+        block, met, recorded = [], [], []  # the roots being probed; per block, the roots of goals met, of ships recorded
+
+        def root_of(arena, idx):
+            while idx not in block:
+                idx = arena.parents[idx]
+            return block.index(idx)
+
+        def logged_goal(params, arena, idx):
+            goal = original_goal(params, arena, idx)
+            if goal and block:
+                met[-1].append(root_of(arena, idx))
+            return goal
+
+        def logged_record(search, idx):
+            if block:
+                recorded[-1].append(root_of(search.arena, idx))
+            return original_record(search, idx)
+
+        def logged_probe(search, roots, limit):
+            block[:] = roots
+            met.append([])
+            recorded.append([])
+            try:
+                return lockstep(search, roots, limit)
+            finally:
+                block.clear()
+
+        monkeypatch.setattr(search_mod, "is_goal", logged_goal)
+        monkeypatch.setattr(Search, "_record_ship", logged_record)
+        sequential = self.check_same(monkeypatch, params, config)
+        run = _probe_run(monkeypatch, logged_probe, DEFAULT_BATCH_MIN, params, config)
+        assert run == sequential
+        met, recorded = next((m, r) for m, r in zip(met, recorded) if m)
+        assert met == [3, 1]
+        assert recorded == ([1, 3] if continue_after_find else [1])
+        if not continue_after_find:
+            assert run[0][-1][2] == [False, False]  # the verdicts end at the second root
+            assert run[1].outcome == SHIP_FOUND and run[1].states_expanded == 85
 
 
 class TestCarriedKeysForcedBatches(TestCarriedKeys):
