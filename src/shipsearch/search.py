@@ -55,6 +55,7 @@ from .statespace import (
     NodeArena,
     SearchParams,
     TranspositionTable,
+    child_keys,
     extract_ship,
     fold_rows,
     history,
@@ -148,7 +149,7 @@ class Search:
     def _new_table(self, nodes) -> None:
         """Start a transposition table holding the states of nodes: the
         all-dead seed, then the frontier in queue order."""
-        self.tt = TranspositionTable()
+        self.tt = TranspositionTable(self.params)
         for idx in nodes:
             transposition_insert(self.tt, state_key(self.params, self.arena, idx), idx)
 
@@ -226,10 +227,10 @@ def _expand_head(search: Search) -> None:
     chunk = list(islice(queue, min(BATCH_CHUNK, max(BATCH_MIN, room - len(arena)))))
     windows = arena.windows(chunk, search.hist)
     at, rows = successors_batch(params, search.tables, windows)
-    keys = _child_keys(params, windows, at, rows)
+    keys = child_keys(params, windows, at, rows)
     counts = np.bincount(at, minlength=len(chunk))
     first = [0, *np.cumsum(counts).tolist()]  # each parent's first child
-    goal_parents = iter(at[keys == 0].tolist())  # those with a key-0 child
+    goal_parents = iter(at[~keys.any(axis=1)].tolist())  # those with a key-0 child
     goal_at = next(goal_parents, len(chunk))
     interval = search.config.progress_interval if search.progress is not None else 0  # as _tick reads it
     j = 0
@@ -248,8 +249,8 @@ def _expand_head(search: Search) -> None:
             end = min(end, j + max(1, search._last_progress + interval - search.status.states_expanded))
         lo, hi = first[j], first[end]
         start = len(arena)
-        arena.add_children(chunk[j:end], counts[j:end], rows[lo:hi].tolist())
-        fresh = transposition_insert_many(search.tt, keys[lo:hi].tolist(), start)
+        arena.add_children(chunk[j:end], counts[j:end], rows[lo:hi])
+        fresh = transposition_insert_many(search.tt, keys[lo:hi], start)
         for _ in range(j, end):
             queue.popleft()
         queue.extend(fresh)
@@ -282,28 +283,6 @@ def _expand_one(search: Search, idx: int, window: list[int], rows) -> None:
         if transposition_insert(search.tt, key, child)[0] == "fresh":
             queue.append(child)
     search._tick()
-
-
-def _child_keys(params: SearchParams, windows: np.ndarray, at: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """state_key of each child rows[i] of the parent whose window is
-    windows[at[i]]: the window's last 2p-1 rows, then the child's row.
-    The keys are uint64 where 2pw <= 64; wider keys are built in 64-bit
-    limbs of whole rows and combined into Python ints (an object array)."""
-    n, w = 2 * params.period, params.width
-    per = 64 // w  # rows per limb; limb i holds the rows i*per.. back from the child, newest lowest
-    shift = np.uint64(w)
-    limbs = []
-    for low in range(0, n, per):
-        limb = np.zeros(len(windows), dtype=np.uint64)
-        for back in range(min(low + per, n) - 1, low - 1, -1):
-            limb <<= shift
-            if back:
-                limb |= windows[:, -back]
-        limbs.append(limb[at])
-    keys = limbs[0] | rows
-    for i, limb in enumerate(limbs[1:], 1):
-        keys = keys.astype(object) | limb.astype(object) << i * per * w
-    return keys
 
 
 def _dfs_probe(search: Search, roots: list[int], limit: int) -> list[bool]:
@@ -444,24 +423,13 @@ def compact(search: Search) -> None:
     left, exhaustion is declared next: the arena is left as it is and the
     table starts over from the seed alone, so that after a narrowing it
     holds no key of the old width."""
-    params, old = search.params, search.arena
+    params = search.params
     if not search.queue:
         search._new_table([2 * params.period - 1])
         return
-    mark = bytearray(len(old))
-    for idx in search.queue:
-        cur = idx
-        while cur >= 0 and not mark[cur]:
-            mark[cur] = 1
-            cur = old.parents[cur]
-    remap = [-1] * len(old)
-    fresh = NodeArena()
-    for i in range(len(old)):
-        if mark[i]:
-            parent = old.parents[i]
-            remap[i] = fresh.add(old.rows[i], remap[parent] if parent >= 0 else -1)
-    search.queue = deque(remap[i] for i in search.queue)
-    search.arena = fresh
+    frontier = np.fromiter(search.queue, dtype=np.intp, count=len(search.queue))
+    search.arena, frontier = search.arena.ancestry(frontier)
+    search.queue = deque(frontier.tolist())
     search._new_table([2 * params.period - 1, *search.queue])  # the seed's tip, then the frontier
     search._tick(force=True)
 
@@ -476,14 +444,12 @@ def reduce_width(search: Search) -> None:
         return
     bit = params.width - 1
     glide = params.symmetry == GLIDE_REFLECT
+    queue = list(search.queue)
     kept = deque()
-    for idx in search.queue:
-        window = search.arena.rows_back(idx, search.hist)
-        if glide:
-            if not any(window):
-                kept.append(idx)
-        elif not any(r >> bit & 1 for r in window):
-            kept.append(idx)
+    for lo in range(0, len(queue), BATCH_CHUNK):
+        windows = search.arena.windows(queue[lo : lo + BATCH_CHUNK], search.hist)
+        live = windows if glide else windows >> bit & 1
+        kept.extend(compress(queue[lo : lo + BATCH_CHUNK], ~live.any(axis=1)))
     search.queue = kept
     search.params = replace(params, width=params.width - 1)
     search.tables = build_tables(search.params)

@@ -23,6 +23,7 @@ rows" a sound equivalence).
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from itertools import compress
 
@@ -266,14 +267,24 @@ def frame_offsets(params: SearchParams, ref: RowRef | None = None) -> tuple[int 
 # node arena, state keys, goal test, extraction
 
 
+def _view(buffer: array) -> np.ndarray:
+    """A NumPy view of a typed array; drop it before the array is resized."""
+    return np.frombuffer(buffer, dtype=buffer.typecode)
+
+
 class NodeArena:
     """Store of search nodes; a probe adds a path that may finish a ship and
-    truncates it again, compaction builds a fresh one."""
+    truncates it again, compaction builds a fresh one.
+
+    Rows, parents and depths are typed arrays, 12 bytes a node. Indexing
+    one gives a Python int; bulk work reads them through _view, whose
+    views must be gone before the next add or truncate: an array that
+    exports its buffer cannot be resized."""
 
     def __init__(self):
-        self.rows: list[int] = []
-        self.parents: list[int] = []
-        self.depths: list[int] = []
+        self.rows = array("I")
+        self.parents = array("i")
+        self.depths = array("i")
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -285,15 +296,15 @@ class NodeArena:
         self.depths.append(depth)
         return len(self.rows) - 1
 
-    def add_children(self, parents: list[int], counts: np.ndarray, rows: list[int]) -> None:
+    def add_children(self, parents, counts: np.ndarray, rows: np.ndarray) -> None:
         """add() for each of rows in order, the first counts[0] of them as
-        children of parents[0], the next counts[1] of parents[1], and so on.
-        The repeats go through object arrays, so that children share their
-        parent's int rather than each holding a copy."""
-        depths = self.depths
-        self.rows += rows
-        self.parents += np.repeat(np.array(parents, dtype=object), counts).tolist()
-        self.depths += np.repeat(np.array([depths[p] + 1 for p in parents], dtype=object), counts).tolist()
+        children of parents[0], the next counts[1] of parents[1], and so on."""
+        parents = np.repeat(np.asarray(parents, dtype=np.int32), counts)
+        self._extend(rows, parents, _view(self.depths)[parents] + 1)
+
+    def _extend(self, rows, parents, depths) -> None:
+        for buffer, values in ((self.rows, rows), (self.parents, parents), (self.depths, depths)):
+            buffer.frombytes(np.ascontiguousarray(values, dtype=buffer.typecode).view(np.uint8))
 
     def truncate(self, n: int) -> None:
         """Drop every node from index n on."""
@@ -309,28 +320,43 @@ class NodeArena:
             idx = parents[idx]
         return out
 
-    def windows(self, nodes: list[int], count: int) -> np.ndarray:
+    def windows(self, nodes, count: int) -> np.ndarray:
         """rows_back(idx, count) for every idx in nodes, as the rows of one
-        (len(nodes), count) uint32 array, read in one walk of count steps.
-        Each step reads each run of equal ancestors once; a walk that has
-        left the arena reads a dead row."""
-        rows, parents = self.rows, self.parents
+        (len(nodes), count) uint32 array, read in count steps of all nodes
+        at once; a walk that has left the arena (index -1) reads a dead row."""
+        rows, parents = _view(self.rows), _view(self.parents)
         out = np.empty((count, len(nodes)), dtype=np.uint32)
-        cur = nodes  # the distinct ancestors at this step, none of them -1
-        at = np.arange(len(nodes))  # per node, its ancestor's place in cur, or len(cur) once outside
+        cur = np.asarray(nodes, dtype=np.intp)
         for step in range(count):
-            out[-1 - step] = np.array([*map(rows.__getitem__, cur), 0], dtype=np.uint32)[at]
-            up = np.array(list(map(parents.__getitem__, cur)), dtype=np.intp)
-            new = (np.diff(up, prepend=-2) != 0) & (up >= 0)  # each run's first, outside the arena or not
-            place = np.cumsum(new) - 1
-            cur = up[new].tolist()
-            place[up < 0] = len(cur)
-            at = np.append(place, len(cur))[at]
+            inside = cur >= 0
+            out[-1 - step] = np.where(inside, rows[cur], 0)
+            cur = np.where(inside, parents[cur], -1)
         return out.T
 
     def all_rows(self, idx: int) -> list[int]:
         """Every row from the root to idx, oldest first."""
         return self.rows_back(idx, self.depths[idx] + 1)
+
+    def ancestry(self, tips: np.ndarray) -> tuple[NodeArena, np.ndarray]:
+        """A fresh arena of tips and their ancestors, in their order here,
+        and the index of each tip in it. The ancestors are marked by
+        pointer doubling: after step s, every node up to 2^s - 1 levels
+        above a tip, so log2 of the depth steps over the whole arena."""
+        rows, parents, depths = _view(self.rows), _view(self.parents), _view(self.depths)
+        kept = np.zeros(len(self), dtype=bool)
+        kept[tips] = True
+        up = parents  # per node, its ancestor 2^s levels up, or -1
+        while True:
+            inside = up >= 0
+            if not inside.any():
+                break
+            kept[up[kept & inside]] = True
+            up = np.where(inside, up[up], -1)
+        remap = np.cumsum(kept) - 1
+        mine = parents[kept]
+        fresh = NodeArena()
+        fresh._extend(rows[kept], np.where(mine >= 0, remap[mine], -1), depths[kept])
+        return fresh, remap[tips]
 
 
 def make_initial_state(params: SearchParams) -> tuple[NodeArena, int]:
@@ -402,8 +428,40 @@ def extract_ship(params: SearchParams, arena: NodeArena, idx: int) -> Pattern:
 # ---------------------------------------------------------------------------
 # transposition table: exact state key -> first node with that state
 
+# The fewest recent entries a fold takes, about one breadth-first chunk's
+# offers (search.BATCH_CHUNK): a fold copies the whole sorted part.
+RECENT_MIN = 4096
 
-class TranspositionTable(dict):
+
+def key_limbs(params: SearchParams) -> tuple[int, int]:
+    """(rows, limbs): a state key held as `limbs` 64-bit limbs of up to
+    `rows` whole rows each; the last limb holds the newest rows."""
+    rows = 64 // params.width
+    return rows, -(-2 * params.period // rows)
+
+
+def child_keys(params: SearchParams, windows: np.ndarray, at: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """state_key of each child rows[i] of the parent whose window is
+    windows[at[i]]: the window's last 2p-1 rows, then the child's row.
+    The keys come as TranspositionTable takes them: one row of uint64
+    limbs each, of key_limbs(params) whole rows, the most significant
+    first."""
+    n, w = 2 * params.period, params.width
+    per, count = key_limbs(params)
+    shift = np.uint64(w)
+    keys = np.empty((len(at), count), dtype=np.uint64)
+    for i in range(count):  # the limb of rows i*per.. back from the child, newest lowest
+        limb = np.zeros(len(windows), dtype=np.uint64)
+        for back in range(min((i + 1) * per, n) - 1, i * per - 1, -1):
+            limb <<= shift
+            if back:
+                limb |= windows[:, -back]
+        keys[:, count - 1 - i] = limb[at]
+    keys[:, -1] |= rows
+    return keys
+
+
+class TranspositionTable:
     """Map from state key to the first node that reached that state.
 
     state_key packs the last 2p rows exactly, so equal keys are equal
@@ -411,7 +469,85 @@ class TranspositionTable(dict):
     and compaction reseeds the seed before the frontier), so the first node
     is also a shallowest one. Each entry is an arena node, and compaction
     starts a fresh table, so the table never outgrows the arena.
-    """
+
+    The entries live in two parts. The sorted part holds keys in order,
+    in a uint64 array or, for keys of several limbs, as byte strings of
+    their big-endian limbs, which sort the same way; next to it, an int32
+    array of their nodes. The entries made since the last fold are a dict
+    (recent), folded into the sorted part once it holds more than
+    RECENT_MIN entries and more than an eighth of the sorted part; so a
+    scalar offer to a small table costs a dict lookup, and a fold copies
+    the sorted part only after it has grown by an eighth. Bulk offers take
+    keys as a (n, limbs) uint64 array of key_limbs limbs, the most
+    significant first (limbs_of)."""
+
+    def __init__(self, params: SearchParams):
+        rows, self.limbs = key_limbs(params)
+        self.bits = rows * params.width  # per limb
+        self.keys = self._sortable(np.zeros((0, self.limbs), dtype=np.uint64))
+        self.nodes = np.zeros(0, dtype=np.int32)
+        self.recent: dict[int, int] = {}
+
+    def __len__(self) -> int:
+        return len(self.keys) + len(self.recent)
+
+    def limbs_of(self, keys) -> np.ndarray:
+        """The limbs of int keys, as bulk offers take them."""
+        if self.limbs == 1:
+            return np.fromiter(keys, dtype=np.uint64, count=len(keys)).reshape(-1, 1)
+        keys = np.fromiter(keys, dtype=object, count=len(keys))
+        mask = (1 << self.bits) - 1
+        shifts = range((self.limbs - 1) * self.bits, -1, -self.bits)
+        return np.array([keys >> shift & mask for shift in shifts], dtype=np.uint64).T
+
+    def ints_of(self, limbs: np.ndarray) -> list[int]:
+        """The int keys of rows of limbs; limbs_of inverted."""
+        keys = limbs[:, 0]
+        for j in range(1, self.limbs):
+            keys = keys.astype(object) << self.bits | limbs[:, j].astype(object)
+        return keys.tolist()
+
+    def _sortable(self, limbs: np.ndarray) -> np.ndarray:
+        """Rows of limbs as one array that sorts like the keys."""
+        if self.limbs == 1:
+            return np.ascontiguousarray(limbs[:, 0])
+        return np.ascontiguousarray(limbs, dtype=">u8").view(f"S{8 * self.limbs}")[:, 0]
+
+    def _find(self, keys: np.ndarray) -> np.ndarray:
+        """Per sortable key, its node in the sorted part, or -1."""
+        if not len(self.keys):
+            return np.full(len(keys), -1, dtype=np.int32)
+        at = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        return np.where(self.keys[at] == keys, self.nodes[at], -1)
+
+    def get(self, key: int) -> int | None:
+        """The node recorded for key, or None."""
+        node = self.recent.get(key)
+        if node is None and len(self.keys):
+            found = int(self._find(self._sortable(self.limbs_of([key])))[0])
+            if found >= 0:
+                node = found
+        return node
+
+    def items(self):
+        """(key, node) for every entry, the sorted part first."""
+        limbs = self.keys.view(np.uint64 if self.limbs == 1 else ">u8").reshape(-1, self.limbs)
+        yield from zip(self.ints_of(limbs), self.nodes.tolist())
+        yield from self.recent.items()
+
+    def _put(self, keys: list[int], nodes: list[int]) -> None:
+        """Record new entries, then fold the dict if it is due."""
+        self.recent.update(zip(keys, nodes))
+        if len(self.recent) <= max(RECENT_MIN, len(self.keys) // 8):
+            return
+        new = self._sortable(self.limbs_of(self.recent))
+        order = np.argsort(new)
+        new = new[order]
+        at = np.searchsorted(self.keys, new)
+        self.keys = np.insert(self.keys, at, new)
+        nodes = np.fromiter(self.recent.values(), dtype=np.int32, count=len(self.recent))
+        self.nodes = np.insert(self.nodes, at, nodes[order])
+        self.recent = {}
 
 
 def transposition_insert(table: TranspositionTable, key: int, idx: int) -> tuple[str, int | None]:
@@ -419,15 +555,23 @@ def transposition_insert(table: TranspositionTable, key: int, idx: int) -> tuple
     node recorded first for this key)."""
     kept = table.get(key)
     if kept is None:
-        table[key] = idx
+        table._put([key], [idx])
         return ("fresh", None)
     return ("duplicate", kept)
 
 
-def transposition_insert_many(table: TranspositionTable, keys: list[int], first: int) -> list[int]:
-    """transposition_insert(table, keys[i], first + i) for each i in order,
-    in bulk; returns the nodes recorded, in order. The table and the
-    returned list share each recorded node's int."""
-    nodes = list(range(first, first + len(keys)))
-    kept = np.fromiter(map(table.setdefault, keys, nodes), dtype=np.intp, count=len(nodes))
-    return list(compress(nodes, kept == np.arange(first, first + len(nodes))))
+def transposition_insert_many(table: TranspositionTable, keys: np.ndarray, first: int) -> list[int]:
+    """transposition_insert(table, key i, first + i) for each row i of
+    keys (limbs, as TranspositionTable takes them) in order, in bulk;
+    returns the nodes recorded, in order. The table and the returned list
+    share each recorded node's int."""
+    # each key's first offer, then those the sorted part lacks, back in order
+    sortable = table._sortable(keys)
+    _, at = np.unique(sortable, return_index=True)
+    at = np.sort(at[table._find(sortable[at]) < 0])
+    ints = table.ints_of(keys[at])
+    recent = table.recent
+    fresh = [key not in recent for key in ints]
+    nodes = (at[fresh] + first).tolist()
+    table._put(list(compress(ints, fresh)), nodes)
+    return nodes

@@ -199,6 +199,41 @@ def _ll_table(rule: Rule):
 _POP2 = np.array([0, 1, 1, 2], dtype=np.uint8)
 
 
+def _pack32(bits: np.ndarray) -> np.ndarray:
+    """Runs of 32 truth values (the last axis) as little-endian uint32s."""
+    return np.packbits(bits.astype(bool), bitorder="little").view(np.uint32)
+
+
+def _backward_closure(valid: np.ndarray) -> np.ndarray:
+    """The strips that can reach the all-dead strip under valid appends:
+    good[a,b,c] bit d <=> strip rows (a,b,c,d) oldest-first can reach it,
+    where valid[a,c,d] bit x allows appending x to (a,b,c,d) when
+    (b,c,d,x) is good. Bit d of good[a,b,c] thus reads good[b,c,d]
+    alone, so each pass recomputes only the slabs good[:, b, c] whose
+    sources good[b, c, :] changed in the pass before (semi-naive
+    evaluation). Where most slabs changed, one broadcast over all of them
+    costs less than gathering valid for each."""
+    by_c = np.ascontiguousarray(valid.transpose(1, 0, 2))  # [c, a, d]
+    good = np.zeros((32, 32, 32), dtype=np.uint32)
+    good[0, 0, 0] = 1
+    changed = np.zeros((32, 32), dtype=bool)  # [b, c]: some good[b, c, :] changed
+    changed[0, 0] = True
+    while changed.any():
+        if changed.sum() > 512:
+            new = good | _pack32(valid[:, None] & good[None]).reshape(32, 32, 32)
+            changed = (new != good).any(axis=2)
+            good = new
+            continue
+        b, c = np.nonzero(changed)
+        old = good[:, b, c]
+        new = old | _pack32(by_c[c] & good[b, c, None, :]).reshape(-1, 32).T
+        good[:, b, c] = new
+        changed = np.zeros((32, 32), dtype=bool)
+        a, at = np.nonzero(new != old)
+        changed[a, b[at]] = True
+    return good
+
+
 @cache
 def _p2_table(rule: Rule):
     """Period-2 strip reachability: a 5-cell-wide strip of the last four
@@ -234,17 +269,7 @@ def _p2_table(rule: Rule):
     cond &= fe[k4, (s1 >> 4) & 1, (s0 >> 4) & 1]
     valid = np.packbits(cond, axis=-1, bitorder="little").view(np.uint32)[..., 0]
 
-    # backward closure of the all-dead strip under valid appends;
-    # good[a,b,c] bit d <=> strip rows (a,b,c,d) oldest-first can reach it
-    good = np.zeros((32, 32, 32), dtype=np.uint32)
-    good[0, 0, 0] = 1
-    while True:
-        reach = (valid[:, None, :, :] & good[None, :, :, :]) != 0
-        new = good | np.packbits(reach, axis=-1, bitorder="little").view(np.uint32)[..., 0]
-        if np.array_equal(new, good):
-            break
-        good = new
-
+    good = _backward_closure(valid)
     good_bits = np.unpackbits(good.view(np.uint8).reshape(32, 32, 32, 4), axis=-1, bitorder="little")
     good_bits = good_bits.astype(bool)  # [r2w, r1w, c5, l5]
 

@@ -5,13 +5,16 @@ successor filter without the ll and p2 tables, dead-row padding up to the
 window successors() reads, the per-edge structural masks and a per-call
 stage1 that the compiled ones are checked against, the vertex-set form of
 stages 2 and 3 that the edge-passing pair is checked against, the
-share of a table's entries pruned, the bench's modules and search
+share of a table's entries pruned, the p2 table's backward closure as a
+plain fixed-point loop, the bench's modules and search
 command lines, and the one-root-at-a-time deepening probe that the
 lockstep probe is checked against."""
 
 import importlib.util
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from shipsearch import cli
 from shipsearch.oracle import frame_row, instance_holds, state_rows
@@ -217,6 +220,19 @@ def reference_structural_masks(params):
 def pruned_percent(table):
     """The share of a table's 64-bit entries' bits that are clear, in %."""
     return 100.0 - 100.0 * sum(e.bit_count() for e in table) / (64 * len(table))
+
+
+def fixed_point_closure(valid):
+    """successor._backward_closure the straightforward way: recompute
+    every strip from the whole table until a pass changes nothing."""
+    good = np.zeros((32, 32, 32), dtype=np.uint32)
+    good[0, 0, 0] = 1
+    while True:
+        reach = (valid[:, None, :, :] & good[None, :, :, :]) != 0
+        new = good | np.packbits(reach, axis=-1, bitorder="little").view(np.uint32)[..., 0]
+        if np.array_equal(new, good):
+            return good
+        good = new
 
 
 def reference_stage1_edges(params, tables, rows):

@@ -38,6 +38,8 @@ from shipsearch.statespace import (
     ORTHOGONAL,
     NodeArena,
     SearchParams,
+    TranspositionTable,
+    child_keys,
     fold_rows,
     history,
     is_goal,
@@ -170,8 +172,8 @@ class TestCarriedKeys:
         def checked_many(table, keys, first):
             fresh = original_many(table, keys, first)
             recorded = set(fresh)
-            for idx, key in enumerate(keys, first):
-                verdict = ("fresh", None) if idx in recorded else ("duplicate", table[key])
+            for idx, key in enumerate(table.ints_of(keys), first):
+                verdict = ("fresh", None) if idx in recorded else ("duplicate", table.get(key))
                 check(searches[-1], key, idx, verdict)
             return fresh
 
@@ -225,7 +227,8 @@ class TestChildKeys:
         parents = sorted(rng.sample(nodes, 24))
         at = np.sort(np.array([rng.randrange(len(parents)) for _ in range(80)], dtype=np.intp))
         rows = np.array([rng.getrandbits(w) if rng.random() < 0.5 else 0 for _ in at], dtype=np.uint64)
-        keys = search_mod._child_keys(params, arena.windows(parents, history(params)), at, rows).tolist()
+        limbs = child_keys(params, arena.windows(parents, history(params)), at, rows)
+        keys = TranspositionTable(params).ints_of(limbs)
         want = [state_key(params, arena, arena.add(row, parents[i])) for i, row in zip(at.tolist(), rows.tolist())]
         assert keys == want and 0 in want
 
@@ -241,6 +244,27 @@ class TestSetupMemory:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+class TestStoreMemory:
+    def test_arena_and_table_take_at_most_48_bytes_a_node(self):
+        # Life c/4 even w6 to exhaustion: 34,205 nodes, and a table whose
+        # recent entries have been folded into its sorted part; what the
+        # two stores hold is what freeing them returns
+        params = SearchParams(LIFE, 4, 1, 6, EVEN_MIRROR)
+        tracemalloc.start()
+        try:
+            search = Search(params)
+            while search.queue:
+                search_mod._expand_head(search)
+            nodes, folded = len(search.arena), len(search.tt.keys)
+            held = tracemalloc.get_traced_memory()[0]
+            del search.arena, search.tt
+            freed = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert nodes == 34205 and folded > 4096
+        assert 12 * nodes < freed <= 48 * nodes
 
 
 class TestProbeDedup:
@@ -387,7 +411,7 @@ class TestFrontierHistory:
         assert search.queue
         reduce_width(search)
         assert not search.queue and search.params.width == top
-        assert search.tt == {0: 2 * params.period - 1}  # the seed's state
+        assert dict(search.tt.items()) == {0: 2 * params.period - 1}  # the seed's state
         for key, idx in search.tt.items():
             assert key == state_key(search.params, search.arena, idx)
 
@@ -486,10 +510,10 @@ class TestSeedChain:
 
         def checked(search):
             original(search)
-            assert search.arena.rows[:n] == [0] * n
-            assert search.arena.parents[:n] == [-1, *range(n - 1)]
+            assert search.arena.rows[:n].tolist() == [0] * n
+            assert search.arena.parents[:n].tolist() == [-1, *range(n - 1)]
             assert search.level_of(n - 1) == 0
-            assert search.tt[0] == n - 1  # the seed's state, recorded first
+            assert search.tt.get(0) == n - 1  # the seed's state, recorded first
             widths.append(search.params.width)
 
         monkeypatch.setattr(search_mod, "compact", checked)

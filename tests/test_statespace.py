@@ -9,11 +9,13 @@ and require is_consistent to accept it (and to reject a perturbation).
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shipsearch import statespace
 from shipsearch.pattern import Pattern
 from shipsearch.rules import ROW_WIDTH_LIMIT, parse_rule
 from shipsearch.statespace import (
@@ -314,15 +316,6 @@ class TestStateKey:
         assert same_key == same_rows
 
 
-class _NoWrap(list):
-    """A list that refuses negative indices instead of reading from its end."""
-
-    def __getitem__(self, i):
-        if isinstance(i, int) and i < 0:
-            raise IndexError(i)
-        return super().__getitem__(i)
-
-
 class TestRowsBack:
     @staticmethod
     def per_step(arena, idx, count):
@@ -361,7 +354,7 @@ class TestRowsBack:
         picks = [i % len(arena) for i in picks]
         if ordered:
             picks.sort()
-        arena.rows, arena.parents = _NoWrap(arena.rows), _NoWrap(arena.parents)
+        arena.add(2**32 - 1, 0)  # what a walk would read at index -1
         got = arena.windows(picks, count)
         assert got.dtype == np.uint32 and got.shape == (len(picks), count)
         assert got.tolist() == [arena.rows_back(i, count) for i in picks]
@@ -384,15 +377,22 @@ class TestAddChildren:
         bulk.add_children(parents, np.array(counts, dtype=np.intp), rows)
         assert (bulk.rows, bulk.parents, bulk.depths) == (one.rows, one.parents, one.depths)
 
-    def test_children_share_their_parents_int(self):
-        # one int per parent, not per child: ints above 256 are not cached
-        arena = NodeArena()
-        for i in range(1000):
-            arena.add(0, i - 1)
-        parents = [int("998"), int("999")]
-        arena.add_children(parents, np.array([3, 2]), [5, 6, 7, 8, 9])
-        assert [p is parents[0] for p in arena.parents[-5:]] == [True, True, True, False, False]
-        assert all(p is parents[1] for p in arena.parents[-2:])
+    def test_scalar_reads_are_python_ints(self):
+        # fold_rows and state keys shift rows left: a NumPy scalar would wrap
+        params = SearchParams(LIFE, 3, 1, 6)
+        arena, tip = make_initial_state(params)
+        n = len(arena)
+        arena.add_children([tip, tip], np.array([2, 1]), np.array([5, 0, 63], dtype=np.uint64))
+
+        def reads(arena, idx):
+            return [arena.add(7, idx), *arena.rows_back(idx, 7), *arena.all_rows(idx), arena.depths[idx], arena.parents[idx]]
+
+        checked = reads(arena, n + 2)
+        arena.truncate(n + 2)
+        checked += reads(arena, n + 1)
+        arena, tips = arena.ancestry(np.array([n + 1, n + 2]))
+        checked += reads(arena, int(tips[1])) + [arena.rows[-1]]
+        assert len(checked) == 53 and all(type(value) is int for value in checked)
 
 
 class TestFilterFlags:
@@ -423,7 +423,7 @@ class TestTransposition:
     def make(self):
         params = SearchParams(LIFE, 2, 1, 4)
         arena, tip = make_initial_state(params)
-        return params, arena, tip, TranspositionTable()
+        return params, arena, tip, TranspositionTable(params)
 
     def test_initial_twice_is_duplicate(self):
         params, arena, tip, table = self.make()
@@ -450,20 +450,82 @@ class TestTransposition:
         b = arena.add(0b10, tip)
         assert transposition_insert(table, state_key(params, arena, a), a)[0] == "fresh"
         assert transposition_insert(table, state_key(params, arena, b), b)[0] == "fresh"
-        assert table == {state_key(params, arena, a): a, state_key(params, arena, b): b}
+        assert dict(table.items()) == {state_key(params, arena, a): a, state_key(params, arena, b): b}
 
-
-    @given(st.lists(st.integers(0, 2**70), max_size=40), st.lists(st.integers(0, 2**70), max_size=10), st.integers(0, 10**6))
+    @given(st.lists(st.integers(0, 2**72 - 1), max_size=40), st.lists(st.integers(0, 2**72 - 1), max_size=10), st.integers(0, 10**6))
     def test_many_matches_one_at_a_time(self, keys, before, first):
-        # first offer wins, in order, against the table and within the batch
-        one, bulk = TranspositionTable(), TranspositionTable()
+        # first offer wins, in order, against the table and within the
+        # batch; 72-bit keys take two limbs
+        params = SearchParams(LIFE, 2, 1, 18)
+        one, bulk = TranspositionTable(params), TranspositionTable(params)
         for i, key in enumerate(before):
             transposition_insert(one, key, -1 - i)
             transposition_insert(bulk, key, -1 - i)
         want = [idx for idx, key in enumerate(keys, first) if transposition_insert(one, key, idx)[0] == "fresh"]
-        got = transposition_insert_many(bulk, keys, first)
-        assert got == want and bulk == one
-        assert all(bulk[key] is idx for key, idx in zip((keys[i - first] for i in got), got))
+        got = transposition_insert_many(bulk, bulk.limbs_of(keys), first)
+        assert got == want and dict(bulk.items()) == dict(one.items())
+        assert all(bulk.recent[key] is idx for key, idx in zip((keys[i - first] for i in got), got))
+
+
+class TestTranspositionFolds:
+    # one, two and three limbs: 16-, 72- and 186-bit keys
+    KEY_PARAMS = [SearchParams(LIFE, 2, 1, 4), SearchParams(LIFE, 2, 1, 18), SearchParams(LIFE, 3, 1, 31)]
+
+    @staticmethod
+    def offers(bits):
+        # a scalar offer or a chunk; a key is new, or the j-th one drawn
+        # before (a repeat, also within its chunk)
+        key = st.one_of(st.integers(0, 2**bits - 1), st.tuples(st.integers(0, 10**6)))
+        return st.lists(st.one_of(key, st.lists(key, max_size=12)), min_size=8, max_size=40)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(KEY_PARAMS), st.data())
+    def test_matches_a_dict(self, params, data):
+        # every verdict, kept node and fresh list equals a plain dict's,
+        # with the dict folded into the sorted part every few offers
+        ops = data.draw(self.offers(2 * params.period * params.width))
+        with mock.patch.object(statespace, "RECENT_MIN", 2):
+            table, ref, drawn = TranspositionTable(params), {}, []
+            node, folds, fresh_calls = 0, 0, 0
+
+            def resolve(key):
+                key = drawn[key[0] % len(drawn)] if isinstance(key, tuple) and drawn else key
+                key = 0 if isinstance(key, tuple) else key
+                drawn.append(key)
+                return key
+
+            for op in ops:
+                sorted_before, known = len(table.keys), len(ref)
+                if isinstance(op, list):
+                    keys = [resolve(key) for key in op]
+                    want = [i for i, key in enumerate(keys, node) if ref.setdefault(key, i) == i]
+                    assert transposition_insert_many(table, table.limbs_of(keys), node) == want
+                    node += len(keys)
+                else:
+                    key = resolve(op)
+                    kept = ref.setdefault(key, node)
+                    assert transposition_insert(table, key, node) == (("fresh", None) if kept == node else ("duplicate", kept))
+                    node += 1
+                folds += len(table.keys) > sorted_before
+                fresh_calls += len(ref) > known
+                assert len(table) == len(ref)
+                assert all(table.get(key) == ref[key] for key in drawn)
+            assert dict(table.items()) == ref
+            assert folds >= 2 or fresh_calls < 6
+
+    def test_folds_at_recent_min(self):
+        # at the real threshold: the dict folds once it holds more than
+        # RECENT_MIN entries and more than an eighth of the sorted part
+        params = SearchParams(LIFE, 2, 1, 8)
+        table, rng = TranspositionTable(params), np.random.default_rng(0)
+        sizes = []
+        for first in range(0, 40000, 1000):
+            keys = rng.integers(0, 2**32, size=(1000, 1), dtype=np.uint64)
+            transposition_insert_many(table, keys, first)
+            sizes.append((len(table.keys), len(table.recent)))
+        folded = [size for size in sizes if size[1] == 0]
+        assert len(folded) >= 4 and folded[0] == (5000, 0)  # the fifth chunk passes RECENT_MIN
+        assert all(recent <= max(statespace.RECENT_MIN, keys // 8) for keys, recent in sizes)
 
 
 class TestExtraction:

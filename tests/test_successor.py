@@ -20,6 +20,7 @@ from helpers import (
     LWSS_CELLS,
     ROOT,
     brute_successors,
+    fixed_point_closure,
     padded,
     pruned_percent,
     reference_row_count,
@@ -78,6 +79,12 @@ class TestP2Table:
 
     def test_all_dead_entry_allowed(self):
         assert _p2_table(LIFE)[0] & 1  # dead windows, dead triples
+
+    @pytest.mark.parametrize("rule", ["B3/S23", "B36/S23", "B2/S", "B3678/S34678"])
+    def test_semi_naive_closure_matches_fixed_point(self, monkeypatch, rule):
+        built = _p2_table.__wrapped__(parse_rule(rule))
+        monkeypatch.setattr(successor_mod, "_backward_closure", fixed_point_closure)
+        assert built == _p2_table.__wrapped__(parse_rule(rule))
 
 
 class TestStarTables:
