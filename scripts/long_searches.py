@@ -9,13 +9,15 @@ can launch one deliberately; nothing in the test suite depends on them.
     python3 scripts/long_searches.py --list
     python3 scripts/long_searches.py --run weekender [--capacity 2**26]
 
-Memory grows with --capacity. The search tree and its duplicate table
-take about 36 bytes a node at the weekender's 126-bit state keys, and
-the queue about 40 bytes a queued state. Filled to 2^22 nodes and
-stopped after 120 s, the weekender peaked at 498 MB resident (ru_maxrss
-on a 2-core x86-64 VM, Python 3.11, NumPy 2.4; 30 MB of it imports):
-about 112 bytes a node, merge copies and deepening lists included. At
-that rate the default --capacity 2**26 needs about 7.5 GB.
+Memory grows with --capacity. The search tree, its duplicate table and
+the queue take about 37 bytes a node at the weekender's 126-bit state
+keys. On a 2-core x86-64 VM (Python 3.11, NumPy 2.4; 30 MB of imports),
+the weekender filled its tree to 2^22 nodes in 2.3 s and peaked there at
+282 MB resident (ru_maxrss), merge copies included; stopped after 120 s,
+14.0M expansions into its first deepening round, it had peaked at
+550 MB, the probes' own tables of the states they met included. That
+is about 125 bytes a node, so the default --capacity 2**26 needs about
+8.5 GB.
 
 The test suites cover the same machinery at desk scale (small Life
 ships, the turtle, oracle sweeps), which is why these stay optional.

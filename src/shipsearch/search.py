@@ -42,9 +42,7 @@ raised, never swallowed.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass, replace
-from itertools import compress, islice
 
 import numpy as np
 
@@ -53,6 +51,7 @@ from .statespace import (
     GLIDE_REFLECT,
     ORTHOGONAL,
     NodeArena,
+    NodeQueue,
     SearchParams,
     TranspositionTable,
     child_keys,
@@ -125,7 +124,7 @@ class Search:
         self.tables = build_tables(params)
         self.hist = history(params)  # the window successors() reads
         self.arena, tip = make_initial_state(params)
-        self.queue: deque[int] = deque([tip])
+        self.queue = NodeQueue([tip])
         self._new_table([tip])
         self.limit: int | None = None  # deepening level reached by previous rounds
         self.ships: list[tuple[Pattern, ShipDescriptor]] = []
@@ -224,7 +223,7 @@ def _expand_head(search: Search) -> None:
     room = search.config.node_capacity - (1 << params.width)  # arena_full() <=> len(arena) > room
     # each parent with a child brings the arena a node nearer to full, so
     # parents past the first room - len(arena) are seldom reached
-    chunk = list(islice(queue, min(BATCH_CHUNK, max(BATCH_MIN, room - len(arena)))))
+    chunk = queue.nodes(min(BATCH_CHUNK, max(BATCH_MIN, room - len(arena))))
     windows = arena.windows(chunk, search.hist)
     at, rows = successors_batch(params, search.tables, windows)
     keys = child_keys(params, windows, at, rows)
@@ -238,7 +237,7 @@ def _expand_head(search: Search) -> None:
         if search.status.outcome != RUNNING or search.arena_full():
             return
         if j == goal_at:
-            _expand_one(search, chunk[j], windows[j].tolist(), rows[first[j] : first[j + 1]].tolist())
+            _expand_one(search, int(chunk[j]), windows[j].tolist(), rows[first[j] : first[j + 1]].tolist())
             goal_at = next(goal_parents, len(chunk))
             j += 1
             continue
@@ -250,13 +249,11 @@ def _expand_head(search: Search) -> None:
         lo, hi = first[j], first[end]
         start = len(arena)
         arena.add_children(chunk[j:end], counts[j:end], rows[lo:hi])
-        fresh = transposition_insert_many(search.tt, keys[lo:hi], start)
-        for _ in range(j, end):
-            queue.popleft()
-        queue.extend(fresh)
+        queue.pop(end - j)
+        queue.extend(transposition_insert_many(search.tt, keys[lo:hi], start))
         search.status.states_expanded += end - j
         if not queue and end - j > 1:
-            search._head = chunk[end - 1]  # the head at the tick before the last parent's
+            search._head = int(chunk[end - 1])  # the head at the tick before the last parent's
         search._tick()
         j = end
 
@@ -268,7 +265,7 @@ def _expand_one(search: Search, idx: int, window: list[int], rows) -> None:
     the others to the table one at a time. A recorded ship that ends the
     search ends the expansion, with no tick."""
     params, arena, queue = search.params, search.arena, search.queue
-    queue.popleft()
+    queue.pop(1)
     search.status.states_expanded += 1
     # a child's state is the parent's last 2p-1 rows plus the new one
     w = params.width
@@ -403,15 +400,14 @@ def dfs_round(search: Search) -> None:
         return
     search.limit = limit
     search.status.deepening_limit = limit
-    survivors = deque()
+    survivors = NodeQueue()
     while queue:
-        roots = list(islice(queue, BATCH_CHUNK))
-        keep = _dfs_probe(search, roots, limit)
-        for _ in keep:
-            queue.popleft()
+        roots = queue.nodes(BATCH_CHUNK)
+        keep = _dfs_probe(search, roots.tolist(), limit)
+        queue.pop(len(keep))
         if search.status.outcome != RUNNING:
             return
-        survivors.extend(compress(roots, keep))
+        survivors.extend(roots[np.array(keep, dtype=bool)])
     search.queue = survivors
     search._tick(force=True)
 
@@ -427,10 +423,9 @@ def compact(search: Search) -> None:
     if not search.queue:
         search._new_table([2 * params.period - 1])
         return
-    frontier = np.fromiter(search.queue, dtype=np.intp, count=len(search.queue))
-    search.arena, frontier = search.arena.ancestry(frontier)
-    search.queue = deque(frontier.tolist())
-    search._new_table([2 * params.period - 1, *search.queue])  # the seed's tip, then the frontier
+    search.arena, frontier = search.arena.ancestry(search.queue.nodes())
+    search.queue = NodeQueue(frontier)
+    search._new_table([2 * params.period - 1, *frontier.tolist()])  # the seed's tip, then the frontier
     search._tick(force=True)
 
 
@@ -444,12 +439,12 @@ def reduce_width(search: Search) -> None:
         return
     bit = params.width - 1
     glide = params.symmetry == GLIDE_REFLECT
-    queue = list(search.queue)
-    kept = deque()
+    queue, kept = search.queue.nodes(), NodeQueue()
     for lo in range(0, len(queue), BATCH_CHUNK):
-        windows = search.arena.windows(queue[lo : lo + BATCH_CHUNK], search.hist)
+        chunk = queue[lo : lo + BATCH_CHUNK]
+        windows = search.arena.windows(chunk, search.hist)
         live = windows if glide else windows >> bit & 1
-        kept.extend(compress(queue[lo : lo + BATCH_CHUNK], ~live.any(axis=1)))
+        kept.extend(chunk[~live.any(axis=1)])
     search.queue = kept
     search.params = replace(params, width=params.width - 1)
     search.tables = build_tables(search.params)

@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
@@ -359,6 +358,47 @@ class NodeArena:
         return fresh, remap[tips]
 
 
+class NodeQueue:
+    """First-in, first-out queue of arena nodes, 4 bytes a node: an int32
+    typed array and the index of its head. pop moves the head; once the
+    head passes half the array, the popped part is cut off, so the array
+    holds at most about twice the queue and each node is moved at most
+    about once on average."""
+
+    def __init__(self, nodes=()):
+        self._nodes = array("i")
+        self._head = 0
+        self.extend(nodes)
+
+    def __len__(self) -> int:
+        return len(self._nodes) - self._head
+
+    def __getitem__(self, i: int) -> int:
+        """The i-th queued node, counting from the head at 0."""
+        if not 0 <= i < len(self):
+            raise IndexError("queue index out of range")
+        return self._nodes[self._head + i]
+
+    def nodes(self, n: int | None = None) -> np.ndarray:
+        """The first n queued nodes (all by default), as a new int32 array."""
+        return _view(self._nodes)[self._head :][:n].copy()
+
+    def pop(self, n: int) -> None:
+        """Drop the first n queued nodes."""
+        if not 0 <= n <= len(self):
+            raise IndexError("pop past the end of the queue")
+        self._head += n
+        if self._head > len(self._nodes) // 2:
+            del self._nodes[: self._head]
+            self._head = 0
+
+    def append(self, node: int) -> None:
+        self._nodes.append(node)
+
+    def extend(self, nodes) -> None:
+        self._nodes.frombytes(np.ascontiguousarray(nodes, dtype=np.int32).view(np.uint8))
+
+
 def make_initial_state(params: SearchParams) -> tuple[NodeArena, int]:
     """Root chain of 2p dead rows; returns the arena and the tip index."""
     arena = NodeArena()
@@ -428,8 +468,9 @@ def extract_ship(params: SearchParams, arena: NodeArena, idx: int) -> Pattern:
 # ---------------------------------------------------------------------------
 # transposition table: exact state key -> first node with that state
 
-# The fewest recent entries a fold takes, about one breadth-first chunk's
-# offers (search.BATCH_CHUNK): a fold copies the whole sorted part.
+# The fewest entries a fold takes, about one breadth-first chunk's offers
+# (search.BATCH_CHUNK): a fold copies the whole sorted part. A table of no
+# more entries keeps them in a dict.
 RECENT_MIN = 4096
 
 
@@ -470,42 +511,54 @@ class TranspositionTable:
     is also a shallowest one. Each entry is an arena node, and compaction
     starts a fresh table, so the table never outgrows the arena.
 
-    The entries live in two parts. The sorted part holds keys in order,
+    The entries live in three parts. The sorted part holds keys in order,
     in a uint64 array or, for keys of several limbs, as byte strings of
     their big-endian limbs, which sort the same way; next to it, an int32
-    array of their nodes. The entries made since the last fold are a dict
-    (recent), folded into the sorted part once it holds more than
-    RECENT_MIN entries and more than an eighth of the sorted part; so a
-    scalar offer to a small table costs a dict lookup, and a fold copies
-    the sorted part only after it has grown by an eighth. Bulk offers take
-    keys as a (n, limbs) uint64 array of key_limbs limbs, the most
-    significant first (limbs_of)."""
+    array of their nodes. The run is a second sorted part of the same
+    form for the entries since the last fold, and the dict (recent) holds
+    the scalar offers since the last bulk offer. A bulk offer moves the
+    dict into the run, checks its keys against the two sorted parts and
+    merges the fresh ones into the run, turning no key into a Python int;
+    a scalar offer costs a dict lookup and a binary search of each
+    nonempty sorted part. Once the run and the dict hold more than
+    RECENT_MIN entries and more than an eighth of the sorted part, both
+    are folded into it, so a fold copies the sorted part only after it
+    has grown by an eighth.
+
+    A table of at most RECENT_MIN entries keeps them all in the dict,
+    bulk offers' too, so that its scalar offers stay dict lookups: the
+    deepening searches start a table at every compaction, keep it that
+    small and make most of their offers one at a time.
+
+    Bulk offers take keys as a (n, limbs) uint64 array of key_limbs
+    limbs, the most significant first (limbs_of)."""
 
     def __init__(self, params: SearchParams):
         rows, self.limbs = key_limbs(params)
         self.bits = rows * params.width  # per limb
-        self.keys = self._sortable(np.zeros((0, self.limbs), dtype=np.uint64))
-        self.nodes = np.zeros(0, dtype=np.int32)
+        self.keys, self.nodes = self._empty()
+        self.run_keys, self.run_nodes = self._empty()
         self.recent: dict[int, int] = {}
 
     def __len__(self) -> int:
-        return len(self.keys) + len(self.recent)
+        return len(self.keys) + len(self.run_keys) + len(self.recent)
+
+    def _empty(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._sortable(np.zeros((0, self.limbs), dtype=np.uint64)), np.zeros(0, dtype=np.int32)
 
     def limbs_of(self, keys) -> np.ndarray:
         """The limbs of int keys, as bulk offers take them."""
-        if self.limbs == 1:
-            return np.fromiter(keys, dtype=np.uint64, count=len(keys)).reshape(-1, 1)
-        keys = np.fromiter(keys, dtype=object, count=len(keys))
         mask = (1 << self.bits) - 1
         shifts = range((self.limbs - 1) * self.bits, -1, -self.bits)
-        return np.array([keys >> shift & mask for shift in shifts], dtype=np.uint64).T
+        limbs = (key >> shift & mask for key in keys for shift in shifts)
+        return np.fromiter(limbs, dtype=np.uint64, count=len(keys) * self.limbs).reshape(-1, self.limbs)
 
     def ints_of(self, limbs: np.ndarray) -> list[int]:
         """The int keys of rows of limbs; limbs_of inverted."""
-        keys = limbs[:, 0]
+        keys = limbs[:, 0].tolist()
         for j in range(1, self.limbs):
-            keys = keys.astype(object) << self.bits | limbs[:, j].astype(object)
-        return keys.tolist()
+            keys = [key << self.bits | limb for key, limb in zip(keys, limbs[:, j].tolist())]
+        return keys
 
     def _sortable(self, limbs: np.ndarray) -> np.ndarray:
         """Rows of limbs as one array that sorts like the keys."""
@@ -513,41 +566,64 @@ class TranspositionTable:
             return np.ascontiguousarray(limbs[:, 0])
         return np.ascontiguousarray(limbs, dtype=">u8").view(f"S{8 * self.limbs}")[:, 0]
 
-    def _find(self, keys: np.ndarray) -> np.ndarray:
-        """Per sortable key, its node in the sorted part, or -1."""
-        if not len(self.keys):
-            return np.full(len(keys), -1, dtype=np.int32)
-        at = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
-        return np.where(self.keys[at] == keys, self.nodes[at], -1)
-
     def get(self, key: int) -> int | None:
         """The node recorded for key, or None."""
         node = self.recent.get(key)
-        if node is None and len(self.keys):
-            found = int(self._find(self._sortable(self.limbs_of([key])))[0])
-            if found >= 0:
-                node = found
-        return node
+        if node is not None:
+            return node
+        # key as the sorted parts hold it (a byte string reads back
+        # without its trailing zero bytes, so it is built the same way)
+        query = np.uint64(key) if self.limbs == 1 else self._sortable(self.limbs_of([key]))[0]
+        for keys, nodes in ((self.run_keys, self.run_nodes), (self.keys, self.nodes)):
+            if len(keys):
+                at = keys.searchsorted(query)
+                if at < len(keys) and keys[at] == query:
+                    return int(nodes[at])
+        return None
 
     def items(self):
         """(key, node) for every entry, the sorted part first."""
-        limbs = self.keys.view(np.uint64 if self.limbs == 1 else ">u8").reshape(-1, self.limbs)
-        yield from zip(self.ints_of(limbs), self.nodes.tolist())
+        for keys, nodes in ((self.keys, self.nodes), (self.run_keys, self.run_nodes)):
+            limbs = keys.view(np.uint64 if self.limbs == 1 else ">u8").reshape(-1, self.limbs)
+            yield from zip(self.ints_of(limbs), nodes.tolist())
         yield from self.recent.items()
 
-    def _put(self, keys: list[int], nodes: list[int]) -> None:
-        """Record new entries, then fold the dict if it is due."""
-        self.recent.update(zip(keys, nodes))
-        if len(self.recent) <= max(RECENT_MIN, len(self.keys) // 8):
-            return
-        new = self._sortable(self.limbs_of(self.recent))
-        order = np.argsort(new)
-        new = new[order]
-        at = np.searchsorted(self.keys, new)
-        self.keys = np.insert(self.keys, at, new)
-        nodes = np.fromiter(self.recent.values(), dtype=np.int32, count=len(self.recent))
-        self.nodes = np.insert(self.nodes, at, nodes[order])
-        self.recent = {}
+    def _put(self, key: int, node: int) -> None:
+        """Record a new entry from a scalar offer."""
+        self.recent[key] = node
+        if len(self.recent) + len(self.run_keys) > max(RECENT_MIN, len(self.keys) // 8):
+            self._flush()
+
+    def _flush(self) -> None:
+        """Move the dict's entries into the run."""
+        if self.recent:
+            keys = self._sortable(self.limbs_of(self.recent))
+            nodes = np.fromiter(self.recent.values(), dtype=np.int32, count=len(self.recent))
+            self.recent = {}
+            order = np.argsort(keys)
+            self._add(keys[order], nodes[order])
+
+    def _add(self, keys: np.ndarray, nodes: np.ndarray) -> None:
+        """Merge new entries, sorted and absent from the table, into the
+        run, and fold the run into the sorted part once it is due."""
+        self.run_keys, self.run_nodes = _merged(self.run_keys, self.run_nodes, keys, nodes)
+        if len(self.run_keys) > max(RECENT_MIN, len(self.keys) // 8):
+            self.keys, self.nodes = _merged(self.keys, self.nodes, self.run_keys, self.run_nodes)
+            self.run_keys, self.run_nodes = self._empty()
+
+
+def _merged(keys: np.ndarray, nodes: np.ndarray, new_keys: np.ndarray, new_nodes: np.ndarray):
+    """A sorted part with sorted new keys and their nodes merged in."""
+    at = np.searchsorted(keys, new_keys)
+    return np.insert(keys, at, new_keys), np.insert(nodes, at, new_nodes)
+
+
+def _absent(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Per query key, whether the sorted keys lack it."""
+    if not len(keys):
+        return np.ones(len(query), dtype=bool)
+    at = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+    return keys[at] != query
 
 
 def transposition_insert(table: TranspositionTable, key: int, idx: int) -> tuple[str, int | None]:
@@ -555,23 +631,23 @@ def transposition_insert(table: TranspositionTable, key: int, idx: int) -> tuple
     node recorded first for this key)."""
     kept = table.get(key)
     if kept is None:
-        table._put([key], [idx])
+        table._put(key, idx)
         return ("fresh", None)
     return ("duplicate", kept)
 
 
-def transposition_insert_many(table: TranspositionTable, keys: np.ndarray, first: int) -> list[int]:
+def transposition_insert_many(table: TranspositionTable, keys: np.ndarray, first: int) -> np.ndarray:
     """transposition_insert(table, key i, first + i) for each row i of
     keys (limbs, as TranspositionTable takes them) in order, in bulk;
-    returns the nodes recorded, in order. The table and the returned list
-    share each recorded node's int."""
-    # each key's first offer, then those the sorted part lacks, back in order
-    sortable = table._sortable(keys)
-    _, at = np.unique(sortable, return_index=True)
-    at = np.sort(at[table._find(sortable[at]) < 0])
-    ints = table.ints_of(keys[at])
+    returns the nodes recorded, in order, as an int32 array."""
     recent = table.recent
-    fresh = [key not in recent for key in ints]
-    nodes = (at[fresh] + first).tolist()
-    table._put(list(compress(ints, fresh)), nodes)
-    return nodes
+    if len(recent) == len(table) and len(recent) + len(keys) <= RECENT_MIN:  # a small table
+        fresh = [idx for idx, key in enumerate(table.ints_of(keys), first) if recent.setdefault(key, idx) == idx]
+        return np.array(fresh, dtype=np.int32)
+    table._flush()
+    # each key's first offer, then those neither sorted part holds
+    sortable, at = np.unique(table._sortable(keys), return_index=True)
+    fresh = _absent(table.keys, sortable) & _absent(table.run_keys, sortable)
+    nodes = (at[fresh] + first).astype(np.int32)
+    table._add(sortable[fresh], nodes)
+    return np.sort(nodes)

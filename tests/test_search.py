@@ -9,7 +9,6 @@ import inspect
 import random
 import sys
 import tracemalloc
-from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -37,6 +36,7 @@ from shipsearch.statespace import (
     ODD_MIRROR,
     ORTHOGONAL,
     NodeArena,
+    NodeQueue,
     SearchParams,
     TranspositionTable,
     child_keys,
@@ -45,6 +45,7 @@ from shipsearch.statespace import (
     is_goal,
     make_initial_state,
     state_key,
+    transposition_insert,
 )
 
 LIFE = parse_rule("B3/S23")
@@ -171,7 +172,7 @@ class TestCarriedKeys:
 
         def checked_many(table, keys, first):
             fresh = original_many(table, keys, first)
-            recorded = set(fresh)
+            recorded = set(fresh.tolist())
             for idx, key in enumerate(table.ints_of(keys), first):
                 verdict = ("fresh", None) if idx in recorded else ("duplicate", table.get(key))
                 check(searches[-1], key, idx, verdict)
@@ -267,6 +268,32 @@ class TestStoreMemory:
         assert 12 * nodes < freed <= 48 * nodes
 
 
+class TestWeekenderFill:
+    def test_bulk_offers_match_one_at_a_time(self, monkeypatch):
+        # the weekender profile of scripts/long_searches.py (126-bit keys,
+        # two limbs) at capacity 2^15, up to its first deepening round:
+        # queue, arena and table equal those of a run whose bulk offers
+        # go through transposition_insert one key at a time
+        params = SearchParams(LIFE, 7, 2, 9, EVEN_MIRROR)
+
+        def fill():
+            search = Search(params, SearchConfig(node_capacity=1 << 15, max_deepening=42))
+            while search.queue and not search.arena_full():
+                search_mod._expand_head(search)
+            arena = search.arena
+            return search.queue.nodes().tolist(), (arena.rows, arena.parents, arena.depths), dict(search.tt.items())
+
+        def sequential(table, keys, first):
+            fresh = [idx for idx, key in enumerate(table.ints_of(keys), first) if transposition_insert(table, key, idx)[0] == "fresh"]
+            return np.array(fresh, dtype=np.int32)
+
+        bulk = fill()
+        monkeypatch.setattr(search_mod, "transposition_insert_many", sequential)
+        one = fill()
+        assert bulk == one
+        assert len(bulk[0]) > 1 << 14 and len(bulk[2]) > 1 << 14
+
+
 class TestProbeDedup:
     @pytest.mark.parametrize(
         "params, config, expanded",
@@ -359,7 +386,7 @@ class TestFrontierHistory:
         done = {"compact": 0, "narrow": 0}
 
         def histories(search):
-            return [search.arena.all_rows(idx) for idx in search.queue]
+            return [search.arena.all_rows(idx) for idx in search.queue.nodes().tolist()]
 
         def checked_compact(search):
             before = histories(search)
@@ -407,7 +434,7 @@ class TestFrontierHistory:
         while search.level_of(search.queue[0]) < 3:
             search_mod._expand_head(search)
         top = params.width - 1
-        search.queue = deque(i for i in search.queue if any(r >> top for r in search.arena.rows_back(i, search.hist)))
+        search.queue = NodeQueue([i for i in search.queue.nodes().tolist() if any(r >> top for r in search.arena.rows_back(i, search.hist))])
         assert search.queue
         reduce_width(search)
         assert not search.queue and search.params.width == top

@@ -8,6 +8,8 @@ and require is_consistent to accept it (and to reject a perturbation).
 """
 
 import math
+import random
+from collections import deque
 from dataclasses import replace
 from unittest import mock
 
@@ -26,6 +28,7 @@ from shipsearch.statespace import (
     ODD_MIRROR,
     ORTHOGONAL,
     NodeArena,
+    NodeQueue,
     SearchParams,
     TranspositionTable,
     constraint_indices,
@@ -395,6 +398,52 @@ class TestAddChildren:
         assert len(checked) == 53 and all(type(value) is int for value in checked)
 
 
+class TestNodeQueue:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_a_deque(self, seed):
+        # random pops, appends and extends against a deque, long enough
+        # for the popped part to be cut off many times
+        rng = random.Random(seed)
+        queue, model = NodeQueue([5, 6]), deque([5, 6])
+        trims = 0
+        for _ in range(3000):
+            op = rng.random()
+            if op < 0.4:
+                n = rng.randrange(len(model) + 1)
+                head = queue._head
+                queue.pop(n)
+                for _ in range(n):
+                    model.popleft()
+                trims += queue._head < head + n
+            elif op < 0.7:
+                node = rng.randrange(-1, 2**31)
+                queue.append(node)
+                model.append(node)
+            else:
+                nodes = [rng.randrange(2**31) for _ in range(rng.randrange(12))]
+                queue.extend(np.array(nodes, dtype=rng.choice([np.int32, np.int64, np.intp])))
+                model.extend(nodes)
+            assert len(queue) == len(model) and queue._head <= len(queue._nodes) // 2
+            n = rng.randrange(len(model) + 2)
+            head = queue.nodes(n)
+            assert head.dtype == np.int32 and head.tolist() == list(model)[:n]
+            if model:
+                assert type(queue[0]) is int and queue[0] == model[0] and queue[len(model) - 1] == model[-1]
+        assert queue.nodes().tolist() == list(model)
+        assert trims > 20
+
+    def test_bounds(self):
+        queue = NodeQueue(np.arange(3))
+        with pytest.raises(IndexError):
+            queue[3]
+        with pytest.raises(IndexError):
+            queue.pop(4)
+        queue.pop(3)
+        assert not queue and queue.nodes().tolist() == []
+        with pytest.raises(IndexError):
+            queue[0]
+
+
 class TestFilterFlags:
     # (use_ll, use_p2) per mode: ll at every period but 2, p2 at period 2
     # unless glide or diagonal
@@ -452,30 +501,50 @@ class TestTransposition:
         assert transposition_insert(table, state_key(params, arena, b), b)[0] == "fresh"
         assert dict(table.items()) == {state_key(params, arena, a): a, state_key(params, arena, b): b}
 
-    @given(st.lists(st.integers(0, 2**72 - 1), max_size=40), st.lists(st.integers(0, 2**72 - 1), max_size=10), st.integers(0, 10**6))
-    def test_many_matches_one_at_a_time(self, keys, before, first):
+    @pytest.mark.parametrize("recent_min", [statespace.RECENT_MIN, 0], ids=["dict", "sorted"])
+    @pytest.mark.parametrize("width", [16, 18], ids=["64-bit-one-limb", "72-bit-two-limbs"])
+    @given(
+        st.lists(st.tuples(st.integers(0, 2**72 - 1), st.booleans()), max_size=40),
+        st.lists(st.integers(0, 2**72 - 1), max_size=10),
+        st.integers(0, 10**6),
+    )
+    def test_many_matches_one_at_a_time(self, recent_min, width, drawn, before, first):
         # first offer wins, in order, against the table and within the
-        # batch; 72-bit keys take two limbs
-        params = SearchParams(LIFE, 2, 1, 18)
-        one, bulk = TranspositionTable(params), TranspositionTable(params)
-        for i, key in enumerate(before):
-            transposition_insert(one, key, -1 - i)
-            transposition_insert(bulk, key, -1 - i)
-        want = [idx for idx, key in enumerate(keys, first) if transposition_insert(one, key, idx)[0] == "fresh"]
-        got = transposition_insert_many(bulk, bulk.limbs_of(keys), first)
-        assert got == want and dict(bulk.items()) == dict(one.items())
-        assert all(bulk.recent[key] is idx for key, idx in zip((keys[i - first] for i in got), got))
+        # batch; a key may come with its lowest bit flipped next to it,
+        # which a pass through float64 would merge above 2^53; at
+        # RECENT_MIN 0 no table is small enough for the dict path
+        params = SearchParams(LIFE, 2, 1, width)
+        mask = (1 << 4 * width) - 1
+        keys = [k & mask for key, pair in drawn for k in ((key, key ^ 1) if pair else (key,))]
+        before = [key & mask for key in before]
+        with mock.patch.object(statespace, "RECENT_MIN", recent_min):
+            one, bulk = TranspositionTable(params), TranspositionTable(params)
+            for i, key in enumerate(before):
+                transposition_insert(one, key, -1 - i)
+                transposition_insert(bulk, key, -1 - i)
+            want = [idx for idx, key in enumerate(keys, first) if transposition_insert(one, key, idx)[0] == "fresh"]
+            got = transposition_insert_many(bulk, bulk.limbs_of(keys), first)
+        assert got.dtype == np.int32 and got.tolist() == want
+        assert dict(bulk.items()) == dict(one.items())
+        assert len(bulk.recent) == (len(bulk) if recent_min else 0)
+        assert all(bulk.get(key) == one.get(key) for key in keys + before)
 
 
 class TestTranspositionFolds:
-    # one, two and three limbs: 16-, 72- and 186-bit keys
-    KEY_PARAMS = [SearchParams(LIFE, 2, 1, 4), SearchParams(LIFE, 2, 1, 18), SearchParams(LIFE, 3, 1, 31)]
+    # one, one, two and three limbs: 16-, 64-, 72- and 186-bit keys
+    KEY_PARAMS = [
+        SearchParams(LIFE, 2, 1, 4),
+        SearchParams(LIFE, 2, 1, 16),
+        SearchParams(LIFE, 2, 1, 18),
+        SearchParams(LIFE, 3, 1, 31),
+    ]
 
     @staticmethod
     def offers(bits):
         # a scalar offer or a chunk; a key is new, or the j-th one drawn
-        # before (a repeat, also within its chunk)
-        key = st.one_of(st.integers(0, 2**bits - 1), st.tuples(st.integers(0, 10**6)))
+        # before (a repeat, also within its chunk), or that one with its
+        # lowest bit flipped
+        key = st.one_of(st.integers(0, 2**bits - 1), st.tuples(st.integers(0, 10**6), st.booleans()))
         return st.lists(st.one_of(key, st.lists(key, max_size=12)), min_size=8, max_size=40)
 
     @settings(max_examples=60, deadline=None)
@@ -489,7 +558,7 @@ class TestTranspositionFolds:
             node, folds, fresh_calls = 0, 0, 0
 
             def resolve(key):
-                key = drawn[key[0] % len(drawn)] if isinstance(key, tuple) and drawn else key
+                key = drawn[key[0] % len(drawn)] ^ key[1] if isinstance(key, tuple) and drawn else key
                 key = 0 if isinstance(key, tuple) else key
                 drawn.append(key)
                 return key
@@ -499,7 +568,9 @@ class TestTranspositionFolds:
                 if isinstance(op, list):
                     keys = [resolve(key) for key in op]
                     want = [i for i, key in enumerate(keys, node) if ref.setdefault(key, i) == i]
-                    assert transposition_insert_many(table, table.limbs_of(keys), node) == want
+                    assert transposition_insert_many(table, table.limbs_of(keys), node).tolist() == want
+                    # the dict holds scalar offers only, or all of a small table
+                    assert not table.recent or len(table.recent) == len(table) <= statespace.RECENT_MIN
                     node += len(keys)
                 else:
                     key = resolve(op)
@@ -514,7 +585,8 @@ class TestTranspositionFolds:
             assert folds >= 2 or fresh_calls < 6
 
     def test_folds_at_recent_min(self):
-        # at the real threshold: the dict folds once it holds more than
+        # at the real threshold: a small table keeps its entries in the
+        # dict, and the dict and the run fold once they hold more than
         # RECENT_MIN entries and more than an eighth of the sorted part
         params = SearchParams(LIFE, 2, 1, 8)
         table, rng = TranspositionTable(params), np.random.default_rng(0)
@@ -522,7 +594,7 @@ class TestTranspositionFolds:
         for first in range(0, 40000, 1000):
             keys = rng.integers(0, 2**32, size=(1000, 1), dtype=np.uint64)
             transposition_insert_many(table, keys, first)
-            sizes.append((len(table.keys), len(table.recent)))
+            sizes.append((len(table.keys), len(table.run_keys) + len(table.recent)))
         folded = [size for size in sizes if size[1] == 0]
         assert len(folded) >= 4 and folded[0] == (5000, 0)  # the fifth chunk passes RECENT_MIN
         assert all(recent <= max(statespace.RECENT_MIN, keys // 8) for keys, recent in sizes)
