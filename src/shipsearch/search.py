@@ -10,29 +10,14 @@ one the rounds are rare. If max_deepening is set and the limit outruns
 the frontier by more than that, the strip is narrowed by one column
 instead.
 
-With fewer than BATCH_MIN states queued, the breadth-first loop expands
-the head alone, through _expand_one, with successors() rows. Otherwise
-it takes the first BATCH_CHUNK queued states, whatever their levels, or
-fewer where the arena has less room: their windows come from one walk
-of the arena, their rows from one successors_batch call on the search's
-own tables, and their children's state keys from NumPy. The chunk's
-parents are then expanded in runs, each appending its children to the
-arena and offering them to the transposition table in bulk. A run ends
-where expanding one state at a time would do something between two
-parents: before the arena would be full, after a progress report falls
-due, and before a parent with a child whose state key is 0, the only
-kind that can finish a ship, which goes through _expand_one alone.
-
-A deepening round probes its roots in blocks of up to BATCH_CHUNK, the
-probes of a block in lockstep: each step computes the rows of every
-probe that needs them, through successors_batch for at least BATCH_MIN
-windows and successors() below that. A probe frame carries its window,
-from which each child's window follows, and no probe node goes into the
-arena, so a round holds the arena at its length; a child that may
-finish a ship has its path added below its root just long enough to be
-checked and recorded. Ships are recorded in root order, and progress
-ticks fall between steps. So counts, ships and progress reports do not
-depend on the batching, and nothing configures it.
+Both phases work on many states at once: the breadth-first loop expands
+up to BATCH_CHUNK queued states of any levels as one chunk, a deepening
+round probes up to BATCH_CHUNK roots in lockstep, and both take their
+rows from _successor_rows. A chunk's children reach the transposition
+table in bulk offers, as does the frontier that compaction keeps. Counts,
+ships and progress reports are those of handling one state at a time,
+and nothing configures the batching. Probe nodes stay out of the arena
+but for the path to a child that may finish a ship, while it is checked.
 
 Every candidate ship is re-verified by evolving the extracted pattern;
 a verification failure means the constraint machinery is wrong and is
@@ -43,6 +28,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -60,16 +46,15 @@ from .statespace import (
     history,
     is_goal,
     make_initial_state,
-    state_key,
     transposition_insert,
     transposition_insert_many,
 )
 from .successor import build_tables, successors, successors_batch
 
-# With at least BATCH_MIN states queued, the first BATCH_CHUNK of them, of
-# any levels, share one successors_batch call. Below about 48 windows the
-# batched kernel costs more per window than successors(); past 4096 it
-# gains little, while its arrays grow with the chunk.
+# At least BATCH_MIN windows share one successors_batch call, at most
+# BATCH_CHUNK. Below about 48 windows the batched kernel costs more per
+# window than successors(); past 4096 it gains little, while its arrays
+# grow with the chunk.
 BATCH_MIN = 64
 BATCH_CHUNK = 4096
 
@@ -125,7 +110,7 @@ class Search:
         self.hist = history(params)  # the window successors() reads
         self.arena, tip = make_initial_state(params)
         self.queue = NodeQueue([tip])
-        self._new_table([tip])
+        self._new_table(())  # the seed is the whole frontier
         self.limit: int | None = None  # deepening level reached by previous rounds
         self.ships: list[tuple[Pattern, ShipDescriptor]] = []
         self._ship_keys: set = set()
@@ -145,12 +130,17 @@ class Search:
         deepening round and compaction come first."""
         return len(self.arena) + (1 << self.params.width) > self.config.node_capacity
 
-    def _new_table(self, nodes) -> None:
-        """Start a transposition table holding the states of nodes: the
-        all-dead seed, then the frontier in queue order."""
-        self.tt = TranspositionTable(self.params)
-        for idx in nodes:
-            transposition_insert(self.tt, state_key(self.params, self.arena, idx), idx)
+    def _new_table(self, frontier) -> None:
+        """Start a transposition table holding the all-dead seed's state,
+        key 0 at the seed's tip, then the states of frontier in order."""
+        params, arena = self.params, self.arena
+        self.tt = TranspositionTable(params)
+        transposition_insert(self.tt, 0, 2 * params.period - 1)
+        if len(frontier):
+            # a node's key is its parent's last 2p - 1 rows, then its own row
+            windows = arena.windows(frontier, 2 * params.period)
+            keys = child_keys(params, windows[:, :-1], np.arange(len(frontier)), windows[:, -1])
+            transposition_insert_many(self.tt, keys, frontier)
 
     def _tick(self, force: bool = False) -> None:
         # status is refreshed only for a report or when forced; a drained
@@ -196,36 +186,38 @@ class Search:
         return True
 
 
-def _expand_head(search: Search) -> None:
-    """Expand the queue head, or, when at least BATCH_MIN states are
-    queued, the first BATCH_CHUNK of them (fewer where the arena has
-    less room), exactly as expanding them one at a time in queue order
-    would: the chunk stops where run_search would stop expanding, at a
-    full arena or a ship that ends the search, and parents not reached
-    stay queued.
+def _successor_rows(search: Search, windows) -> tuple[np.ndarray, np.ndarray]:
+    """The successor rows of each of windows, as successors_batch gives
+    them: through successors_batch for at least BATCH_MIN windows, below
+    that through successors() one window at a time."""
+    if len(windows) >= BATCH_MIN:
+        return successors_batch(search.params, search.tables, windows)
+    found = [successors(search.params, search.tables, window) for window in np.asarray(windows).tolist()]
+    at = np.repeat(np.arange(len(found)), [len(rows) for rows in found])
+    return at, np.fromiter(chain.from_iterable(found), dtype=np.uint64, count=len(at))
 
-    A chunk's windows come from one walk of the arena and its successor
-    rows from one successors_batch call. Its parents are then expanded
-    in runs, each with one bulk append to the arena and one bulk offer
-    to the table; a run ends before the parent at which the arena would
-    be full, after the parent at which a progress report falls due, and
-    before a parent with a child whose state key is 0 (only such a child
-    can finish a ship), which goes through _expand_one alone."""
+
+def _expand_head(search: Search) -> None:
+    """Expand the first BATCH_CHUNK queued states (fewer where the arena
+    has less room) exactly as expanding them one at a time in queue
+    order would: the chunk stops where run_search would stop expanding,
+    at a full arena or a ship that ends the search, and parents not
+    reached stay queued. Its parents are expanded in runs, each with one
+    bulk append to the arena and one bulk offer to the table; a run ends
+    before the parent at which the arena would be full, after the parent
+    at which a progress report falls due, and before a parent with a
+    child whose state key is 0 (only such a child can finish a ship),
+    which goes through _expand_one alone."""
     queue = search.queue
     if search.status.outcome != RUNNING or search.arena_full():
-        return
-    if len(queue) < BATCH_MIN:
-        idx = queue[0]
-        window = search.arena.rows_back(idx, search.hist)
-        _expand_one(search, idx, window, successors(search.params, search.tables, window))
         return
     params, arena = search.params, search.arena
     room = search.config.node_capacity - (1 << params.width)  # arena_full() <=> len(arena) > room
     # each parent with a child brings the arena a node nearer to full, so
     # parents past the first room - len(arena) are seldom reached
-    chunk = queue.nodes(min(BATCH_CHUNK, max(BATCH_MIN, room - len(arena))))
+    chunk = queue.nodes(min(BATCH_CHUNK, max(1, room - len(arena))))
     windows = arena.windows(chunk, search.hist)
-    at, rows = successors_batch(params, search.tables, windows)
+    at, rows = _successor_rows(search, windows)
     keys = child_keys(params, windows, at, rows)
     counts = np.bincount(at, minlength=len(chunk))
     first = [0, *np.cumsum(counts).tolist()]  # each parent's first child
@@ -237,7 +229,8 @@ def _expand_head(search: Search) -> None:
         if search.status.outcome != RUNNING or search.arena_full():
             return
         if j == goal_at:
-            _expand_one(search, int(chunk[j]), windows[j].tolist(), rows[first[j] : first[j + 1]].tolist())
+            lo, hi = first[j], first[j + 1]
+            _expand_one(search, int(chunk[j]), rows[lo:hi].tolist(), search.tt.ints_of(keys[lo:hi]))
             goal_at = next(goal_parents, len(chunk))
             j += 1
             continue
@@ -250,7 +243,7 @@ def _expand_head(search: Search) -> None:
         start = len(arena)
         arena.add_children(chunk[j:end], counts[j:end], rows[lo:hi])
         queue.pop(end - j)
-        queue.extend(transposition_insert_many(search.tt, keys[lo:hi], start))
+        queue.extend(transposition_insert_many(search.tt, keys[lo:hi], np.arange(start, start + hi - lo)))
         search.status.states_expanded += end - j
         if not queue and end - j > 1:
             search._head = int(chunk[end - 1])  # the head at the tick before the last parent's
@@ -258,21 +251,17 @@ def _expand_head(search: Search) -> None:
         j = end
 
 
-def _expand_one(search: Search, idx: int, window: list[int], rows) -> None:
-    """Expand the queue head idx, given its window (rows_back over
-    search.hist rows) and its successor rows: add each row to the arena
-    as a child of idx, record the children that finish a ship and offer
-    the others to the table one at a time. A recorded ship that ends the
-    search ends the expansion, with no tick."""
+def _expand_one(search: Search, idx: int, rows: list[int], keys: list[int]) -> None:
+    """Expand the queue head idx, a parent with a child that may finish
+    a ship, given its successor rows and their state keys: add each row
+    to the arena as a child of idx, record the children that finish a
+    ship and offer the others to the table one at a time. A recorded
+    ship that ends the search ends the expansion, with no tick."""
     params, arena, queue = search.params, search.arena, search.queue
     queue.pop(1)
     search.status.states_expanded += 1
-    # a child's state is the parent's last 2p-1 rows plus the new one
-    w = params.width
-    prefix = fold_rows(window[1 - 2 * params.period :], w) << w
-    for c in rows:
+    for c, key in zip(rows, keys):
         child = arena.add(c, idx)
-        key = prefix | c
         if not key and is_goal(params, arena, child):
             if search._record_ship(child):
                 return
@@ -295,7 +284,8 @@ def _dfs_probe(search: Search, roots: list[int], limit: int) -> list[bool]:
     rows again or ends, and a tick follows. Ships are recorded after the
     last step, in root order. Where one ends the search, the roots before
     its root run on, and the expansions of those after it are taken back
-    out of the count."""
+    out of the count. A block's seen dicts, of up to node_capacity
+    entries each, live until it ends."""
     params, arena, status = search.params, search.arena, search.status
     w, capacity = params.width, search.config.node_capacity
     mask = (1 << 2 * params.period * w) - 1  # a state key's bits
@@ -312,22 +302,17 @@ def _dfs_probe(search: Search, roots: list[int], limit: int) -> list[bool]:
         for i, (root, window) in enumerate(zip(roots, windows))
     ]
     while waiting:
-        windows = [step[1] for step in waiting]
-        if len(windows) >= BATCH_MIN:
-            at, rows = successors_batch(params, search.tables, windows)
-            bounds = np.searchsorted(at, np.arange(len(windows) + 1)).tolist()
-            rows = rows.tolist()
-            found = [rows[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-        else:
-            found = [successors(params, search.tables, window) for window in windows]
+        at, rows = _successor_rows(search, [step[1] for step in waiting])
+        bounds = np.searchsorted(at, np.arange(len(waiting) + 1)).tolist()
+        rows = rows.tolist()
         pushed = []
-        for (i, *frame), rows in zip(waiting, found):
+        for (i, *frame), lo, hi in zip(waiting, bounds, bounds[1:]):
             if i > last:
                 continue
             expanded[i] += 1
             status.states_expanded += 1
             stack, seen = stacks[i], seens[i]
-            stack.append((*frame, iter(rows)))
+            stack.append((*frame, iter(rows[lo:hi])))
             while stack:
                 window, prefix, level, children = stack[-1]
                 level += 1
@@ -419,13 +404,12 @@ def compact(search: Search) -> None:
     left, exhaustion is declared next: the arena is left as it is and the
     table starts over from the seed alone, so that after a narrowing it
     holds no key of the old width."""
-    params = search.params
     if not search.queue:
-        search._new_table([2 * params.period - 1])
+        search._new_table(())
         return
     search.arena, frontier = search.arena.ancestry(search.queue.nodes())
     search.queue = NodeQueue(frontier)
-    search._new_table([2 * params.period - 1, *frontier.tolist()])  # the seed's tip, then the frontier
+    search._new_table(frontier)
     search._tick(force=True)
 
 

@@ -469,8 +469,7 @@ def extract_ship(params: SearchParams, arena: NodeArena, idx: int) -> Pattern:
 # transposition table: exact state key -> first node with that state
 
 # The fewest entries a fold takes, about one breadth-first chunk's offers
-# (search.BATCH_CHUNK): a fold copies the whole sorted part. A table of no
-# more entries keeps them in a dict.
+# (search.BATCH_CHUNK): a fold copies the whole sorted part.
 RECENT_MIN = 4096
 
 
@@ -511,37 +510,23 @@ class TranspositionTable:
     is also a shallowest one. Each entry is an arena node, and compaction
     starts a fresh table, so the table never outgrows the arena.
 
-    The entries live in three parts. The sorted part holds keys in order,
-    in a uint64 array or, for keys of several limbs, as byte strings of
-    their big-endian limbs, which sort the same way; next to it, an int32
-    array of their nodes. The run is a second sorted part of the same
-    form for the entries since the last fold, and the dict (recent) holds
-    the scalar offers since the last bulk offer. A bulk offer moves the
-    dict into the run, checks its keys against the two sorted parts and
-    merges the fresh ones into the run, turning no key into a Python int;
-    a scalar offer costs a dict lookup and a binary search of each
-    nonempty sorted part. Once the run and the dict hold more than
-    RECENT_MIN entries and more than an eighth of the sorted part, both
-    are folded into it, so a fold copies the sorted part only after it
-    has grown by an eighth.
-
-    A table of at most RECENT_MIN entries keeps them all in the dict,
-    bulk offers' too, so that its scalar offers stay dict lookups: the
-    deepening searches start a table at every compaction, keep it that
-    small and make most of their offers one at a time.
-
-    Bulk offers take keys as a (n, limbs) uint64 array of key_limbs
-    limbs, the most significant first (limbs_of)."""
+    The entries live in two sorted parts: keys in order (uint64, or for
+    keys of several limbs byte strings of their big-endian limbs, which
+    sort the same way) next to int32 nodes. An offer, of one key or of a
+    (n, limbs) uint64 array of key_limbs limbs, the most significant
+    first (limbs_of), merges its fresh keys into the run, the entries
+    since the last fold. The run is folded into the sorted part once it
+    holds more than RECENT_MIN entries and more than an eighth of it;
+    the fold copies the keys, then the nodes, never both at once."""
 
     def __init__(self, params: SearchParams):
         rows, self.limbs = key_limbs(params)
         self.bits = rows * params.width  # per limb
         self.keys, self.nodes = self._empty()
         self.run_keys, self.run_nodes = self._empty()
-        self.recent: dict[int, int] = {}
 
     def __len__(self) -> int:
-        return len(self.keys) + len(self.run_keys) + len(self.recent)
+        return len(self.keys) + len(self.run_keys)
 
     def _empty(self) -> tuple[np.ndarray, np.ndarray]:
         return self._sortable(np.zeros((0, self.limbs), dtype=np.uint64)), np.zeros(0, dtype=np.int32)
@@ -568,17 +553,13 @@ class TranspositionTable:
 
     def get(self, key: int) -> int | None:
         """The node recorded for key, or None."""
-        node = self.recent.get(key)
-        if node is not None:
-            return node
         # key as the sorted parts hold it (a byte string reads back
         # without its trailing zero bytes, so it is built the same way)
-        query = np.uint64(key) if self.limbs == 1 else self._sortable(self.limbs_of([key]))[0]
+        query = self._sortable(self.limbs_of([key]))[0]
         for keys, nodes in ((self.run_keys, self.run_nodes), (self.keys, self.nodes)):
-            if len(keys):
-                at = keys.searchsorted(query)
-                if at < len(keys) and keys[at] == query:
-                    return int(nodes[at])
+            at = keys.searchsorted(query)
+            if at < len(keys) and keys[at] == query:
+                return int(nodes[at])
         return None
 
     def items(self):
@@ -586,36 +567,35 @@ class TranspositionTable:
         for keys, nodes in ((self.keys, self.nodes), (self.run_keys, self.run_nodes)):
             limbs = keys.view(np.uint64 if self.limbs == 1 else ">u8").reshape(-1, self.limbs)
             yield from zip(self.ints_of(limbs), nodes.tolist())
-        yield from self.recent.items()
-
-    def _put(self, key: int, node: int) -> None:
-        """Record a new entry from a scalar offer."""
-        self.recent[key] = node
-        if len(self.recent) + len(self.run_keys) > max(RECENT_MIN, len(self.keys) // 8):
-            self._flush()
-
-    def _flush(self) -> None:
-        """Move the dict's entries into the run."""
-        if self.recent:
-            keys = self._sortable(self.limbs_of(self.recent))
-            nodes = np.fromiter(self.recent.values(), dtype=np.int32, count=len(self.recent))
-            self.recent = {}
-            order = np.argsort(keys)
-            self._add(keys[order], nodes[order])
 
     def _add(self, keys: np.ndarray, nodes: np.ndarray) -> None:
         """Merge new entries, sorted and absent from the table, into the
         run, and fold the run into the sorted part once it is due."""
-        self.run_keys, self.run_nodes = _merged(self.run_keys, self.run_nodes, keys, nodes)
+        at, old = _places(self.run_keys, keys)
+        self.run_keys = _merged(self.run_keys, keys, at, old)
+        self.run_nodes = _merged(self.run_nodes, nodes, at, old)
         if len(self.run_keys) > max(RECENT_MIN, len(self.keys) // 8):
-            self.keys, self.nodes = _merged(self.keys, self.nodes, self.run_keys, self.run_nodes)
+            at, old = _places(self.keys, self.run_keys)
+            self.keys = _merged(self.keys, self.run_keys, at, old)  # the old keys are gone before the nodes merge
+            self.nodes = _merged(self.nodes, self.run_nodes, at, old)
             self.run_keys, self.run_nodes = self._empty()
 
 
-def _merged(keys: np.ndarray, nodes: np.ndarray, new_keys: np.ndarray, new_nodes: np.ndarray):
-    """A sorted part with sorted new keys and their nodes merged in."""
-    at = np.searchsorted(keys, new_keys)
-    return np.insert(keys, at, new_keys), np.insert(nodes, at, new_nodes)
+def _places(keys: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where sorted keys and sorted new ones go merged: the positions of
+    the new ones, and a mask of those of the old ones."""
+    at = np.searchsorted(keys, new) + np.arange(len(new))
+    old = np.ones(len(keys) + len(new), dtype=bool)
+    old[at] = False
+    return at, old
+
+
+def _merged(values: np.ndarray, new: np.ndarray, at: np.ndarray, old: np.ndarray) -> np.ndarray:
+    """values and new merged as _places put them."""
+    out = np.empty(len(old), dtype=values.dtype)
+    out[at] = new
+    out[old] = values
+    return out
 
 
 def _absent(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
@@ -631,23 +611,18 @@ def transposition_insert(table: TranspositionTable, key: int, idx: int) -> tuple
     node recorded first for this key)."""
     kept = table.get(key)
     if kept is None:
-        table._put(key, idx)
+        table._add(table._sortable(table.limbs_of([key])), np.array([idx], dtype=np.int32))
         return ("fresh", None)
     return ("duplicate", kept)
 
 
-def transposition_insert_many(table: TranspositionTable, keys: np.ndarray, first: int) -> np.ndarray:
-    """transposition_insert(table, key i, first + i) for each row i of
-    keys (limbs, as TranspositionTable takes them) in order, in bulk;
-    returns the nodes recorded, in order, as an int32 array."""
-    recent = table.recent
-    if len(recent) == len(table) and len(recent) + len(keys) <= RECENT_MIN:  # a small table
-        fresh = [idx for idx, key in enumerate(table.ints_of(keys), first) if recent.setdefault(key, idx) == idx]
-        return np.array(fresh, dtype=np.int32)
-    table._flush()
+def transposition_insert_many(table: TranspositionTable, keys: np.ndarray, nodes) -> np.ndarray:
+    """transposition_insert(table, key i, nodes[i]) for each row i of keys
+    (limbs, as TranspositionTable takes them) in order, in bulk; returns
+    the nodes recorded, in order, as an int32 array."""
+    nodes = np.asarray(nodes, dtype=np.int32)
     # each key's first offer, then those neither sorted part holds
     sortable, at = np.unique(table._sortable(keys), return_index=True)
     fresh = _absent(table.keys, sortable) & _absent(table.run_keys, sortable)
-    nodes = (at[fresh] + first).astype(np.int32)
-    table._add(sortable[fresh], nodes)
-    return np.sort(nodes)
+    table._add(sortable[fresh], nodes[at[fresh]])
+    return nodes[np.sort(at[fresh])]

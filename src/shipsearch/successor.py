@@ -42,10 +42,11 @@ search: stage 1 gathers per-column uint32 slices of the byte tables,
 stage 2 sweeps all windows column by column, and stage 3 walks one
 backward frontier holding an entry per (window, partial row), over the
 windows stage 2 kept. It returns one flat pair of arrays, each row with
-the position of its window. The search hands it every large chunk of
-queued breadth-first states, whatever their levels, and calls
-successors() for the rest; both must give the same rows in the same
-order.
+the position of its window. The search hands it every set of windows
+of at least search.BATCH_MIN, a breadth-first chunk of queued states of
+any levels or a lockstep step of deepening probes, and calls
+successors() on each window of a smaller set; both must give the same
+rows in the same order.
 """
 
 from __future__ import annotations

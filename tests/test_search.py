@@ -170,10 +170,10 @@ class TestCarriedKeys:
             check(searches[-1], key, idx, verdict)
             return verdict
 
-        def checked_many(table, keys, first):
-            fresh = original_many(table, keys, first)
+        def checked_many(table, keys, nodes):
+            fresh = original_many(table, keys, nodes)
             recorded = set(fresh.tolist())
-            for idx, key in enumerate(table.ints_of(keys), first):
+            for idx, key in zip(np.asarray(nodes).tolist(), table.ints_of(keys)):
                 verdict = ("fresh", None) if idx in recorded else ("duplicate", table.get(key))
                 check(searches[-1], key, idx, verdict)
             return fresh
@@ -283,8 +283,9 @@ class TestWeekenderFill:
             arena = search.arena
             return search.queue.nodes().tolist(), (arena.rows, arena.parents, arena.depths), dict(search.tt.items())
 
-        def sequential(table, keys, first):
-            fresh = [idx for idx, key in enumerate(table.ints_of(keys), first) if transposition_insert(table, key, idx)[0] == "fresh"]
+        def sequential(table, keys, nodes):
+            offers = zip(np.asarray(nodes).tolist(), table.ints_of(keys))
+            fresh = [idx for idx, key in offers if transposition_insert(table, key, idx)[0] == "fresh"]
             return np.array(fresh, dtype=np.int32)
 
         bulk = fill()
@@ -292,6 +293,29 @@ class TestWeekenderFill:
         one = fill()
         assert bulk == one
         assert len(bulk[0]) > 1 << 14 and len(bulk[2]) > 1 << 14
+
+
+class TestReseed:
+    @pytest.mark.parametrize(
+        "params, capacity",
+        [(SearchParams(LIFE, 3, 1, 6, EVEN_MIRROR), 1 << 12), (SearchParams(LIFE, 7, 2, 9, EVEN_MIRROR), 1 << 15)],
+        ids=["c3-one-limb", "weekender-two-limbs"],
+    )
+    def test_bulk_reseed_matches_one_at_a_time(self, params, capacity):
+        # filled to capacity, then compacted, then narrowed: each time
+        # the table holds what offering the seed and then the frontier
+        # one key at a time gives (the weekender's table folds)
+        search = Search(params, SearchConfig(node_capacity=capacity, continue_after_find=True))
+        while search.queue and not search.arena_full():
+            search_mod._expand_head(search)
+        for step in (search_mod.compact, reduce_width):
+            step(search)
+            params, arena = search.params, search.arena
+            one = TranspositionTable(params)
+            for idx in [2 * params.period - 1, *search.queue.nodes().tolist()]:
+                transposition_insert(one, state_key(params, arena, idx), idx)
+            assert dict(search.tt.items()) == dict(one.items())
+            assert len(search.queue) > 100 and search.tt.limbs == (1 if params.period == 3 else 2)
 
 
 class TestProbeDedup:

@@ -9,6 +9,7 @@ and require is_consistent to accept it (and to reject a perturbation).
 
 import math
 import random
+import tracemalloc
 from collections import deque
 from dataclasses import replace
 from unittest import mock
@@ -501,32 +502,31 @@ class TestTransposition:
         assert transposition_insert(table, state_key(params, arena, b), b)[0] == "fresh"
         assert dict(table.items()) == {state_key(params, arena, a): a, state_key(params, arena, b): b}
 
-    @pytest.mark.parametrize("recent_min", [statespace.RECENT_MIN, 0], ids=["dict", "sorted"])
     @pytest.mark.parametrize("width", [16, 18], ids=["64-bit-one-limb", "72-bit-two-limbs"])
     @given(
         st.lists(st.tuples(st.integers(0, 2**72 - 1), st.booleans()), max_size=40),
         st.lists(st.integers(0, 2**72 - 1), max_size=10),
         st.integers(0, 10**6),
     )
-    def test_many_matches_one_at_a_time(self, recent_min, width, drawn, before, first):
+    def test_many_matches_one_at_a_time(self, width, drawn, before, first):
         # first offer wins, in order, against the table and within the
         # batch; a key may come with its lowest bit flipped next to it,
-        # which a pass through float64 would merge above 2^53; at
-        # RECENT_MIN 0 no table is small enough for the dict path
+        # which a pass through float64 would merge above 2^53; the nodes
+        # offered are every other one from first, so a node read from a
+        # key's position shows
         params = SearchParams(LIFE, 2, 1, width)
         mask = (1 << 4 * width) - 1
         keys = [k & mask for key, pair in drawn for k in ((key, key ^ 1) if pair else (key,))]
         before = [key & mask for key in before]
-        with mock.patch.object(statespace, "RECENT_MIN", recent_min):
-            one, bulk = TranspositionTable(params), TranspositionTable(params)
-            for i, key in enumerate(before):
-                transposition_insert(one, key, -1 - i)
-                transposition_insert(bulk, key, -1 - i)
-            want = [idx for idx, key in enumerate(keys, first) if transposition_insert(one, key, idx)[0] == "fresh"]
-            got = transposition_insert_many(bulk, bulk.limbs_of(keys), first)
+        nodes = range(first, first + 2 * len(keys), 2)
+        one, bulk = TranspositionTable(params), TranspositionTable(params)
+        for i, key in enumerate(before):
+            transposition_insert(one, key, -1 - i)
+            transposition_insert(bulk, key, -1 - i)
+        want = [idx for idx, key in zip(nodes, keys) if transposition_insert(one, key, idx)[0] == "fresh"]
+        got = transposition_insert_many(bulk, bulk.limbs_of(keys), np.array(nodes))
         assert got.dtype == np.int32 and got.tolist() == want
         assert dict(bulk.items()) == dict(one.items())
-        assert len(bulk.recent) == (len(bulk) if recent_min else 0)
         assert all(bulk.get(key) == one.get(key) for key in keys + before)
 
 
@@ -568,9 +568,7 @@ class TestTranspositionFolds:
                 if isinstance(op, list):
                     keys = [resolve(key) for key in op]
                     want = [i for i, key in enumerate(keys, node) if ref.setdefault(key, i) == i]
-                    assert transposition_insert_many(table, table.limbs_of(keys), node).tolist() == want
-                    # the dict holds scalar offers only, or all of a small table
-                    assert not table.recent or len(table.recent) == len(table) <= statespace.RECENT_MIN
+                    assert transposition_insert_many(table, table.limbs_of(keys), np.arange(node, node + len(keys))).tolist() == want
                     node += len(keys)
                 else:
                     key = resolve(op)
@@ -579,25 +577,56 @@ class TestTranspositionFolds:
                     node += 1
                 folds += len(table.keys) > sorted_before
                 fresh_calls += len(ref) > known
+                # two strictly increasing parts with no key in both, the
+                # run folded once it passes RECENT_MIN and an eighth
+                run, folded = table.run_keys, table.keys
+                assert (run[1:] > run[:-1]).all() and (folded[1:] > folded[:-1]).all()
+                assert not set(run.tolist()) & set(folded.tolist())
+                assert len(run) <= max(statespace.RECENT_MIN, len(folded) // 8)
                 assert len(table) == len(ref)
                 assert all(table.get(key) == ref[key] for key in drawn)
             assert dict(table.items()) == ref
             assert folds >= 2 or fresh_calls < 6
 
     def test_folds_at_recent_min(self):
-        # at the real threshold: a small table keeps its entries in the
-        # dict, and the dict and the run fold once they hold more than
+        # at the real threshold: the run folds once it holds more than
         # RECENT_MIN entries and more than an eighth of the sorted part
         params = SearchParams(LIFE, 2, 1, 8)
         table, rng = TranspositionTable(params), np.random.default_rng(0)
         sizes = []
         for first in range(0, 40000, 1000):
             keys = rng.integers(0, 2**32, size=(1000, 1), dtype=np.uint64)
-            transposition_insert_many(table, keys, first)
-            sizes.append((len(table.keys), len(table.run_keys) + len(table.recent)))
+            transposition_insert_many(table, keys, np.arange(first, first + 1000))
+            sizes.append((len(table.keys), len(table.run_keys)))
         folded = [size for size in sizes if size[1] == 0]
         assert len(folded) >= 4 and folded[0] == (5000, 0)  # the fifth chunk passes RECENT_MIN
-        assert all(recent <= max(statespace.RECENT_MIN, keys // 8) for keys, recent in sizes)
+        assert all(run <= max(statespace.RECENT_MIN, keys // 8) for keys, run in sizes)
+
+    def test_fold_copies_keys_and_nodes_one_after_the_other(self):
+        # a sorted part of 200,000 64-bit keys and a run of an eighth of
+        # that, folded by one more scalar offer: the fold drops the old
+        # keys before it merges the nodes, so the heap never grows by
+        # as much as the old sorted part takes (both at once took about
+        # 1.5 times that)
+        params = SearchParams(LIFE, 2, 1, 16)
+        n = 200_000
+        tracemalloc.start()
+        try:
+            table = TranspositionTable(params)
+            keys = np.random.default_rng(0).integers(0, 2**63, size=(n + n // 8, 1), dtype=np.uint64)
+            transposition_insert_many(table, keys[:n], np.arange(n))
+            transposition_insert_many(table, keys[n:], np.arange(n, len(keys)))
+            del keys
+            assert len(table.keys) == n and len(table.run_keys) == n // 8
+            old = table.keys.nbytes + table.nodes.nbytes
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            transposition_insert(table, 1 << 63, -1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table.keys) == n + n // 8 + 1 and not len(table.run_keys)
+        assert peak - held < old
 
 
 class TestExtraction:
