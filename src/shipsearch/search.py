@@ -284,8 +284,9 @@ def _dfs_probe(search: Search, roots: list[int], limit: int) -> list[bool]:
     rows again or ends, and a tick follows. Ships are recorded after the
     last step, in root order. Where one ends the search, the roots before
     its root run on, and the expansions of those after it are taken back
-    out of the count. A block's seen dicts, of up to node_capacity
-    entries each, live until it ends."""
+    out of the count. A probe's seen dict, of up to node_capacity
+    entries, is emptied when the probe ends, and so are the frame stacks
+    and seen dicts of the roots after a ship that ends the search."""
     params, arena, status = search.params, search.arena, search.status
     w, capacity = params.width, search.config.node_capacity
     mask = (1 << 2 * params.period * w) - 1  # a state key's bits
@@ -327,6 +328,8 @@ def _dfs_probe(search: Search, roots: list[int], limit: int) -> list[bool]:
                                 stack.clear()
                                 status.states_expanded -= sum(expanded[i + 1 :])
                                 expanded[i + 1 :] = [0] * (n - 1 - i)
+                                for dropped in chain(stacks[i + 1 :], seens[i + 1 :]):
+                                    dropped.clear()
                                 last = i
                                 break
                             continue  # a finished ship only grows dead rows from here
@@ -347,6 +350,8 @@ def _dfs_probe(search: Search, roots: list[int], limit: int) -> list[bool]:
                     stack.pop()
                     continue
                 break
+            if not stack:
+                seen.clear()  # the probe has ended
         waiting = pushed
         search._tick()
     for i in range(last + 1):

@@ -146,24 +146,21 @@ def _masks_from_bits(bits):
 def _star_tables(rule: Rule):
     """star_l[m3 | a3<<3 | dbit<<6 | e3<<7 | f3<<10] = 64-bit mask of edge
     values (ct | lt<<3) satisfying both one-column checks:
-    evolve(a3,m3,ct) center == dbit and evolve(f3,e3,lt) center == center(ct)."""
+    evolve(a3,m3,ct) center == dbit and evolve(f3,e3,lt) center == center(ct).
+
+    The checks share no index bits, so an entry is the AND of two halves:
+    per (m3, a3, dbit), the ct passing the first, spread to every lt's
+    byte; per (e3, f3), each lt's byte holding the ct whose center is the
+    one lt births, 0x33 (center dead) or 0xCC (center live)."""
     ev = np.array(evolution_table(rule), dtype=np.uint8)
-    idx = np.arange(8192)
-    m3 = idx & 7
-    a3 = (idx >> 3) & 7
-    db = ((idx >> 6) & 1).astype(np.uint8)
-    e3 = (idx >> 7) & 7
-    f3 = (idx >> 10) & 7
     t = np.arange(8)
-
-    first = ev[a3[:, None] | (m3[:, None] << 3) | (t[None, :] << 6)]  # over ct
-    cond_a = first == db[:, None]
-    second = ev[f3[:, None] | (e3[:, None] << 3) | (t[None, :] << 6)]  # over lt
-    center_ct = ((t >> 1) & 1).astype(np.uint8)
-    cond_l = second[:, :, None] == center_ct[None, None, :]  # (idx, lt, ct)
-
-    full = cond_a[:, None, :] & cond_l  # bit position ct | lt<<3 = lt-major
-    return _masks_from_bits(full.reshape(8192, 64))
+    lo = np.arange(128)[:, None]  # m3 | a3<<3 | dbit<<6
+    first = ev[(lo >> 3 & 7) | (lo & 7) << 3 | t << 6] == lo >> 6  # [lo, ct]
+    ct_bytes = np.repeat(np.packbits(first, axis=1, bitorder="little"), 8, axis=1)  # [lo, lt]
+    hi = np.arange(64)[:, None]  # e3 | f3<<3
+    second = ev[(hi >> 3) | (hi & 7) << 3 | t << 6]  # [hi, lt]
+    lt_bytes = np.where(second, np.uint8(0xCC), np.uint8(0x33))  # [hi, lt]
+    return (lt_bytes.view("<u8") & ct_bytes.view("<u8").T).ravel().tolist()
 
 
 def _evolve5_center3(ev):
@@ -205,6 +202,22 @@ def _pack32(bits: np.ndarray) -> np.ndarray:
     return np.packbits(bits.astype(bool), bitorder="little").view(np.uint32)
 
 
+_CLOSURE_PLANES = 4
+
+
+def _closure_pass(valid: np.ndarray, good: np.ndarray) -> np.ndarray:
+    """One full pass of _backward_closure: good with bit d of good[a,b,c]
+    set wherever valid[a,c,d] & good[b,c,d] is nonzero. The ANDs go
+    through one buffer of _CLOSURE_PLANES values of a, 512 KB where all
+    32 would take 4 MB."""
+    new = good.copy()
+    planes = np.empty((_CLOSURE_PLANES, 32, 32, 32), dtype=np.uint32)  # [a, b, c, d] for a slab of a
+    for a in range(0, 32, _CLOSURE_PLANES):
+        np.bitwise_and(valid[a : a + _CLOSURE_PLANES, None], good[None], out=planes)
+        new[a : a + _CLOSURE_PLANES] |= _pack32(planes).reshape(-1, 32, 32)
+    return new
+
+
 def _backward_closure(valid: np.ndarray) -> np.ndarray:
     """The strips that can reach the all-dead strip under valid appends:
     good[a,b,c] bit d <=> strip rows (a,b,c,d) oldest-first can reach it,
@@ -212,8 +225,9 @@ def _backward_closure(valid: np.ndarray) -> np.ndarray:
     (b,c,d,x) is good. Bit d of good[a,b,c] thus reads good[b,c,d]
     alone, so each pass recomputes only the slabs good[:, b, c] whose
     sources good[b, c, :] changed in the pass before (semi-naive
-    evaluation). Where most slabs changed, one broadcast over all of them
-    costs less than gathering valid for each."""
+    evaluation). Where most slabs changed, one full pass over all of them
+    (_closure_pass, a few planes of a at a time) costs less than
+    gathering valid for each."""
     by_c = np.ascontiguousarray(valid.transpose(1, 0, 2))  # [c, a, d]
     good = np.zeros((32, 32, 32), dtype=np.uint32)
     good[0, 0, 0] = 1
@@ -221,13 +235,16 @@ def _backward_closure(valid: np.ndarray) -> np.ndarray:
     changed[0, 0] = True
     while changed.any():
         if changed.sum() > 512:
-            new = good | _pack32(valid[:, None] & good[None]).reshape(32, 32, 32)
+            new = _closure_pass(valid, good)
             changed = (new != good).any(axis=2)
             good = new
             continue
         b, c = np.nonzero(changed)
         old = good[:, b, c]
-        new = old | _pack32(by_c[c] & good[b, c, None, :]).reshape(-1, 32).T
+        reach = by_c[c]  # a gathered copy, ANDed in place
+        reach &= good[b, c, None, :]
+        new = old | _pack32(reach).reshape(-1, 32).T
+        del reach  # so that it does not outlive the pass
         good[:, b, c] = new
         changed = np.zeros((32, 32), dtype=bool)
         a, at = np.nonzero(new != old)
@@ -246,7 +263,17 @@ def _p2_table(rule: Rule):
     the triples of the two new rows is true when some assignment of the
     new rows' outer window cells lands in that reachable set.
 
-    Entry r2w | r1w<<5 is a 64-bit mask over edge values."""
+    Entry r2w | r1w<<5 is a 64-bit mask over edge values.
+
+    It is built on the grids its definition factors into. The appends
+    allowed to strip (s3, s1, s0) are one uint32 over the appended row x,
+    the AND of three: the x whose center evolves to s0's, per (s3, s1,
+    s0's center triple), and per boundary cell the x whose outer pair
+    leaves its result achievable, per (its live neighbors in s3 and s1,
+    its own bit, its result). An entry ORs the reachable strips over the
+    outer cells of the older new row into one mask over the newer row's
+    window, per (r2w, r1w, ct), then tests it against the windows each
+    lt allows."""
     ev = np.array(evolution_table(rule), dtype=np.uint8)
     ev5c = _evolve5_center3(ev)
 
@@ -258,27 +285,26 @@ def _p2_table(rule: Rule):
             for res in states:
                 fe[known, mid, res] = True
 
-    s3 = np.arange(32)[:, None, None, None]
-    s1 = np.arange(32)[None, :, None, None]
-    s0 = np.arange(32)[None, None, :, None]
-    x = np.arange(32)[None, None, None, :]
+    x = np.arange(32)
+    center = _pack32(ev5c[:, :, None, :] == np.arange(8)[:, None]).reshape(32, 32, 8)  # [s3, s1, r3]
+    # the boundary cells' tables: [live neighbors in s3 and s1, own bit, result bit]
+    low = _pack32(fe[np.arange(4)[:, None] + _POP2[x & 3]].transpose(0, 2, 3, 1)).reshape(4, 2, 2)
+    high = _pack32(fe[np.arange(4)[:, None] + _POP2[x >> 3 & 3]].transpose(0, 2, 3, 1)).reshape(4, 2, 2)
+    s3 = x[:, None, None]
+    s1 = x[None, :, None]
+    s0 = x[None, None, :]
+    valid = center[s3, s1, s0 >> 1 & 7]
+    valid &= low[_POP2[s3 & 3] + (s1 >> 1 & 1), s1 & 1, s0 & 1]
+    valid &= high[_POP2[s3 >> 3 & 3] + (s1 >> 3 & 1), s1 >> 4 & 1, s0 >> 4 & 1]
 
-    cond = ev5c[s3, s1, x] == ((s0 >> 1) & 7).astype(np.uint8)
-    k0 = _POP2[s3 & 3] + (((s1 >> 1) & 1).astype(np.uint8)) + _POP2[x & 3]
-    cond &= fe[k0, s1 & 1, s0 & 1]
-    k4 = _POP2[(s3 >> 3) & 3] + (((s1 >> 3) & 1).astype(np.uint8)) + _POP2[(x >> 3) & 3]
-    cond &= fe[k4, (s1 >> 4) & 1, (s0 >> 4) & 1]
-    valid = np.packbits(cond, axis=-1, bitorder="little").view(np.uint32)[..., 0]
-
-    good = _backward_closure(valid)
-    good_bits = np.unpackbits(good.view(np.uint8).reshape(32, 32, 32, 4), axis=-1, bitorder="little")
-    good_bits = good_bits.astype(bool)  # [r2w, r1w, c5, l5]
+    good = _backward_closure(valid)  # [r2w, r1w, c5] bit l5
 
     outer = np.arange(4)
     t = np.arange(8)
     w5 = (outer[None, :] & 1) | (t[:, None] << 1) | ((outer[None, :] >> 1) << 4)  # (8, 4)
-    ent = good_bits[:, :, w5[:, :, None, None], w5[None, None, :, :]]
-    ent = ent.any(axis=(3, 5))  # [r2w, r1w, ct, lt]
+    by_ct = np.bitwise_or.reduce(good[:, :, w5], axis=3)  # [r2w, r1w, ct] bit l5
+    by_lt = np.bitwise_or.reduce(np.uint32(1) << w5.astype(np.uint32), axis=1)  # [lt] bit l5
+    ent = (by_ct[..., None] & by_lt) != 0  # [r2w, r1w, ct, lt]
 
     # entry index = r2w | r1w<<5, bit = ct | lt<<3
     bits = np.transpose(ent, (1, 0, 3, 2)).reshape(1024, 64)

@@ -6,7 +6,8 @@ window successors() reads, the per-edge structural masks and a per-call
 stage1 that the compiled ones are checked against, the vertex-set form of
 stages 2 and 3 that the edge-passing pair is checked against, the
 share of a table's entries pruned, the p2 table's backward closure as a
-plain fixed-point loop, the bench's modules and search
+plain fixed-point loop, the star and p2 tables built over their whole
+unfactored grids, the bench's modules and search
 command lines, and the one-root-at-a-time deepening probe that the
 lockstep probe is checked against."""
 
@@ -38,7 +39,9 @@ from shipsearch.statespace import (
 from shipsearch.successor import (
     _edges_with_left_in,
     _edges_with_right_in,
+    _evolve5_center3,
     _left_vertices,
+    _masks_from_bits,
     _right_vertices,
     successors,
 )
@@ -233,6 +236,73 @@ def fixed_point_closure(valid):
         if np.array_equal(new, good):
             return good
         good = new
+
+
+def reference_star_tables(rule):
+    """successor._star_tables over the whole 8192 x 8 x 8 grid of entry,
+    lt and ct: each entry's mask is the AND of both one-column checks
+    worked out for every edge value at once."""
+    ev = np.array(evolution_table(rule), dtype=np.uint8)
+    idx = np.arange(8192)
+    m3 = idx & 7
+    a3 = (idx >> 3) & 7
+    db = ((idx >> 6) & 1).astype(np.uint8)
+    e3 = (idx >> 7) & 7
+    f3 = (idx >> 10) & 7
+    t = np.arange(8)
+
+    first = ev[a3[:, None] | (m3[:, None] << 3) | (t[None, :] << 6)]  # over ct
+    cond_a = first == db[:, None]
+    second = ev[f3[:, None] | (e3[:, None] << 3) | (t[None, :] << 6)]  # over lt
+    center_ct = ((t >> 1) & 1).astype(np.uint8)
+    cond_l = second[:, :, None] == center_ct[None, None, :]  # (idx, lt, ct)
+
+    full = cond_a[:, None, :] & cond_l  # bit position ct | lt<<3 = lt-major
+    return _masks_from_bits(full.reshape(8192, 64))
+
+
+def reference_p2_table(rule):
+    """successor._p2_table over the whole 32^4 grid of strips and
+    appended rows, closed by fixed_point_closure: every append condition
+    evaluated for every (s3, s1, s0, x), and every entry's outer cells
+    tried one by one."""
+    pop2 = np.array([0, 1, 1, 2], dtype=np.uint8)
+    ev = np.array(evolution_table(rule), dtype=np.uint8)
+    ev5c = _evolve5_center3(ev)
+
+    # boundary feasibility: known count, center bit, result bit
+    fe = np.zeros((6, 2, 2), dtype=bool)
+    for known in range(6):
+        for mid in (0, 1):
+            states = {1 if (known + c) in (rule.survive if mid else rule.birth) else 0 for c in range(4)}
+            for res in states:
+                fe[known, mid, res] = True
+
+    s3 = np.arange(32)[:, None, None, None]
+    s1 = np.arange(32)[None, :, None, None]
+    s0 = np.arange(32)[None, None, :, None]
+    x = np.arange(32)[None, None, None, :]
+
+    cond = ev5c[s3, s1, x] == ((s0 >> 1) & 7).astype(np.uint8)
+    k0 = pop2[s3 & 3] + (((s1 >> 1) & 1).astype(np.uint8)) + pop2[x & 3]
+    cond &= fe[k0, s1 & 1, s0 & 1]
+    k4 = pop2[(s3 >> 3) & 3] + (((s1 >> 3) & 1).astype(np.uint8)) + pop2[(x >> 3) & 3]
+    cond &= fe[k4, (s1 >> 4) & 1, (s0 >> 4) & 1]
+    valid = np.packbits(cond, axis=-1, bitorder="little").view(np.uint32)[..., 0]
+
+    good = fixed_point_closure(valid)
+    good_bits = np.unpackbits(good.view(np.uint8).reshape(32, 32, 32, 4), axis=-1, bitorder="little")
+    good_bits = good_bits.astype(bool)  # [r2w, r1w, c5, l5]
+
+    outer = np.arange(4)
+    t = np.arange(8)
+    w5 = (outer[None, :] & 1) | (t[:, None] << 1) | ((outer[None, :] >> 1) << 4)  # (8, 4)
+    ent = good_bits[:, :, w5[:, :, None, None], w5[None, None, :, :]]
+    ent = ent.any(axis=(3, 5))  # [r2w, r1w, ct, lt]
+
+    # entry index = r2w | r1w<<5, bit = ct | lt<<3
+    bits = np.transpose(ent, (1, 0, 3, 2)).reshape(1024, 64)
+    return _masks_from_bits(bits)
 
 
 def reference_stage1_edges(params, tables, rows):

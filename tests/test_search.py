@@ -840,6 +840,27 @@ class TestLockstepProbes:
         for minimum in (1, DEFAULT_BATCH_MIN):
             assert run(minimum) == single
 
+    def test_ended_probes_free_their_seen_states(self, monkeypatch):
+        # quick c/3: at every tick inside a block, each probe that has
+        # ended holds an empty seen dict, also while others run on
+        params, config = search_from_argv(bench_module("workloads").QUICK["quick-c3-even-w6-deepen"].argv())
+        tick, probe_code = Search._tick, search_mod._dfs_probe.__code__
+        checks = 0
+
+        def checked_tick(search, force=False):
+            nonlocal checks
+            caller = sys._getframe(1)
+            if caller.f_code is probe_code:
+                stacks, seens = caller.f_locals["stacks"], caller.f_locals["seens"]
+                ended = [seen for stack, seen in zip(stacks, seens) if not stack]
+                assert not any(ended)
+                checks += bool(ended) and any(stacks)
+            tick(search, force)
+
+        monkeypatch.setattr(Search, "_tick", checked_tick)
+        run_search(params, config)
+        assert checks > 0
+
     @pytest.mark.parametrize("continue_after_find", [False, True], ids=["first-find", "continue"])
     def test_earlier_roots_ship_comes_first(self, monkeypatch, continue_after_find):
         # LWSS at capacity 64: in one block the fourth root's probe meets

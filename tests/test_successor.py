@@ -10,6 +10,7 @@ import json
 import math
 import random
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +24,9 @@ from helpers import (
     fixed_point_closure,
     padded,
     pruned_percent,
+    reference_p2_table,
     reference_row_count,
+    reference_star_tables,
     reference_stage1_edges,
     reference_stage2_reach,
     reference_stage3_enumerate,
@@ -53,6 +56,7 @@ from shipsearch.successor import (
     _left_vertices,
     _p2_table,
     _right_vertices,
+    _star_tables,
     build_tables,
     stage1_edges,
     stage2_reach,
@@ -62,6 +66,31 @@ from shipsearch.successor import (
 )
 
 LIFE = parse_rule("B3/S23")
+
+
+def _random_rules(count, seed):
+    """count distinct rules without B0, each digit in with even odds."""
+    rng = random.Random(seed)
+    rules = set()
+    while len(rules) < count:
+        birth = "".join(d for d in "12345678" if rng.random() < 0.5)
+        survive = "".join(d for d in "012345678" if rng.random() < 0.5)
+        rules.add(f"B{birth}/S{survive}")
+    return sorted(rules)
+
+
+# the rules the table tests below sample entries of, and 8 more at random
+WHOLE_TABLE_RULES = [
+    "B3/S23",
+    "B27/S0",
+    "B36/S23",
+    "B2/S",
+    "B3678/S34678",
+    "B36/S125",
+    "B2345/S13",
+    "B368/S245",
+    *_random_rules(8, seed=20),
+]
 
 
 class TestP2Table:
@@ -85,6 +114,22 @@ class TestP2Table:
         built = _p2_table.__wrapped__(parse_rule(rule))
         monkeypatch.setattr(successor_mod, "_backward_closure", fixed_point_closure)
         assert built == _p2_table.__wrapped__(parse_rule(rule))
+
+    @pytest.mark.parametrize("rule", WHOLE_TABLE_RULES)
+    def test_whole_table_matches_unfactored_build(self, rule):
+        assert _p2_table.__wrapped__(parse_rule(rule)) == reference_p2_table(parse_rule(rule))
+
+    @pytest.mark.parametrize("rule", ["B3/S23", "B27/S0"])
+    def test_build_peak_memory(self, rule):
+        # no temporary spans the 32^4 grid of strips and appended rows;
+        # built over that grid, the table peaked at about 7 MB
+        tracemalloc.start()
+        try:
+            _p2_table.__wrapped__(parse_rule(rule))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5e6
 
 
 class TestStarTables:
@@ -120,6 +165,10 @@ class TestStarTables:
                         continue
                     mask |= 1 << e
                 assert tables.star_l[idx] == mask
+
+    @pytest.mark.parametrize("rule", WHOLE_TABLE_RULES)
+    def test_whole_table_matches_unfactored_build(self, rule):
+        assert _star_tables.__wrapped__(parse_rule(rule)) == reference_star_tables(parse_rule(rule))
 
 
 class TestLlTable:
