@@ -13,11 +13,13 @@ instead.
 Both phases work on many states at once: the breadth-first loop expands
 up to BATCH_CHUNK queued states of any levels as one chunk, a deepening
 round probes up to BATCH_CHUNK roots in lockstep, and both take their
-rows from _successor_rows. A chunk's children reach the transposition
-table in bulk offers, as does the frontier that compaction keeps. Counts,
-ships and progress reports are those of handling one state at a time,
-and nothing configures the batching. Probe nodes stay out of the arena
-but for the path to a child that may finish a ship, while it is checked.
+rows from _successor_rows. A chunk's children reach the arena and the
+transposition table in bulk, run by run, and a run's finished ships are
+caught among its children before they are offered; the frontier that
+compaction keeps is offered in bulk too. Counts, ships and progress
+reports are those of handling one state at a time, and nothing
+configures the batching. Probe nodes stay out of the arena but for the
+path to a child that may finish a ship, while it is checked.
 
 Every candidate ship is re-verified by evolving the extracted pattern;
 a verification failure means the constraint machinery is wrong and is
@@ -26,7 +28,7 @@ raised, never swallowed.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from itertools import chain
 
@@ -132,7 +134,12 @@ class Search:
 
     def _new_table(self, frontier) -> None:
         """Start a transposition table holding the all-dead seed's state,
-        key 0 at the seed's tip, then the states of frontier in order."""
+        key 0 at the seed's tip, then the states of frontier in order.
+
+        Key 0 goes in first so that the all-dead state is never queued:
+        every later offer of it, a goal child's among them, is a
+        duplicate. It stays a scalar transposition_insert: bench/worker.py
+        counts the table's duplicate ratio from that function's calls."""
         params, arena = self.params, self.arena
         self.tt = TranspositionTable(params)
         transposition_insert(self.tt, 0, 2 * params.period - 1)
@@ -204,10 +211,14 @@ def _expand_head(search: Search) -> None:
     at a full arena or a ship that ends the search, and parents not
     reached stay queued. Its parents are expanded in runs, each with one
     bulk append to the arena and one bulk offer to the table; a run ends
-    before the parent at which the arena would be full, after the parent
-    at which a progress report falls due, and before a parent with a
-    child whose state key is 0 (only such a child can finish a ship),
-    which goes through _expand_one alone."""
+    before the parent at which the arena would be full and after the
+    parent at which a progress report falls due. Only a child whose
+    state key is 0 can finish a ship, so only those are goal-tested,
+    in order, once the run is in the arena. A ship that ends the search
+    cuts the run at its child: the arena ends there, only the children
+    before it are offered, and its parent is the last one expanded.
+    Other goal children are offered with the rest, and the table's
+    entry for the seed's key 0 turns them away."""
     queue = search.queue
     if search.status.outcome != RUNNING or search.arena_full():
         return
@@ -221,54 +232,35 @@ def _expand_head(search: Search) -> None:
     keys = child_keys(params, windows, at, rows)
     counts = np.bincount(at, minlength=len(chunk))
     first = [0, *np.cumsum(counts).tolist()]  # each parent's first child
-    goal_parents = iter(at[~keys.any(axis=1)].tolist())  # those with a key-0 child
-    goal_at = next(goal_parents, len(chunk))
+    zero = np.flatnonzero(~keys.any(axis=1)).tolist()  # the children with key 0
     interval = search.config.progress_interval if search.progress is not None else 0  # as _tick reads it
     j = 0
     while j < len(chunk):
         if search.status.outcome != RUNNING or search.arena_full():
             return
-        if j == goal_at:
-            lo, hi = first[j], first[j + 1]
-            _expand_one(search, int(chunk[j]), rows[lo:hi].tolist(), search.tt.ints_of(keys[lo:hi]))
-            goal_at = next(goal_parents, len(chunk))
-            j += 1
-            continue
         # parents j..end-1: the arena fills before the first parent at
         # which its length would pass room
-        end = min(goal_at, bisect_right(first, room - len(arena) + first[j]))
+        end = min(len(chunk), bisect_right(first, room - len(arena) + first[j]))
         if interval:
             end = min(end, j + max(1, search._last_progress + interval - search.status.states_expanded))
         lo, hi = first[j], first[end]
         start = len(arena)
         arena.add_children(chunk[j:end], counts[j:end], rows[lo:hi])
+        for i in zero[bisect_left(zero, lo) : bisect_left(zero, hi)]:
+            child = start + i - lo
+            if is_goal(params, arena, child) and search._record_ship(child):
+                arena.truncate(child + 1)
+                end, hi = int(at[i]) + 1, i
+                break
         queue.pop(end - j)
         queue.extend(transposition_insert_many(search.tt, keys[lo:hi], np.arange(start, start + hi - lo)))
         search.status.states_expanded += end - j
-        if not queue and end - j > 1:
-            search._head = int(chunk[end - 1])  # the head at the tick before the last parent's
-        search._tick()
+        # the head at the tick before the last parent's, which _tick
+        # keeps once the queue has drained
+        search._head = int(chunk[end - 1])
+        if search.status.outcome == RUNNING:
+            search._tick()  # none after a ship that ends the search
         j = end
-
-
-def _expand_one(search: Search, idx: int, rows: list[int], keys: list[int]) -> None:
-    """Expand the queue head idx, a parent with a child that may finish
-    a ship, given its successor rows and their state keys: add each row
-    to the arena as a child of idx, record the children that finish a
-    ship and offer the others to the table one at a time. A recorded
-    ship that ends the search ends the expansion, with no tick."""
-    params, arena, queue = search.params, search.arena, search.queue
-    queue.pop(1)
-    search.status.states_expanded += 1
-    for c, key in zip(rows, keys):
-        child = arena.add(c, idx)
-        if not key and is_goal(params, arena, child):
-            if search._record_ship(child):
-                return
-            continue  # a finished ship only grows dead rows from here
-        if transposition_insert(search.tt, key, child)[0] == "fresh":
-            queue.append(child)
-    search._tick()
 
 
 def _dfs_probe(search: Search, roots: list[int], limit: int) -> list[bool]:

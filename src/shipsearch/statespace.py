@@ -392,9 +392,6 @@ class NodeQueue:
             del self._nodes[: self._head]
             self._head = 0
 
-    def append(self, node: int) -> None:
-        self._nodes.append(node)
-
     def extend(self, nodes) -> None:
         self._nodes.frombytes(np.ascontiguousarray(nodes, dtype=np.int32).view(np.uint8))
 
@@ -512,10 +509,12 @@ class TranspositionTable:
 
     The entries live in two sorted parts: keys in order (uint64, or for
     keys of several limbs byte strings of their big-endian limbs, which
-    sort the same way) next to int32 nodes. An offer, of one key or of a
-    (n, limbs) uint64 array of key_limbs limbs, the most significant
-    first (limbs_of), merges its fresh keys into the run, the entries
-    since the last fold. The run is folded into the sorted part once it
+    sort the same way) next to int32 nodes. An offer merges its fresh
+    keys into the run, the entries since the last fold: a bulk offer
+    (transposition_insert_many) takes a (n, limbs) uint64 array of
+    key_limbs limbs, the most significant first (limbs_of), and
+    transposition_insert, which the search uses only for the seed's
+    key 0, one int key. The run is folded into the sorted part once it
     holds more than RECENT_MIN entries and more than an eighth of it;
     the fold copies the keys, then the nodes, never both at once."""
 

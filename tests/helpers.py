@@ -8,8 +8,9 @@ stages 2 and 3 that the edge-passing pair is checked against, the
 share of a table's entries pruned, the p2 table's backward closure as a
 plain fixed-point loop, the star and p2 tables built over their whole
 unfactored grids, the bench's modules and search
-command lines, and the one-root-at-a-time deepening probe that the
-lockstep probe is checked against."""
+command lines, the one-state-at-a-time breadth-first expansion that
+the bulk runs are checked against, and the one-root-at-a-time
+deepening probe that the lockstep probe is checked against."""
 
 import importlib.util
 import sys
@@ -35,6 +36,8 @@ from shipsearch.statespace import (
     history,
     is_goal,
     reverse_row,
+    state_key,
+    transposition_insert,
 )
 from shipsearch.successor import (
     _edges_with_left_in,
@@ -424,6 +427,28 @@ def search_from_argv(argv):
     )
     config = SearchConfig(args.node_capacity, args.max_deepening, args.continue_after_find)
     return params, config
+
+
+def sequential_expand(search):
+    """The breadth-first expansion of the queue head on its own, which
+    _expand_head must match run for run: each successor row is added to
+    the arena as a child of the head, a child that finishes a ship is
+    recorded, and one whose ship ends the search ends the expansion with
+    no tick; every other child is offered to the table, one at a time,
+    and queued when fresh. A tick follows."""
+    params, arena, queue = search.params, search.arena, search.queue
+    idx = queue[0]
+    queue.pop(1)
+    search.status.states_expanded += 1
+    for c in successors(params, search.tables, arena.rows_back(idx, search.hist)):
+        child = arena.add(c, idx)
+        if is_goal(params, arena, child):
+            if search._record_ship(child):
+                return
+            continue  # a finished ship only grows dead rows from here
+        if transposition_insert(search.tt, state_key(params, arena, child), child)[0] == "fresh":
+            queue.extend([child])
+    search._tick()
 
 
 def sequential_probe(search, root, limit):

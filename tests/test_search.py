@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import bench_module, search_from_argv, sequential_probes
+from helpers import bench_module, search_from_argv, sequential_expand, sequential_probes
 from shipsearch import search as search_mod
 from shipsearch.pattern import classify_ship
 from shipsearch.rules import parse_rule
@@ -40,6 +40,7 @@ from shipsearch.statespace import (
     SearchParams,
     TranspositionTable,
     child_keys,
+    extract_ship,
     fold_rows,
     history,
     is_goal,
@@ -185,19 +186,26 @@ class TestCarriedKeys:
 
     @CARRIED_KEY_CASES
     def test_table_keys_are_state_keys_and_goals_are_caught(self, monkeypatch, params, config):
-        # every child the search expands either goes through the goal test
-        # or is offered to the transposition table; a key that differs from
-        # state_key, or a goal let through by the key == 0 gate, shows here
-        offered = []
+        # every child the breadth-first loop adds is offered to the
+        # transposition table, but for one whose ship ends the search; a
+        # key that differs from state_key shows here, and so does a goal
+        # that is not recorded as a ship or that the table takes: the
+        # seed's entry for key 0 must turn every goal away
+        offered, goals = [], []
 
         def check(search, key, idx, verdict):
-            assert key == state_key(search.params, search.arena, idx)
-            assert not is_goal(search.params, search.arena, idx)
+            params, arena = search.params, search.arena
+            assert key == state_key(params, arena, idx)
+            if is_goal(params, arena, idx):
+                assert verdict == ("duplicate", 2 * params.period - 1)
+                assert extract_ship(params, arena, idx).rows in {ship.rows for ship, _ in search.ships}
+                goals.append(idx)
             offered.append(idx)
 
         res = self.run_offering(monkeypatch, params, config, check)
         assert res.ships
         assert len(offered) > res.status.states_expanded // 2
+        assert bool(goals) == config.continue_after_find  # only a ship that ends the search is not offered
 
     @CARRIED_KEY_CASES
     def test_duplicates_keep_a_node_no_deeper(self, monkeypatch, params, config):
@@ -761,6 +769,66 @@ class TestBatchedLevels:
         status = self.check_same(monkeypatch, log, params, SearchConfig(node_capacity=2100, max_deepening=0))
         assert status.outcome == SHIP_FOUND
         assert 11 in log.widths and 2 * params.period * 11 > 64
+
+
+class TestSequentialExpansion:
+    # a chunk expanded in bulk runs must be indistinguishable from
+    # expanding its states one queue head at a time: the same reports,
+    # final status (arena size and frontier level too) and ships, in the
+    # same order
+
+    def check_same(self, monkeypatch, params, config):
+        bulk = search_mod._expand_head
+        monkeypatch.setattr(search_mod, "_expand_head", sequential_expand)
+        sequential = _reports(monkeypatch, DEFAULT_BATCH_MIN, params, config)
+        monkeypatch.setattr(search_mod, "_expand_head", bulk)
+        assert _reports(monkeypatch, DEFAULT_BATCH_MIN, params, config) == sequential
+        return sequential[1]
+
+    @pytest.mark.parametrize("name", list(bench_module("workloads").QUICK))
+    def test_quick_workloads(self, monkeypatch, name):
+        params, config = search_from_argv(bench_module("workloads").QUICK[name].argv())
+        self.check_same(monkeypatch, params, config)
+
+    def test_history_modes_with_random_capacities(self, monkeypatch):
+        rng = random.Random(3)
+        outcomes = set()
+        for p, k, w, sym, tr in HISTORY_MODES * 2:
+            params = SearchParams(LIFE, p, k, w, sym, tr)
+            for continue_after_find in (False, True):
+                # without narrowing, a search that continues runs for minutes
+                cap = rng.randint(0, 3 * p) if continue_after_find else rng.choice([None, rng.randint(0, 3 * p)])
+                config = SearchConfig(rng.randint(4 * p, 300), cap, continue_after_find)
+                outcomes.add(self.check_same(monkeypatch, params, config).outcome)
+        assert outcomes == {SHIP_FOUND, EXHAUSTED}
+
+    def test_ship_that_drains_the_queue(self):
+        # the LWSS's goal parent queued behind the seed's tip, whose
+        # children are all known by then: the one run that expands both
+        # ends at the ship with the queue drained, and the final status
+        # gives the goal parent's level, that of the head at the last tick
+        # of a one-at-a-time expansion
+        params = SearchParams(LIFE, 2, 1, 5, GLIDE_REFLECT)
+        search = Search(params)
+        while search.status.outcome == RUNNING:
+            sequential_expand(search)
+        goal_parent = search.arena.parents[-1]  # the ship's last row is the last node added
+
+        def drained(expand):
+            search = Search(params)
+            while search.queue[0] != goal_parent:
+                sequential_expand(search)
+            search.queue = NodeQueue([2 * params.period - 1, goal_parent])
+            search._tick()
+            while search.queue and search.status.outcome == RUNNING:
+                expand(search)
+            search._tick(force=True)
+            return search.status, search.ships, len(search.queue)
+
+        sequential = drained(sequential_expand)
+        assert drained(search_mod._expand_head) == sequential
+        assert sequential[0].outcome == SHIP_FOUND and not sequential[2]
+        assert sequential[0].frontier_level == search.level_of(goal_parent) > 0
 
 
 def _probe_run(monkeypatch, probe, minimum, params, config):

@@ -402,8 +402,8 @@ class TestAddChildren:
 class TestNodeQueue:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_a_deque(self, seed):
-        # random pops, appends and extends against a deque, long enough
-        # for the popped part to be cut off many times
+        # random pops and extends, of one node or several, against a
+        # deque, long enough for the popped part to be cut off many times
         rng = random.Random(seed)
         queue, model = NodeQueue([5, 6]), deque([5, 6])
         trims = 0
@@ -418,7 +418,7 @@ class TestNodeQueue:
                 trims += queue._head < head + n
             elif op < 0.7:
                 node = rng.randrange(-1, 2**31)
-                queue.append(node)
+                queue.extend([node])
                 model.append(node)
             else:
                 nodes = [rng.randrange(2**31) for _ in range(rng.randrange(12))]
