@@ -15,11 +15,11 @@ up to BATCH_CHUNK queued states of any levels as one chunk, a deepening
 round probes up to BATCH_CHUNK roots in lockstep, and both take their
 rows from _successor_rows. A chunk's children reach the arena and the
 transposition table in bulk, run by run, and a run's finished ships are
-caught among its children before they are offered; the frontier that
+caught among its children before they reach either; the frontier that
 compaction keeps is offered in bulk too. Counts, ships and progress
 reports are those of handling one state at a time, and nothing
-configures the batching. Probe nodes stay out of the arena but for the
-path to a child that may finish a ship, while it is checked.
+configures the batching. The arena holds the breadth-first tree alone:
+probe nodes never reach it, and ships are extracted from rows.
 
 Every candidate ship is re-verified by evolving the extracted pattern;
 a verification failure means the constraint machinery is wrong and is
@@ -38,7 +38,6 @@ from .pattern import Pattern, ShipDescriptor, classify_ship
 from .statespace import (
     GLIDE_REFLECT,
     ORTHOGONAL,
-    NodeArena,
     NodeQueue,
     SearchParams,
     TranspositionTable,
@@ -46,7 +45,6 @@ from .statespace import (
     extract_ship,
     fold_rows,
     history,
-    is_goal,
     make_initial_state,
     transposition_insert,
     transposition_insert_many,
@@ -138,7 +136,8 @@ class Search:
 
         Key 0 goes in first so that the all-dead state is never queued:
         every later offer of it, a goal child's among them, is a
-        duplicate. It stays a scalar transposition_insert: bench/worker.py
+        duplicate. The goal test relies on that entry (see _expand_head).
+        It stays a scalar transposition_insert: bench/worker.py
         counts the table's duplicate ratio from that function's calls."""
         params, arena = self.params, self.arena
         self.tt = TranspositionTable(params)
@@ -165,11 +164,11 @@ class Search:
             self._last_progress = self.status.states_expanded
             self.progress(replace(self.status))
 
-    def _record_ship(self, idx: int) -> bool:
-        """Extract, re-verify and store a ship; True if the search should
-        stop now."""
+    def _record_ship(self, rows: list[int]) -> bool:
+        """Extract, re-verify and store the ship that rows, oldest first,
+        finish; True if the search should stop now."""
         params = self.params
-        ship = extract_ship(params, self.arena, idx)
+        ship = extract_ship(params, rows)
         desc = classify_ship(params.rule, ship, 2 * params.period)
         p, k = params.period, params.offset
         ok = desc is not None
@@ -213,12 +212,13 @@ def _expand_head(search: Search) -> None:
     bulk append to the arena and one bulk offer to the table; a run ends
     before the parent at which the arena would be full and after the
     parent at which a progress report falls due. Only a child whose
-    state key is 0 can finish a ship, so only those are goal-tested,
-    in order, once the run is in the arena. A ship that ends the search
-    cuts the run at its child: the arena ends there, only the children
-    before it are offered, and its parent is the last one expanded.
-    Other goal children are offered with the rest, and the table's
-    entry for the seed's key 0 turns them away."""
+    state key is 0 can finish a ship, so only those are goal-tested, in
+    order, from their parent's window before the run reaches the arena.
+    A ship that ends the search cuts the run at its child: the arena
+    takes the children through it, only those before it are offered,
+    and its parent is the last one expanded. Other goal children are
+    offered with the rest, and the table's entry for the seed's key 0
+    turns them away."""
     queue = search.queue
     if search.status.outcome != RUNNING or search.arena_full():
         return
@@ -230,8 +230,7 @@ def _expand_head(search: Search) -> None:
     windows = arena.windows(chunk, search.hist)
     at, rows = _successor_rows(search, windows)
     keys = child_keys(params, windows, at, rows)
-    counts = np.bincount(at, minlength=len(chunk))
-    first = [0, *np.cumsum(counts).tolist()]  # each parent's first child
+    first = [0, *np.cumsum(np.bincount(at, minlength=len(chunk))).tolist()]  # each parent's first child
     zero = np.flatnonzero(~keys.any(axis=1)).tolist()  # the children with key 0
     interval = search.config.progress_interval if search.progress is not None else 0  # as _tick reads it
     j = 0
@@ -244,14 +243,19 @@ def _expand_head(search: Search) -> None:
         if interval:
             end = min(end, j + max(1, search._last_progress + interval - search.status.states_expanded))
         lo, hi = first[j], first[end]
-        start = len(arena)
-        arena.add_children(chunk[j:end], counts[j:end], rows[lo:hi])
+        stop = hi  # the arena takes children lo..stop-1, the table lo..hi-1
+        # A child is a goal when its key is 0 and its parent's window holds
+        # a live row. A key-0 state is expanded only when nothing before it
+        # lives: the seed's key-0 entry from _new_table turns every key-0
+        # child away from the queue, and a probe pushes a key-0 child only
+        # when its window is dead. So a live row older than the window
+        # would have made the parent a goal, never expanded.
         for i in zero[bisect_left(zero, lo) : bisect_left(zero, hi)]:
-            child = start + i - lo
-            if is_goal(params, arena, child) and search._record_ship(child):
-                arena.truncate(child + 1)
-                end, hi = int(at[i]) + 1, i
+            if windows[at[i]].any() and search._record_ship(arena.all_rows(int(chunk[at[i]])) + [int(rows[i])]):
+                end, stop, hi = int(at[i]) + 1, i + 1, i
                 break
+        start = len(arena)
+        arena.add_children(chunk[at[lo:stop]], rows[lo:stop])
         queue.pop(end - j)
         queue.extend(transposition_insert_many(search.tt, keys[lo:hi], np.arange(start, start + hi - lo)))
         search.status.states_expanded += end - j
@@ -273,12 +277,15 @@ def _dfs_probe(search: Search, roots: list[int], limit: int) -> list[bool]:
     window, its children's state key prefix, its level and an iterator
     over its successor rows. Each step computes the rows of every probe
     whose top frame needs them; each probe then walks on until it needs
-    rows again or ends, and a tick follows. Ships are recorded after the
-    last step, in root order. Where one ends the search, the roots before
-    its root run on, and the expansions of those after it are taken back
-    out of the count. A probe's seen dict, of up to node_capacity
-    entries, is emptied when the probe ends, and so are the frame stacks
-    and seen dicts of the roots after a ship that ends the search."""
+    rows again or ends, and a tick follows. A goal is told from its
+    parent's window, as in _expand_head, and its ship is extracted from
+    the root's rows and the frames', so a probe adds nothing to the
+    arena. Ships are recorded after the last step, in root order. Where
+    one ends the search, the roots before its root run on, and the
+    expansions of those after it are taken back out of the count. A
+    probe's seen dict, of up to node_capacity entries, is emptied when
+    the probe ends, and so are the frame stacks and seen dicts of the
+    roots after a ship that ends the search."""
     params, arena, status = search.params, search.arena, search.status
     w, capacity = params.width, search.config.node_capacity
     mask = (1 << 2 * params.period * w) - 1  # a state key's bits
@@ -311,20 +318,17 @@ def _dfs_probe(search: Search, roots: list[int], limit: int) -> list[bool]:
                 level += 1
                 for c in children:
                     key = prefix | c
-                    if not key:
-                        path = [f[0][-1] for f in stack[1:]]
-                        path.append(c)
-                        if _on_path(arena, roots[i], path, lambda node: is_goal(params, arena, node)):
-                            ships[i].append(path)
-                            if ends:
-                                stack.clear()
-                                status.states_expanded -= sum(expanded[i + 1 :])
-                                expanded[i + 1 :] = [0] * (n - 1 - i)
-                                for dropped in chain(stacks[i + 1 :], seens[i + 1 :]):
-                                    dropped.clear()
-                                last = i
-                                break
-                            continue  # a finished ship only grows dead rows from here
+                    if not key and any(window):  # a goal, as _expand_head tells one
+                        ships[i].append([*(f[0][-1] for f in stack[1:]), c])
+                        if ends:
+                            stack.clear()
+                            status.states_expanded -= sum(expanded[i + 1 :])
+                            expanded[i + 1 :] = [0] * (n - 1 - i)
+                            for dropped in chain(stacks[i + 1 :], seens[i + 1 :]):
+                                dropped.clear()
+                            last = i
+                            break
+                        continue  # a finished ship only grows dead rows from here
                     prev = seen.get(key)
                     if prev is not None and prev <= level:
                         continue
@@ -348,21 +352,9 @@ def _dfs_probe(search: Search, roots: list[int], limit: int) -> list[bool]:
         search._tick()
     for i in range(last + 1):
         for path in ships[i]:
-            if _on_path(arena, roots[i], path, search._record_ship):
+            if search._record_ship(arena.all_rows(roots[i]) + path):
                 return keep[: i + 1]
     return keep
-
-
-def _on_path(arena: NodeArena, root: int, rows: list[int], read):
-    """read(node) for the last node of rows added to the arena as a path
-    below root; the path is cut off again afterwards."""
-    start, node = len(arena), root
-    for row in rows:
-        node = arena.add(row, node)
-    try:
-        return read(node)
-    finally:
-        arena.truncate(start)
 
 
 def dfs_round(search: Search) -> None:

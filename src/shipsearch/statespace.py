@@ -272,8 +272,8 @@ def _view(buffer: array) -> np.ndarray:
 
 
 class NodeArena:
-    """Store of search nodes; a probe adds a path that may finish a ship and
-    truncates it again, compaction builds a fresh one.
+    """Store of the breadth-first tree's nodes: the seed chain, then
+    children appended in bulk; compaction builds a fresh one.
 
     Rows, parents and depths are typed arrays, 12 bytes a node. Indexing
     one gives a Python int; bulk work reads them through _view, whose
@@ -295,10 +295,9 @@ class NodeArena:
         self.depths.append(depth)
         return len(self.rows) - 1
 
-    def add_children(self, parents, counts: np.ndarray, rows: np.ndarray) -> None:
-        """add() for each of rows in order, the first counts[0] of them as
-        children of parents[0], the next counts[1] of parents[1], and so on."""
-        parents = np.repeat(np.asarray(parents, dtype=np.int32), counts)
+    def add_children(self, parents, rows: np.ndarray) -> None:
+        """add(rows[i], parents[i]) for each i in order."""
+        parents = np.asarray(parents, dtype=np.int32)
         self._extend(rows, parents, _view(self.depths)[parents] + 1)
 
     def _extend(self, rows, parents, depths) -> None:
@@ -431,15 +430,15 @@ def is_goal(params: SearchParams, arena: NodeArena, idx: int) -> bool:
     return idx >= 0
 
 
-def extract_ship(params: SearchParams, arena: NodeArena, idx: int) -> Pattern:
-    """One phase of the found ship, in plain coordinates.
+def extract_ship(params: SearchParams, rows: list[int]) -> Pattern:
+    """One phase of the found ship, in plain coordinates, from the rows of
+    a path that finishes it, oldest first.
 
     Takes every pth row starting at the first live one, undoes the glide
     reversals and diagonal shears, and mirrors half-rows to full width.
     All rows are read at one width, wide enough for the widest: rows
     found before a narrowing may use columns the search has since dropped.
     """
-    rows = arena.all_rows(idx)
     first = next(j for j, r in enumerate(rows) if r)
     w = max(params.width, max(rows).bit_length())
     picked = []

@@ -443,7 +443,7 @@ def sequential_expand(search):
     for c in successors(params, search.tables, arena.rows_back(idx, search.hist)):
         child = arena.add(c, idx)
         if is_goal(params, arena, child):
-            if search._record_ship(child):
+            if search._record_ship(arena.all_rows(child)):
                 return
             continue  # a finished ship only grows dead rows from here
         if transposition_insert(search.tt, state_key(params, arena, child), child)[0] == "fresh":
@@ -469,7 +469,7 @@ def sequential_probe(search, root, limit):
             child = arena.add(c, idx)
             key = prefix | c
             if not key and is_goal(params, arena, child):
-                if search._record_ship(child):
+                if search._record_ship(arena.all_rows(child)):
                     return
                 continue
             yield child, key

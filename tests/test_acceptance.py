@@ -3,7 +3,8 @@
 Each test pins the user-visible claims: the p=2 pruning fractions, the
 small-ship rediscoveries with their time budgets, bulk agreement between
 the fast successor path and the brute-force oracle, capacity-independent
-search results, the state-space banner, re-verification of everything
+first ships, the capacity-dependent ship sets of `--continue` that the
+README states, the state-space banner, re-verification of everything
 emitted, the documented-only status of the long searches, and that both
 scripts run.
 """
@@ -18,7 +19,7 @@ import pytest
 
 from helpers import brute_successors, pruned_percent
 from shipsearch.cli import banner_text
-from shipsearch.oracle import oracle_successors
+from shipsearch.oracle import _orbit_key, oracle_successors
 from shipsearch.pattern import classify_ship
 from shipsearch.rules import parse_rule
 from shipsearch.search import SHIP_FOUND, SearchConfig, run_search
@@ -132,6 +133,24 @@ def test_capacity_extremes_find_the_same_ship():
         if capacity == 8:
             assert result.status.deepening_limit > 0  # the tiny arena really deepened
     assert speeds[0] == speeds[1] == (4, 0, 2)
+
+
+@pytest.mark.slow
+def test_continue_ships_depend_on_capacity_as_documented():
+    # the README's --continue contract: one ship per pre-goal state until
+    # the duplicate-state table starts over, so Life c/3 even-mirror width
+    # 6 without narrowing reports 1, 5 and 1 ships, counted by orbit, at
+    # capacities 2^22, 256 and 64
+    params = SearchParams(LIFE, 3, 1, 6, EVEN_MIRROR)
+    orbits = []
+    for capacity in (1 << 22, 256, 64):
+        result = run_search(params, SearchConfig(node_capacity=capacity, continue_after_find=True))
+        keys = set()
+        for ship, desc in result.ships:
+            cells = frozenset((x, y) for y, row in enumerate(ship.rows) for x in range(ship.width) if row >> x & 1)
+            keys.add(_orbit_key(LIFE, cells, desc.period))
+        orbits.append(len(keys))
+    assert orbits == [1, 5, 1]
 
 
 def test_state_space_banner_exponent():

@@ -48,6 +48,7 @@ from shipsearch.statespace import (
     state_key,
     transposition_insert,
 )
+from shipsearch.successor import successors
 
 LIFE = parse_rule("B3/S23")
 
@@ -198,7 +199,7 @@ class TestCarriedKeys:
             assert key == state_key(params, arena, idx)
             if is_goal(params, arena, idx):
                 assert verdict == ("duplicate", 2 * params.period - 1)
-                assert extract_ship(params, arena, idx).rows in {ship.rows for ship, _ in search.ships}
+                assert extract_ship(params, arena.all_rows(idx)).rows in {ship.rows for ship, _ in search.ships}
                 goals.append(idx)
             offered.append(idx)
 
@@ -220,6 +221,38 @@ class TestCarriedKeys:
 
         self.run_offering(monkeypatch, params, config, check)
         assert dups
+
+
+class TestGoalRule:
+    # a key-0 child finishes a ship when a row anywhere in its parent's
+    # window lives, not only the oldest or the newest: with 2k > p the
+    # window reaches back past the 2p rows of the state key. In Life no
+    # ship is faster than c/2, so no search reaches such a goal; here a
+    # parent is built whose one live row lies `back` rows before the child
+    @pytest.mark.parametrize(
+        "params",
+        [SearchParams(LIFE, 3, 2, 5), SearchParams(LIFE, 3, 1, 6, EVEN_MIRROR)],
+        ids=["history-7", "history-6"],
+    )
+    def test_a_live_row_anywhere_in_the_window_makes_a_goal(self, monkeypatch, params):
+        n, hist = 2 * params.period, history(params)
+        recorded = []
+        monkeypatch.setattr(Search, "_record_ship", lambda search, rows: recorded.append(rows) or True)
+        for back in range(n, hist + 1):
+            for expand in (search_mod._expand_head, lambda search: search_mod._dfs_probe(search, [search.queue[0]], 99)):
+                search = Search(params)
+                arena, parent = search.arena, search.queue[0]
+                for row in [1] + [0] * (back - 1):
+                    parent = arena.add(row, parent)
+                window = arena.rows_back(parent, hist)
+                assert successors(params, search.tables, window)[0] == 0  # the key-0 child comes first
+                rows = arena.all_rows(parent) + [0]
+                assert is_goal(params, arena, arena.add(0, parent))  # the reference, on a scratch child
+                arena.truncate(parent + 1)
+                search.queue = NodeQueue([parent])
+                recorded.clear()
+                expand(search)
+                assert recorded == [rows], (back, window)
 
 
 class TestChildKeys:
@@ -492,39 +525,48 @@ PROBE_CASES = pytest.mark.parametrize(
 
 class TestProbeArena:
     @PROBE_CASES
-    def test_arena_is_back_at_its_length_after_each_block(self, monkeypatch, params, config):
-        # a block's probes keep their paths out of the arena; the only
-        # nodes added while it runs are the path from one of its roots to
-        # a child whose state key is 0, added one node below the other,
-        # never deeper than the limit, for is_goal and the ship record.
-        # The arena is back at its length after the block, also when its
-        # ship ends the search.
-        block = {}
-        original_probe, original_add = search_mod._dfs_probe, NodeArena.add
-        paths = []
+    def test_blocks_add_nothing_and_the_arena_stays_within_capacity(self, monkeypatch, params, config):
+        # the arena holds the breadth-first tree alone: no node reaches it
+        # while a block of probes runs, also when the block records a ship
+        # or its ship ends the search, and after every append anywhere in
+        # the search it holds at most node_capacity nodes
+        original_probe, original_add, original_extend = search_mod._dfs_probe, NodeArena.add, NodeArena._extend
+        original_record = Search._record_ship
+        probing, appends, recorded = [], [], []
+
+        def check(arena):
+            assert not probing
+            assert len(arena) <= config.node_capacity
+            appends.append(len(arena))
 
         def checked_add(arena, row, parent):
             idx = original_add(arena, row, parent)
-            if block and arena is block["search"].arena:
-                search, start = block["search"], block["start"]
-                assert parent == idx - 1 if idx > start else parent in block["roots"]
-                assert search.level_of(idx) <= block["limit"]
-                block["grew"] = max(block["grew"], idx + 1 - start)
+            check(arena)
             return idx
 
+        def checked_extend(arena, rows, parents, depths):
+            original_extend(arena, rows, parents, depths)
+            check(arena)
+
+        def checked_record(search, rows):
+            recorded.append(bool(probing))
+            return original_record(search, rows)
+
         def checked_probe(search, roots, limit):
-            block.update(search=search, start=len(search.arena), roots=set(roots), limit=limit, grew=0)
-            keep = original_probe(search, roots, limit)
-            assert len(search.arena) == block["start"]
-            paths.append(block["grew"])
-            block.clear()
-            return keep
+            probing.append(limit)
+            try:
+                return original_probe(search, roots, limit)
+            finally:
+                probing.pop()
 
         monkeypatch.setattr(NodeArena, "add", checked_add)
+        monkeypatch.setattr(NodeArena, "_extend", checked_extend)
+        monkeypatch.setattr(Search, "_record_ship", checked_record)
         monkeypatch.setattr(search_mod, "_dfs_probe", checked_probe)
         res = run_search(params, config)
         assert res.ships
-        assert paths and max(paths) > 2
+        assert any(recorded)  # some ship is recorded inside a block
+        assert len(appends) > 2 * params.period  # the tree grew past its seed chain
 
     @PROBE_CASES
     def test_probe_children_carry_their_state_keys(self, monkeypatch, params, config):
@@ -938,35 +980,35 @@ class TestLockstepProbes:
         # search continues, the fourth root's follows it.
         params = SearchParams(LIFE, 2, 1, 5, GLIDE_REFLECT)
         config = SearchConfig(64, 4 if continue_after_find else None, continue_after_find)
-        lockstep, original_goal, original_record = search_mod._dfs_probe, search_mod.is_goal, Search._record_ship
+        lockstep, original_record = search_mod._dfs_probe, Search._record_ship
+        lines, start = inspect.getsourcelines(lockstep)
+        goal = start + next(i for i, text in enumerate(lines) if "ships[i].append(" in text)
         block, met, recorded = [], [], []  # the roots being probed; per block, the roots of goals met, of ships recorded
 
-        def root_of(arena, idx):
-            while idx not in block:
-                idx = arena.parents[idx]
-            return block.index(idx)
+        def in_probe(frame, event, arg):
+            if event == "line" and frame.f_lineno == goal:
+                met[-1].append(frame.f_locals["i"])
+            return in_probe
 
-        def logged_goal(params, arena, idx):
-            goal = original_goal(params, arena, idx)
-            if goal and block:
-                met[-1].append(root_of(arena, idx))
-            return goal
-
-        def logged_record(search, idx):
+        def logged_record(search, rows):
             if block:
-                recorded[-1].append(root_of(search.arena, idx))
-            return original_record(search, idx)
+                # a ship's rows are its root's, then its probe's
+                arena = search.arena
+                (root,) = [r for r, idx in enumerate(block) if rows[: arena.depths[idx] + 1] == arena.all_rows(idx)]
+                recorded[-1].append(root)
+            return original_record(search, rows)
 
         def logged_probe(search, roots, limit):
             block[:] = roots
             met.append([])
             recorded.append([])
+            sys.settrace(lambda frame, event, arg: in_probe if frame.f_code is lockstep.__code__ else None)
             try:
                 return lockstep(search, roots, limit)
             finally:
+                sys.settrace(None)
                 block.clear()
 
-        monkeypatch.setattr(search_mod, "is_goal", logged_goal)
         monkeypatch.setattr(Search, "_record_ship", logged_record)
         sequential = self.check_same(monkeypatch, params, config)
         run = _probe_run(monkeypatch, logged_probe, DEFAULT_BATCH_MIN, params, config)

@@ -378,7 +378,7 @@ class TestAddChildren:
         for parent, count in zip(parents, counts):
             for _ in range(count):
                 one.add(next(it), parent)
-        bulk.add_children(parents, np.array(counts, dtype=np.intp), rows)
+        bulk.add_children(np.repeat(parents, counts), rows)
         assert (bulk.rows, bulk.parents, bulk.depths) == (one.rows, one.parents, one.depths)
 
     def test_scalar_reads_are_python_ints(self):
@@ -386,7 +386,7 @@ class TestAddChildren:
         params = SearchParams(LIFE, 3, 1, 6)
         arena, tip = make_initial_state(params)
         n = len(arena)
-        arena.add_children([tip, tip], np.array([2, 1]), np.array([5, 0, 63], dtype=np.uint64))
+        arena.add_children(np.repeat([tip, tip], [2, 1]), np.array([5, 0, 63], dtype=np.uint64))
 
         def reads(arena, idx):
             return [arena.add(7, idx), *arena.rows_back(idx, 7), *arena.all_rows(idx), arena.depths[idx], arena.parents[idx]]
@@ -636,7 +636,7 @@ class TestExtraction:
         tip = arena.add(0b001, tip)
         for _ in range(4):
             tip = arena.add(0, tip)
-        ship = extract_ship(params, arena, tip)
+        ship = extract_ship(params, arena.all_rows(tip))
         # cell 0 lives beside the axis, so it doubles into 11
         assert ship == Pattern((0b11,), 2)
 
@@ -646,7 +646,7 @@ class TestExtraction:
         tip = arena.add(0b011, tip)
         for _ in range(4):
             tip = arena.add(0, tip)
-        ship = extract_ship(params, arena, tip)
+        ship = extract_ship(params, arena.all_rows(tip))
         # cell 0 sits on the axis, cell 1 reflects around it: 111
         assert ship == Pattern((0b111,), 3)
 
@@ -663,7 +663,7 @@ class TestExtraction:
         for _ in range(4):
             tip = arena.add(0, tip)
         narrowed = replace(wide, width=2)
-        assert extract_ship(narrowed, arena, tip) == extract_ship(wide, arena, tip) == want
+        assert extract_ship(narrowed, arena.all_rows(tip)) == extract_ship(wide, arena.all_rows(tip)) == want
 
     def test_phase_rows_every_period(self):
         params = SearchParams(LIFE, 2, 1, 4)
@@ -672,7 +672,7 @@ class TestExtraction:
             tip = arena.add(row, tip)
         for _ in range(4):
             tip = arena.add(0, tip)
-        ship = extract_ship(params, arena, tip)
+        ship = extract_ship(params, arena.all_rows(tip))
         # picks rows 4, 6, 8 = 0010, 0110, 0000 then trims to two columns
         assert ship == Pattern((0b01, 0b11), 2)
 
@@ -683,6 +683,6 @@ class TestExtraction:
             tip = arena.add(row, tip)
         for _ in range(4):
             tip = arena.add(0, tip)
-        ship = extract_ship(params, arena, tip)
+        ship = extract_ship(params, arena.all_rows(tip))
         # rows 100 and 100 at shear 0 and 1 line up diagonally
         assert ship == Pattern((0b01, 0b10), 2)
