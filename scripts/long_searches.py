@@ -10,14 +10,14 @@ can launch one deliberately; nothing in the test suite depends on them.
     python3 scripts/long_searches.py --run weekender [--capacity 2**26]
 
 Memory grows with --capacity. The search tree, its duplicate table and
-the queue take about 37 bytes a node at the weekender's 126-bit state
+the queue take about 33 bytes a node at the weekender's 126-bit state
 keys. On a 2-core x86-64 VM (Python 3.11, NumPy 2.4; 30 MB of imports),
 the weekender filled its tree to 2^22 nodes in about 2 s and peaked there
-at 272 MB resident (ru_maxrss), merge copies included; stopped after
-120 s, 14.4M expansions into its first deepening round, it had peaked at
-326 MB, the probes' own tables of the states they met included (each is
-emptied when its probe ends). That is about 80 bytes a node, so the
-default --capacity 2**26 needs about 5.5 GB, more the longer a round
+at 258 MB resident (ru_maxrss), fold copies included; stopped after
+120 s, 15.5M expansions into its first deepening round, it had peaked at
+311 MB, the probes' own tables of the states they met included (each is
+emptied when its probe ends). That is about 78 bytes a node, so the
+default --capacity 2**26 needs about 5.2 GB, more the longer a round
 runs.
 
 The test suites cover the same machinery at desk scale (small Life

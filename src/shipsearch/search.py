@@ -132,21 +132,21 @@ class Search:
 
     def _new_table(self, frontier) -> None:
         """Start a transposition table holding the all-dead seed's state,
-        key 0 at the seed's tip, then the states of frontier in order.
+        key 0, then the states of frontier.
 
         Key 0 goes in first so that the all-dead state is never queued:
         every later offer of it, a goal child's among them, is a
-        duplicate. The goal test relies on that entry (see _expand_head).
+        duplicate. The goal test relies on that key (see _expand_head).
         It stays a scalar transposition_insert: bench/worker.py
         counts the table's duplicate ratio from that function's calls."""
         params, arena = self.params, self.arena
         self.tt = TranspositionTable(params)
-        transposition_insert(self.tt, 0, 2 * params.period - 1)
+        transposition_insert(self.tt, 0)
         if len(frontier):
             # a node's key is its parent's last 2p - 1 rows, then its own row
             windows = arena.windows(frontier, 2 * params.period)
             keys = child_keys(params, windows[:, :-1], np.arange(len(frontier)), windows[:, -1])
-            transposition_insert_many(self.tt, keys, frontier)
+            transposition_insert_many(self.tt, keys)
 
     def _tick(self, force: bool = False) -> None:
         # status is refreshed only for a report or when forced; a drained
@@ -217,8 +217,8 @@ def _expand_head(search: Search) -> None:
     A ship that ends the search cuts the run at its child: the arena
     takes the children through it, only those before it are offered,
     and its parent is the last one expanded. Other goal children are
-    offered with the rest, and the table's entry for the seed's key 0
-    turns them away."""
+    offered with the rest, and the seed's key 0 in the table turns them
+    away."""
     queue = search.queue
     if search.status.outcome != RUNNING or search.arena_full():
         return
@@ -246,7 +246,7 @@ def _expand_head(search: Search) -> None:
         stop = hi  # the arena takes children lo..stop-1, the table lo..hi-1
         # A child is a goal when its key is 0 and its parent's window holds
         # a live row. A key-0 state is expanded only when nothing before it
-        # lives: the seed's key-0 entry from _new_table turns every key-0
+        # lives: the seed's key 0 from _new_table turns every key-0
         # child away from the queue, and a probe pushes a key-0 child only
         # when its window is dead. So a live row older than the window
         # would have made the parent a goal, never expanded.
@@ -257,7 +257,7 @@ def _expand_head(search: Search) -> None:
         start = len(arena)
         arena.add_children(chunk[at[lo:stop]], rows[lo:stop])
         queue.pop(end - j)
-        queue.extend(transposition_insert_many(search.tt, keys[lo:hi], np.arange(start, start + hi - lo)))
+        queue.extend(start + transposition_insert_many(search.tt, keys[lo:hi]))
         search.status.states_expanded += end - j
         # the head at the tick before the last parent's, which _tick
         # keeps once the queue has drained
@@ -389,7 +389,7 @@ def dfs_round(search: Search) -> None:
 def compact(search: Search) -> None:
     """Rebuild the arena from the frontier and its ancestry. The
     transposition table starts over from the seed and the frontier, so it
-    never holds more entries than the arena has nodes. With no frontier
+    never holds more keys than the arena has nodes. With no frontier
     left, exhaustion is declared next: the arena is left as it is and the
     table starts over from the seed alone, so that after a narrowing it
     holds no key of the old width."""

@@ -462,9 +462,9 @@ def extract_ship(params: SearchParams, rows: list[int]) -> Pattern:
 
 
 # ---------------------------------------------------------------------------
-# transposition table: exact state key -> first node with that state
+# transposition table: the set of exact state keys reached
 
-# The fewest entries a fold takes, about one breadth-first chunk's offers
+# The fewest keys a fold takes, about one breadth-first chunk's offers
 # (search.BATCH_CHUNK): a fold copies the whole sorted part.
 RECENT_MIN = 4096
 
@@ -498,36 +498,35 @@ def child_keys(params: SearchParams, windows: np.ndarray, at: np.ndarray, rows: 
 
 
 class TranspositionTable:
-    """Map from state key to the first node that reached that state.
+    """The set of state keys reached so far.
 
     state_key packs the last 2p rows exactly, so equal keys are equal
-    states. Nodes arrive in nondecreasing depth (the queue is breadth-first
-    and compaction reseeds the seed before the frontier), so the first node
-    is also a shallowest one. Each entry is an arena node, and compaction
-    starts a fresh table, so the table never outgrows the arena.
+    states, and only a key's first offer needs expanding. Compaction
+    starts a fresh table from the seed and the frontier, so the table
+    never holds more keys than the arena has nodes.
 
-    The entries live in two sorted parts: keys in order (uint64, or for
-    keys of several limbs byte strings of their big-endian limbs, which
-    sort the same way) next to int32 nodes. An offer merges its fresh
-    keys into the run, the entries since the last fold: a bulk offer
-    (transposition_insert_many) takes a (n, limbs) uint64 array of
-    key_limbs limbs, the most significant first (limbs_of), and
-    transposition_insert, which the search uses only for the seed's
-    key 0, one int key. The run is folded into the sorted part once it
-    holds more than RECENT_MIN entries and more than an eighth of it;
-    the fold copies the keys, then the nodes, never both at once."""
+    The keys live in two sorted arrays (uint64, or for keys of several
+    limbs byte strings of their big-endian limbs, which sort the same
+    way): the sorted part, and the run of keys added since the last
+    fold. A bulk offer (transposition_insert_many) takes a (n, limbs)
+    uint64 array of key_limbs limbs, the most significant first
+    (limbs_of), and transposition_insert, which the search uses only for
+    the seed's key 0, one int key. An offer inserts its fresh keys into
+    the run, and the run is inserted into the sorted part once it holds
+    more than RECENT_MIN keys and more than an eighth of it."""
 
     def __init__(self, params: SearchParams):
         rows, self.limbs = key_limbs(params)
         self.bits = rows * params.width  # per limb
-        self.keys, self.nodes = self._empty()
-        self.run_keys, self.run_nodes = self._empty()
+        self.keys = self.run_keys = self._sortable(np.zeros((0, self.limbs), dtype=np.uint64))
 
     def __len__(self) -> int:
         return len(self.keys) + len(self.run_keys)
 
-    def _empty(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._sortable(np.zeros((0, self.limbs), dtype=np.uint64)), np.zeros(0, dtype=np.int32)
+    def __iter__(self):
+        """The int keys, the sorted part first."""
+        for keys in (self.keys, self.run_keys):
+            yield from self.ints_of(keys.view(np.uint64 if self.limbs == 1 else ">u8").reshape(-1, self.limbs))
 
     def limbs_of(self, keys) -> np.ndarray:
         """The limbs of int keys, as bulk offers take them."""
@@ -549,51 +548,13 @@ class TranspositionTable:
             return np.ascontiguousarray(limbs[:, 0])
         return np.ascontiguousarray(limbs, dtype=">u8").view(f"S{8 * self.limbs}")[:, 0]
 
-    def get(self, key: int) -> int | None:
-        """The node recorded for key, or None."""
-        # key as the sorted parts hold it (a byte string reads back
-        # without its trailing zero bytes, so it is built the same way)
-        query = self._sortable(self.limbs_of([key]))[0]
-        for keys, nodes in ((self.run_keys, self.run_nodes), (self.keys, self.nodes)):
-            at = keys.searchsorted(query)
-            if at < len(keys) and keys[at] == query:
-                return int(nodes[at])
-        return None
-
-    def items(self):
-        """(key, node) for every entry, the sorted part first."""
-        for keys, nodes in ((self.keys, self.nodes), (self.run_keys, self.run_nodes)):
-            limbs = keys.view(np.uint64 if self.limbs == 1 else ">u8").reshape(-1, self.limbs)
-            yield from zip(self.ints_of(limbs), nodes.tolist())
-
-    def _add(self, keys: np.ndarray, nodes: np.ndarray) -> None:
-        """Merge new entries, sorted and absent from the table, into the
-        run, and fold the run into the sorted part once it is due."""
-        at, old = _places(self.run_keys, keys)
-        self.run_keys = _merged(self.run_keys, keys, at, old)
-        self.run_nodes = _merged(self.run_nodes, nodes, at, old)
+    def _add(self, keys: np.ndarray) -> None:
+        """Insert sorted keys, absent from the table, into the run, and
+        fold the run into the sorted part once it is due."""
+        self.run_keys = np.insert(self.run_keys, self.run_keys.searchsorted(keys), keys)
         if len(self.run_keys) > max(RECENT_MIN, len(self.keys) // 8):
-            at, old = _places(self.keys, self.run_keys)
-            self.keys = _merged(self.keys, self.run_keys, at, old)  # the old keys are gone before the nodes merge
-            self.nodes = _merged(self.nodes, self.run_nodes, at, old)
-            self.run_keys, self.run_nodes = self._empty()
-
-
-def _places(keys: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where sorted keys and sorted new ones go merged: the positions of
-    the new ones, and a mask of those of the old ones."""
-    at = np.searchsorted(keys, new) + np.arange(len(new))
-    old = np.ones(len(keys) + len(new), dtype=bool)
-    old[at] = False
-    return at, old
-
-
-def _merged(values: np.ndarray, new: np.ndarray, at: np.ndarray, old: np.ndarray) -> np.ndarray:
-    """values and new merged as _places put them."""
-    out = np.empty(len(old), dtype=values.dtype)
-    out[at] = new
-    out[old] = values
-    return out
+            self.keys = np.insert(self.keys, self.keys.searchsorted(self.run_keys), self.run_keys)
+            self.run_keys = self.run_keys[:0].copy()  # a view would keep the old run alive
 
 
 def _absent(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
@@ -604,23 +565,17 @@ def _absent(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
     return keys[at] != query
 
 
-def transposition_insert(table: TranspositionTable, key: int, idx: int) -> tuple[str, int | None]:
-    """Returns ("fresh", None) after recording idx, or ("duplicate", the
-    node recorded first for this key)."""
-    kept = table.get(key)
-    if kept is None:
-        table._add(table._sortable(table.limbs_of([key])), np.array([idx], dtype=np.int32))
-        return ("fresh", None)
-    return ("duplicate", kept)
+def transposition_insert(table: TranspositionTable, key: int) -> tuple[str]:
+    """Adds key; returns ("fresh",) if the table lacked it, else ("duplicate",)."""
+    return ("fresh",) if len(transposition_insert_many(table, table.limbs_of([key]))) else ("duplicate",)
 
 
-def transposition_insert_many(table: TranspositionTable, keys: np.ndarray, nodes) -> np.ndarray:
-    """transposition_insert(table, key i, nodes[i]) for each row i of keys
-    (limbs, as TranspositionTable takes them) in order, in bulk; returns
-    the nodes recorded, in order, as an int32 array."""
-    nodes = np.asarray(nodes, dtype=np.int32)
+def transposition_insert_many(table: TranspositionTable, keys: np.ndarray) -> np.ndarray:
+    """Adds each row i of keys (limbs, as TranspositionTable takes them);
+    returns, in order, the positions i of the fresh offers: each key's
+    first offer, where the table lacked that key."""
     # each key's first offer, then those neither sorted part holds
     sortable, at = np.unique(table._sortable(keys), return_index=True)
     fresh = _absent(table.keys, sortable) & _absent(table.run_keys, sortable)
-    table._add(sortable[fresh], nodes[at[fresh]])
-    return nodes[np.sort(at[fresh])]
+    table._add(sortable[fresh])
+    return np.sort(at[fresh])

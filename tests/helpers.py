@@ -446,7 +446,7 @@ def sequential_expand(search):
             if search._record_ship(arena.all_rows(child)):
                 return
             continue  # a finished ship only grows dead rows from here
-        if transposition_insert(search.tt, state_key(params, arena, child), child)[0] == "fresh":
+        if transposition_insert(search.tt, state_key(params, arena, child)) == ("fresh",):
             queue.extend([child])
     search._tick()
 

@@ -158,7 +158,10 @@ class TestCarriedKeys:
     def run_offering(self, monkeypatch, params, config, check):
         """Run a search, calling check(search, key, idx, verdict) on every
         node offered to the transposition table, one at a time or in bulk;
-        verdict is what transposition_insert returns for that offer."""
+        verdict is what transposition_insert returns for that offer. The
+        seed's tip is the node of the one scalar offer, key 0; a bulk
+        offer's nodes are the frontier that _new_table reseeds from, or
+        the children that _expand_head added from `start` on."""
         searches = []
         original_init = Search.__init__
         original_insert, original_many = search_mod.transposition_insert, search_mod.transposition_insert_many
@@ -167,17 +170,18 @@ class TestCarriedKeys:
             searches.append(self)
             original_init(self, *args, **kwargs)
 
-        def checked(table, key, idx):
-            verdict = original_insert(table, key, idx)
-            check(searches[-1], key, idx, verdict)
+        def checked(table, key):
+            verdict = original_insert(table, key)
+            check(searches[-1], key, 2 * searches[-1].params.period - 1, verdict)
             return verdict
 
-        def checked_many(table, keys, nodes):
-            fresh = original_many(table, keys, nodes)
+        def checked_many(table, keys):
+            fresh = original_many(table, keys)
+            caller = sys._getframe(1).f_locals
+            nodes = caller["frontier"] if "frontier" in caller else range(caller["start"], caller["start"] + len(keys))
             recorded = set(fresh.tolist())
-            for idx, key in zip(np.asarray(nodes).tolist(), table.ints_of(keys)):
-                verdict = ("fresh", None) if idx in recorded else ("duplicate", table.get(key))
-                check(searches[-1], key, idx, verdict)
+            for i, (idx, key) in enumerate(zip(np.asarray(nodes).tolist(), table.ints_of(keys))):
+                check(searches[-1], key, idx, ("fresh",) if i in recorded else ("duplicate",))
             return fresh
 
         monkeypatch.setattr(Search, "__init__", init)
@@ -191,14 +195,14 @@ class TestCarriedKeys:
         # transposition table, but for one whose ship ends the search; a
         # key that differs from state_key shows here, and so does a goal
         # that is not recorded as a ship or that the table takes: the
-        # seed's entry for key 0 must turn every goal away
+        # seed's key 0 must turn every goal away
         offered, goals = [], []
 
         def check(search, key, idx, verdict):
             params, arena = search.params, search.arena
             assert key == state_key(params, arena, idx)
             if is_goal(params, arena, idx):
-                assert verdict == ("duplicate", 2 * params.period - 1)
+                assert verdict == ("duplicate",)
                 assert extract_ship(params, arena.all_rows(idx)).rows in {ship.rows for ship, _ in search.ships}
                 goals.append(idx)
             offered.append(idx)
@@ -210,13 +214,21 @@ class TestCarriedKeys:
 
     @CARRIED_KEY_CASES
     def test_duplicates_keep_a_node_no_deeper(self, monkeypatch, params, config):
-        # nodes reach the table in nondecreasing depth, so keeping the first
-        # node of a state keeps a shallowest one
-        dups = []
+        # nodes reach the table in nondecreasing depth, so the first node
+        # offered fresh for a state is a shallowest one; each table's
+        # first nodes are noted here, since the table keeps keys alone
+        dups, first, table = [], {}, None
 
         def check(search, key, idx, verdict):
-            if verdict[0] == "duplicate":
-                assert search.arena.depths[verdict[1]] <= search.arena.depths[idx]
+            nonlocal table
+            if table is not search.tt:  # compaction started a new one
+                table = search.tt
+                first.clear()
+            if verdict == ("fresh",):
+                assert key not in first
+                first[key] = idx
+            else:
+                assert search.arena.depths[first[key]] <= search.arena.depths[idx]
                 dups.append(idx)
 
         self.run_offering(monkeypatch, params, config, check)
@@ -288,25 +300,43 @@ class TestSetupMemory:
         assert peak < 1 << 20
 
 
+def queued_keys(search, nodes=None):
+    """The state keys of the seed's tip and of nodes (by default the
+    queue, which holds the tip itself until a first expansion), each
+    once and sorted: what a table started from them holds."""
+    params, arena = search.params, search.arena
+    nodes = search.queue.nodes().tolist() if nodes is None else nodes
+    return sorted({state_key(params, arena, idx) for idx in [2 * params.period - 1, *nodes]})
+
+
 class TestStoreMemory:
-    def test_arena_and_table_take_at_most_48_bytes_a_node(self):
-        # Life c/4 even w6 to exhaustion: 34,205 nodes, and a table whose
-        # recent entries have been folded into its sorted part; what the
-        # two stores hold is what freeing them returns
-        params = SearchParams(LIFE, 4, 1, 6, EVEN_MIRROR)
+    @pytest.mark.parametrize(
+        "params, config, nodes, most",
+        [
+            # the one-limb table of Life c/4 even w6 to exhaustion
+            (SearchParams(LIFE, 4, 1, 6, EVEN_MIRROR), SearchConfig(), 34205, 22),
+            # the two-limb weekender, filled to its first deepening round
+            (SearchParams(LIFE, 7, 2, 9, EVEN_MIRROR), SearchConfig(node_capacity=1 << 15, max_deepening=42), 32282, 30),
+        ],
+        ids=["c4-one-limb-exhaust", "weekender-two-limbs-fill"],
+    )
+    def test_arena_and_table_bytes_a_node(self, params, config, nodes, most):
+        # the arena takes 12 bytes a node and the table 8 a key limb,
+        # with its recent keys folded into its sorted part; what the two
+        # stores hold is what freeing them returns
         tracemalloc.start()
         try:
-            search = Search(params)
-            while search.queue:
+            search = Search(params, config)
+            while search.queue and not search.arena_full():
                 search_mod._expand_head(search)
-            nodes, folded = len(search.arena), len(search.tt.keys)
+            size, folded = len(search.arena), len(search.tt.keys)
             held = tracemalloc.get_traced_memory()[0]
             del search.arena, search.tt
             freed = held - tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert nodes == 34205 and folded > 4096
-        assert 12 * nodes < freed <= 48 * nodes
+        assert size == nodes and folded > 4096
+        assert 12 * size < freed <= most * size
 
 
 class TestWeekenderFill:
@@ -314,7 +344,8 @@ class TestWeekenderFill:
         # the weekender profile of scripts/long_searches.py (126-bit keys,
         # two limbs) at capacity 2^15, up to its first deepening round:
         # queue, arena and table equal those of a run whose bulk offers
-        # go through transposition_insert one key at a time
+        # go through transposition_insert one key at a time, and the
+        # table holds the state key of every node the run added
         params = SearchParams(LIFE, 7, 2, 9, EVEN_MIRROR)
 
         def fill():
@@ -322,18 +353,20 @@ class TestWeekenderFill:
             while search.queue and not search.arena_full():
                 search_mod._expand_head(search)
             arena = search.arena
-            return search.queue.nodes().tolist(), (arena.rows, arena.parents, arena.depths), dict(search.tt.items())
+            return search, (search.queue.nodes().tolist(), (arena.rows, arena.parents, arena.depths), sorted(search.tt))
 
-        def sequential(table, keys, nodes):
-            offers = zip(np.asarray(nodes).tolist(), table.ints_of(keys))
-            fresh = [idx for idx, key in offers if transposition_insert(table, key, idx)[0] == "fresh"]
-            return np.array(fresh, dtype=np.int32)
+        def sequential(table, keys):
+            fresh = [i for i, key in enumerate(table.ints_of(keys)) if transposition_insert(table, key) == ("fresh",)]
+            return np.array(fresh, dtype=np.intp)
 
-        bulk = fill()
+        search, bulk = fill()
         monkeypatch.setattr(search_mod, "transposition_insert_many", sequential)
-        one = fill()
-        assert bulk == one
+        assert bulk == fill()[1]
         assert len(bulk[0]) > 1 << 14 and len(bulk[2]) > 1 << 14
+        # a duplicate's key is an earlier node's, so the keys of all
+        # nodes past the seed's tip are those of the nodes ever queued
+        added = range(2 * params.period, len(search.arena))
+        assert bulk[2] == queued_keys(search, added)
 
 
 class TestReseed:
@@ -342,21 +375,17 @@ class TestReseed:
         [(SearchParams(LIFE, 3, 1, 6, EVEN_MIRROR), 1 << 12), (SearchParams(LIFE, 7, 2, 9, EVEN_MIRROR), 1 << 15)],
         ids=["c3-one-limb", "weekender-two-limbs"],
     )
-    def test_bulk_reseed_matches_one_at_a_time(self, params, capacity):
+    def test_bulk_reseed_holds_the_frontier_keys(self, params, capacity):
         # filled to capacity, then compacted, then narrowed: each time
-        # the table holds what offering the seed and then the frontier
-        # one key at a time gives (the weekender's table folds)
+        # the table holds the keys of the seed's tip and the frontier,
+        # each once (the weekender's table folds)
         search = Search(params, SearchConfig(node_capacity=capacity, continue_after_find=True))
         while search.queue and not search.arena_full():
             search_mod._expand_head(search)
         for step in (search_mod.compact, reduce_width):
             step(search)
-            params, arena = search.params, search.arena
-            one = TranspositionTable(params)
-            for idx in [2 * params.period - 1, *search.queue.nodes().tolist()]:
-                transposition_insert(one, state_key(params, arena, idx), idx)
-            assert dict(search.tt.items()) == dict(one.items())
-            assert len(search.queue) > 100 and search.tt.limbs == (1 if params.period == 3 else 2)
+            assert sorted(search.tt) == queued_keys(search)
+            assert len(search.queue) > 100 and search.tt.limbs == (1 if search.params.period == 3 else 2)
 
 
 class TestProbeDedup:
@@ -446,7 +475,7 @@ class TestFrontierHistory:
         # random node capacities (at least 4p) and deepening caps; after
         # every compact and reduce_width the frontier's row histories are
         # those before it, in order, less the states a narrowing drops,
-        # and the table's keys are its nodes' state keys
+        # and the table holds the keys of the seed's tip and the frontier
         original_compact, original_reduce = search_mod.compact, search_mod.reduce_width
         done = {"compact": 0, "narrow": 0}
 
@@ -457,8 +486,7 @@ class TestFrontierHistory:
             before = histories(search)
             original_compact(search)
             assert histories(search) == before
-            for key, idx in search.tt.items():
-                assert key == state_key(search.params, search.arena, idx)
+            assert sorted(search.tt) == queued_keys(search)
             done["compact"] += 1
 
         def checked_reduce(search):
@@ -503,9 +531,7 @@ class TestFrontierHistory:
         assert search.queue
         reduce_width(search)
         assert not search.queue and search.params.width == top
-        assert dict(search.tt.items()) == {0: 2 * params.period - 1}  # the seed's state
-        for key, idx in search.tt.items():
-            assert key == state_key(search.params, search.arena, idx)
+        assert list(search.tt) == queued_keys(search) == [0]  # the seed's state
 
 
 PROBE_CASES = pytest.mark.parametrize(
@@ -614,7 +640,7 @@ class TestSeedChain:
             assert search.arena.rows[:n].tolist() == [0] * n
             assert search.arena.parents[:n].tolist() == [-1, *range(n - 1)]
             assert search.level_of(n - 1) == 0
-            assert search.tt.get(0) == n - 1  # the seed's state, recorded first
+            assert sorted(search.tt) == queued_keys(search)  # the seed's state and the frontier's
             widths.append(search.params.width)
 
         monkeypatch.setattr(search_mod, "compact", checked)

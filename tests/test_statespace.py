@@ -478,9 +478,9 @@ class TestTransposition:
     def test_initial_twice_is_duplicate(self):
         params, arena, tip, table = self.make()
         key = state_key(params, arena, tip)
-        assert transposition_insert(table, key, tip) == ("fresh", None)
-        verdict, kept = transposition_insert(table, key, tip)
-        assert verdict == "duplicate" and kept == tip
+        assert transposition_insert(table, key) == ("fresh",)
+        assert transposition_insert(table, key) == ("duplicate",)
+        assert list(table) == [key] and key in table
 
     def test_same_suffix_is_duplicate(self):
         params, arena, tip, table = self.make()
@@ -490,44 +490,38 @@ class TestTransposition:
         b = arena.add(0b10, tip)
         for _ in range(4):
             b = arena.add(0, b)
-        assert transposition_insert(table, state_key(params, arena, a), a) == ("fresh", None)
-        verdict, kept = transposition_insert(table, state_key(params, arena, b), b)
-        assert verdict == "duplicate" and kept == a
+        assert transposition_insert(table, state_key(params, arena, a)) == ("fresh",)
+        assert transposition_insert(table, state_key(params, arena, b)) == ("duplicate",)
 
     def test_distinct_suffixes_are_fresh(self):
         params, arena, tip, table = self.make()
         a = arena.add(0b1, tip)
         b = arena.add(0b10, tip)
-        assert transposition_insert(table, state_key(params, arena, a), a)[0] == "fresh"
-        assert transposition_insert(table, state_key(params, arena, b), b)[0] == "fresh"
-        assert dict(table.items()) == {state_key(params, arena, a): a, state_key(params, arena, b): b}
+        assert transposition_insert(table, state_key(params, arena, a)) == ("fresh",)
+        assert transposition_insert(table, state_key(params, arena, b)) == ("fresh",)
+        assert set(table) == {state_key(params, arena, a), state_key(params, arena, b)} and len(table) == 2
 
     @pytest.mark.parametrize("width", [16, 18], ids=["64-bit-one-limb", "72-bit-two-limbs"])
     @given(
         st.lists(st.tuples(st.integers(0, 2**72 - 1), st.booleans()), max_size=40),
         st.lists(st.integers(0, 2**72 - 1), max_size=10),
-        st.integers(0, 10**6),
     )
-    def test_many_matches_one_at_a_time(self, width, drawn, before, first):
+    def test_many_matches_one_at_a_time(self, width, drawn, before):
         # first offer wins, in order, against the table and within the
         # batch; a key may come with its lowest bit flipped next to it,
-        # which a pass through float64 would merge above 2^53; the nodes
-        # offered are every other one from first, so a node read from a
-        # key's position shows
+        # which a pass through float64 would merge above 2^53
         params = SearchParams(LIFE, 2, 1, width)
         mask = (1 << 4 * width) - 1
         keys = [k & mask for key, pair in drawn for k in ((key, key ^ 1) if pair else (key,))]
         before = [key & mask for key in before]
-        nodes = range(first, first + 2 * len(keys), 2)
         one, bulk = TranspositionTable(params), TranspositionTable(params)
-        for i, key in enumerate(before):
-            transposition_insert(one, key, -1 - i)
-            transposition_insert(bulk, key, -1 - i)
-        want = [idx for idx, key in zip(nodes, keys) if transposition_insert(one, key, idx)[0] == "fresh"]
-        got = transposition_insert_many(bulk, bulk.limbs_of(keys), np.array(nodes))
-        assert got.dtype == np.int32 and got.tolist() == want
-        assert dict(bulk.items()) == dict(one.items())
-        assert all(bulk.get(key) == one.get(key) for key in keys + before)
+        for key in before:
+            transposition_insert(one, key)
+            transposition_insert(bulk, key)
+        want = [i for i, key in enumerate(keys) if transposition_insert(one, key) == ("fresh",)]
+        got = transposition_insert_many(bulk, bulk.limbs_of(keys))
+        assert got.dtype == np.intp and got.tolist() == want
+        assert sorted(bulk) == sorted(one) == sorted(set(keys + before))
 
 
 class TestTranspositionFolds:
@@ -550,12 +544,12 @@ class TestTranspositionFolds:
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(KEY_PARAMS), st.data())
     def test_matches_a_dict(self, params, data):
-        # every verdict, kept node and fresh list equals a plain dict's,
-        # with the dict folded into the sorted part every few offers
+        # every verdict and fresh list equals a plain set's, with the set
+        # folded into the sorted part every few offers
         ops = data.draw(self.offers(2 * params.period * params.width))
         with mock.patch.object(statespace, "RECENT_MIN", 2):
-            table, ref, drawn = TranspositionTable(params), {}, []
-            node, folds, fresh_calls = 0, 0, 0
+            table, ref, drawn = TranspositionTable(params), set(), []
+            folds, fresh_calls = 0, 0
 
             def resolve(key):
                 key = drawn[key[0] % len(drawn)] ^ key[1] if isinstance(key, tuple) and drawn else key
@@ -563,18 +557,20 @@ class TestTranspositionFolds:
                 drawn.append(key)
                 return key
 
+            def fresh(key):
+                known = key in ref
+                ref.add(key)
+                return not known
+
             for op in ops:
                 sorted_before, known = len(table.keys), len(ref)
                 if isinstance(op, list):
                     keys = [resolve(key) for key in op]
-                    want = [i for i, key in enumerate(keys, node) if ref.setdefault(key, i) == i]
-                    assert transposition_insert_many(table, table.limbs_of(keys), np.arange(node, node + len(keys))).tolist() == want
-                    node += len(keys)
+                    want = [i for i, key in enumerate(keys) if fresh(key)]
+                    assert transposition_insert_many(table, table.limbs_of(keys)).tolist() == want
                 else:
                     key = resolve(op)
-                    kept = ref.setdefault(key, node)
-                    assert transposition_insert(table, key, node) == (("fresh", None) if kept == node else ("duplicate", kept))
-                    node += 1
+                    assert transposition_insert(table, key) == (("fresh",) if fresh(key) else ("duplicate",))
                 folds += len(table.keys) > sorted_before
                 fresh_calls += len(ref) > known
                 # two strictly increasing parts with no key in both, the
@@ -584,49 +580,58 @@ class TestTranspositionFolds:
                 assert not set(run.tolist()) & set(folded.tolist())
                 assert len(run) <= max(statespace.RECENT_MIN, len(folded) // 8)
                 assert len(table) == len(ref)
-                assert all(table.get(key) == ref[key] for key in drawn)
-            assert dict(table.items()) == ref
+                assert all(key in table for key in drawn)
+            assert set(table) == ref
             assert folds >= 2 or fresh_calls < 6
 
     def test_folds_at_recent_min(self):
         # at the real threshold: the run folds once it holds more than
-        # RECENT_MIN entries and more than an eighth of the sorted part
+        # RECENT_MIN keys and more than an eighth of the sorted part
         params = SearchParams(LIFE, 2, 1, 8)
         table, rng = TranspositionTable(params), np.random.default_rng(0)
         sizes = []
-        for first in range(0, 40000, 1000):
+        for _ in range(40):
             keys = rng.integers(0, 2**32, size=(1000, 1), dtype=np.uint64)
-            transposition_insert_many(table, keys, np.arange(first, first + 1000))
+            transposition_insert_many(table, keys)
             sizes.append((len(table.keys), len(table.run_keys)))
         folded = [size for size in sizes if size[1] == 0]
         assert len(folded) >= 4 and folded[0] == (5000, 0)  # the fifth chunk passes RECENT_MIN
         assert all(run <= max(statespace.RECENT_MIN, keys // 8) for keys, run in sizes)
 
-    def test_fold_copies_keys_and_nodes_one_after_the_other(self):
-        # a sorted part of 200,000 64-bit keys and a run of an eighth of
-        # that, folded by one more scalar offer: the fold drops the old
-        # keys before it merges the nodes, so the heap never grows by
-        # as much as the old sorted part takes (both at once took about
-        # 1.5 times that)
-        params = SearchParams(LIFE, 2, 1, 16)
+    @pytest.mark.parametrize("width", [16, 18], ids=["64-bit-one-limb", "72-bit-two-limbs"])
+    def test_fold_holds_one_merged_copy(self, width):
+        # a sorted part of 200,000 keys and a run of an eighth of that,
+        # folded by one more scalar offer: the fold inserts the run into
+        # the sorted part in one pass, so the heap grows by one merged
+        # copy and the positions it inserts at, under 1.75 times the old
+        # sorted part (two merged copies at once take 2.25 times); the
+        # old run is freed with it
+        params = SearchParams(LIFE, 2, 1, width)
         n = 200_000
         tracemalloc.start()
         try:
             table = TranspositionTable(params)
-            keys = np.random.default_rng(0).integers(0, 2**63, size=(n + n // 8, 1), dtype=np.uint64)
-            transposition_insert_many(table, keys[:n], np.arange(n))
-            transposition_insert_many(table, keys[n:], np.arange(n, len(keys)))
+            rng = np.random.default_rng(0)
+            # limbs of table.bits bits each but the first, which holds the rest
+            top = 4 * width - (table.limbs - 1) * table.bits
+            limbs = [rng.integers(0, 2**bits, size=n + n // 8, dtype=np.uint64) for bits in [top - 1] + [table.bits] * (table.limbs - 1)]
+            keys = np.stack(limbs, axis=1)
+            del limbs
+            transposition_insert_many(table, keys[:n])
+            transposition_insert_many(table, keys[n:])
             del keys
             assert len(table.keys) == n and len(table.run_keys) == n // 8
-            old = table.keys.nbytes + table.nodes.nbytes
+            old = table.keys.nbytes
             held = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            transposition_insert(table, 1 << 63, -1)
+            transposition_insert(table, 1 << 4 * width - 1)  # above every key drawn
             peak = tracemalloc.get_traced_memory()[1]
+            after = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         assert len(table.keys) == n + n // 8 + 1 and not len(table.run_keys)
-        assert peak - held < old
+        assert peak - held < 1.75 * old
+        assert after - held < old // 16  # the old run is freed as its keys move
 
 
 class TestExtraction:
