@@ -41,12 +41,16 @@ is built on the first batch and kept with them for the rest of the
 search: stage 1 gathers per-column uint32 slices of the byte tables,
 stage 2 sweeps all windows column by column, and stage 3 walks one
 backward frontier holding an entry per (window, partial row), over the
-windows stage 2 kept. It returns one flat pair of arrays, each row with
-the position of its window. The search hands it every set of windows
-of at least search.BATCH_MIN, a breadth-first chunk of queued states of
-any levels or a lockstep step of deepening probes, and calls
-successors() on each window of a smaller set; both must give the same
-rows in the same order.
+windows stage 2 kept. Neither stage builds a whole vertex set: a fold by
+shifts leaves an edge mask's vertices in two 16-bit byte pairs, and two
+64 KB tables, one per direction, map a pair straight to half a vertex
+set, whose allowed edges the 256-entry vertex-set tables give. It
+returns one flat pair of arrays, each row with the position of its
+window, ordered by one sort of a combined key. The search hands it
+every set of windows of at least search.BATCH_MIN, a breadth-first chunk
+of queued states of any levels or a lockstep step of deepening probes,
+and calls successors() on each window of a smaller set; both must give
+the same rows in the same order.
 """
 
 from __future__ import annotations
@@ -541,6 +545,46 @@ def successors(params: SearchParams, tables: SearchTables, rows):
 _LB_LO_A, _LB_HI_A, _RB_LO_A, _RB_HI_A = (np.array(t, dtype=np.uint64) for t in (_LB_LO, _LB_HI, _RB_LO, _RB_HI))
 
 
+def _pair_table(vertex_of_ct):
+    """uint8[65536]: for a pair of edge-mask bytes p = lo | hi<<8, each a
+    set of ct, half a vertex set: the vertices vertex_of_ct(ct) of lo's ct
+    and vertex_of_ct(ct) + 4 of hi's."""
+    byte = np.zeros(256, dtype=np.uint8)
+    for ct in range(8):
+        byte[np.arange(256) >> ct & 1 == 1] |= 1 << vertex_of_ct(ct)
+    return (byte[:, None] << 4 | byte).ravel()
+
+
+# an edge mask's byte lt holds its edges (ct | lt<<3) as a set of ct; an
+# edge's right vertex is ct>>1 | (lt>>1)<<2 and its left one ct&3 | (lt&3)<<2
+_RIGHT_PAIR = _pair_table(lambda ct: ct >> 1)
+_LEFT_PAIR = _pair_table(lambda ct: ct & 3)
+
+
+def _next_allowed(e):
+    """_edges_with_left_in(_right_vertices(e)) for each of the uint64
+    edge masks e. The fold ORs the bytes lt and lt^1, which have the same
+    right vertices, leaving lt>>1 = 0, 1 in bits 0-15 and lt>>1 = 2, 3
+    in bits 32-47: through _RIGHT_PAIR, the two halves of the vertex set."""
+    e = e.view(np.int64)  # int64 indices need no cast to intp
+    y = (e | e >> 8) & 0x00FF00FF00FF00FF
+    y |= y >> 8
+    return _LB_LO_A.take(_RIGHT_PAIR[y & 0xFFFF]) | _LB_HI_A.take(_RIGHT_PAIR[y >> 32 & 0xFFFF])
+
+
+def _prev_allowed(e):
+    """_edges_with_right_in(_left_vertices(e)) for each of the uint64 edge
+    masks e. The fold ORs the bytes lt and lt^4, which have the same left
+    vertices, leaving lt = 0, 1 in bits 0-15 and lt = 2, 3 in bits 16-31:
+    through _LEFT_PAIR, the two halves of the vertex set."""
+    e = e.view(np.int64)
+    x = e | e >> 32
+    return _RB_LO_A.take(_LEFT_PAIR[x & 0xFFFF]) | _RB_HI_A.take(_LEFT_PAIR[x >> 16 & 0xFFFF])
+
+
+_EVERY_EDGE = (1 << 64) - 1
+
+
 def successors_batch(params: SearchParams, tables: SearchTables, windows) -> tuple[np.ndarray, np.ndarray]:
     """successors(params, tables, w) for every w of an (N, at least
     history(params)) array of windows, through the same three stages run
@@ -551,42 +595,54 @@ def successors_batch(params: SearchParams, tables: SearchTables, windows) -> tup
     search builds them once per width; the windows may be of any levels:
 
     - stage1 gathers each column's lookup indices from per-column byte
-      tables and ANDs the table masks;
-    - stage2 sweeps the columns forward over all N windows together;
+      tables and ANDs the table masks, the structural one only on the
+      strip's boundary columns, where it is not all ones;
+    - stage2 sweeps the columns forward over all N windows together,
+      carrying from each column the edges the next one allows
+      (_next_allowed, through a 64 KB byte-pair table); only the last
+      column's edges are tested, for the end vertex;
     - stage3 walks backward over the stage2 survivors only, holding one
-      (window, vertex set, row) entry per partial row and splitting an
-      entry where both the dead and the live C cell go on; a lexsort
-      then orders the entries by window, then row."""
+      (window, allowed edges, row) entry per partial row (_prev_allowed)
+      and splitting an entry where both the dead and the live C cell go
+      on; one sort of the key window << 32 | row then orders the entries
+      by window, then row, as rows are at most 32 bits wide."""
     bt = tables.arrays
-    windows = np.asarray(windows, dtype=np.uint32)
+    windows = np.asarray(windows, dtype=np.intp)  # so that the gathers take their indices uncast
     n = len(windows)
     fields = np.zeros((len(bt.masks), n), dtype=np.uint32)  # per column: star's index, then the filter's
     for idx, b, lo, table in bt.reads:
-        fields[lo : lo + len(table)] |= table[:, windows[:, idx] >> b & 255]
+        fields[lo : lo + len(table)] |= table.take(windows[:, idx] >> b & 255, axis=1)
 
     # stage1's table lookups a column at a time, each followed by its
     # stage2 step, so that no temporary spans every column
     fwd = np.empty(fields.shape, dtype=np.uint64)
-    cur = np.full(n, tables.start_set, dtype=np.uint64)
+    allowed = np.uint64(_edges_with_left_in(tables.start_set))
     for c, col in enumerate(fields):
-        e = bt.star[col & 0x1FFF] & bt.filter[col >> 13] & bt.masks[c]
-        e &= _LB_LO_A[cur & 255] | _LB_HI_A[cur >> 8]
-        fwd[c] = e
-        cur = _right_vertices(e)
+        # the indices are in range, and "clip" spares take a buffered copy
+        e = bt.star.take(col & 0x1FFF, out=fwd[c], mode="clip")
+        e &= bt.filter.take(col >> 13, mode="clip")
+        if tables.masks[c] != _EVERY_EDGE:
+            e &= bt.masks[c]
+        e &= allowed
+        if c + 1 < len(fields):
+            allowed = _next_allowed(e)
 
-    at = np.flatnonzero(cur & 1)  # per entry, its window: those whose end vertex is reached
-    vset = np.ones(len(at), dtype=np.uint64)
+    # _RMASK_V[0]: the edges into the end vertex, all four cells dead
+    at = np.flatnonzero(fwd[-1] & _RMASK_V[0])  # per entry, its window: those that reach it
+    allowed = np.uint64(_RMASK_V[0])
     acc = np.zeros(len(at), dtype=np.uint64)
     for c in range(len(fwd) - 1, -1, -1):
-        act = fwd[c, at] & (_RB_LO_A[vset & 255] | _RB_HI_A[vset >> 8])
+        act = fwd[c].take(at) & allowed
         dead = act & _DEAD_C0
-        live = act ^ dead
-        d, l = np.flatnonzero(dead), np.flatnonzero(live)
+        l = np.flatnonzero(act ^ dead)
         if len(l):
-            at = np.concatenate((at[d], at[l]))
-            vset = _left_vertices(np.concatenate((dead[d], live[l])))
-            acc = np.concatenate((acc[d], acc[l] | tables.cell_bits[c]))
-        else:
-            vset = _left_vertices(dead)
-    order = np.lexsort((acc, at))
-    return at[order], acc[order]
+            d = np.flatnonzero(dead)
+            idx = np.concatenate((d, l))
+            at, act, acc = at.take(idx), act.take(idx), acc.take(idx)
+            act[: len(d)] &= _DEAD_C0
+            act[len(d) :] &= ~np.uint64(_DEAD_C0)
+            acc[len(d) :] |= tables.cell_bits[c]
+        if c:
+            allowed = _prev_allowed(act)
+    key = np.sort(at.astype(np.uint64) << 32 | acc)
+    return (key >> 32).astype(np.intp), key & 0xFFFFFFFF

@@ -53,8 +53,12 @@ from shipsearch.statespace import (
 from shipsearch.successor import (
     _LEFT_OF,
     _RIGHT_OF,
+    _edges_with_left_in,
+    _edges_with_right_in,
     _left_vertices,
+    _next_allowed,
     _p2_table,
+    _prev_allowed,
     _right_vertices,
     _star_tables,
     build_tables,
@@ -545,6 +549,19 @@ class TestVertexFolds:
                 out |= 1 << vertex_of[e]
         return out
 
+    # successors_batch's two byte-pair table steps, each with what it
+    # stands for
+    TABLE_STEPS = [
+        (_next_allowed, lambda m: _edges_with_left_in(_right_vertices(m))),
+        (_prev_allowed, lambda m: _edges_with_right_in(_left_vertices(m))),
+    ]
+
+    @staticmethod
+    def check_table_step(step, want, masks):
+        got = step(np.array(masks, dtype=np.uint64)).tolist()
+        bad = [hex(m) for m, g in zip(masks, got) if g != want(m)]
+        assert not bad, bad[:5]
+
     def test_single_edges_and_random_masks(self):
         rng = random.Random(15)
         masks = [1 << e for e in range(64)] + [0, (1 << 64) - 1]
@@ -552,6 +569,25 @@ class TestVertexFolds:
         for m in masks:
             assert _left_vertices(m) == self.per_bit(m, _LEFT_OF), hex(m)
             assert _right_vertices(m) == self.per_bit(m, _RIGHT_OF), hex(m)
+        for step, want in self.TABLE_STEPS:
+            self.check_table_step(step, want, masks)
+
+    def test_table_steps_over_every_group_pair(self):
+        # the forward step reads the lt>>1 pairs 0-1 and 2-3, so pair p is
+        # the bytes of lt 0 and 2, or of lt 4 and 6; the backward step reads
+        # the lt pairs 0-1 and 2-3, whose bytes lie side by side
+        pairs = range(1 << 16)
+        forward = [(p & 255 | (p >> 8) << 16) << shift for shift in (0, 32) for p in pairs]
+        backward = [p << shift for shift in (0, 16) for p in pairs]
+        self.check_table_step(*self.TABLE_STEPS[0], forward)
+        self.check_table_step(*self.TABLE_STEPS[1], backward)
+
+    def test_module_arrays_under_256_kib(self):
+        # successors_batch's lookup tables: its two uint8 tables over every
+        # byte pair take 64 KiB each; uint64 tables in their place (512 KiB
+        # each) raised the c/2 bench search's peak RSS by a tenth
+        arrays = [v for v in vars(successor_mod).values() if isinstance(v, np.ndarray)]
+        assert sum(a.nbytes for a in arrays) < 256 * 1024
 
 
 def _check_stages_2_3(params, tables, rows, max_rows=None):
@@ -698,3 +734,29 @@ class TestSuccessorsBatch:
                 assert got == [rec["successors"][i] for i in picks], (source, width)
                 compared += len(picks)
         assert compared == sum(len(rec["windows"]) for rec in recorded.values())
+
+
+class TestSuccessorsBatchOutput:
+    # child_keys ORs the rows into uint64 keys and NodeArena.add_children
+    # reads the positions as parents
+
+    def test_zero_windows_give_two_empty_arrays(self):
+        params = SearchParams(LIFE, 4, 1, 7, EVEN_MIRROR)
+        windows = np.zeros((0, history(params)), dtype=np.uint32)
+        at, rows = successors_batch(params, build_tables(params), windows)
+        assert (at.dtype, at.shape, rows.dtype, rows.shape) == (np.intp, (0,), np.uint64, (0,))
+
+    def test_width_32_rows_with_cell_31(self):
+        # windows found by a seeded random search: each yields a few rows,
+        # some with cell 31 live, which the batch's sort key holds in its
+        # low 32 bits, under the window's position
+        params = SearchParams(LIFE, 2, 1, 32, ASYMMETRIC, ORTHOGONAL)
+        tables = build_tables(params)
+        windows = [
+            [0x08236110, 0xC080546B, 0x5060A050, 0x0010A004],
+            [0xA4281002, 0x600A0EB3, 0x00421980, 0x40202014],
+        ]
+        want = [successors(params, tables, rows) for rows in windows]
+        assert all(0 < sum(row >> 31 for row in rows) < len(rows) for rows in want)
+        picks = [0, 1, 1, 0, 1]
+        assert _batch_rows(params, tables, [windows[i] for i in picks]) == [want[i] for i in picks]
