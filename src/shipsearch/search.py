@@ -52,10 +52,11 @@ from .statespace import (
 from .successor import build_tables, successors, successors_batch
 
 # At least BATCH_MIN windows share one successors_batch call, at most
-# BATCH_CHUNK. Below about 24 windows the batched kernel's fixed cost
-# (0.2-0.5 ms a call on c/3 windows, on a 2-core x86-64 VM) exceeds that
-# of successors() on each (12-28 us a window); past 4096 it gains little,
-# while its arrays grow with the chunk.
+# BATCH_CHUNK. Below about 24-32 windows the batched kernel's fixed cost
+# (0.18-0.72 ms a call on c/3 windows, on a 2-core x86-64 VM) exceeds
+# that of successors() on each (7-21 us a window), and the c/3 search
+# ran fastest at 24 of 24, 32 and 48; past 4096 it gains little, while
+# its arrays grow with the chunk.
 BATCH_MIN = 24
 BATCH_CHUNK = 4096
 

@@ -5,11 +5,20 @@ lookahead rows L one constraint step further out) form paths through a
 column graph: a vertex holds two adjacent cells of each of the two new
 rows, an edge adds one column and carries the triple of each row centered
 there. Per-column table lookups kill edges whose triples are locally
-impossible (stage 1), a forward reachability sweep finds the columns'
-surviving vertices (stage 2), and a backward walk over vertex *sets*
-enumerates exactly the C rows on start-to-end paths, each once, without
-ever branching on the existentially-quantified lookahead row (stage 3).
-Stage 2 hands stage 3 the edges it kept going forward.
+impossible (stage 1), a forward sweep keeps each column's edges whose
+left vertex a path from the start reaches (stage 2), and a backward walk
+from the end vertex enumerates exactly the C rows on start-to-end paths,
+each once, without ever branching on the existentially-quantified
+lookahead row (stage 3).
+
+Stages 2 and 3 carry edge masks from column to column, never vertex
+sets: the edges a column allows are those that share a vertex with an
+edge kept in the column next to it. A step folds an edge mask's bytes
+by shifts into two 16-bit byte pairs, and a 64 KB table per direction
+maps each pair to half the vertex set it meets, whose edges a 256-entry
+table gives; vertex sets appear only where those tables are built.
+successors() runs the stages on one window in Python ints,
+successors_batch on many in NumPy arrays, the same loop either way.
 
 The tables are rule-only and width-independent: star_l answers the next
 and lookahead constraints for one column, ll additionally requires the
@@ -32,8 +41,7 @@ compiles stage 1 into byte tables kept on SearchTables: the entry for one
 byte of one sampled row is that byte's share of every column's indices,
 one 32-bit word per column, side by side in one integer. A call ORs one
 entry per sampled row-byte, then reads each column's indices with a shift
-and a mask. The vertex sets an edge mask leaves or enters are folded out
-of it in closed form, by shifts and masks.
+and a mask.
 
 successors_batch gives successors() for a whole array of windows at
 once, from the same SearchTables, whose NumPy form (SearchTables.arrays)
@@ -41,16 +49,12 @@ is built on the first batch and kept with them for the rest of the
 search: stage 1 gathers per-column uint32 slices of the byte tables,
 stage 2 sweeps all windows column by column, and stage 3 walks one
 backward frontier holding an entry per (window, partial row), over the
-windows stage 2 kept. Neither stage builds a whole vertex set: a fold by
-shifts leaves an edge mask's vertices in two 16-bit byte pairs, and two
-64 KB tables, one per direction, map a pair straight to half a vertex
-set, whose allowed edges the 256-entry vertex-set tables give. It
-returns one flat pair of arrays, each row with the position of its
-window, ordered by one sort of a combined key. The search hands it
-every set of windows of at least search.BATCH_MIN, a breadth-first chunk
-of queued states of any levels or a lockstep step of deepening probes,
-and calls successors() on each window of a smaller set; both must give
-the same rows in the same order.
+windows stage 2 kept. It returns one flat pair of arrays, each row with
+the position of its window, ordered by one sort of a combined key. The
+search hands it every set of windows of at least search.BATCH_MIN, a
+breadth-first chunk of queued states of any levels or a lockstep step
+of deepening probes, and calls successors() on each window of a smaller
+set; both must give the same rows in the same order.
 """
 
 from __future__ import annotations
@@ -83,6 +87,8 @@ from .statespace import (
 _LEFT_OF = [(e & 3) | (((e >> 3) & 3) << 2) for e in range(64)]
 _RIGHT_OF = [((e >> 1) & 3) | (((e >> 4) & 3) << 2) for e in range(64)]
 
+_EVERY_EDGE = (1 << 64) - 1
+
 _LMASK_V = [0] * 16
 _RMASK_V = [0] * 16
 for _e in range(64):
@@ -91,16 +97,12 @@ for _e in range(64):
 
 
 def _vset_tables(vmask):
-    lo = [0] * 256
-    hi = [0] * 256
-    for m in range(256):
-        acc_lo = acc_hi = 0
-        for v in range(8):
-            if m >> v & 1:
-                acc_lo |= vmask[v]
-                acc_hi |= vmask[8 + v]
-        lo[m] = acc_lo
-        hi[m] = acc_hi
+    """For each byte m of a vertex set, the edges vmask gives vertices v
+    (lo) and 8 + v (hi) over the bits v of m."""
+    lo, hi = [0], [0]
+    for v in range(8):
+        lo += [x | vmask[v] for x in lo]
+        hi += [x | vmask[8 + v] for x in hi]
     return lo, hi
 
 
@@ -108,32 +110,45 @@ _LB_LO, _LB_HI = _vset_tables(_LMASK_V)
 _RB_LO, _RB_HI = _vset_tables(_RMASK_V)
 
 
-def _edges_with_left_in(vset):
-    return _LB_LO[vset & 255] | _LB_HI[vset >> 8]
+def _pair_table(vertex_of_ct):
+    """uint8[65536]: for a pair of edge-mask bytes p = lo | hi<<8, each a
+    set of ct, half a vertex set: the vertices vertex_of_ct(ct) of lo's ct
+    and vertex_of_ct(ct) + 4 of hi's."""
+    byte = np.zeros(256, dtype=np.uint8)
+    for ct in range(8):
+        byte[np.arange(256) >> ct & 1 == 1] |= 1 << vertex_of_ct(ct)
+    return (byte[:, None] << 4 | byte).ravel()
 
 
-def _edges_with_right_in(vset):
-    return _RB_LO[vset & 255] | _RB_HI[vset >> 8]
+# an edge mask's byte lt holds its edges (ct | lt<<3) as a set of ct; an
+# edge's right vertex is ct>>1 | (lt>>1)<<2 and its left one ct&3 | (lt&3)<<2
+_RIGHT_PAIR = _pair_table(lambda ct: ct >> 1)
+_LEFT_PAIR = _pair_table(lambda ct: ct & 3)
+# the same tables read one Python int at a time
+_RIGHT_PAIR_V = memoryview(_RIGHT_PAIR)
+_LEFT_PAIR_V = memoryview(_LEFT_PAIR)
 
 
-def _right_vertices(emask):
-    # an edge's right vertex drops its leftmost C and L cells: fold edge
-    # bits 3 and 0 out of the mask, then pack the 16 positions left over
-    x = (emask | emask >> 8) & 0x00FF00FF00FF00FF
-    x = (x | x >> 1) & 0x0055005500550055
-    x = (x | x >> 1) & 0x0033003300330033
-    x = (x | x >> 2) & 0x000F000F000F000F
-    x = (x | x >> 12) & 0x000000FF000000FF
-    return (x | x >> 24) & 0xFFFF
+def _next_allowed_int(e):
+    """The edges that an edge mask e lets the next column take: those
+    leaving a vertex that an edge of e enters. The fold ORs the bytes lt
+    and lt^1, which have the same right vertices, leaving lt>>1 = 0, 1 in
+    bits 0-15 and lt>>1 = 2, 3 in bits 32-47: through _RIGHT_PAIR, the
+    two halves of the vertex set, whose leaving edges _LB_LO and _LB_HI
+    give."""
+    y = (e | e >> 8) & 0x00FF00FF00FF00FF
+    y |= y >> 8
+    return _LB_LO[_RIGHT_PAIR_V[y & 0xFFFF]] | _LB_HI[_RIGHT_PAIR_V[y >> 32 & 0xFFFF]]
 
 
-def _left_vertices(emask):
-    # an edge's left vertex drops its rightmost L and C cells: fold edge
-    # bits 5 and 2 out; byte b's low nibble then holds vertices b<<2 | c
-    x = (emask | emask >> 32) & 0xFFFFFFFF
-    x = (x | x >> 4) & 0x0F0F0F0F
-    x = (x | x >> 4) & 0x00FF00FF
-    return (x | x >> 8) & 0xFFFF
+def _prev_allowed_int(e):
+    """The edges that an edge mask e lets the column before take: those
+    entering a vertex that an edge of e leaves. The fold ORs the bytes lt
+    and lt^4, which have the same left vertices, leaving lt = 0, 1 in bits
+    0-15 and lt = 2, 3 in bits 16-31: through _LEFT_PAIR, the two halves
+    of the vertex set, whose entering edges _RB_LO and _RB_HI give."""
+    x = e | e >> 32
+    return _RB_LO[_LEFT_PAIR_V[x & 0xFFFF]] | _RB_HI[_LEFT_PAIR_V[x >> 16 & 0xFFFF]]
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +347,7 @@ class SearchTables:
     star_l: list
     filter: list  # ll or p2, whichever filter_flags applies; for neither, one pass-all entry
     masks: list
-    start_set: int
+    start: int  # the edges leaving a vertex a row may start from: stage2's first allowed edges
     cell_bits: list  # per edge column, the row bit of the C cell it pins (0 outside the strip)
     plan: list  # stage1 compiled into byte tables, see _stage1_plan
 
@@ -384,18 +399,21 @@ def _structural_masks(params: SearchParams):
 
 def build_tables(params: SearchParams) -> SearchTables:
     use_ll, use_p2 = filter_flags(params)
-    table = _ll_table(params.rule) if use_ll else _p2_table(params.rule) if use_p2 else [2**64 - 1]
+    table = _ll_table(params.rule) if use_ll else _p2_table(params.rule) if use_p2 else [_EVERY_EDGE]
+    # a row starts from the vertex of cells left of the strip: all dead;
+    # under even mirror each copies its reflection (v = 0, 3, 12, 15);
+    # under odd mirror any, column 0's structural mask ties them to theirs
     if params.symmetry == EVEN_MIRROR:
-        start = (1 << 0) | (1 << 3) | (1 << 12) | (1 << 15)
+        start = _LMASK_V[0] | _LMASK_V[3] | _LMASK_V[12] | _LMASK_V[15]
     elif params.symmetry == ODD_MIRROR:
-        start = 0xFFFF
+        start = _EVERY_EDGE
     else:
-        start = 1
+        start = _LMASK_V[0]
     return SearchTables(
         star_l=_star_tables(params.rule),
         filter=table,
         masks=_structural_masks(params),
-        start_set=start,
+        start=start,
         cell_bits=[1 << (j - 1) if 0 < j <= params.width else 0 for j in edge_columns(params)],
         plan=_stage1_plan(params),
     )
@@ -471,21 +489,19 @@ def stage1_edges(params: SearchParams, tables: SearchTables, rows):
 
 
 def stage2_reach(params: SearchParams, tables: SearchTables, edges):
-    """Forward reachability: per column the edges whose left vertex is
-    reachable from the start, then the set of vertices reached at the
-    end; None as soon as it dies out."""
-    cur = tables.start_set
-    fwd = []
-    for e in edges:
-        act = e & _edges_with_left_in(cur)
+    """Forward reachability: per edge column, the edges whose left vertex
+    a path from the start reaches, each column's allowed by the column
+    before (_next_allowed_int); None as soon as a column keeps none, or
+    if the last column's edges miss the end vertex."""
+    act = edges[0] & tables.start
+    reach = [act]
+    for e in edges[1:]:
         if not act:
             return None
-        cur = _right_vertices(act)
-        fwd.append(act)
-    if not cur & 1:  # the end vertex: all four cells dead
-        return None
-    fwd.append(cur)
-    return fwd
+        act = e & _next_allowed_int(act)
+        reach.append(act)
+    # _RMASK_V[0]: the edges into the end vertex, all four cells dead
+    return reach if act & _RMASK_V[0] else None
 
 
 # edge masks whose leftmost C-track cell is dead
@@ -495,28 +511,31 @@ _DEAD_C0 = sum(1 << _e for _e in range(0, 64, 2))
 def stage3_enumerate(params: SearchParams, tables: SearchTables, edges, reach):
     """All C rows on start-to-end paths, in increasing binary value.
 
-    Walks right to left over vertex sets through stage2's forward edges
-    (reach; of edges only the count is read), branching only on the C
-    cell an edge pins down: the dead branch is followed at once and the
-    live one stacked. Lookahead-track alternatives stay merged inside the
-    sets, so each row comes out exactly once, and the reachability filter
-    guarantees no branch dead-ends."""
+    Walks right to left over stage2's forward edges (reach; edges is not
+    read) from those into the end vertex, each column's allowed by the
+    edges taken in the column after it (_prev_allowed_int), branching
+    only on the C cell an edge pins down: the dead branch is followed at
+    once and the live one stacked. Lookahead-track alternatives stay
+    merged inside the masks, so each row comes out exactly once, and
+    stage2's reachability guarantees no branch dead-ends."""
     bits = tables.cell_bits
     out = []
-    stack = [(len(edges) - 1, reach[-1] & 1, 0)]
+    c = len(reach) - 1
+    stack = [(c, reach[c] & _RMASK_V[0], 0)]
     while stack:
-        c, vset, acc = stack.pop()
-        while c >= 0:
-            act = reach[c] & _edges_with_right_in(vset)
+        c, act, acc = stack.pop()
+        while True:
             dead = act & _DEAD_C0
-            if dead:
-                if act != dead:
-                    stack.append((c - 1, _left_vertices(act ^ dead), acc | bits[c]))
-                vset = _left_vertices(dead)
-            else:
-                vset = _left_vertices(act)
+            if not dead:
                 acc |= bits[c]
+            elif act != dead:
+                # the live edges alone, which set bits[c] when popped
+                stack.append((c, act ^ dead, acc))
+                act = dead
+            if not c:
+                break
             c -= 1
+            act = reach[c] & _prev_allowed_int(act)
         out.append(acc)
     return out
 
@@ -545,27 +564,8 @@ def successors(params: SearchParams, tables: SearchTables, rows):
 _LB_LO_A, _LB_HI_A, _RB_LO_A, _RB_HI_A = (np.array(t, dtype=np.uint64) for t in (_LB_LO, _LB_HI, _RB_LO, _RB_HI))
 
 
-def _pair_table(vertex_of_ct):
-    """uint8[65536]: for a pair of edge-mask bytes p = lo | hi<<8, each a
-    set of ct, half a vertex set: the vertices vertex_of_ct(ct) of lo's ct
-    and vertex_of_ct(ct) + 4 of hi's."""
-    byte = np.zeros(256, dtype=np.uint8)
-    for ct in range(8):
-        byte[np.arange(256) >> ct & 1 == 1] |= 1 << vertex_of_ct(ct)
-    return (byte[:, None] << 4 | byte).ravel()
-
-
-# an edge mask's byte lt holds its edges (ct | lt<<3) as a set of ct; an
-# edge's right vertex is ct>>1 | (lt>>1)<<2 and its left one ct&3 | (lt&3)<<2
-_RIGHT_PAIR = _pair_table(lambda ct: ct >> 1)
-_LEFT_PAIR = _pair_table(lambda ct: ct & 3)
-
-
 def _next_allowed(e):
-    """_edges_with_left_in(_right_vertices(e)) for each of the uint64
-    edge masks e. The fold ORs the bytes lt and lt^1, which have the same
-    right vertices, leaving lt>>1 = 0, 1 in bits 0-15 and lt>>1 = 2, 3
-    in bits 32-47: through _RIGHT_PAIR, the two halves of the vertex set."""
+    """_next_allowed_int for each of the uint64 edge masks e."""
     e = e.view(np.int64)  # int64 indices need no cast to intp
     y = (e | e >> 8) & 0x00FF00FF00FF00FF
     y |= y >> 8
@@ -573,16 +573,10 @@ def _next_allowed(e):
 
 
 def _prev_allowed(e):
-    """_edges_with_right_in(_left_vertices(e)) for each of the uint64 edge
-    masks e. The fold ORs the bytes lt and lt^4, which have the same left
-    vertices, leaving lt = 0, 1 in bits 0-15 and lt = 2, 3 in bits 16-31:
-    through _LEFT_PAIR, the two halves of the vertex set."""
+    """_prev_allowed_int for each of the uint64 edge masks e."""
     e = e.view(np.int64)
     x = e | e >> 32
     return _RB_LO_A.take(_LEFT_PAIR[x & 0xFFFF]) | _RB_HI_A.take(_LEFT_PAIR[x >> 16 & 0xFFFF])
-
-
-_EVERY_EDGE = (1 << 64) - 1
 
 
 def successors_batch(params: SearchParams, tables: SearchTables, windows) -> tuple[np.ndarray, np.ndarray]:
@@ -606,9 +600,11 @@ def successors_batch(params: SearchParams, tables: SearchTables, windows) -> tup
       and splitting an entry where both the dead and the live C cell go
       on; one sort of the key window << 32 | row then orders the entries
       by window, then row, as rows are at most 32 bits wide."""
+    n = len(windows)
+    if not n:  # [] would not index as an (N, history) array
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.uint64)
     bt = tables.arrays
     windows = np.asarray(windows, dtype=np.intp)  # so that the gathers take their indices uncast
-    n = len(windows)
     fields = np.zeros((len(bt.masks), n), dtype=np.uint32)  # per column: star's index, then the filter's
     for idx, b, lo, table in bt.reads:
         fields[lo : lo + len(table)] |= table.take(windows[:, idx] >> b & 255, axis=1)
@@ -616,7 +612,7 @@ def successors_batch(params: SearchParams, tables: SearchTables, windows) -> tup
     # stage1's table lookups a column at a time, each followed by its
     # stage2 step, so that no temporary spans every column
     fwd = np.empty(fields.shape, dtype=np.uint64)
-    allowed = np.uint64(_edges_with_left_in(tables.start_set))
+    allowed = np.uint64(tables.start)
     for c, col in enumerate(fields):
         # the indices are in range, and "clip" spares take a buffered copy
         e = bt.star.take(col & 0x1FFF, out=fwd[c], mode="clip")

@@ -3,14 +3,15 @@ patterns from text art, construction of the interleaved row sequence a
 search would walk and the check that it is consistent, the literal
 successor filter without the ll and p2 tables, dead-row padding up to the
 window successors() reads, the per-edge structural masks and a per-call
-stage1 that the compiled ones are checked against, the vertex-set form of
-stages 2 and 3 that the edge-passing pair is checked against, the
-share of a table's entries pruned, the p2 table's backward closure as a
-plain fixed-point loop, the star and p2 tables built over their whole
-unfactored grids, the bench's modules and search
-command lines, the one-state-at-a-time breadth-first expansion that
-the bulk runs are checked against, and the one-root-at-a-time
-deepening probe that the lockstep probe is checked against."""
+stage1 that the compiled ones are checked against, the closed-form
+vertex folds and the vertex-set form of stages 2 and 3 that the
+edge-mask steps are checked against, the share of a table's entries
+pruned, the p2 table's backward closure as a plain fixed-point loop,
+the star and p2 tables built over their whole unfactored grids, the
+bench's modules and search command lines, the one-state-at-a-time
+breadth-first expansion that the bulk runs are checked against, and
+the one-root-at-a-time deepening probe that the lockstep probe is
+checked against."""
 
 import importlib.util
 import sys
@@ -40,12 +41,12 @@ from shipsearch.statespace import (
     transposition_insert,
 )
 from shipsearch.successor import (
-    _edges_with_left_in,
-    _edges_with_right_in,
+    _LB_HI,
+    _LB_LO,
+    _RB_HI,
+    _RB_LO,
     _evolve5_center3,
-    _left_vertices,
     _masks_from_bits,
-    _right_vertices,
     successors,
 )
 
@@ -346,16 +347,55 @@ def reference_stage1_edges(params, tables, rows):
     return out
 
 
+def edges_with_left_in(vset):
+    """The edges leaving a vertex of vset, a 16-bit vertex set."""
+    return _LB_LO[vset & 255] | _LB_HI[vset >> 8]
+
+
+def edges_with_right_in(vset):
+    """The edges entering a vertex of vset, a 16-bit vertex set."""
+    return _RB_LO[vset & 255] | _RB_HI[vset >> 8]
+
+
+def right_vertices(emask):
+    # an edge's right vertex drops its leftmost C and L cells: fold edge
+    # bits 3 and 0 out of the mask, then pack the 16 positions left over
+    x = (emask | emask >> 8) & 0x00FF00FF00FF00FF
+    x = (x | x >> 1) & 0x0055005500550055
+    x = (x | x >> 1) & 0x0033003300330033
+    x = (x | x >> 2) & 0x000F000F000F000F
+    x = (x | x >> 12) & 0x000000FF000000FF
+    return (x | x >> 24) & 0xFFFF
+
+
+def left_vertices(emask):
+    # an edge's left vertex drops its rightmost L and C cells: fold edge
+    # bits 5 and 2 out; byte b's low nibble then holds vertices b<<2 | c
+    x = (emask | emask >> 32) & 0xFFFFFFFF
+    x = (x | x >> 4) & 0x0F0F0F0F
+    x = (x | x >> 4) & 0x00FF00FF
+    return (x | x >> 8) & 0xFFFF
+
+
+def reference_start_vertices(params):
+    """The vertices (c_prev | c_cur<<1 | l_prev<<2 | l_cur<<3) a row may
+    start from, left of the strip: all dead; under even mirror each cell
+    equal to its reflection; under odd mirror any."""
+    if params.symmetry == EVEN_MIRROR:
+        return sum(1 << v for v in range(16) if (v & 1) == (v >> 1 & 1) and (v >> 2 & 1) == (v >> 3))
+    return 0xFFFF if params.symmetry == ODD_MIRROR else 1
+
+
 def reference_stage2_reach(params, tables, edges):
     """Forward vertex reachability: the reachable vertex set before each
     column and after the last; None as soon as it dies out."""
-    cur = tables.start_set
+    cur = reference_start_vertices(params)
     reach = [cur]
     for e in edges:
-        act = e & _edges_with_left_in(cur)
+        act = e & edges_with_left_in(cur)
         if not act:
             return None
-        cur = _right_vertices(act)
+        cur = right_vertices(act)
         reach.append(cur)
     if not cur & 1:
         return None
@@ -383,13 +423,13 @@ def reference_stage3_enumerate(params, tables, edges, reach):
         if c < 0:
             out.append(acc)
             continue
-        act = edges[c] & _edges_with_right_in(vset) & _edges_with_left_in(reach[c])
+        act = edges[c] & edges_with_right_in(vset) & edges_with_left_in(reach[c])
         col = cols[c] - 1
         for bit in (1, 0):
             sub = act & _C0[bit]
             if sub:
                 nacc = acc | (1 << col) if bit and 0 <= col < w else acc
-                stack.append((c - 1, _left_vertices(sub), nacc))
+                stack.append((c - 1, left_vertices(sub), nacc))
     return out
 
 
@@ -402,8 +442,8 @@ def reference_row_count(tables, edges, reach):
         if c < 0:
             return 1
         if (c, vset) not in memo:
-            act = edges[c] & _edges_with_right_in(vset) & _edges_with_left_in(reach[c])
-            memo[c, vset] = sum(count(c - 1, _left_vertices(act & m)) for m in _C0 if act & m)
+            act = edges[c] & edges_with_right_in(vset) & edges_with_left_in(reach[c])
+            memo[c, vset] = sum(count(c - 1, left_vertices(act & m)) for m in _C0 if act & m)
         return memo[c, vset]
 
     return count(len(edges) - 1, reach[-1] & 1)

@@ -21,7 +21,10 @@ from helpers import (
     LWSS_CELLS,
     ROOT,
     brute_successors,
+    edges_with_left_in,
+    edges_with_right_in,
     fixed_point_closure,
+    left_vertices,
     padded,
     pruned_percent,
     reference_p2_table,
@@ -31,6 +34,7 @@ from helpers import (
     reference_stage2_reach,
     reference_stage3_enumerate,
     reference_structural_masks,
+    right_vertices,
     search_from_argv,
     ship_sequence,
 )
@@ -53,13 +57,11 @@ from shipsearch.statespace import (
 from shipsearch.successor import (
     _LEFT_OF,
     _RIGHT_OF,
-    _edges_with_left_in,
-    _edges_with_right_in,
-    _left_vertices,
     _next_allowed,
+    _next_allowed_int,
     _p2_table,
     _prev_allowed,
-    _right_vertices,
+    _prev_allowed_int,
     _star_tables,
     build_tables,
     stage1_edges,
@@ -497,7 +499,7 @@ class TestStage1Plans:
         # fastest on Python ints, not NumPy scalars
         p, k, w, sym, tr = case
         tables = build_tables(SearchParams(LIFE, p, k, w, sym, tr))
-        for masks in (tables.star_l, tables.filter, tables.masks):
+        for masks in (tables.star_l, tables.filter, tables.masks, [tables.start]):
             assert all(type(m) is int for m in masks)
 
 
@@ -549,17 +551,18 @@ class TestVertexFolds:
                 out |= 1 << vertex_of[e]
         return out
 
-    # successors_batch's two byte-pair table steps, each with what it
-    # stands for
+    # the two byte-pair table steps, on one Python int as the scalar
+    # stages take them and on an array as successors_batch does, each
+    # with what it stands for
     TABLE_STEPS = [
-        (_next_allowed, lambda m: _edges_with_left_in(_right_vertices(m))),
-        (_prev_allowed, lambda m: _edges_with_right_in(_left_vertices(m))),
+        (_next_allowed_int, _next_allowed, lambda m: edges_with_left_in(right_vertices(m))),
+        (_prev_allowed_int, _prev_allowed, lambda m: edges_with_right_in(left_vertices(m))),
     ]
 
     @staticmethod
-    def check_table_step(step, want, masks):
-        got = step(np.array(masks, dtype=np.uint64)).tolist()
-        bad = [hex(m) for m, g in zip(masks, got) if g != want(m)]
+    def check_table_step(int_step, array_step, want, masks):
+        got = array_step(np.array(masks, dtype=np.uint64)).tolist()
+        bad = [hex(m) for m, g in zip(masks, got) if not g == int_step(m) == want(m)]
         assert not bad, bad[:5]
 
     def test_single_edges_and_random_masks(self):
@@ -567,10 +570,10 @@ class TestVertexFolds:
         masks = [1 << e for e in range(64)] + [0, (1 << 64) - 1]
         masks += [rng.getrandbits(64) & rng.getrandbits(64) for _ in range(2000)]
         for m in masks:
-            assert _left_vertices(m) == self.per_bit(m, _LEFT_OF), hex(m)
-            assert _right_vertices(m) == self.per_bit(m, _RIGHT_OF), hex(m)
-        for step, want in self.TABLE_STEPS:
-            self.check_table_step(step, want, masks)
+            assert left_vertices(m) == self.per_bit(m, _LEFT_OF), hex(m)
+            assert right_vertices(m) == self.per_bit(m, _RIGHT_OF), hex(m)
+        for steps in self.TABLE_STEPS:
+            self.check_table_step(*steps, masks)
 
     def test_table_steps_over_every_group_pair(self):
         # the forward step reads the lt>>1 pairs 0-1 and 2-3, so pair p is
@@ -601,6 +604,7 @@ def _check_stages_2_3(params, tables, rows, max_rows=None):
     assert (reach is None) == (want_reach is None), rows
     if reach is None:
         return False
+    assert len(reach) == len(tables.masks)  # one mask per edge column
     count = reference_row_count(tables, edges, want_reach)
     if max_rows is not None and count > max_rows:
         return False
@@ -742,9 +746,10 @@ class TestSuccessorsBatchOutput:
 
     def test_zero_windows_give_two_empty_arrays(self):
         params = SearchParams(LIFE, 4, 1, 7, EVEN_MIRROR)
-        windows = np.zeros((0, history(params)), dtype=np.uint32)
-        at, rows = successors_batch(params, build_tables(params), windows)
-        assert (at.dtype, at.shape, rows.dtype, rows.shape) == (np.intp, (0,), np.uint64, (0,))
+        tables = build_tables(params)
+        for windows in (np.zeros((0, history(params)), dtype=np.uint32), []):
+            at, rows = successors_batch(params, tables, windows)
+            assert (at.dtype, at.shape, rows.dtype, rows.shape) == (np.intp, (0,), np.uint64, (0,))
 
     def test_width_32_rows_with_cell_31(self):
         # windows found by a seeded random search: each yields a few rows,
