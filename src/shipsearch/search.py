@@ -125,7 +125,7 @@ class Search:
     def level_of(self, idx: int) -> int:
         """Rows appended beyond the all-dead seed, nodes 0..2p-1 (compaction
         keeps them there: they are everyone's ancestors)."""
-        return self.arena.depths[idx] - (2 * self.params.period - 1)
+        return self.arena.depth(idx) - (2 * self.params.period - 1)
 
     def arena_full(self) -> bool:
         """True when one more expansion could overrun the node capacity: a
@@ -200,7 +200,9 @@ def _successor_rows(search: Search, windows) -> tuple[np.ndarray, np.ndarray]:
     that through successors() one window at a time."""
     if len(windows) >= BATCH_MIN:
         return successors_batch(search.params, search.tables, windows)
-    found = [successors(search.params, search.tables, window) for window in np.asarray(windows).tolist()]
+    if isinstance(windows, np.ndarray):
+        windows = windows.tolist()  # successors() shifts rows left: a NumPy scalar would wrap
+    found = [successors(search.params, search.tables, window) for window in windows]
     at = np.repeat(np.arange(len(found)), [len(rows) for rows in found])
     return at, np.fromiter(chain.from_iterable(found), dtype=np.uint64, count=len(at))
 

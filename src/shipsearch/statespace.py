@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -271,42 +272,70 @@ def _view(buffer: array) -> np.ndarray:
     return np.frombuffer(buffer, dtype=buffer.typecode)
 
 
+_LEVEL_ORDER = "nodes must be appended in level order"
+
+
 class NodeArena:
     """Store of the breadth-first tree's nodes: the seed chain, then
     children appended in bulk; compaction builds a fresh one.
 
-    Rows, parents and depths are typed arrays, 12 bytes a node. Indexing
-    one gives a Python int; bulk work reads them through _view, whose
-    views must be gone before the next add or truncate: an array that
-    exports its buffer cannot be resized."""
+    Rows and parents are typed arrays, 8 bytes a node. Nodes come in
+    level order, as a breadth-first queue expands them, so a node's depth
+    is read from starts, the index of each level's first node; an append
+    that would break that order raises ValueError. Indexing a typed array
+    gives a Python int; bulk work reads them through _view, whose views
+    must be gone before the next add or truncate: an array that exports
+    its buffer cannot be resized."""
 
     def __init__(self):
         self.rows = array("I")
         self.parents = array("i")
-        self.depths = array("i")
+        self.starts: list[int] = []
 
     def __len__(self) -> int:
         return len(self.rows)
 
+    def depth(self, idx: int) -> int:
+        """The depth of node idx; the roots are at depth 0."""
+        return bisect_right(self.starts, idx) - 1
+
     def add(self, row: int, parent: int) -> int:
-        depth = self.depths[parent] + 1 if parent >= 0 else 0
+        low, last = self._last_levels()
+        if parent < low:
+            raise ValueError(_LEVEL_ORDER)
+        if parent >= last:
+            self.starts.append(len(self))
         self.rows.append(row)
         self.parents.append(parent)
-        self.depths.append(depth)
         return len(self.rows) - 1
 
     def add_children(self, parents, rows: np.ndarray) -> None:
         """add(rows[i], parents[i]) for each i in order."""
         parents = np.asarray(parents, dtype=np.int32)
-        self._extend(rows, parents, _view(self.depths)[parents] + 1)
+        low, last = self._last_levels()
+        deeper = parents >= last  # the children that open a level: they come last
+        same = len(parents) - np.count_nonzero(deeper)
+        if len(parents) and (parents.min() < low or not deeper[same:].all()):
+            raise ValueError(_LEVEL_ORDER)
+        if same < len(parents):
+            self.starts.append(len(self) + same)
+        self._extend(rows, parents)
 
-    def _extend(self, rows, parents, depths) -> None:
-        for buffer, values in ((self.rows, rows), (self.parents, parents), (self.depths, depths)):
+    def _last_levels(self) -> tuple[int, int]:
+        """The starts of the last two levels, -1 standing in for those
+        there are not: in level order a new node's parent lies in one of
+        them (-1, the roots' parent, before level 0), and a child of the
+        last opens a new level."""
+        starts = [-1, -1] + self.starts[-2:]
+        return starts[-2], starts[-1]
+
+    def _extend(self, rows, parents) -> None:
+        for buffer, values in ((self.rows, rows), (self.parents, parents)):
             buffer.frombytes(np.ascontiguousarray(values, dtype=buffer.typecode).view(np.uint8))
 
     def truncate(self, n: int) -> None:
         """Drop every node from index n on."""
-        del self.rows[n:], self.parents[n:], self.depths[n:]
+        del self.rows[n:], self.parents[n:], self.starts[bisect_left(self.starts, n) :]
 
     def rows_back(self, idx: int, count: int) -> list[int]:
         """The last `count` rows ending at idx, oldest first, dead-padded."""
@@ -333,14 +362,14 @@ class NodeArena:
 
     def all_rows(self, idx: int) -> list[int]:
         """Every row from the root to idx, oldest first."""
-        return self.rows_back(idx, self.depths[idx] + 1)
+        return self.rows_back(idx, self.depth(idx) + 1)
 
     def ancestry(self, tips: np.ndarray) -> tuple[NodeArena, np.ndarray]:
         """A fresh arena of tips and their ancestors, in their order here,
         and the index of each tip in it. The ancestors are marked by
         pointer doubling: after step s, every node up to 2^s - 1 levels
         above a tip, so log2 of the depth steps over the whole arena."""
-        rows, parents, depths = _view(self.rows), _view(self.parents), _view(self.depths)
+        rows, parents = _view(self.rows), _view(self.parents)
         kept = np.zeros(len(self), dtype=bool)
         kept[tips] = True
         up = parents  # per node, its ancestor 2^s levels up, or -1
@@ -353,7 +382,11 @@ class NodeArena:
         remap = np.cumsum(kept) - 1
         mine = parents[kept]
         fresh = NodeArena()
-        fresh._extend(rows[kept], np.where(mine >= 0, remap[mine], -1), depths[kept])
+        fresh._extend(rows[kept], np.where(mine >= 0, remap[mine], -1))
+        # a level starts after the nodes kept before it; only levels
+        # below the deepest kept node are left empty, and they are dropped
+        starts = (remap[self.starts] + ~kept[self.starts]).tolist()
+        fresh.starts = starts[: bisect_left(starts, len(fresh))]
         return fresh, remap[tips]
 
 
@@ -465,7 +498,7 @@ def extract_ship(params: SearchParams, rows: list[int]) -> Pattern:
 # transposition table: the set of exact state keys reached
 
 # The fewest keys a fold takes, about one breadth-first chunk's offers
-# (search.BATCH_CHUNK): a fold copies the whole sorted part.
+# (search.BATCH_CHUNK): a fold moves every sorted key past the run's first.
 RECENT_MIN = 4096
 
 
@@ -512,13 +545,17 @@ class TranspositionTable:
     uint64 array of key_limbs limbs, the most significant first
     (limbs_of), and transposition_insert, which the search uses only for
     the seed's key 0, one int key. An offer inserts its fresh keys into
-    the run, and the run is inserted into the sorted part once it holds
-    more than RECENT_MIN keys and more than an eighth of it."""
+    the run, and the run is folded into the sorted part once it holds
+    more than RECENT_MIN keys and more than an eighth of it. A fold
+    merges in place (_fold), so the sorted part is never copied: the
+    table holds its keys and the run's, plus scratch of about the run's
+    size while it folds."""
 
     def __init__(self, params: SearchParams):
         rows, self.limbs = key_limbs(params)
         self.bits = rows * params.width  # per limb
-        self.keys = self.run_keys = self._sortable(np.zeros((0, self.limbs), dtype=np.uint64))
+        empty = self._sortable(np.zeros((0, self.limbs), dtype=np.uint64))
+        self.keys, self.run_keys = empty.copy(), empty.copy()  # a fold resizes the sorted part, so it owns its keys
 
     def __len__(self) -> int:
         return len(self.keys) + len(self.run_keys)
@@ -553,8 +590,33 @@ class TranspositionTable:
         fold the run into the sorted part once it is due."""
         self.run_keys = np.insert(self.run_keys, self.run_keys.searchsorted(keys), keys)
         if len(self.run_keys) > max(RECENT_MIN, len(self.keys) // 8):
-            self.keys = np.insert(self.keys, self.keys.searchsorted(self.run_keys), self.run_keys)
-            self.run_keys = self.run_keys[:0].copy()  # a view would keep the old run alive
+            self._fold()
+
+    def _fold(self) -> None:
+        """Merge the run into the sorted part in place, from the back, as
+        merge sort's merge step does. The sorted part grows to the merged
+        length (ndarray.resize raises while a view of it lives, rather
+        than leave the view dangling); its keys move up, a slice of
+        max(RECENT_MIN, run) keys at a time, the last first, each by the
+        run keys that go before it (a bincount of their insertion points
+        in the slice); then the run's keys fill the gaps. The scratch is
+        a few arrays of a slice's length, never a copy of the sorted part."""
+        run, n = self.run_keys, len(self.keys)
+        at = self.keys.searchsorted(run)  # per run key, the old keys before it
+        self.keys.resize(n + len(run))
+        keys, step = self.keys, max(RECENT_MIN, len(run))
+        for hi in range(n, at[0], -step):  # the old keys before the first run key stay
+            lo = max(at[0], hi - step)
+            before, inside = at.searchsorted(lo), at.searchsorted(hi)  # run keys before lo, before hi
+            # key lo + i moves up by before + the run keys at lo..lo + i
+            dest = np.bincount(at[before:inside] - lo, minlength=hi - lo)
+            dest += 1
+            np.cumsum(dest, out=dest)
+            dest += lo + before - 1
+            keys[dest] = keys[lo:hi]
+        at += np.arange(len(run))
+        keys[at] = run
+        self.run_keys = run[:0].copy()  # a view would keep the old run alive
 
 
 def _absent(keys: np.ndarray, query: np.ndarray) -> np.ndarray:

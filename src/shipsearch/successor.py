@@ -491,8 +491,9 @@ def stage1_edges(params: SearchParams, tables: SearchTables, rows):
 def stage2_reach(params: SearchParams, tables: SearchTables, edges):
     """Forward reachability: per edge column, the edges whose left vertex
     a path from the start reaches, each column's allowed by the column
-    before (_next_allowed_int); None as soon as a column keeps none, or
-    if the last column's edges miss the end vertex."""
+    before (_next_allowed_int); None as soon as a column keeps none. The
+    last column's structural mask admits only edges into the end vertex
+    (all four cells dead), so an edge left there reaches it."""
     act = edges[0] & tables.start
     reach = [act]
     for e in edges[1:]:
@@ -500,8 +501,7 @@ def stage2_reach(params: SearchParams, tables: SearchTables, edges):
             return None
         act = e & _next_allowed_int(act)
         reach.append(act)
-    # _RMASK_V[0]: the edges into the end vertex, all four cells dead
-    return reach if act & _RMASK_V[0] else None
+    return reach if act else None
 
 
 # edge masks whose leftmost C-track cell is dead
@@ -521,7 +521,7 @@ def stage3_enumerate(params: SearchParams, tables: SearchTables, edges, reach):
     bits = tables.cell_bits
     out = []
     c = len(reach) - 1
-    stack = [(c, reach[c] & _RMASK_V[0], 0)]
+    stack = [(c, reach[c], 0)]
     while stack:
         c, act, acc = stack.pop()
         while True:
@@ -593,8 +593,8 @@ def successors_batch(params: SearchParams, tables: SearchTables, windows) -> tup
       strip's boundary columns, where it is not all ones;
     - stage2 sweeps the columns forward over all N windows together,
       carrying from each column the edges the next one allows
-      (_next_allowed, through a 64 KB byte-pair table); only the last
-      column's edges are tested, for the end vertex;
+      (_next_allowed, through a 64 KB byte-pair table); a window with
+      an edge left in the last column reaches the end vertex;
     - stage3 walks backward over the stage2 survivors only, holding one
       (window, allowed edges, row) entry per partial row (_prev_allowed)
       and splitting an entry where both the dead and the live C cell go
@@ -623,12 +623,11 @@ def successors_batch(params: SearchParams, tables: SearchTables, windows) -> tup
         if c + 1 < len(fields):
             allowed = _next_allowed(e)
 
-    # _RMASK_V[0]: the edges into the end vertex, all four cells dead
-    at = np.flatnonzero(fwd[-1] & _RMASK_V[0])  # per entry, its window: those that reach it
-    allowed = np.uint64(_RMASK_V[0])
+    # the last column keeps only edges into the end vertex (stage2_reach)
+    at = np.flatnonzero(fwd[-1])  # per entry, its window: those that reach it
+    act = fwd[-1].take(at)
     acc = np.zeros(len(at), dtype=np.uint64)
     for c in range(len(fwd) - 1, -1, -1):
-        act = fwd[c].take(at) & allowed
         dead = act & _DEAD_C0
         l = np.flatnonzero(act ^ dead)
         if len(l):
@@ -639,6 +638,6 @@ def successors_batch(params: SearchParams, tables: SearchTables, windows) -> tup
             act[len(d) :] &= ~np.uint64(_DEAD_C0)
             acc[len(d) :] |= tables.cell_bits[c]
         if c:
-            allowed = _prev_allowed(act)
+            act = fwd[c - 1].take(at) & _prev_allowed(act)
     key = np.sort(at.astype(np.uint64) << 32 | acc)
     return (key >> 32).astype(np.intp), key & 0xFFFFFFFF

@@ -28,6 +28,7 @@ from shipsearch.statespace import (
     DIAGONAL,
     EVEN_MIRROR,
     ODD_MIRROR,
+    NodeArena,
     SearchParams,
     constraint_indices,
     edge_columns,
@@ -467,6 +468,30 @@ def search_from_argv(argv):
     )
     config = SearchConfig(args.node_capacity, args.max_deepening, args.continue_after_find)
     return params, config
+
+
+def walk_depths(arena):
+    """Each node's depth in arena, counted along its parents, which come
+    before it."""
+    depths = []
+    for parent in arena.parents:
+        depths.append(depths[parent] + 1 if parent >= 0 else 0)
+    return depths
+
+
+def level_ordered_forest(nodes):
+    """A NodeArena of nodes, (row, pick) pairs, as a random forest in the
+    level order the arena keeps: each node's parent is picked among the
+    nodes of the last two levels, or among the roots and -1 (a new root)
+    while every node is a root."""
+    arena, depths = NodeArena(), []
+    for row, pick in nodes:
+        last = depths[-1] if depths else 0
+        low = depths.index(last - 1) if last else -1
+        parent = low + pick % (len(depths) - low)
+        depths.append(depths[parent] + 1 if parent >= 0 else 0)
+        arena.add(row, parent)
+    return arena
 
 
 def sequential_expand(search):

@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import bench_module, search_from_argv, sequential_expand, sequential_probes
+from helpers import bench_module, search_from_argv, sequential_expand, sequential_probes, walk_depths
 from shipsearch import search as search_mod
 from shipsearch.pattern import classify_ship
 from shipsearch.rules import parse_rule
@@ -228,7 +228,7 @@ class TestCarriedKeys:
                 assert key not in first
                 first[key] = idx
             else:
-                assert search.arena.depths[first[key]] <= search.arena.depths[idx]
+                assert search.arena.depth(first[key]) <= search.arena.depth(idx)
                 dups.append(idx)
 
         self.run_offering(monkeypatch, params, config, check)
@@ -271,19 +271,22 @@ class TestChildKeys:
     @pytest.mark.parametrize("p, k, w", [(2, 1, 5), (4, 1, 8), (3, 1, 11), (3, 2, 13), (4, 1, 32), (5, 2, 31)])
     def test_keys_are_state_keys(self, p, k, w):
         # one limb up to 2pw = 64 bits, then two, three and four limbs;
-        # sparse rows, so that some keys are 0 and some limbs are empty
+        # sparse rows, so that some keys are 0 and some limbs are empty;
+        # the tree grows a level at a time, as the arena keeps it
         rng = random.Random(repr((p, k, w)))
         params = SearchParams(LIFE, p, k, w)
         arena, tip = make_initial_state(params)
-        nodes = [tip]
-        for _ in range(60):
-            nodes.append(arena.add(rng.getrandbits(w) if rng.random() < 0.4 else 0, rng.choice(nodes)))
+        nodes = level = [tip]
+        for _ in range(6):
+            level = [arena.add(rng.getrandbits(w) if rng.random() < 0.4 else 0, rng.choice(level)) for _ in range(10)]
+            nodes = nodes + level
         parents = sorted(rng.sample(nodes, 24))
         at = np.sort(np.array([rng.randrange(len(parents)) for _ in range(80)], dtype=np.intp))
         rows = np.array([rng.getrandbits(w) if rng.random() < 0.5 else 0 for _ in at], dtype=np.uint64)
         limbs = child_keys(params, arena.windows(parents, history(params)), at, rows)
         keys = TranspositionTable(params).ints_of(limbs)
-        want = [state_key(params, arena, arena.add(row, parents[i])) for i, row in zip(at.tolist(), rows.tolist())]
+        # a child's state key: its parent's last 2p - 1 rows, then its own
+        want = [fold_rows(arena.rows_back(parents[i], 2 * p - 1) + [row], w) for i, row in zip(at.tolist(), rows.tolist())]
         assert keys == want and 0 in want
 
 
@@ -353,7 +356,7 @@ class TestWeekenderFill:
             while search.queue and not search.arena_full():
                 search_mod._expand_head(search)
             arena = search.arena
-            return search, (search.queue.nodes().tolist(), (arena.rows, arena.parents, arena.depths), sorted(search.tt))
+            return search, (search.queue.nodes().tolist(), (arena.rows, arena.parents, arena.starts), sorted(search.tt))
 
         def sequential(table, keys):
             fresh = [i for i, key in enumerate(table.ints_of(keys)) if transposition_insert(table, key) == ("fresh",)]
@@ -570,8 +573,8 @@ class TestProbeArena:
             check(arena)
             return idx
 
-        def checked_extend(arena, rows, parents, depths):
-            original_extend(arena, rows, parents, depths)
+        def checked_extend(arena, rows, parents):
+            original_extend(arena, rows, parents)
             check(arena)
 
         def checked_record(search, rows):
@@ -624,6 +627,35 @@ class TestProbeArena:
             sys.settrace(None)
         assert res.ships
         assert len(checked) > res.status.states_expanded // 2
+
+
+class TestLevelOrder:
+    @pytest.mark.parametrize("name", list(bench_module("workloads").QUICK))
+    def test_depths_follow_the_parents(self, monkeypatch, name):
+        # the arena reads a node's depth from its level starts, which hold
+        # only while nodes come in level order: after every breadth-first
+        # chunk and every compaction (those after narrowings among them),
+        # each node's depth is the one counted along its parents
+        workload = bench_module("workloads").QUICK[name]
+        params, config = search_from_argv(workload.argv())
+        checked = {"_expand_head": 0, "compact": 0}
+
+        def checking(step):
+            original = getattr(search_mod, step)
+
+            def run(search):
+                original(search)
+                arena = search.arena
+                assert [arena.depth(i) for i in range(len(arena))] == walk_depths(arena)
+                checked[step] += 1
+
+            monkeypatch.setattr(search_mod, step, run)
+
+        checking("_expand_head")
+        checking("compact")
+        status = run_search(params, config).status
+        assert status.states_expanded == workload.reference["states_expanded"]
+        assert checked["_expand_head"] and checked["compact"] == workload.reference["compactions"]
 
 
 class TestSeedChain:
@@ -871,8 +903,9 @@ class TestSequentialExpansion:
         assert outcomes == {SHIP_FOUND, EXHAUSTED}
 
     def test_ship_that_drains_the_queue(self):
-        # the LWSS's goal parent queued behind the seed's tip, whose
-        # children are all known by then: the one run that expands both
+        # the LWSS's goal parent queued behind the node expanded just
+        # before it, whose children are all known by then (re-expanding it
+        # keeps the arena in level order): the one run that expands both
         # ends at the ship with the queue drained, and the final status
         # gives the goal parent's level, that of the head at the last tick
         # of a one-at-a-time expansion
@@ -885,8 +918,9 @@ class TestSequentialExpansion:
         def drained(expand):
             search = Search(params)
             while search.queue[0] != goal_parent:
+                before = search.queue[0]
                 sequential_expand(search)
-            search.queue = NodeQueue([2 * params.period - 1, goal_parent])
+            search.queue = NodeQueue([before, goal_parent])
             search._tick()
             while search.queue and search.status.outcome == RUNNING:
                 expand(search)
@@ -1020,7 +1054,7 @@ class TestLockstepProbes:
             if block:
                 # a ship's rows are its root's, then its probe's
                 arena = search.arena
-                (root,) = [r for r, idx in enumerate(block) if rows[: arena.depths[idx] + 1] == arena.all_rows(idx)]
+                (root,) = [r for r, idx in enumerate(block) if rows[: arena.depth(idx) + 1] == arena.all_rows(idx)]
                 recorded[-1].append(root)
             return original_record(search, rows)
 

@@ -44,7 +44,16 @@ from shipsearch.statespace import (
     transposition_insert_many,
 )
 
-from helpers import GLIDER_CELLS, LWSS_CELLS, evolve_cells, is_consistent, merged_sequence, orient_upward
+from helpers import (
+    GLIDER_CELLS,
+    LWSS_CELLS,
+    evolve_cells,
+    is_consistent,
+    level_ordered_forest,
+    merged_sequence,
+    orient_upward,
+    walk_depths,
+)
 
 LIFE = parse_rule("B3/S23")
 
@@ -187,7 +196,7 @@ class TestInitialAndGoal:
         params = SearchParams(LIFE, 3, 1, 4)
         arena, tip = make_initial_state(params)
         assert len(arena) == 6
-        assert arena.depths[tip] == 5
+        assert arena.depth(tip) == 5
         assert all(r == 0 for r in arena.rows)
         assert state_key(params, arena, tip) == 0
 
@@ -307,14 +316,15 @@ class TestStateKey:
         st.lists(st.integers(0, 15), min_size=4, max_size=10),
     )
     def test_key_equality_iff_last_rows_equal(self, rows_a, rows_b):
+        # both chains in one arena, grown a level at a time
         params = SearchParams(LIFE, 2, 1, 4)
         arena = NodeArena()
-        tip_a = -1
-        for r in rows_a:
-            tip_a = arena.add(r, tip_a)
-        tip_b = -1
-        for r in rows_b:
-            tip_b = arena.add(r, tip_b)
+        tip_a = tip_b = -1
+        for level in range(max(len(rows_a), len(rows_b))):
+            if level < len(rows_a):
+                tip_a = arena.add(rows_a[level], tip_a)
+            if level < len(rows_b):
+                tip_b = arena.add(rows_b[level], tip_b)
         same_key = state_key(params, arena, tip_a) == state_key(params, arena, tip_b)
         same_rows = arena.rows_back(tip_a, 4) == arena.rows_back(tip_b, 4)
         assert same_key == same_rows
@@ -335,10 +345,8 @@ class TestRowsBack:
         st.integers(0, 50),
     )
     def test_matches_per_step_walk(self, nodes, pick, count):
-        # a random forest: each node's parent is -1 or an earlier node
-        arena = NodeArena()
-        for row, parent in nodes:
-            arena.add(row, parent % (len(arena) + 1) - 1)
+        # a random forest in level order
+        arena = level_ordered_forest(nodes)
         idx = pick % len(arena)
         assert arena.rows_back(idx, count) == self.per_step(arena, idx, count)
 
@@ -350,15 +358,14 @@ class TestRowsBack:
         st.booleans(),
     )
     def test_windows_match_rows_back(self, nodes, picks, count, ordered):
-        # any nodes of a random forest, in queue-like order or not, with
-        # repeats; walks that leave the arena read dead rows, never rows[-1]
-        arena = NodeArena()
-        for row, parent in nodes:
-            arena.add(row, parent % (len(arena) + 1) - 1)
+        # any nodes of a random forest in level order, in queue-like
+        # order or not, with repeats; walks that leave the arena read dead
+        # rows, never rows[-1]
+        arena = level_ordered_forest(nodes)
         picks = [i % len(arena) for i in picks]
         if ordered:
             picks.sort()
-        arena.add(2**32 - 1, 0)  # what a walk would read at index -1
+        arena.add(2**32 - 1, len(arena) - 1)  # what a walk would read at index -1
         got = arena.windows(picks, count)
         assert got.dtype == np.uint32 and got.shape == (len(picks), count)
         assert got.tolist() == [arena.rows_back(i, count) for i in picks]
@@ -367,11 +374,12 @@ class TestRowsBack:
 class TestAddChildren:
     @given(st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 10**6)), min_size=1, max_size=30), st.data())
     def test_matches_add_per_child(self, nodes, data):
-        one, bulk = NodeArena(), NodeArena()
-        for row, parent in nodes:
-            for arena in (one, bulk):
-                arena.add(row, parent % (len(arena) + 1) - 1)
-        parents = data.draw(st.lists(st.integers(0, len(one) - 1), max_size=10))
+        # the parents, in index order, come from the last two levels of a
+        # random forest in level order, so the children keep that order
+        one, bulk = level_ordered_forest(nodes), level_ordered_forest(nodes)
+        depths = walk_depths(one)
+        low = depths.index(max(depths[-1] - 1, 0))
+        parents = sorted(data.draw(st.lists(st.integers(low, len(one) - 1), max_size=10)))
         counts = data.draw(st.lists(st.integers(0, 4), min_size=len(parents), max_size=len(parents)))
         rows = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=sum(counts), max_size=sum(counts)))
         it = iter(rows)
@@ -379,7 +387,7 @@ class TestAddChildren:
             for _ in range(count):
                 one.add(next(it), parent)
         bulk.add_children(np.repeat(parents, counts), rows)
-        assert (bulk.rows, bulk.parents, bulk.depths) == (one.rows, one.parents, one.depths)
+        assert (bulk.rows, bulk.parents, bulk.starts) == (one.rows, one.parents, one.starts)
 
     def test_scalar_reads_are_python_ints(self):
         # fold_rows and state keys shift rows left: a NumPy scalar would wrap
@@ -389,7 +397,7 @@ class TestAddChildren:
         arena.add_children(np.repeat([tip, tip], [2, 1]), np.array([5, 0, 63], dtype=np.uint64))
 
         def reads(arena, idx):
-            return [arena.add(7, idx), *arena.rows_back(idx, 7), *arena.all_rows(idx), arena.depths[idx], arena.parents[idx]]
+            return [arena.add(7, idx), *arena.rows_back(idx, 7), *arena.all_rows(idx), arena.depth(idx), arena.parents[idx]]
 
         checked = reads(arena, n + 2)
         arena.truncate(n + 2)
@@ -397,6 +405,59 @@ class TestAddChildren:
         arena, tips = arena.ancestry(np.array([n + 1, n + 2]))
         checked += reads(arena, int(tips[1])) + [arena.rows[-1]]
         assert len(checked) == 53 and all(type(value) is int for value in checked)
+
+
+FORESTS = st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 10**6)), min_size=1, max_size=40)
+
+
+class TestLevelOrder:
+    @staticmethod
+    def check(arena):
+        assert [arena.depth(i) for i in range(len(arena))] == walk_depths(arena)
+
+    @given(FORESTS, st.data())
+    def test_depths_follow_the_parents(self, nodes, data):
+        # after every add, add_children, truncate and ancestry, the depth
+        # read from the level starts is the one counted along the parents
+        arena = level_ordered_forest(nodes)
+        self.check(arena)
+        depths = walk_depths(arena)
+        low = depths.index(max(depths[-1] - 1, 0))
+        parents = sorted(data.draw(st.lists(st.integers(low, len(arena) - 1), max_size=12)))
+        arena.add_children(parents, np.arange(len(parents), dtype=np.uint64))
+        self.check(arena)
+        arena.truncate(data.draw(st.integers(0, len(arena))))
+        self.check(arena)
+        arena.add(1, len(arena) - 1)  # a root, if truncate emptied the arena
+        self.check(arena)
+        tips = data.draw(st.lists(st.integers(0, len(arena) - 1), min_size=1, unique=True))
+        fresh, at = arena.ancestry(np.array(sorted(tips)))
+        self.check(fresh)
+        assert [fresh.all_rows(i) for i in at.tolist()] == [arena.all_rows(i) for i in sorted(tips)]
+        fresh.add(2, len(fresh) - 1)
+        self.check(fresh)
+
+    @given(FORESTS, st.integers(0, 10**6))
+    def test_appends_out_of_level_order_raise(self, nodes, pick):
+        # a child of a node two or more levels above the last node, or a
+        # new root once there are two levels, would be shallower than the
+        # last node, alone or first in a bulk append; children whose
+        # depths fall within one bulk append break the order too; the
+        # arena is left as it was
+        arena = level_ordered_forest(nodes)
+        for _ in range(2):  # the last node two levels below a root at least
+            arena.add(0, len(arena) - 1)
+        depths = walk_depths(arena)
+        before = (arena.rows.tolist(), arena.parents.tolist(), list(arena.starts))
+        shallow = [-1, *(i for i, depth in enumerate(depths) if depth < depths[-1] - 1)]
+        parent = shallow[pick % len(shallow)]
+        with pytest.raises(ValueError, match="level order"):
+            arena.add(0, parent)
+        with pytest.raises(ValueError, match="level order"):
+            arena.add_children([parent, len(arena) - 1], np.zeros(2, dtype=np.uint64))
+        with pytest.raises(ValueError, match="level order"):
+            arena.add_children([len(arena) - 1, depths.index(depths[-1] - 1)], np.zeros(2, dtype=np.uint64))
+        assert (arena.rows.tolist(), arena.parents.tolist(), arena.starts) == before
 
 
 class TestNodeQueue:
@@ -483,13 +544,11 @@ class TestTransposition:
         assert list(table) == [key] and key in table
 
     def test_same_suffix_is_duplicate(self):
+        # both paths grown a level at a time, as the arena keeps them
         params, arena, tip, table = self.make()
-        a = arena.add(0b1, tip)
+        a, b = arena.add(0b1, tip), arena.add(0b10, tip)
         for _ in range(4):
-            a = arena.add(0, a)
-        b = arena.add(0b10, tip)
-        for _ in range(4):
-            b = arena.add(0, b)
+            a, b = arena.add(0, a), arena.add(0, b)
         assert transposition_insert(table, state_key(params, arena, a)) == ("fresh",)
         assert transposition_insert(table, state_key(params, arena, b)) == ("duplicate",)
 
@@ -579,6 +638,7 @@ class TestTranspositionFolds:
                 assert (run[1:] > run[:-1]).all() and (folded[1:] > folded[:-1]).all()
                 assert not set(run.tolist()) & set(folded.tolist())
                 assert len(run) <= max(statespace.RECENT_MIN, len(folded) // 8)
+                del run, folded  # a fold resizes the sorted part, which no one else may hold
                 assert len(table) == len(ref)
                 assert all(key in table for key in drawn)
             assert set(table) == ref
@@ -598,14 +658,30 @@ class TestTranspositionFolds:
         assert len(folded) >= 4 and folded[0] == (5000, 0)  # the fifth chunk passes RECENT_MIN
         assert all(run <= max(statespace.RECENT_MIN, keys // 8) for keys, run in sizes)
 
+    def test_fold_refuses_a_live_view(self):
+        # the fold grows the sorted part in place: a view of it that
+        # outlived the offer would dangle, so the fold raises instead
+        params = SearchParams(LIFE, 2, 1, 8)
+        table, rng = TranspositionTable(params), np.random.default_rng(1)
+        transposition_insert_many(table, rng.integers(0, 2**32, size=(5000, 1), dtype=np.uint64))
+        assert len(table.keys) == 5000 and not len(table.run_keys)
+        view = table.keys[:10]
+        with pytest.raises(ValueError, match="resize"):
+            transposition_insert_many(table, rng.integers(0, 2**32, size=(5000, 1), dtype=np.uint64))
+        del view
+        transposition_insert_many(table, rng.integers(0, 2**32, size=(5000, 1), dtype=np.uint64))
+        assert (table.keys[1:] > table.keys[:-1]).all()
+
     @pytest.mark.parametrize("width", [16, 18], ids=["64-bit-one-limb", "72-bit-two-limbs"])
     def test_fold_holds_one_merged_copy(self, width):
         # a sorted part of 200,000 keys and a run of an eighth of that,
-        # folded by one more scalar offer: the fold inserts the run into
-        # the sorted part in one pass, so the heap grows by one merged
-        # copy and the positions it inserts at, under 1.75 times the old
-        # sorted part (two merged copies at once take 2.25 times); the
-        # old run is freed with it
+        # folded by one more scalar offer: the fold merges the run into
+        # the sorted part in place, so the heap grows by the run's slots
+        # in the sorted part and its insertion points, then per slice of
+        # `step` keys by their destinations, a copy of their keys and the
+        # run's insertion points among them (at most `step`), never by a
+        # copy of the sorted part (which took 1.64 and 1.38 times the old
+        # sorted part); the old run is freed with it
         params = SearchParams(LIFE, 2, 1, width)
         n = 200_000
         tracemalloc.start()
@@ -630,7 +706,8 @@ class TestTranspositionFolds:
         finally:
             tracemalloc.stop()
         assert len(table.keys) == n + n // 8 + 1 and not len(table.run_keys)
-        assert peak - held < 1.75 * old
+        run, step, size = n // 8 + 1, max(statespace.RECENT_MIN, n // 8 + 1), table.keys.itemsize
+        assert peak - held < (size + 8) * (run + step) + 8 * step < old
         assert after - held < old // 16  # the old run is freed as its keys move
 
 

@@ -521,6 +521,18 @@ class TestStructuralMasks:
             params = SearchParams(LIFE, p, k, width, sym, tr)
             assert build_tables(params).masks == reference_structural_masks(params), width
 
+    @pytest.mark.parametrize("case", LEGAL_MODES, ids=lambda c: f"p{c[0]}k{c[1]}-{c[2]}-{c[3]}")
+    def test_last_column_reaches_only_the_end_vertex(self, case):
+        # stage2 and stage3 take any edge left in the last column as one
+        # into the end vertex (all four cells dead), with no test of
+        # their own: its structural mask admits no other, at every width
+        # (test_masks_match_per_edge_definition pins the masks)
+        p, k, sym, tr = case
+        end = edges_with_right_in(1)  # the vertex set {0}
+        for width in range(1, 33):
+            last = successor_mod._structural_masks(SearchParams(LIFE, p, k, width, sym, tr))[-1]
+            assert last and not last & ~end, width
+
 
 class TestHistory:
     @pytest.mark.parametrize("case", LEGAL_MODES, ids=lambda c: f"p{c[0]}k{c[1]}-{c[2]}-{c[3]}")
