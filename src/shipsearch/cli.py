@@ -61,28 +61,32 @@ def ship_text(ship, desc: ShipDescriptor, rule) -> str:
     return comment + "\n" + emit_rle(ship, rule) + "\n"
 
 
+def bad_input(message) -> int:
+    """Report a usage or input error; its exit code."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def cmd_search(args) -> int:
-    params = SearchParams(
-        rule=parse_rule(args.rule),
-        period=args.period,
-        offset=args.offset,
-        width=args.width,
-        symmetry=_SYMMETRIES[args.symmetry],
-        translation=args.translation,
-    )
-    config = SearchConfig(
-        node_capacity=args.node_capacity,
-        max_deepening=args.max_deepening,
-        continue_after_find=args.continue_after_find,
-        progress_interval=0 if args.quiet else PROGRESS_EVERY,
-    )
-    config.check(params)
+    try:
+        params = SearchParams(
+            rule=parse_rule(args.rule), period=args.period, offset=args.offset, width=args.width,
+            symmetry=_SYMMETRIES[args.symmetry], translation=args.translation,
+        )
+        config = SearchConfig(
+            node_capacity=args.node_capacity, max_deepening=args.max_deepening,
+            continue_after_find=args.continue_after_find, progress_interval=0 if args.quiet else PROGRESS_EVERY,
+        )
+        config.check(params)
+        # opened first, so that an unwritable path fails before the search
+        output = open(args.output, "w") if args.output else nullcontext(sys.stdout)
+    except (ValueError, OSError) as exc:
+        return bad_input(exc)
 
     def report(status):
         print(progress_line(status), file=sys.stderr)
 
-    # opened first, so that an unwritable path fails before the search
-    with open(args.output, "w") if args.output else nullcontext(sys.stdout) as out:
+    with output as out:
         print(banner_text(params), file=sys.stderr)
         result = run_search(params, config, progress=None if args.quiet else report)
         if not args.quiet:
@@ -93,14 +97,15 @@ def cmd_search(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.max_period < 1:
-        print("error: --max-period must be at least 1", file=sys.stderr)
-        return 2
-    with open(args.file) as fh:
-        pattern, file_rule = parse_rle(fh.read())
-    rule = parse_rule(args.rule) if args.rule else file_rule
+        return bad_input("--max-period must be at least 1")
+    try:
+        with open(args.file) as fh:
+            pattern, file_rule = parse_rle(fh.read())
+        rule = parse_rule(args.rule) if args.rule else file_rule
+    except (ValueError, OSError) as exc:
+        return bad_input(exc)
     if rule is None:
-        print("error: the file has no rule header; pass --rule", file=sys.stderr)
-        return 2
+        return bad_input("the file has no rule header; pass --rule")
 
     if pattern.trim().is_empty():
         print("not a spaceship (empty)")
@@ -123,11 +128,13 @@ def cmd_verify(args) -> int:
 
 def cmd_stats(args) -> int:
     if args.period < 2:
-        print("error: --period must be at least 2", file=sys.stderr)
-        return 2
+        return bad_input("--period must be at least 2")
     # neither offset nor width enters the per-rule tables (width only the
     # per-column masks), so any legal values serve for a stats run
-    params = SearchParams(rule=parse_rule(args.rule), period=args.period, offset=1, width=4)
+    try:
+        params = SearchParams(rule=parse_rule(args.rule), period=args.period, offset=1, width=4)
+    except ValueError as exc:
+        return bad_input(exc)
     tables = build_tables(params)
     use_ll, use_p2 = filter_flags(params)
 
@@ -184,12 +191,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand. Only its input checks exit 2 (bad input); a
+    later exception is a fault of the program and keeps its traceback."""
     args = _build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return args.func(args)
 
 
 if __name__ == "__main__":

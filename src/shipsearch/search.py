@@ -12,11 +12,12 @@ instead.
 
 Both phases work on many states at once: the breadth-first loop expands
 up to BATCH_CHUNK queued states of any levels as one chunk, a deepening
-round probes up to BATCH_CHUNK roots in lockstep, and both take their
-rows from _successor_rows. A chunk's children reach the arena and the
-transposition table in bulk, run by run, and a run's finished ships are
-caught among its children before they reach either; the frontier that
-compaction keeps is offered in bulk too. Counts, ships and progress
+round probes up to BATCH_CHUNK roots in lockstep, and both take the
+rows of at least BATCH_MIN windows from one successors_batch call, of
+fewer from successors() on each. A chunk's children reach the arena and
+the transposition table in bulk, run by run, and a run's finished ships
+are caught among its children before they reach either; the frontier
+that compaction keeps is offered in bulk too. Counts, ships and progress
 reports are those of handling one state at a time, and nothing
 configures the batching. The arena holds the breadth-first tree alone:
 probe nodes never reach it, and ships are extracted from rows.
@@ -52,11 +53,11 @@ from .statespace import (
 from .successor import build_tables, successors, successors_batch
 
 # At least BATCH_MIN windows share one successors_batch call, at most
-# BATCH_CHUNK. Below about 24-32 windows the batched kernel's fixed cost
-# (0.18-0.72 ms a call on c/3 windows, on a 2-core x86-64 VM) exceeds
-# that of successors() on each (7-21 us a window), and the c/3 search
-# ran fastest at 24 of 24, 32 and 48; past 4096 it gains little, while
-# its arrays grow with the chunk.
+# BATCH_CHUNK. Below about 16 windows the batched kernel's fixed cost
+# (0.11 and 0.19 ms a call on c/3 windows of widths 6 and 10, on a 2-core
+# x86-64 VM) exceeds that of successors() on each (7 and 15 us a window),
+# and the c/3 search ran no faster at 16 than at 24, within the host's
+# noise; past 4096 it gains little, while its arrays grow with the chunk.
 BATCH_MIN = 24
 BATCH_CHUNK = 4096
 
@@ -194,17 +195,15 @@ class Search:
         return True
 
 
-def _successor_rows(search: Search, windows) -> tuple[np.ndarray, np.ndarray]:
-    """The successor rows of each of windows, as successors_batch gives
-    them: through successors_batch for at least BATCH_MIN windows, below
-    that through successors() one window at a time."""
-    if len(windows) >= BATCH_MIN:
-        return successors_batch(search.params, search.tables, windows)
-    if isinstance(windows, np.ndarray):
-        windows = windows.tolist()  # successors() shifts rows left: a NumPy scalar would wrap
-    found = [successors(search.params, search.tables, window) for window in windows]
-    at = np.repeat(np.arange(len(found)), [len(rows) for rows in found])
-    return at, np.fromiter(chain.from_iterable(found), dtype=np.uint64, count=len(at))
+def _successor_lists(search: Search, windows: list) -> list[list[int]]:
+    """The successor rows of each of windows as a list of ints: through
+    successors_batch for at least BATCH_MIN windows, below that through
+    successors() one window at a time."""
+    if len(windows) < BATCH_MIN:
+        return [successors(search.params, search.tables, window) for window in windows]
+    at, rows = successors_batch(search.params, search.tables, windows)
+    bounds, rows = np.searchsorted(at, np.arange(len(windows) + 1)).tolist(), rows.tolist()
+    return [rows[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _expand_head(search: Search) -> None:
@@ -232,7 +231,12 @@ def _expand_head(search: Search) -> None:
     # parents past the first room - len(arena) are seldom reached
     chunk = queue.nodes(min(BATCH_CHUNK, max(1, room - len(arena))))
     windows = arena.windows(chunk, search.hist)
-    at, rows = _successor_rows(search, windows)
+    if len(chunk) >= BATCH_MIN:
+        at, rows = successors_batch(params, search.tables, windows)
+    else:  # successors() shifts rows left: a NumPy scalar would wrap
+        found = _successor_lists(search, windows.tolist())
+        at = np.repeat(np.arange(len(found)), [len(rows) for rows in found])
+        rows = np.fromiter(chain.from_iterable(found), dtype=np.uint64, count=len(at))
     keys = child_keys(params, windows, at, rows)
     first = [0, *np.cumsum(np.bincount(at, minlength=len(chunk))).tolist()]  # each parent's first child
     zero = np.flatnonzero(~keys.any(axis=1)).tolist()  # the children with key 0
@@ -300,23 +304,22 @@ def _dfs_probe(search: Search, roots: list[int], limit: int) -> list[bool]:
     ships = [[] for _ in roots]  # per root, the probe rows down to each ship it found
     last = n - 1  # the last root still probed: the one whose ship ends the search, if any
     windows = arena.windows(roots, search.hist).tolist()
+    levels = (np.searchsorted(arena.starts, roots, side="right") - 2 * params.period).tolist()  # as level_of reads them
     # per probe whose top frame needs its rows: the probe, then that frame less its rows
     waiting = [
-        (i, window, fold_rows(window[1 - 2 * params.period :], w) << w, search.level_of(root))
-        for i, (root, window) in enumerate(zip(roots, windows))
+        (i, window, fold_rows(window[1 - 2 * params.period :], w) << w, level)
+        for i, (window, level) in enumerate(zip(windows, levels))
     ]
     while waiting:
-        at, rows = _successor_rows(search, [step[1] for step in waiting])
-        bounds = np.searchsorted(at, np.arange(len(waiting) + 1)).tolist()
-        rows = rows.tolist()
+        found = _successor_lists(search, [step[1] for step in waiting])
         pushed = []
-        for (i, *frame), lo, hi in zip(waiting, bounds, bounds[1:]):
+        for (i, *frame), rows in zip(waiting, found):
             if i > last:
                 continue
             expanded[i] += 1
             status.states_expanded += 1
             stack, seen = stacks[i], seens[i]
-            stack.append((*frame, iter(rows[lo:hi])))
+            stack.append((*frame, iter(rows)))
             while stack:
                 window, prefix, level, children = stack[-1]
                 level += 1

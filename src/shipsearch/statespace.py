@@ -23,6 +23,7 @@ rows" a sound equivalence).
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -595,15 +596,18 @@ class TranspositionTable:
     def _fold(self) -> None:
         """Merge the run into the sorted part in place, from the back, as
         merge sort's merge step does. The sorted part grows to the merged
-        length (ndarray.resize raises while a view of it lives, rather
-        than leave the view dangling); its keys move up, a slice of
+        length (ValueError while a view of it lives, rather than leave the
+        view dangling; ndarray.resize's own check would also count a
+        profiler's reference); its keys move up, a slice of
         max(RECENT_MIN, run) keys at a time, the last first, each by the
         run keys that go before it (a bincount of their insertion points
         in the slice); then the run's keys fill the gaps. The scratch is
         a few arrays of a slice's length, never a copy of the sorted part."""
         run, n = self.run_keys, len(self.keys)
         at = self.keys.searchsorted(run)  # per run key, the old keys before it
-        self.keys.resize(n + len(run))
+        if sys.getrefcount(self.keys) > 2:  # this attribute and getrefcount's argument
+            raise ValueError("cannot resize the sorted keys while a view of them lives")
+        self.keys.resize(n + len(run), refcheck=False)
         keys, step = self.keys, max(RECENT_MIN, len(run))
         for hi in range(n, at[0], -step):  # the old keys before the first run key stay
             lo = max(at[0], hi - step)

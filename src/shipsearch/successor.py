@@ -44,17 +44,14 @@ entry per sampled row-byte, then reads each column's indices with a shift
 and a mask.
 
 successors_batch gives successors() for a whole array of windows at
-once, from the same SearchTables, whose NumPy form (SearchTables.arrays)
-is built on the first batch and kept with them for the rest of the
-search: stage 1 gathers per-column uint32 slices of the byte tables,
-stage 2 sweeps all windows column by column, and stage 3 walks one
-backward frontier holding an entry per (window, partial row), over the
-windows stage 2 kept. It returns one flat pair of arrays, each row with
-the position of its window, ordered by one sort of a combined key. The
-search hands it every set of windows of at least search.BATCH_MIN, a
-breadth-first chunk of queued states of any levels or a lockstep step
-of deepening probes, and calls successors() on each window of a smaller
-set; both must give the same rows in the same order.
+once, from the NumPy form of the same SearchTables (SearchTables.arrays,
+built on the first batch): stage 1 gathers every column's indices and
+masks at once, stage 2 sweeps all windows column by column, and stage 3
+walks one backward frontier of (window, partial row) entries. A call
+costs a fixed count of NumPy calls per column and per sampled row-byte,
+whatever the number of windows, so the search calls successors() on each
+window of a set smaller than search.BATCH_MIN; both give the same rows
+in the same order.
 """
 
 from __future__ import annotations
@@ -336,10 +333,12 @@ def _p2_table(rule: Rule):
 
 @dataclass(frozen=True)
 class _BatchTables:
-    reads: list  # per plan entry: window index, bit, first column, (columns, entries) uint32 fields
+    reads: list  # per plan entry: window index, bit, first column, (columns, entries) intp fields
+    row_bytes: np.ndarray  # per plan entry, its byte of a window as little-endian uint32 rows, from the end
     star: np.ndarray  # star_l as uint64
     filter: np.ndarray  # ll, p2 or pass-all as uint64
-    masks: np.ndarray  # per column, uint64
+    masks: np.ndarray  # per column, uint64, as a (columns, 1) array; column 0's ANDed with start
+    cell_bits: np.ndarray  # per column, 0 and its cell bit, as a (columns, 2, 1) intp array
 
 
 @dataclass
@@ -357,7 +356,7 @@ class SearchTables:
         first reads them; not a field, so == never compares them. Column
         c's two 13-bit indices fill the c-th 32-bit word of a stage1 plan
         entry, so an entry reads as one uint32 per column, and each plan
-        table becomes one uint32 table per column it touches."""
+        table becomes one intp table per column it touches."""
         ncols = len(self.masks)
         reads = []
         for idx, b, table in self.plan:
@@ -366,12 +365,14 @@ class SearchTables:
             used = np.flatnonzero(fields.any(axis=0))
             if len(used):
                 lo, hi = used[0], used[-1] + 1
-                reads.append((idx, b, lo, np.ascontiguousarray(fields[:, lo:hi].T, dtype=np.uint32)))
+                reads.append((idx, b, lo, np.ascontiguousarray(fields[:, lo:hi].T, dtype=np.intp)))
         return _BatchTables(
             reads=reads,
+            row_bytes=np.array([4 * idx + b // 8 for idx, b, *_ in reads], dtype=np.intp),
             star=np.array(self.star_l, dtype=np.uint64),
             filter=np.array(self.filter, dtype=np.uint64),
-            masks=np.array(self.masks, dtype=np.uint64),
+            masks=np.array([self.masks[0] & self.start, *self.masks[1:]], dtype=np.uint64)[:, None],
+            cell_bits=np.array([[[0], [bit]] for bit in self.cell_bits], dtype=np.intp),
         )
 
 
@@ -562,21 +563,23 @@ def successors(params: SearchParams, tables: SearchTables, rows):
 # the three stages over a batch of windows
 
 _LB_LO_A, _LB_HI_A, _RB_LO_A, _RB_HI_A = (np.array(t, dtype=np.uint64) for t in (_LB_LO, _LB_HI, _RB_LO, _RB_HI))
+_SPLIT = np.array([[_DEAD_C0], [_EVERY_EDGE ^ _DEAD_C0]], dtype=np.uint64)  # dead C cell, live C cell
 
 
 def _next_allowed(e):
-    """_next_allowed_int for each of the uint64 edge masks e."""
-    e = e.view(np.int64)  # int64 indices need no cast to intp
-    y = (e | e >> 8) & 0x00FF00FF00FF00FF
-    y |= y >> 8
-    return _LB_LO_A.take(_RIGHT_PAIR[y & 0xFFFF]) | _LB_HI_A.take(_RIGHT_PAIR[y >> 32 & 0xFFFF])
+    """_next_allowed_int for each of the uint64 edge masks e, its byte
+    pairs read as 16-bit groups of the ORs of e's neighbouring bytes."""
+    z = np.ascontiguousarray(e, dtype="<u8").view(np.uint8)
+    half = _RIGHT_PAIR.take((z[..., 0::2] | z[..., 1::2]).view("<u2"))
+    return _LB_LO_A.take(half[..., 0::2]) | _LB_HI_A.take(half[..., 1::2])
 
 
 def _prev_allowed(e):
-    """_prev_allowed_int for each of the uint64 edge masks e."""
-    e = e.view(np.int64)
-    x = e | e >> 32
-    return _RB_LO_A.take(_LEFT_PAIR[x & 0xFFFF]) | _RB_HI_A.take(_LEFT_PAIR[x >> 16 & 0xFFFF])
+    """_prev_allowed_int for each of the uint64 edge masks e, its byte
+    pairs read as the 16-bit groups of the OR of e's two 32-bit halves."""
+    u = np.ascontiguousarray(e, dtype="<u8").view("<u4")
+    half = _LEFT_PAIR.take((u[..., 0::2] | u[..., 1::2]).astype("<u4", copy=False).view("<u2"))
+    return _RB_LO_A.take(half[..., 0::2]) | _RB_HI_A.take(half[..., 1::2])
 
 
 def successors_batch(params: SearchParams, tables: SearchTables, windows) -> tuple[np.ndarray, np.ndarray]:
@@ -588,11 +591,11 @@ def successors_batch(params: SearchParams, tables: SearchTables, windows) -> tup
     tables.arrays, which the first call builds and the tables keep, so a
     search builds them once per width; the windows may be of any levels:
 
-    - stage1 gathers each column's lookup indices from per-column byte
-      tables and ANDs the table masks, the structural one only on the
-      strip's boundary columns, where it is not all ones;
+    - stage1 gathers every column's lookup indices from per-column byte
+      tables, then looks up and ANDs the star and filter masks and the
+      structural ones for all columns at once;
     - stage2 sweeps the columns forward over all N windows together,
-      carrying from each column the edges the next one allows
+      ANDing each column with the edges the one before allows
       (_next_allowed, through a 64 KB byte-pair table); a window with
       an edge left in the last column reaches the end vertex;
     - stage3 walks backward over the stage2 survivors only, holding one
@@ -604,40 +607,31 @@ def successors_batch(params: SearchParams, tables: SearchTables, windows) -> tup
     if not n:  # [] would not index as an (N, history) array
         return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.uint64)
     bt = tables.arrays
-    windows = np.asarray(windows, dtype=np.intp)  # so that the gathers take their indices uncast
-    fields = np.zeros((len(bt.masks), n), dtype=np.uint32)  # per column: star's index, then the filter's
-    for idx, b, lo, table in bt.reads:
-        fields[lo : lo + len(table)] |= table.take(windows[:, idx] >> b & 255, axis=1)
+    # per plan entry, its byte of each window
+    picks = np.ascontiguousarray(windows, dtype="<u4").view(np.uint8).T[bt.row_bytes]
+    fields = np.zeros((len(bt.masks), n), dtype=np.intp)  # per column: star's index, then the filter's
+    for (_, _, lo, table), byte in zip(bt.reads, picks):
+        fields[lo : lo + len(table)] |= table.take(byte, axis=1)
 
-    # stage1's table lookups a column at a time, each followed by its
-    # stage2 step, so that no temporary spans every column
-    fwd = np.empty(fields.shape, dtype=np.uint64)
-    allowed = np.uint64(tables.start)
-    for c, col in enumerate(fields):
-        # the indices are in range, and "clip" spares take a buffered copy
-        e = bt.star.take(col & 0x1FFF, out=fwd[c], mode="clip")
-        e &= bt.filter.take(col >> 13, mode="clip")
-        if tables.masks[c] != _EVERY_EDGE:
-            e &= bt.masks[c]
-        e &= allowed
-        if c + 1 < len(fields):
-            allowed = _next_allowed(e)
+    # every column at once, holding fields, fwd and one array of their
+    # size; the indices are in range, and "clip" spares take its checks
+    fwd = bt.star.take(fields & 0x1FFF, mode="clip")
+    fields >>= 13
+    fwd &= bt.filter.take(fields, mode="clip")
+    fwd &= bt.masks
+    for prev, cur in zip(fwd, fwd[1:]):
+        cur &= _next_allowed(prev)
 
-    # the last column keeps only edges into the end vertex (stage2_reach)
-    at = np.flatnonzero(fwd[-1])  # per entry, its window: those that reach it
-    act = fwd[-1].take(at)
-    acc = np.zeros(len(at), dtype=np.uint64)
+    # the last column keeps only edges into the end vertex (stage2_reach);
+    # per entry, the key window << 32 | row and the edges it may take
+    at = fwd[-1].nonzero()[0]
+    key, act = at << 32, fwd[-1].take(at)
     for c in range(len(fwd) - 1, -1, -1):
-        dead = act & _DEAD_C0
-        l = np.flatnonzero(act ^ dead)
-        if len(l):
-            d = np.flatnonzero(dead)
-            idx = np.concatenate((d, l))
-            at, act, acc = at.take(idx), act.take(idx), acc.take(idx)
-            act[: len(d)] &= _DEAD_C0
-            act[len(d) :] &= ~np.uint64(_DEAD_C0)
-            acc[len(d) :] |= tables.cell_bits[c]
+        # each entry's edges with a dead, then with a live C cell, and their keys
+        acts, keys = act & _SPLIT, key | bt.cell_bits[c]
+        pick = acts.ravel().nonzero()[0]
+        key, act = keys.take(pick), acts.take(pick)
         if c:
-            act = fwd[c - 1].take(at) & _prev_allowed(act)
-    key = np.sort(at.astype(np.uint64) << 32 | acc)
-    return (key >> 32).astype(np.intp), key & 0xFFFFFFFF
+            act = fwd[c - 1].take(key >> 32) & _prev_allowed(act)
+    key.sort()
+    return key >> 32, (key & 0xFFFFFFFF).view(np.uint64)

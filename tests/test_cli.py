@@ -122,6 +122,18 @@ class TestSearchCommand:
         assert captured.out == ""
         assert not path.parent.exists()
 
+    @pytest.mark.parametrize("fault", [ValueError("nodes must be appended in level order"), OSError("disk")])
+    def test_fault_inside_the_search_raises(self, monkeypatch, capsys, fault):
+        # only parsing and checking the input exits 2; an exception from
+        # inside the search is a fault in the program, not bad input
+        def failing(*args, **kwargs):
+            raise fault
+
+        monkeypatch.setattr(cli_mod, "run_search", failing)
+        with pytest.raises(type(fault), match=str(fault)):
+            main(search_args())
+        assert "error:" not in capsys.readouterr().err
+
     def test_ship_found_after_narrowing(self, capsys):
         # the narrowed search finds a ship whose older rows are wider than
         # the strip it ends at

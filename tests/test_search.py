@@ -5,6 +5,7 @@ the successor and oracle suites, so here we check orchestration, i.e.
 outcomes, deepening, narrowing, dedup and progress reporting.
 """
 
+import cProfile
 import inspect
 import random
 import sys
@@ -688,6 +689,28 @@ class TestDeterminism:
         b = run_search(params)
         assert [s.rows for s, _ in a.ships] == [s.rows for s, _ in b.ships]
         assert a.status.states_expanded == b.status.states_expanded
+
+    def test_folding_search_runs_under_a_profiler(self, monkeypatch):
+        # c/3 even w7 folds its duplicate table into a non-empty sorted
+        # part before its first ship; a profiler's reference to the table's
+        # array during a method call must not make that fold raise
+        params = SearchParams(LIFE, 3, 1, 7, EVEN_MIRROR)
+        plain = run_search(params)
+        folds, fold = [], TranspositionTable._fold
+
+        def counted(table):
+            folds.append(len(table.keys))
+            fold(table)
+
+        monkeypatch.setattr(TranspositionTable, "_fold", counted)
+        profiler = cProfile.Profile()
+        profiler.enable()
+        try:
+            profiled = run_search(params)
+        finally:
+            profiler.disable()
+        assert any(folds) and profiled.status == plain.status
+        assert [s.rows for s, _ in profiled.ships] == [s.rows for s, _ in plain.ships]
 
 
 class TestProgress:

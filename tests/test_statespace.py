@@ -7,6 +7,7 @@ a known ship by hand, straight from an independent set-of-cells evolver,
 and require is_consistent to accept it (and to reject a perturbation).
 """
 
+import cProfile
 import math
 import random
 import tracemalloc
@@ -671,6 +672,29 @@ class TestTranspositionFolds:
         del view
         transposition_insert_many(table, rng.integers(0, 2**32, size=(5000, 1), dtype=np.uint64))
         assert (table.keys[1:] > table.keys[:-1]).all()
+
+    def test_folds_under_a_profiler(self):
+        # a profiler holds one more reference to an array while a method of
+        # it runs, which ndarray.resize's own check counts as a live view;
+        # the fold still merges, and still refuses a real view
+        params = SearchParams(LIFE, 2, 1, 8)
+        table, rng = TranspositionTable(params), np.random.default_rng(2)
+        keys = rng.integers(0, 2**32, size=(15000, 1), dtype=np.uint64)
+        profiler = cProfile.Profile()
+        profiler.enable()
+        try:
+            for lo in range(0, 10000, 5000):
+                transposition_insert_many(table, keys[lo : lo + 5000])
+            assert len(table.keys) == len(np.unique(keys[:10000])) and not len(table.run_keys)
+            view = table.keys[:10]
+            with pytest.raises(ValueError, match="resize"):
+                transposition_insert_many(table, keys[10000:])
+            del view
+            transposition_insert_many(table, keys[:1])  # a duplicate: the run folds
+        finally:
+            profiler.disable()
+        assert len(table.keys) == len(np.unique(keys)) and not len(table.run_keys)
+        assert (table.keys[1:] > table.keys[:-1]).all() and set(table) == set(keys[:, 0].tolist())
 
     @pytest.mark.parametrize("width", [16, 18], ids=["64-bit-one-limb", "72-bit-two-limbs"])
     def test_fold_holds_one_merged_copy(self, width):

@@ -597,6 +597,17 @@ class TestVertexFolds:
         self.check_table_step(*self.TABLE_STEPS[0], forward)
         self.check_table_step(*self.TABLE_STEPS[1], backward)
 
+    def test_table_steps_take_rows_columns_and_single_masks(self):
+        # successors_batch's sweep hands the steps the rows of its
+        # (columns, windows) array, one entry long for a single window;
+        # the steps read e's bytes in a fixed order, whatever its own
+        rng = random.Random(16)
+        grid = np.array([rng.getrandbits(64) & rng.getrandbits(64) for _ in range(64)], dtype=np.uint64).reshape(8, 8)
+        for int_step, array_step, _ in self.TABLE_STEPS:
+            # rows, strided columns, one-entry arrays, the other byte order
+            for part in [*grid, *grid.T, *grid[:, :1], grid[0, :1], *grid.astype(">u8")]:
+                assert array_step(part).tolist() == [int_step(m) for m in part.tolist()]
+
     def test_module_arrays_under_256_kib(self):
         # successors_batch's lookup tables: its two uint8 tables over every
         # byte pair take 64 KiB each; uint64 tables in their place (512 KiB
@@ -726,6 +737,23 @@ class TestSuccessorsBatch:
         picks = [few[i % len(few)] for i in range(search_mod.BATCH_CHUNK + 5)]
         longer = [[rng.getrandbits(width), rng.getrandbits(width), *windows[i]] for i in picks]
         assert _batch_rows(params, tables, longer) == [want[i] for i in picks]
+
+    def test_window_forms_give_the_same_rows(self):
+        # a breadth-first chunk passes arena.windows' uint32 array (a
+        # transposed view), a probe step a list of lists of ints
+        params = SearchParams(LIFE, 3, 1, 10, EVEN_MIRROR)
+        search, hist = Search(params), history(params)
+        for _ in range(3):
+            search_mod._expand_head(search)
+        nodes = np.arange(len(search.arena))
+        windows = search.arena.windows(nodes, hist)
+        assert windows.dtype == np.uint32 and not windows.flags.c_contiguous and len(windows) > 100
+        want = [successors(params, search.tables, rows) for rows in windows.tolist()]
+        assert sum(map(len, want)) > 100
+        longer = search.arena.windows(nodes, hist + 3)[:, 3:]  # a slice of longer windows
+        for form in (windows, windows.astype(np.intp), np.ascontiguousarray(windows), windows.tolist(), longer):
+            assert _batch_rows(params, search.tables, form) == want
+        assert _batch_rows(params, search.tables, windows[::3]) == want[::3]
 
     def test_arrays_built_on_first_batch_and_kept_off_equality(self):
         params = SearchParams(LIFE, 4, 1, 7, EVEN_MIRROR)
