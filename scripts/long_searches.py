@@ -16,7 +16,7 @@ the weekender filled its tree to 2^24 nodes in about 7 s and peaked there
 at about 570 MB resident (ru_maxrss), 34 bytes a node; stopped 120 s
 into its first deepening round, 21M expansions in, it had peaked at
 830 MB, the probes' own tables of the states they met included (each is
-emptied when its probe ends). That is about 50 bytes a node, so the
+freed when its probe ends). That is about 50 bytes a node, so the
 default --capacity 2**26 needs about 3.3 GB, more the longer a round
 runs. At 2^22 nodes the same run peaked at 305 MB, 73 bytes a node, as
 the imports and the probes' tables weigh more against a smaller tree.
@@ -57,9 +57,13 @@ def list_profiles() -> None:
 
 def run_profile(name: str, capacity: int) -> int:
     rule, p, k, w, sym, _ = PROFILES[name]
-    params = SearchParams(parse_rule(rule), p, k, w, sym)
-    config = SearchConfig(node_capacity=capacity, max_deepening=6 * p, progress_interval=200_000)
-    config.check(params)
+    try:
+        params = SearchParams(parse_rule(rule), p, k, w, sym)
+        config = SearchConfig(node_capacity=capacity, max_deepening=6 * p, progress_interval=200_000)
+        config.check(params)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(banner_text(params), file=sys.stderr)
     started = time.time()
 
@@ -90,11 +94,7 @@ def main() -> int:
     if args.list:
         list_profiles()
         return 0
-    try:
-        return run_profile(args.run, args.capacity)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return run_profile(args.run, args.capacity)
 
 
 if __name__ == "__main__":

@@ -22,6 +22,10 @@ from shipsearch.statespace import SearchParams
 from shipsearch.successor import build_tables
 
 
+# the rules random_rule_string can draw: a nonempty birth set, any survive set
+DISTINCT_RULES = 255 * 512
+
+
 def random_rule_string(rng: random.Random) -> str:
     birth = [d for d in range(1, 9) if rng.random() < 0.45]
     survive = [d for d in range(0, 9) if rng.random() < 0.45]
@@ -37,6 +41,9 @@ def main() -> int:
     args = parser.parse_args()
     if args.rules < 1:
         print("error: --rules must be at least 1", file=sys.stderr)
+        return 2
+    if args.rules > DISTINCT_RULES:
+        print(f"error: --rules must be at most {DISTINCT_RULES}, the number of distinct rules", file=sys.stderr)
         return 2
 
     rng = random.Random(args.seed)

@@ -12,15 +12,16 @@ instead.
 
 Both phases work on many states at once: the breadth-first loop expands
 up to BATCH_CHUNK queued states of any levels as one chunk, a deepening
-round probes up to BATCH_CHUNK roots in lockstep, and both take the
-rows of at least BATCH_MIN windows from one successors_batch call, of
-fewer from successors() on each. A chunk's children reach the arena and
-the transposition table in bulk, run by run, and a run's finished ships
-are caught among its children before they reach either; the frontier
-that compaction keeps is offered in bulk too. Counts, ships and progress
-reports are those of handling one state at a time, and nothing
-configures the batching. The arena holds the breadth-first tree alone:
-probe nodes never reach it, and ships are extracted from rows.
+round runs the depth-first walks of up to BATCH_CHUNK roots in lockstep,
+one generator each, and both take the rows of at least BATCH_MIN windows
+from one successors_batch call, of fewer from successors() on each. A
+chunk's children reach the arena and the transposition table in bulk,
+run by run, and a run's finished ships are caught among its children
+before they reach either; the frontier that compaction keeps is offered
+in bulk too. Counts, ships and progress reports are those of handling
+one state at a time, and nothing configures the batching. The arena
+holds the breadth-first tree alone: probe nodes never reach it, and
+ships are extracted from rows.
 
 Every candidate ship is re-verified by evolving the extracted pattern;
 a verification failure means the constraint machinery is wrong and is
@@ -275,89 +276,87 @@ def _expand_head(search: Search) -> None:
         j = end
 
 
+def _probe_walk(search: Search, window: list[int], level: int, limit: int, ships: list):
+    """The depth-first probe of a root, given its window and level: yields
+    the window of each node it expands, is sent that node's successor rows,
+    and returns True once a descendant reaches limit. A goal is told from
+    its parent's window, as in _expand_head; its probe rows go to ships, and
+    one that ends the search ends the walk.
+
+    seen maps each state key met to the lowest level it was met at, and a
+    child met again no deeper is skipped. It takes at most node_capacity
+    keys: a state it misses is expanded again, never lost. It also keeps a
+    walk from going round a cycle of states to any limit: without it, c/3
+    even w10 at capacity 1024 keeps its 72 blocks' verdicts (86,231
+    expansions against 86,602), but c/3 even w6 at capacity 64 with
+    --continue ran past 75 s, its limit at 3936, against 1.5 s and
+    exhaustion at 81."""
+    w, n, capacity = search.params.width, 2 * search.params.period, search.config.node_capacity
+    mask = (1 << n * w) - 1  # a state key's bits
+    seen = {}
+    # a frame: a node's window, its children's state key prefix, an iterator over its rows
+    stack = [(window, fold_rows(window[1 - n :], w) << w, iter((yield window)))]
+    while stack:
+        window, prefix, children = stack[-1]
+        depth = level + len(stack)  # the children's level
+        for c in children:
+            key = prefix | c
+            if not key and any(window):  # a goal, as _expand_head tells one
+                ships.append([*(f[0][-1] for f in stack[1:]), c])
+                if not search.config.continue_after_find:
+                    return False
+                continue  # a finished ship only grows dead rows from here
+            prev = seen.get(key)
+            if prev is not None and prev <= depth:
+                continue
+            if prev is not None or len(seen) < capacity:
+                seen[key] = depth
+            if depth >= limit:
+                return True
+            window = [*window[1:], c]
+            stack.append((window, key << w & mask, iter((yield window))))
+            break
+        else:
+            stack.pop()
+    return False
+
+
 def _dfs_probe(search: Search, roots: list[int], limit: int) -> list[bool]:
     """Depth-first from each of roots to the given level, in lockstep;
     True for a root with a descendant still alive at the limit (the root
     is kept). A ship that ends the search ends the list at its root.
 
-    Each probe has its own frame stack, seen dict and depth-first order,
-    so it makes the expansions it would make alone. A frame is a node's
-    window, its children's state key prefix, its level and an iterator
-    over its successor rows. Each step computes the rows of every probe
-    whose top frame needs them; each probe then walks on until it needs
-    rows again or ends, and a tick follows. A goal is told from its
-    parent's window, as in _expand_head, and its ship is extracted from
-    the root's rows and the frames', so a probe adds nothing to the
-    arena. Ships are recorded after the last step, in root order. Where
-    one ends the search, the roots before its root run on, and the
-    expansions of those after it are taken back out of the count. A
-    probe's seen dict, of up to node_capacity entries, is emptied when
-    the probe ends, and so are the frame stacks and seen dicts of the
-    roots after a ship that ends the search."""
-    params, arena, status = search.params, search.arena, search.status
-    w, capacity = params.width, search.config.node_capacity
-    mask = (1 << 2 * params.period * w) - 1  # a state key's bits
-    ends = not search.config.continue_after_find  # a ship ends the search
-    n = len(roots)
-    keep, expanded = [False] * n, [0] * n  # per root: its verdict, its expansions so far
-    stacks, seens = [[] for _ in roots], [{} for _ in roots]  # seen: state key -> lowest level reached at
+    Each root has its own _probe_walk and makes the expansions it would
+    make alone. Each step computes the rows of every waiting walk and
+    sends each its own; a tick follows. Ships are extracted from rows (a
+    probe adds nothing to the arena) and recorded after the last step, in
+    root order. Where one ends the search, the walks of the roots after
+    its root are dropped and their expansions taken back out."""
+    arena, status = search.arena, search.status
     ships = [[] for _ in roots]  # per root, the probe rows down to each ship it found
-    last = n - 1  # the last root still probed: the one whose ship ends the search, if any
     windows = arena.windows(roots, search.hist).tolist()
-    levels = (np.searchsorted(arena.starts, roots, side="right") - 2 * params.period).tolist()  # as level_of reads them
-    # per probe whose top frame needs its rows: the probe, then that frame less its rows
-    waiting = [
-        (i, window, fold_rows(window[1 - 2 * params.period :], w) << w, level)
-        for i, (window, level) in enumerate(zip(windows, levels))
-    ]
+    levels = (np.searchsorted(arena.starts, roots, side="right") - 2 * search.params.period).tolist()  # as level_of reads them
+    walks = [_probe_walk(search, window, level, limit, found) for window, level, found in zip(windows, levels, ships)]
+    keep, expanded = [False] * len(roots), [0] * len(roots)  # per root: its verdict, its expansions so far
+    waiting = [(i, next(walk)) for i, walk in enumerate(walks)]  # per walk that needs rows: its root, the window
     while waiting:
-        found = _successor_lists(search, [step[1] for step in waiting])
+        found = _successor_lists(search, [window for _, window in waiting])
         pushed = []
-        for (i, *frame), rows in zip(waiting, found):
-            if i > last:
-                continue
+        for (i, _), rows in zip(waiting, found):
+            if i >= len(walks):
+                continue  # dropped
             expanded[i] += 1
             status.states_expanded += 1
-            stack, seen = stacks[i], seens[i]
-            stack.append((*frame, iter(rows)))
-            while stack:
-                window, prefix, level, children = stack[-1]
-                level += 1
-                for c in children:
-                    key = prefix | c
-                    if not key and any(window):  # a goal, as _expand_head tells one
-                        ships[i].append([*(f[0][-1] for f in stack[1:]), c])
-                        if ends:
-                            stack.clear()
-                            status.states_expanded -= sum(expanded[i + 1 :])
-                            expanded[i + 1 :] = [0] * (n - 1 - i)
-                            for dropped in chain(stacks[i + 1 :], seens[i + 1 :]):
-                                dropped.clear()
-                            last = i
-                            break
-                        continue  # a finished ship only grows dead rows from here
-                    prev = seen.get(key)
-                    if prev is not None and prev <= level:
-                        continue
-                    # seen only prunes, so once it holds node_capacity states it takes
-                    # no new ones: a state it misses is expanded again, never lost
-                    if prev is not None or len(seen) < capacity:
-                        seen[key] = level
-                    if level >= limit:
-                        keep[i] = True
-                        stack.clear()
-                        break
-                    pushed.append((i, [*window[1:], c], key << w & mask, level))
-                    break
-                else:
-                    stack.pop()
-                    continue
-                break
-            if not stack:
-                seen.clear()  # the probe has ended
+            try:
+                pushed.append((i, walks[i].send(rows)))
+            except StopIteration as end:
+                keep[i] = end.value
+                if ships[i] and not search.config.continue_after_find:  # its ship ends the search
+                    status.states_expanded -= sum(expanded[i + 1 :])
+                    del walks[i + 1 :], expanded[i + 1 :]
         waiting = pushed
         search._tick()
-    for i in range(last + 1):
+    for i in range(len(walks)):
         for path in ships[i]:
             if search._record_ship(arena.all_rows(roots[i]) + path):
                 return keep[: i + 1]

@@ -243,6 +243,19 @@ def test_scan_needs_at_least_one_rule(rules):
     assert proc.stdout == ""
 
 
+def test_scan_refuses_more_rules_than_it_can_draw():
+    # 255 birth sets times 512 survive sets: one more would never be drawn
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "scan_prune_rates.py"), "--rules", "130561"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: --rules must be at most 130560, the number of distinct rules\n"
+    assert proc.stdout == ""
+
+
 def test_long_search_bad_capacity_is_a_usage_error():
     # the capacity is checked before the banner, so nothing is searched
     proc = subprocess.run(

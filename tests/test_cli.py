@@ -336,6 +336,20 @@ class TestLongSearchesScript:
         assert re.fullmatch(r"\[ +\d+s\] (.*)", lines[1]).group(1) == progress_line(status)
         assert lines[2:] == ["outcome: exhausted"]
 
+    def test_fault_inside_the_search_is_not_a_usage_error(self, monkeypatch, capsys):
+        # only building the parameters and checking the config count as bad
+        # input; a ValueError from inside the search keeps its traceback
+        script = self.script_with_result(monkeypatch, SearchStatus(), [])
+
+        def run_search(params, config, progress):
+            raise ValueError("a fault inside the search")
+
+        monkeypatch.setattr(script, "run_search", run_search)
+        monkeypatch.setattr(sys, "argv", ["long_searches.py", "--run", "dragon", "--capacity", "1024"])
+        with pytest.raises(ValueError, match="a fault inside the search"):
+            script.main()
+        assert "error:" not in capsys.readouterr().err
+
     def test_ship_printed_as_the_cli_prints_it(self, monkeypatch, capsys):
         glider = parse_rle(GLIDER_RLE)[0]
         desc = classify_ship(LIFE, glider, 4)

@@ -6,10 +6,10 @@ outcomes, deepening, narrowing, dedup and progress reporting.
 """
 
 import cProfile
-import inspect
 import random
 import sys
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -392,6 +392,28 @@ class TestReseed:
             assert len(search.queue) > 100 and search.tt.limbs == (1 if search.params.period == 3 else 2)
 
 
+def _watch_walks(monkeypatch, watch):
+    """Make every walk _dfs_probe starts a relay of the real
+    _probe_walk: it yields what the walk yields, sends it what it is
+    sent and returns its verdict. watch is called with the walk's
+    arguments as the walk starts and returns step, and step(walk) runs
+    each time the walk stops, at a yield or at its end."""
+    original = search_mod._probe_walk
+
+    def relay(*args):
+        step, walk, rows = watch(*args), original(*args), None
+        while True:
+            try:
+                window = walk.send(rows)
+            except StopIteration as end:
+                step(walk)
+                return end.value
+            step(walk)
+            rows = yield window
+
+    monkeypatch.setattr(search_mod, "_probe_walk", relay)
+
+
 class TestProbeDedup:
     @pytest.mark.parametrize(
         "params, config, expanded",
@@ -415,51 +437,45 @@ class TestProbeDedup:
         ],
         ids=["c2-glide", "c4-diagonal"],
     )
-    def test_seen_stays_within_node_capacity(self, params, capacity):
+    def test_seen_stays_within_node_capacity(self, monkeypatch, params, capacity):
         # unbounded, one probe's seen dict grows to 35 and 114 entries
         # here; kept to the node capacity, it still lets the probes find
-        # the ship the default capacity finds. Every probe of a block
-        # keeps its own seen dict.
-        largest = 0
-        probe_code = search_mod._dfs_probe.__code__
+        # the ship the default capacity finds. Every walk keeps its own
+        # seen dict, held here past the walk's end to read its last size.
+        seens = {}
 
-        def in_probe(frame, event, arg):
-            nonlocal largest
-            largest = max(largest, *map(len, frame.f_locals.get("seens", [()])))
-            return in_probe
+        def hold(walk):
+            if walk.gi_frame is not None:
+                seen = walk.gi_frame.f_locals["seen"]
+                seens[id(seen)] = seen
 
-        sys.settrace(lambda frame, event, arg: in_probe if frame.f_code is probe_code else None)
-        try:
-            res = run_search(params, SearchConfig(node_capacity=capacity))
-        finally:
-            sys.settrace(None)
-        assert largest == capacity  # reached, and held there
+        _watch_walks(monkeypatch, lambda *args: hold)
+        res = run_search(params, SearchConfig(node_capacity=capacity))
+        assert max(map(len, seens.values())) == capacity  # reached, and held there
         assert res.status.outcome == SHIP_FOUND
         assert res.ships == run_search(params).ships
 
     def test_probe_skips_a_state_met_again_at_its_level(self):
-        # in B256/S at c/2, even width 5, capacity 26, probes reach states
-        # a second time at exactly the level seen holds for them and skip
-        # them; expanding those again (skipping only deeper ones) expands
-        # 96 states instead of 92
+        # a walk driven with made-up rows: from an all-dead root, rows 1
+        # and 2, then row 3 under every other node. Both branches reach the
+        # state of rows 3, 3, 3, 3 at level 5; the second branch meets it
+        # again at the level seen holds for it and skips it, as the first
+        # branch skips it one level deeper, so the limit is never reached
+        search = Search(SearchParams(LIFE, 2, 1, 5))
+        hist = search.hist
+        walk = search_mod._probe_walk(search, [0] * hist, 0, 6, [])
+        windows = [next(walk)]
+        with pytest.raises(StopIteration) as end:
+            while True:
+                windows.append(walk.send([3] if any(windows[-1]) else [1, 2]))
+        assert end.value.value is False
+        paths = [[], [1], [1, 3], [1, 3, 3], [1, 3, 3, 3], [1, 3, 3, 3, 3], [2], [2, 3], [2, 3, 3], [2, 3, 3, 3]]
+        assert windows == [([0] * hist + path)[-hist:] for path in paths]
+        # in B256/S at c/2, even width 5, capacity 26, probes meet states
+        # again at the level seen holds for them; expanding those again
+        # (skipping only deeper ones) expands 96 states instead of 92
         params = SearchParams(parse_rule("B256/S"), 2, 1, 5, EVEN_MIRROR)
-        probe = search_mod._dfs_probe
-        lines, start = inspect.getsourcelines(probe)
-        check = start + next(i for i, text in enumerate(lines) if "prev = seen.get(key)" in text) + 1
-        met = 0
-
-        def in_probe(frame, event, arg):
-            nonlocal met
-            if event == "line" and frame.f_lineno == check:
-                met += frame.f_locals["prev"] == frame.f_locals["level"]
-            return in_probe
-
-        sys.settrace(lambda frame, event, arg: in_probe if frame.f_code is probe.__code__ else None)
-        try:
-            res = run_search(params, SearchConfig(node_capacity=26, continue_after_find=True))
-        finally:
-            sys.settrace(None)
-        assert met == 2
+        res = run_search(params, SearchConfig(node_capacity=26, continue_after_find=True))
         assert res.status.states_expanded == 92
 
 
@@ -600,32 +616,71 @@ class TestProbeArena:
 
     @PROBE_CASES
     def test_probe_children_carry_their_state_keys(self, monkeypatch, params, config):
-        # every child a probe checks against seen carries the state key of
-        # its path (the root's rows in the arena, then the rows of the
-        # probe's frames, then its own row) and is no goal, and its
-        # parent's frame carries the window successors() reads
-        probe = search_mod._dfs_probe
-        lines, start = inspect.getsourcelines(probe)
-        check = start + next(i for i, text in enumerate(lines) if "prev = seen.get(key)" in text) + 1
-        checked = []
+        # each walk starts from its root's window and level. Every child it
+        # draws from its rows has the rows of its path: the root's rows in
+        # the arena, then those of the nodes the walk went down through,
+        # then its own. The ships the walk notes are exactly the drawn
+        # children with key 0 and a live row in the parent's window. Of the
+        # others, the child the walk goes down to (or stops at, at the
+        # limit) is in seen at its level, unless seen is full and lacks it,
+        # and those it skips are in seen at no greater level, all under the
+        # state key of their last 2p rows; the child it goes down to is no
+        # goal and carries the window successors() reads on its path
+        original_probe, original_walk = search_mod._dfs_probe, search_mod._probe_walk
+        block, checked = [], []  # the roots being probed and how many walks have started; the keys checked
 
-        def in_probe(frame, event, arg):
-            if event == "line" and frame.f_lineno == check:
-                f = frame.f_locals
-                search, stack = f["search"], f["stack"]
-                n, hist = 2 * search.params.period, search.hist
-                rows = search.arena.all_rows(f["roots"][f["i"]]) + [top[0][-1] for top in stack[1:]] + [f["c"]]
-                assert f["key"] == fold_rows(rows[-n:], search.params.width)
-                assert f["key"] or not any(rows)  # a goal's last 2p rows are dead, and some before are not
-                assert stack[-1][0] == ([0] * hist + rows[:-1])[-hist:]
-                checked.append(f["key"])
-            return in_probe
+        def probe(search, roots, limit):
+            block[:] = [roots, 0]
+            return original_probe(search, roots, limit)
 
-        sys.settrace(lambda frame, event, arg: in_probe if frame.f_code is probe.__code__ else None)
-        try:
-            res = run_search(params, config)
-        finally:
-            sys.settrace(None)
+        def checked_walk(search, window, level, limit, ships):
+            roots, i = block
+            block[1] += 1
+            arena, hist, n, w = search.arena, search.hist, 2 * search.params.period, search.params.width
+            root_rows = arena.all_rows(roots[i])
+            assert level == search.level_of(roots[i])
+            drawn = []  # since the walk last stopped: the rows of the path to each child it drew
+
+            def draw(path, rows):
+                for c in rows:
+                    drawn.append([*path, c])
+                    yield c
+
+            def is_goal(path):
+                return not fold_rows(path[-n:], w) and any(([0] * hist + path[:-1])[-hist:])
+
+            walk = original_walk(search, window, level, limit, ships)
+            window, path = next(walk), root_rows
+            seen = walk.gi_frame.f_locals["seen"]
+            while True:
+                assert window == ([0] * hist + path)[-hist:]
+                assert path is root_rows or not is_goal(path)
+                noted = len(ships)
+                drawn.clear()
+                try:
+                    window = walk.send(draw(path, (yield window)))
+                    verdict = None
+                except StopIteration as end:
+                    verdict = end.value
+                assert ships[noted:] == [d[len(root_rows) :] for d in drawn if is_goal(d)]
+                chosen = drawn[-1] if verdict is not False else None  # gone down to, or at the limit
+                for d in drawn:
+                    if not is_goal(d):
+                        key, depth = fold_rows(d[-n:], w), level + len(d) - len(root_rows)
+                        if d is chosen:
+                            full = len(seen) == search.config.node_capacity
+                            assert seen.get(key) == depth or key not in seen and full
+                        else:
+                            assert seen.get(key, depth + 1) <= depth
+                        checked.append(key)
+                if verdict is not None:
+                    assert not verdict or len(chosen) - len(root_rows) == limit - level
+                    return verdict
+                path = chosen
+
+        monkeypatch.setattr(search_mod, "_dfs_probe", probe)
+        monkeypatch.setattr(search_mod, "_probe_walk", checked_walk)
+        res = run_search(params, config)
         assert res.ships
         assert len(checked) > res.status.states_expanded // 2
 
@@ -1034,25 +1089,44 @@ class TestLockstepProbes:
             assert run(minimum) == single
 
     def test_ended_probes_free_their_seen_states(self, monkeypatch):
-        # quick c/3: at every tick inside a block, each probe that has
-        # ended holds an empty seen dict, also while others run on
-        params, config = search_from_argv(bench_module("workloads").QUICK["quick-c3-even-w6-deepen"].argv())
-        tick, probe_code = Search._tick, search_mod._dfs_probe.__code__
-        checks = 0
+        # at every tick inside a block, each of its walks waits for rows,
+        # or has ended, which frees its frame stack and seen dict, or has
+        # been dropped after a ship that ends the search, which frees the
+        # walk itself; the dropped walks are those of the roots after some
+        # root. On quick c/3 walks end while others wait; on the LWSS at
+        # capacity 64, walks are dropped while others wait.
+        original_probe, original_walk, tick = search_mod._dfs_probe, search_mod._probe_walk, Search._tick
+        walks, beside = [], set()  # weak references to the block's walks; the states met beside a waiting walk
+
+        def probe(search, roots, limit):
+            walks.clear()
+            try:
+                return original_probe(search, roots, limit)
+            finally:
+                walks.clear()
+
+        def started(*args):
+            walk = original_walk(*args)
+            walks.append(weakref.ref(walk))
+            return walk
 
         def checked_tick(search, force=False):
-            nonlocal checks
-            caller = sys._getframe(1)
-            if caller.f_code is probe_code:
-                stacks, seens = caller.f_locals["stacks"], caller.f_locals["seens"]
-                ended = [seen for stack, seen in zip(stacks, seens) if not stack]
-                assert not any(ended)
-                checks += bool(ended) and any(stacks)
+            states = ["dropped" if w is None else "ended" if w.gi_frame is None else "waiting" for w in (r() for r in walks)]
+            dropped = states.count("dropped")
+            assert "dropped" not in states[: len(states) - dropped]
+            if "waiting" in states:
+                beside.update(states)
             tick(search, force)
 
+        monkeypatch.setattr(search_mod, "_dfs_probe", probe)
+        monkeypatch.setattr(search_mod, "_probe_walk", started)
         monkeypatch.setattr(Search, "_tick", checked_tick)
+        params, config = search_from_argv(bench_module("workloads").QUICK["quick-c3-even-w6-deepen"].argv())
         run_search(params, config)
-        assert checks > 0
+        assert beside == {"waiting", "ended"}
+        beside.clear()
+        run_search(SearchParams(LIFE, 2, 1, 5, GLIDE_REFLECT), SearchConfig(64))
+        assert "dropped" in beside
 
     @pytest.mark.parametrize("continue_after_find", [False, True], ids=["first-find", "continue"])
     def test_earlier_roots_ship_comes_first(self, monkeypatch, continue_after_find):
@@ -1064,14 +1138,22 @@ class TestLockstepProbes:
         params = SearchParams(LIFE, 2, 1, 5, GLIDE_REFLECT)
         config = SearchConfig(64, 4 if continue_after_find else None, continue_after_find)
         lockstep, original_record = search_mod._dfs_probe, Search._record_ship
-        lines, start = inspect.getsourcelines(lockstep)
-        goal = start + next(i for i, text in enumerate(lines) if "ships[i].append(" in text)
-        block, met, recorded = [], [], []  # the roots being probed; per block, the roots of goals met, of ships recorded
+        # the roots being probed and those whose walks have started; per
+        # block, the roots of goals met, of ships recorded
+        block, walks, met, recorded = [], [], [], []
 
-        def in_probe(frame, event, arg):
-            if event == "line" and frame.f_lineno == goal:
-                met[-1].append(frame.f_locals["i"])
-            return in_probe
+        def watch(search, window, level, limit, ships):
+            # walks start in root order; the walk's ships list grows by one
+            # for each goal it meets
+            root, noted = len(walks), 0
+            walks.append(root)
+
+            def step(walk):
+                nonlocal noted
+                met[-1].extend([root] * (len(ships) - noted))
+                noted = len(ships)
+
+            return step
 
         def logged_record(search, rows):
             if block:
@@ -1082,18 +1164,17 @@ class TestLockstepProbes:
             return original_record(search, rows)
 
         def logged_probe(search, roots, limit):
-            block[:] = roots
+            block[:], walks[:] = roots, []
             met.append([])
             recorded.append([])
-            sys.settrace(lambda frame, event, arg: in_probe if frame.f_code is lockstep.__code__ else None)
             try:
                 return lockstep(search, roots, limit)
             finally:
-                sys.settrace(None)
                 block.clear()
 
         monkeypatch.setattr(Search, "_record_ship", logged_record)
         sequential = self.check_same(monkeypatch, params, config)
+        _watch_walks(monkeypatch, watch)
         run = _probe_run(monkeypatch, logged_probe, DEFAULT_BATCH_MIN, params, config)
         assert run == sequential
         met, recorded = next((m, r) for m, r in zip(met, recorded) if m)
