@@ -12,14 +12,15 @@ can launch one deliberately; nothing in the test suite depends on them.
 Memory grows with --capacity. The search tree, its duplicate table and
 the queue take about 29 bytes a node at the weekender's 126-bit state
 keys. On a 2-core x86-64 VM (Python 3.11, NumPy 2.4; 30 MB of imports),
-the weekender filled its tree to 2^24 nodes in about 7 s and peaked there
-at about 570 MB resident (ru_maxrss), 34 bytes a node; stopped 120 s
-into its first deepening round, 21M expansions in, it had peaked at
-830 MB, the probes' own tables of the states they met included (each is
-freed when its probe ends). That is about 50 bytes a node, so the
-default --capacity 2**26 needs about 3.3 GB, more the longer a round
-runs. At 2^22 nodes the same run peaked at 305 MB, 73 bytes a node, as
-the imports and the probes' tables weigh more against a smaller tree.
+the weekender filled its tree to 2^22 nodes in 1.7 s, peaking at 182 MB
+resident (ru_maxrss), and to 2^24 nodes in 5.6 s, peaking at 562 MB,
+34 bytes a node. Stopped 120 s into its first deepening round, 21M
+expansions in, the 2^24 run had peaked at 830 MB, the probes' own tables
+of the states they met included (each is freed when its probe ends).
+That is about 50 bytes a node, so the default --capacity 2**26 needs
+about 3.3 GB, more the longer a round runs. A 2^22 run stopped the same
+way peaked at 305 MB, 73 bytes a node, as the imports and the probes'
+tables weigh more against a smaller tree.
 
 The test suites cover the same machinery at desk scale (small Life
 ships, the turtle, oracle sweeps), which is why these stay optional.

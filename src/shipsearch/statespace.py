@@ -351,10 +351,17 @@ class NodeArena:
     def windows(self, nodes, count: int) -> np.ndarray:
         """rows_back(idx, count) for every idx in nodes, as the rows of one
         (len(nodes), count) uint32 array, read in count steps of all nodes
-        at once; a walk that has left the arena (index -1) reads a dead row."""
+        at once; a walk that has left the arena (index -1) reads a dead row.
+        When none can, each step is two plain gathers."""
         rows, parents = _view(self.rows), _view(self.parents)
         out = np.empty((count, len(nodes)), dtype=np.uint32)
         cur = np.asarray(nodes, dtype=np.intp)
+        if len(cur) and self.depth(int(cur.min())) >= count - 1:  # the least index is the shallowest node
+            for step in range(count):
+                if step:
+                    cur = parents.take(cur)
+                rows.take(cur, out=out[-1 - step])
+            return out.T
         for step in range(count):
             inside = cur >= 0
             out[-1 - step] = np.where(inside, rows[cur], 0)
@@ -547,10 +554,9 @@ class TranspositionTable:
     (limbs_of), and transposition_insert, which the search uses only for
     the seed's key 0, one int key. An offer inserts its fresh keys into
     the run, and the run is folded into the sorted part once it holds
-    more than RECENT_MIN keys and more than an eighth of it. A fold
-    merges in place (_fold), so the sorted part is never copied: the
-    table holds its keys and the run's, plus scratch of about the run's
-    size while it folds."""
+    more than RECENT_MIN keys and more than an eighth of it (_fold).
+    While it folds, the table briefly holds the old sorted part beside
+    the merged one, plus scratch of up to the run's size."""
 
     def __init__(self, params: SearchParams):
         rows, self.limbs = key_limbs(params)
@@ -586,49 +592,37 @@ class TranspositionTable:
             return np.ascontiguousarray(limbs[:, 0])
         return np.ascontiguousarray(limbs, dtype=">u8").view(f"S{8 * self.limbs}")[:, 0]
 
-    def _add(self, keys: np.ndarray) -> None:
-        """Insert sorted keys, absent from the table, into the run, and
-        fold the run into the sorted part once it is due."""
-        self.run_keys = np.insert(self.run_keys, self.run_keys.searchsorted(keys), keys)
+    def _add(self, keys: np.ndarray, at: np.ndarray) -> None:
+        """Insert sorted keys, absent from the table, into the run at its
+        insertion points at, and fold the run once it is due."""
+        self.run_keys = np.insert(self.run_keys, at, keys)
         if len(self.run_keys) > max(RECENT_MIN, len(self.keys) // 8):
             self._fold()
 
     def _fold(self) -> None:
-        """Merge the run into the sorted part in place, from the back, as
-        merge sort's merge step does. The sorted part grows to the merged
-        length (ValueError while a view of it lives, rather than leave the
-        view dangling; ndarray.resize's own check would also count a
-        profiler's reference); its keys move up, a slice of
-        max(RECENT_MIN, run) keys at a time, the last first, each by the
-        run keys that go before it (a bincount of their insertion points
-        in the slice); then the run's keys fill the gaps. The scratch is
-        a few arrays of a slice's length, never a copy of the sorted part."""
+        """Merge the run into the sorted part: the sorted part grows to the
+        merged length (ValueError while a view of it lives, rather than
+        leave the view dangling; ndarray.resize's own check would also
+        count a profiler's reference), the run is copied to its end, and
+        one stable sort, timsort, merges the two sorted stretches in a
+        galloping pass. The resize copies the sorted part (NumPy 2.4:
+        growing 33.6 MB of keys by an eighth raised ru_maxrss by 33.7 MB),
+        which tracemalloc sees only as the growth, and the sort's scratch
+        of up to the run's size is allocated outside tracemalloc."""
         run, n = self.run_keys, len(self.keys)
-        at = self.keys.searchsorted(run)  # per run key, the old keys before it
         if sys.getrefcount(self.keys) > 2:  # this attribute and getrefcount's argument
             raise ValueError("cannot resize the sorted keys while a view of them lives")
         self.keys.resize(n + len(run), refcheck=False)
-        keys, step = self.keys, max(RECENT_MIN, len(run))
-        for hi in range(n, at[0], -step):  # the old keys before the first run key stay
-            lo = max(at[0], hi - step)
-            before, inside = at.searchsorted(lo), at.searchsorted(hi)  # run keys before lo, before hi
-            # key lo + i moves up by before + the run keys at lo..lo + i
-            dest = np.bincount(at[before:inside] - lo, minlength=hi - lo)
-            dest += 1
-            np.cumsum(dest, out=dest)
-            dest += lo + before - 1
-            keys[dest] = keys[lo:hi]
-        at += np.arange(len(run))
-        keys[at] = run
+        self.keys[n:] = run
+        self.keys.sort(kind="stable")
         self.run_keys = run[:0].copy()  # a view would keep the old run alive
 
 
-def _absent(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Per query key, whether the sorted keys lack it."""
+def _absent(keys: np.ndarray, query: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Per query key, whether the sorted keys lack it; at is keys.searchsorted(query)."""
     if not len(keys):
         return np.ones(len(query), dtype=bool)
-    at = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
-    return keys[at] != query
+    return keys[np.minimum(at, len(keys) - 1)] != query
 
 
 def transposition_insert(table: TranspositionTable, key: int) -> tuple[str]:
@@ -640,8 +634,10 @@ def transposition_insert_many(table: TranspositionTable, keys: np.ndarray) -> np
     """Adds each row i of keys (limbs, as TranspositionTable takes them);
     returns, in order, the positions i of the fresh offers: each key's
     first offer, where the table lacked that key."""
-    # each key's first offer, then those neither sorted part holds
-    sortable, at = np.unique(table._sortable(keys), return_index=True)
-    fresh = _absent(table.keys, sortable) & _absent(table.run_keys, sortable)
-    table._add(sortable[fresh])
-    return np.sort(at[fresh])
+    # each key's first offer, then those neither sorted part holds; the
+    # run is searched once, for the check and for where they go in it
+    sortable, first = np.unique(table._sortable(keys), return_index=True)
+    at = table.run_keys.searchsorted(sortable)
+    fresh = _absent(table.keys, sortable, table.keys.searchsorted(sortable)) & _absent(table.run_keys, sortable, at)
+    table._add(sortable[fresh], at[fresh])
+    return np.sort(first[fresh])
