@@ -36,15 +36,11 @@ class Pattern:
 
     def trim_tracked(self) -> tuple["Pattern", int, int]:
         """Trim, also returning the (x, y) offset of the kept box."""
-        rows = list(self.rows)
-        top = 0
-        while rows and rows[0] == 0:
-            rows.pop(0)
-            top += 1
-        while rows and rows[-1] == 0:
-            rows.pop()
-        if not rows:
+        live = [y for y, r in enumerate(self.rows) if r]
+        if not live:
             return Pattern(), 0, 0
+        top = live[0]
+        rows = self.rows[top : live[-1] + 1]
         left = min((r & -r).bit_length() - 1 for r in rows if r)
         width = max(r.bit_length() for r in rows) - left
         return Pattern(tuple(r >> left for r in rows), width), left, top

@@ -15,11 +15,12 @@ up to BATCH_CHUNK queued states of any levels as one chunk, a deepening
 round runs the depth-first walks of up to BATCH_CHUNK roots in lockstep,
 one generator each, and both take the rows of at least BATCH_MIN windows
 from one successors_batch call, of fewer from successors() on each. A
-chunk's children reach the arena and the transposition table in bulk,
-run by run, and a run's finished ships are caught among its children
-before they reach either; the frontier that compaction keeps is offered
-in bulk too. Counts, ships and progress reports are those of handling
-one state at a time, and nothing configures the batching. The arena
+chunk ends where a progress report falls due and is cut only by a full
+arena or a ship. Its children reach the arena and the transposition
+table in one bulk pass, its finished ships caught among them before
+they reach either; the frontier that compaction keeps is offered in
+bulk too. Counts, ships and progress reports are those of handling one
+state at a time, and nothing configures the batching. The arena
 holds the breadth-first tree alone: probe nodes never reach it, and
 ships are extracted from rows.
 
@@ -30,7 +31,7 @@ raised, never swallowed.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from itertools import chain
 
@@ -208,29 +209,31 @@ def _successor_lists(search: Search, windows: list) -> list[list[int]]:
 
 
 def _expand_head(search: Search) -> None:
-    """Expand the first BATCH_CHUNK queued states (fewer where the arena
-    has less room) exactly as expanding them one at a time in queue
-    order would: the chunk stops where run_search would stop expanding,
-    at a full arena or a ship that ends the search, and parents not
-    reached stay queued. Its parents are expanded in runs, each with one
-    bulk append to the arena and one bulk offer to the table; a run ends
-    before the parent at which the arena would be full and after the
-    parent at which a progress report falls due. Only a child whose
-    state key is 0 can finish a ship, so only those are goal-tested, in
-    order, from their parent's window before the run reaches the arena.
-    A ship that ends the search cuts the run at its child: the arena
-    takes the children through it, only those before it are offered,
-    and its parent is the last one expanded. Other goal children are
-    offered with the rest, and the seed's key 0 in the table turns them
-    away."""
-    queue = search.queue
-    if search.status.outcome != RUNNING or search.arena_full():
+    """Expand the first queued states as one chunk, in one pass, exactly
+    as expanding them one at a time in queue order would. The chunk takes
+    BATCH_CHUNK parents, fewer where the arena has less room, and ends
+    at the parent after which the next progress report falls due, so the
+    tick that follows makes that report. It is cut only where run_search
+    would stop expanding: before the parent at which the arena would be
+    full, or at a ship that ends the search; parents not reached stay
+    queued. Only a child whose state key is 0 can finish a ship, so only
+    those are goal-tested, in order, from their parent's window before
+    the chunk reaches the arena. A ship that ends the search cuts the
+    chunk at its child: the arena takes the children through it, only
+    those before it are offered, and its parent is the last one expanded.
+    Other goal children are offered with the rest, and the seed's key 0
+    in the table turns them away."""
+    queue, status = search.queue, search.status
+    if status.outcome != RUNNING or search.arena_full():
         return
     params, arena = search.params, search.arena
     room = search.config.node_capacity - (1 << params.width)  # arena_full() <=> len(arena) > room
     # each parent with a child brings the arena a node nearer to full, so
     # parents past the first room - len(arena) are seldom reached
-    chunk = queue.nodes(min(BATCH_CHUNK, max(1, room - len(arena))))
+    size = min(BATCH_CHUNK, max(1, room - len(arena)))
+    if search.progress is not None and search.config.progress_interval:  # as _tick reads it
+        size = min(size, max(1, search._last_progress + search.config.progress_interval - status.states_expanded))
+    chunk = queue.nodes(size)
     windows = arena.windows(chunk, search.hist)
     if len(chunk) >= BATCH_MIN:
         at, rows = successors_batch(params, search.tables, windows)
@@ -240,40 +243,30 @@ def _expand_head(search: Search) -> None:
         rows = np.fromiter(chain.from_iterable(found), dtype=np.uint64, count=len(at))
     keys = child_keys(params, windows, at, rows)
     first = [0, *np.cumsum(np.bincount(at, minlength=len(chunk))).tolist()]  # each parent's first child
-    zero = np.flatnonzero(~keys.any(axis=1)).tolist()  # the children with key 0
-    interval = search.config.progress_interval if search.progress is not None else 0  # as _tick reads it
-    j = 0
-    while j < len(chunk):
-        if search.status.outcome != RUNNING or search.arena_full():
-            return
-        # parents j..end-1: the arena fills before the first parent at
-        # which its length would pass room
-        end = min(len(chunk), bisect_right(first, room - len(arena) + first[j]))
-        if interval:
-            end = min(end, j + max(1, search._last_progress + interval - search.status.states_expanded))
-        lo, hi = first[j], first[end]
-        stop = hi  # the arena takes children lo..stop-1, the table lo..hi-1
-        # A child is a goal when its key is 0 and its parent's window holds
-        # a live row. A key-0 state is expanded only when nothing before it
-        # lives: the seed's key 0 from _new_table turns every key-0
-        # child away from the queue, and a probe pushes a key-0 child only
-        # when its window is dead. So a live row older than the window
-        # would have made the parent a goal, never expanded.
-        for i in zero[bisect_left(zero, lo) : bisect_left(zero, hi)]:
-            if windows[at[i]].any() and search._record_ship(arena.all_rows(int(chunk[at[i]])) + [int(rows[i])]):
-                end, stop, hi = int(at[i]) + 1, i + 1, i
-                break
-        start = len(arena)
-        arena.add_children(chunk[at[lo:stop]], rows[lo:stop])
-        queue.pop(end - j)
-        queue.extend(start + transposition_insert_many(search.tt, keys[lo:hi]))
-        search.status.states_expanded += end - j
-        # the head at the tick before the last parent's, which _tick
-        # keeps once the queue has drained
-        search._head = int(chunk[end - 1])
-        if search.status.outcome == RUNNING:
-            search._tick()  # none after a ship that ends the search
-        j = end
+    # parents 0..end-1: the arena fills before the first parent at which
+    # its length would pass room
+    end = min(len(chunk), bisect_right(first, room - len(arena)))
+    stop = hi = first[end]  # the arena takes children 0..stop-1, the table 0..hi-1
+    # A child is a goal when its key is 0 and its parent's window holds a
+    # live row. A key-0 state is expanded only when nothing before it
+    # lives: the seed's key 0 from _new_table turns every key-0 child away
+    # from the queue, and a probe pushes a key-0 child only when its
+    # window is dead. So a live row older than the window would have made
+    # the parent a goal, never expanded.
+    for i in np.flatnonzero(~keys[:hi].any(axis=1)).tolist():
+        if windows[at[i]].any() and search._record_ship(arena.all_rows(int(chunk[at[i]])) + [int(rows[i])]):
+            end, stop, hi = int(at[i]) + 1, i + 1, i
+            break
+    start = len(arena)
+    arena.add_children(chunk[at[:stop]], rows[:stop])
+    queue.pop(end)
+    queue.extend(start + transposition_insert_many(search.tt, keys[:hi]))
+    status.states_expanded += end
+    # the head at the tick before the last parent's, which _tick keeps
+    # once the queue has drained
+    search._head = int(chunk[end - 1])
+    if status.outcome == RUNNING:
+        search._tick()  # none after a ship that ends the search
 
 
 def _probe_walk(search: Search, window: list[int], level: int, limit: int, ships: list):

@@ -9,7 +9,7 @@ edge-mask steps are checked against, the share of a table's entries
 pruned, the p2 table's backward closure as a plain fixed-point loop,
 the star and p2 tables built over their whole unfactored grids, the
 bench's modules and search command lines, the one-state-at-a-time
-breadth-first expansion that the bulk runs are checked against, and
+breadth-first expansion that the bulk chunks are checked against, and
 the one-root-at-a-time deepening probe that the lockstep probe is
 checked against."""
 
@@ -496,7 +496,7 @@ def level_ordered_forest(nodes):
 
 def sequential_expand(search):
     """The breadth-first expansion of the queue head on its own, which
-    _expand_head must match run for run: each successor row is added to
+    _expand_head must match parent for parent: each successor row is added to
     the arena as a child of the head, a child that finishes a ship is
     recorded, and one whose ship ends the search ends the expansion with
     no tick; every other child is offered to the table, one at a time,

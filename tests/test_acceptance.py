@@ -3,12 +3,14 @@
 Each test pins the user-visible claims: the p=2 pruning fractions, the
 small-ship rediscoveries with their time budgets, bulk agreement between
 the fast successor path and the brute-force oracle, capacity-independent
-first ships, the capacity-dependent ship sets of `--continue` that the
+first ships, a search that finds every small ship the oracle finds in
+its mode, the capacity-dependent ship sets of `--continue` that the
 README states, the state-space banner, re-verification of everything
 emitted, the documented-only status of the long searches, and that both
 scripts run.
 """
 
+import math
 import random
 import subprocess
 import sys
@@ -17,9 +19,9 @@ from pathlib import Path
 
 import pytest
 
-from helpers import brute_successors, pruned_percent
+from helpers import brute_successors, evolve_cells, pruned_percent
 from shipsearch.cli import banner_text
-from shipsearch.oracle import _orbit_key, oracle_successors
+from shipsearch.oracle import _orbit_key, oracle_ship_search, oracle_successors
 from shipsearch.pattern import classify_ship
 from shipsearch.rules import parse_rule
 from shipsearch.search import SHIP_FOUND, SearchConfig, run_search
@@ -133,6 +135,77 @@ def test_capacity_extremes_find_the_same_ship():
         if capacity == 8:
             assert result.status.deepening_limit > 0  # the tiny arena really deepened
     assert speeds[0] == speeds[1] == (4, 0, 2)
+
+
+def _drawn_rule(rng):
+    """B3 with each other birth count at odds 1 in 4, and each survival
+    count at odds 2 in 5."""
+    birth = "3" + "".join(n for n in "45678" if rng.random() < 0.25)
+    return parse_rule(f"B{birth}/S" + "".join(n for n in "012345678" if rng.random() < 0.4))
+
+
+def _oracle_modes(rule, ships):
+    """The asymmetric search modes (p, k, width, translation) in which the
+    oracle's ships fit: orthogonal or 45-degree diagonal motion, p and k
+    coprime, and at most 6 columns. An orthogonal ship needs its extent
+    across the motion over all p phases; a diagonal one, one more than the
+    larger side of its box in any phase."""
+    modes = set()
+    for pattern, desc in ships:
+        p, dx, dy = desc.period, desc.dx, desc.dy
+        k = max(abs(dx), abs(dy))
+        if dx and dy and abs(dx) != abs(dy) or k >= p or math.gcd(k, p) != 1:
+            continue
+        cells = {(x, y) for y, row in enumerate(pattern.rows) for x in range(pattern.width) if row >> x & 1}
+        phases = evolve_cells(rule, cells, p - 1)
+
+        def extent(i, cells):
+            return max(c[i] for c in cells) - min(c[i] for c in cells) + 1
+
+        if dx and dy:
+            translation, width = DIAGONAL, 1 + max(extent(i, phase) for phase in phases for i in (0, 1))
+        else:  # the coordinate across the motion stays put over the phases
+            translation, width = ORTHOGONAL, extent(int(dx != 0), set().union(*phases))
+        if width <= 6:
+            modes.add((p, k, width, translation))
+    return sorted(modes)
+
+
+# The draws of _drawn_rule from random.Random(7), among its first 173,
+# whose ships from oracle_ship_search(rule, (4, 3), 4) fit a search mode:
+# B34/S013567, B348/S34578, B34/S01358, B38/S23678, B34/S2368,
+# B37/S12468, B3/S235, B3467/S34, B378/S2358, B3/S03456, B3/S3458 and
+# B347/S0348, one mode each (p2 and p3 orthogonal, p4 diagonal, widths 4
+# and 5). The one other draw there with an oracle ship, B378/S34578,
+# fits none.
+ORACLE_DRAWS = (5, 23, 37, 38, 52, 72, 112, 113, 116, 126, 150, 172)
+
+
+def test_search_finds_every_small_oracle_ship():
+    # completeness: where the brute-force oracle finds a ship in a 4x3
+    # seed box, the search in that ship's mode and width finds a ship
+    # too, without narrowing, whatever the node capacity: from plain
+    # iterative deepening at 4p nodes to no deepening round at 2^22
+    rng = random.Random(7)
+    rules = [_drawn_rule(rng) for _ in range(ORACLE_DRAWS[-1] + 1)]
+    searched = []
+
+    def within_budget(status):
+        # each finds its ship within 1,700 expansions; one that misses it
+        # deepens without end, as nothing narrows the strip
+        assert status.states_expanded < 100_000, status
+    for n in ORACLE_DRAWS:
+        rule = rules[n]
+        modes = _oracle_modes(rule, oracle_ship_search(rule, (4, 3), 4))
+        assert modes, str(rule)
+        for p, k, width, translation in modes:
+            params = SearchParams(rule, p, k, width, ASYMMETRIC, translation)
+            for capacity in (4 * p, 64, 1 << 22):
+                config = SearchConfig(node_capacity=capacity, progress_interval=10_000)
+                outcome = run_search(params, config, progress=within_budget).status.outcome
+                assert outcome == SHIP_FOUND, (str(rule), p, k, width, translation, capacity)
+            searched.append((p, translation))
+    assert {(2, ORTHOGONAL), (3, ORTHOGONAL), (4, DIAGONAL)} <= set(searched)
 
 
 @pytest.mark.slow

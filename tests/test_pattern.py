@@ -139,6 +139,30 @@ class TestEmitRle:
         assert all(len(line) <= 70 for line in emit_rle(p, LIFE).splitlines())
 
 
+class TestTrim:
+    def test_tallest_header_one_cell(self):
+        # the tallest height parse_rle accepts, one live cell mid-way: a
+        # trim that drops dead rows one at a time from the front takes
+        # minutes here
+        y = 1 << 20
+        rows = [0] * y
+        rows[y // 2] = 1 << 5
+        assert Pattern(tuple(rows), 8).trim_tracked() == (Pattern((1,), 1), 5, y // 2)
+
+    def test_dead_pattern(self):
+        assert Pattern((0, 0, 0), 4).trim_tracked() == (Pattern(), 0, 0)
+
+    @given(patterns_st())
+    def test_offsets_place_the_trimmed_box(self, p):
+        trimmed, left, top = p.trim_tracked()
+        cells = {(x, y) for y, r in enumerate(p.rows) for x in range(p.width) if r >> x & 1}
+        kept = {(x + left, y + top) for y, r in enumerate(trimmed.rows) for x in range(trimmed.width) if r >> x & 1}
+        assert kept == cells
+        if cells:  # the box is tight: each edge holds a live cell
+            xs, ys = {x for x, _ in cells}, {y for _, y in cells}
+            assert (left, top, trimmed.width, trimmed.height) == (min(xs), min(ys), max(xs) - min(xs) + 1, max(ys) - min(ys) + 1)
+
+
 class TestEvolve:
     def test_blinker_flips(self):
         assert evolve_pattern(LIFE, BLINKER, 1) == Pattern((1, 1, 1), 1)

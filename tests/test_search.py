@@ -20,6 +20,7 @@ from shipsearch import search as search_mod
 from shipsearch.pattern import classify_ship
 from shipsearch.rules import parse_rule
 from shipsearch.search import (
+    BATCH_CHUNK,
     EXHAUSTED,
     RUNNING,
     SHIP_FOUND,
@@ -887,9 +888,13 @@ class TestBatchedLevels:
         kernel_windows = log.windows
         assert _reports(monkeypatch, NEVER, params, config) == batched
         assert log.windows == kernel_windows  # none at all with batching off
-        log.paused = True  # the log describes the run with every state batched
+        log.paused = True
         assert _reports(monkeypatch, DEFAULT_BATCH_MIN, params, config) == batched
         log.paused = False
+        # with a report at every expansion each chunk is one parent, so the
+        # log's stops come from a run with every state batched and reports
+        # off, whose chunks only a full arena or a ship cuts
+        assert _reports(monkeypatch, 1, params, config, interval=0)[1:] == batched[1:]
         return batched[1]
 
     @pytest.mark.parametrize("name", list(bench_module("workloads").QUICK))
@@ -907,19 +912,46 @@ class TestBatchedLevels:
     @pytest.mark.parametrize("interval", [7, 97, 1000])
     @pytest.mark.parametrize("name", list(bench_module("workloads").QUICK))
     def test_reports_due_inside_a_chunk(self, monkeypatch, name, interval):
-        # a chunk expands its parents in runs, and a run ends at the parent
-        # after which a report falls due; a run that ends one parent late
-        # or early reports other counts
+        # a chunk ends at the parent after which a report falls due, and
+        # is cut only by a full arena or a ship; a chunk that ends one
+        # parent late or early reports other counts
         params, config = search_from_argv(bench_module("workloads").QUICK[name].argv())
         single = _reports(monkeypatch, NEVER, params, config, interval)
         for minimum in (1, DEFAULT_BATCH_MIN):
             assert _reports(monkeypatch, minimum, params, config, interval) == single
 
+    @pytest.mark.parametrize("interval", [0, 7, 50])  # the shortest search makes 78 expansions
+    @pytest.mark.parametrize("name", list(bench_module("workloads").QUICK))
+    def test_chunks_end_where_reports_fall_due(self, monkeypatch, name, interval):
+        # with reports on, no chunk carries the count past the report due
+        # when it starts, and some end right there; with reports off, a
+        # chunk falls short of BATCH_CHUNK parents only where the queue
+        # runs out, the arena has no more room or a ship ends the search
+        params, config = search_from_argv(bench_module("workloads").QUICK[name].argv())
+        expand, at_due, short = search_mod._expand_head, [], []
+
+        def checked(search):
+            due = search._last_progress + interval
+            before, queued = search.status.states_expanded, len(search.queue)
+            room = search.config.node_capacity - (1 << search.params.width) - len(search.arena)
+            expand(search)
+            after = search.status.states_expanded
+            if interval:
+                assert before < after <= due
+                at_due.append(after == due)
+            elif after - before < BATCH_CHUNK:
+                assert after - before in (queued, max(1, room)) or search.arena_full() or search.status.outcome != RUNNING
+                short.append(after - before)
+
+        monkeypatch.setattr(search_mod, "_expand_head", checked)
+        _reports(monkeypatch, DEFAULT_BATCH_MIN, params, config, interval)
+        assert any(at_due) if interval else short
+
     @pytest.mark.parametrize("minimum", [1, 3, 5])
     def test_drained_queue_keeps_the_last_head(self, monkeypatch, minimum):
-        # c/3 odd width 4 exhausts in a chunk whose last run spans two
-        # levels with no fresh child: the final status still gives the
-        # level of the head noted last, 29 (28 if it kept the run's first)
+        # c/3 odd width 4 exhausts in a chunk that spans two levels with
+        # no fresh child: the final status still gives the level of the
+        # head noted last, 29 (28 if it kept the chunk's first)
         params = SearchParams(LIFE, 3, 1, 4, ODD_MIRROR)
         batched = _reports(monkeypatch, minimum, params, SearchConfig(), interval=0)
         assert batched == _reports(monkeypatch, NEVER, params, SearchConfig(), interval=0)
@@ -950,7 +982,7 @@ class TestBatchedLevels:
 
 
 class TestSequentialExpansion:
-    # a chunk expanded in bulk runs must be indistinguishable from
+    # a chunk expanded in one bulk pass must be indistinguishable from
     # expanding its states one queue head at a time: the same reports,
     # final status (arena size and frontier level too) and ships, in the
     # same order
@@ -983,7 +1015,7 @@ class TestSequentialExpansion:
     def test_ship_that_drains_the_queue(self):
         # the LWSS's goal parent queued behind the node expanded just
         # before it, whose children are all known by then (re-expanding it
-        # keeps the arena in level order): the one run that expands both
+        # keeps the arena in level order): the one chunk that expands both
         # ends at the ship with the queue drained, and the final status
         # gives the goal parent's level, that of the head at the last tick
         # of a one-at-a-time expansion
