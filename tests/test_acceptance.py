@@ -179,6 +179,9 @@ def _oracle_modes(rule, ships):
 # and 5). The one other draw there with an oracle ship, B378/S34578,
 # fits none.
 ORACLE_DRAWS = (5, 23, 37, 38, 52, 72, 112, 113, 116, 126, 150, 172)
+# Rules from another seeded draw, with other odds, whose oracle ships fit
+# one mode each (p2 and p3 orthogonal, p4 diagonal, widths 4 and 5).
+ORACLE_RULES = ("B3468/S13568", "B367/S2356", "B36/S03456", "B3/S035", "B36/S235", "B35/S124678", "B346/S348")
 
 
 def test_search_finds_every_small_oracle_ship():
@@ -194,8 +197,7 @@ def test_search_finds_every_small_oracle_ship():
         # each finds its ship within 1,700 expansions; one that misses it
         # deepens without end, as nothing narrows the strip
         assert status.states_expanded < 100_000, status
-    for n in ORACLE_DRAWS:
-        rule = rules[n]
+    for rule in [rules[n] for n in ORACLE_DRAWS] + [parse_rule(text) for text in ORACLE_RULES]:
         modes = _oracle_modes(rule, oracle_ship_search(rule, (4, 3), 4))
         assert modes, str(rule)
         for p, k, width, translation in modes:

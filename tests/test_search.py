@@ -884,17 +884,25 @@ class TestBatchedLevels:
     # arena sizes, compaction points and ships, in the same order
 
     def check_same(self, monkeypatch, log, params, config):
-        batched = _reports(monkeypatch, 1, params, config)
+        # with a report at every expansion each chunk is one parent; at
+        # intervals 7 and 97 chunks span many parents and end where a
+        # report falls due
+        log.paused = True
+        for interval in (1, 7, 97):
+            single = _reports(monkeypatch, NEVER, params, config, interval)
+            for minimum in (1, DEFAULT_BATCH_MIN):
+                assert _reports(monkeypatch, minimum, params, config, interval) == single
+        log.paused = False
+        # the log's stops come from a run with every state batched and
+        # reports off, whose chunks only a full arena or a ship cuts
+        batched = _reports(monkeypatch, 1, params, config, interval=0)
         kernel_windows = log.windows
-        assert _reports(monkeypatch, NEVER, params, config) == batched
+        assert _reports(monkeypatch, NEVER, params, config, interval=0) == batched
         assert log.windows == kernel_windows  # none at all with batching off
         log.paused = True
-        assert _reports(monkeypatch, DEFAULT_BATCH_MIN, params, config) == batched
+        assert _reports(monkeypatch, DEFAULT_BATCH_MIN, params, config, interval=0) == batched
         log.paused = False
-        # with a report at every expansion each chunk is one parent, so the
-        # log's stops come from a run with every state batched and reports
-        # off, whose chunks only a full arena or a ship cuts
-        assert _reports(monkeypatch, 1, params, config, interval=0)[1:] == batched[1:]
+        assert batched[1:] == single[1:]  # the same final status and ships with reports on
         return batched[1]
 
     @pytest.mark.parametrize("name", list(bench_module("workloads").QUICK))
@@ -988,11 +996,15 @@ class TestSequentialExpansion:
     # same order
 
     def check_same(self, monkeypatch, params, config):
+        # at interval 1 each chunk is one parent; at 7, 97 and with
+        # reports off (0) a chunk spans many, and every report inside it
+        # is checked against one-at-a-time expansion
         bulk = search_mod._expand_head
-        monkeypatch.setattr(search_mod, "_expand_head", sequential_expand)
-        sequential = _reports(monkeypatch, DEFAULT_BATCH_MIN, params, config)
-        monkeypatch.setattr(search_mod, "_expand_head", bulk)
-        assert _reports(monkeypatch, DEFAULT_BATCH_MIN, params, config) == sequential
+        for interval in (1, 7, 97, 0):
+            monkeypatch.setattr(search_mod, "_expand_head", sequential_expand)
+            sequential = _reports(monkeypatch, DEFAULT_BATCH_MIN, params, config, interval)
+            monkeypatch.setattr(search_mod, "_expand_head", bulk)
+            assert _reports(monkeypatch, DEFAULT_BATCH_MIN, params, config, interval) == sequential
         return sequential[1]
 
     @pytest.mark.parametrize("name", list(bench_module("workloads").QUICK))
