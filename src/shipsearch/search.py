@@ -15,14 +15,16 @@ up to BATCH_CHUNK queued states of any levels as one chunk, a deepening
 round runs the depth-first walks of up to BATCH_CHUNK roots in lockstep,
 one generator each, and both take the rows of at least BATCH_MIN windows
 from one successors_batch call, of fewer from successors() on each. A
-chunk ends where a progress report falls due and is cut only by a full
-arena or a ship. Its children reach the arena and the transposition
-table in one bulk pass, its finished ships caught among them before
-they reach either; the frontier that compaction keeps is offered in
-bulk too. Counts, ships and progress reports are those of handling one
-state at a time, and nothing configures the batching. The arena
-holds the breadth-first tree alone: probe nodes never reach it, and
-ships are extracted from rows.
+chunk is cut only by a full arena or a ship. Its children reach the
+arena and the transposition table in one bulk pass, its finished ships
+caught among them before they reach either; the frontier that
+compaction keeps is offered in bulk too. Counts and ships are those of
+handling one state at a time, and nothing configures the batching.
+Both phases report progress at the end of a step, a chunk or a probe
+step, once progress_interval expansions have passed since the last
+report; after a chunk, the status is that of expanding one state at a
+time to the same count. The arena holds the breadth-first tree alone:
+probe nodes never reach it, and ships are extracted from rows.
 
 Every candidate ship is re-verified by evolving the extracted pattern;
 a verification failure means the constraint machinery is wrong and is
@@ -121,7 +123,6 @@ class Search:
         self._ship_keys: set = set()
         self.status = SearchStatus(current_width=params.width)
         self._last_progress = 0
-        self._head: int | None = None  # queue head at the last _tick
 
     # -- small helpers ----------------------------------------------------
 
@@ -154,18 +155,15 @@ class Search:
             transposition_insert_many(self.tt, keys)
 
     def _tick(self, force: bool = False) -> None:
-        # status is refreshed only for a report or when forced; a drained
-        # queue leaves the frontier level at the head noted last
-        if self.queue:
-            self._head = self.queue[0]
-        if not force:
-            interval = self.config.progress_interval
-            if self.progress is None or not interval or self.status.states_expanded - self._last_progress < interval:
-                return
+        # a step's end: refresh the status (a drained queue keeps the
+        # frontier level) and report when forced or when due
         self.status.nodes_in_arena = len(self.arena)
-        if self._head is not None:
-            self.status.frontier_level = self.level_of(self._head)
-        if self.progress is not None:
+        if self.queue:
+            self.status.frontier_level = self.level_of(self.queue[0])
+        if self.progress is None:
+            return
+        interval = self.config.progress_interval
+        if force or interval and self.status.states_expanded - self._last_progress >= interval:
             self._last_progress = self.status.states_expanded
             self.progress(replace(self.status))
 
@@ -211,18 +209,18 @@ def _successor_lists(search: Search, windows: list) -> list[list[int]]:
 def _expand_head(search: Search) -> None:
     """Expand the first queued states as one chunk, in one pass, exactly
     as expanding them one at a time in queue order would. The chunk takes
-    BATCH_CHUNK parents, fewer where the arena has less room, and ends
-    at the parent after which the next progress report falls due, so the
-    tick that follows makes that report. It is cut only where run_search
-    would stop expanding: before the parent at which the arena would be
-    full, or at a ship that ends the search; parents not reached stay
-    queued. Only a child whose state key is 0 can finish a ship, so only
-    those are goal-tested, in order, from their parent's window before
-    the chunk reaches the arena. A ship that ends the search cuts the
-    chunk at its child: the arena takes the children through it, only
-    those before it are offered, and its parent is the last one expanded.
-    Other goal children are offered with the rest, and the seed's key 0
-    in the table turns them away."""
+    BATCH_CHUNK parents, fewer where the arena has less room, and is cut
+    only where run_search would stop expanding: before the parent at
+    which the arena would be full, or at a ship that ends the search;
+    parents not reached stay queued. A chunk that drains the queue leaves
+    the frontier level at its last parent's, as the tick before that
+    parent's own expansion would. Only a child whose state key is 0 can
+    finish a ship, so only those are goal-tested, in order, from their
+    parent's window before the chunk reaches the arena. A ship that ends
+    the search cuts the chunk at its child: the arena takes the children
+    through it, only those before it are offered, and its parent is the
+    last one expanded. Other goal children are offered with the rest, and
+    the seed's key 0 in the table turns them away."""
     queue, status = search.queue, search.status
     if status.outcome != RUNNING or search.arena_full():
         return
@@ -230,10 +228,7 @@ def _expand_head(search: Search) -> None:
     room = search.config.node_capacity - (1 << params.width)  # arena_full() <=> len(arena) > room
     # each parent with a child brings the arena a node nearer to full, so
     # parents past the first room - len(arena) are seldom reached
-    size = min(BATCH_CHUNK, max(1, room - len(arena)))
-    if search.progress is not None and search.config.progress_interval:  # as _tick reads it
-        size = min(size, max(1, search._last_progress + search.config.progress_interval - status.states_expanded))
-    chunk = queue.nodes(size)
+    chunk = queue.nodes(min(BATCH_CHUNK, max(1, room - len(arena))))
     windows = arena.windows(chunk, search.hist)
     if len(chunk) >= BATCH_MIN:
         at, rows = successors_batch(params, search.tables, windows)
@@ -262,9 +257,8 @@ def _expand_head(search: Search) -> None:
     queue.pop(end)
     queue.extend(start + transposition_insert_many(search.tt, keys[:hi]))
     status.states_expanded += end
-    # the head at the tick before the last parent's, which _tick keeps
-    # once the queue has drained
-    search._head = int(chunk[end - 1])
+    if not queue:
+        status.frontier_level = search.level_of(int(chunk[end - 1]))
     if status.outcome == RUNNING:
         search._tick()  # none after a ship that ends the search
 

@@ -567,24 +567,12 @@ class TranspositionTable:
     def __len__(self) -> int:
         return len(self.keys) + len(self.run_keys)
 
-    def __iter__(self):
-        """The int keys, the sorted part first."""
-        for keys in (self.keys, self.run_keys):
-            yield from self.ints_of(keys.view(np.uint64 if self.limbs == 1 else ">u8").reshape(-1, self.limbs))
-
     def limbs_of(self, keys) -> np.ndarray:
         """The limbs of int keys, as bulk offers take them."""
         mask = (1 << self.bits) - 1
         shifts = range((self.limbs - 1) * self.bits, -1, -self.bits)
         limbs = (key >> shift & mask for key in keys for shift in shifts)
         return np.fromiter(limbs, dtype=np.uint64, count=len(keys) * self.limbs).reshape(-1, self.limbs)
-
-    def ints_of(self, limbs: np.ndarray) -> list[int]:
-        """The int keys of rows of limbs; limbs_of inverted."""
-        keys = limbs[:, 0].tolist()
-        for j in range(1, self.limbs):
-            keys = [key << self.bits | limb for key, limb in zip(keys, limbs[:, j].tolist())]
-        return keys
 
     def _sortable(self, limbs: np.ndarray) -> np.ndarray:
         """Rows of limbs as one array that sorts like the keys."""

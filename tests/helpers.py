@@ -8,10 +8,10 @@ vertex folds and the vertex-set form of stages 2 and 3 that the
 edge-mask steps are checked against, the share of a table's entries
 pruned, the p2 table's backward closure as a plain fixed-point loop,
 the star and p2 tables built over their whole unfactored grids, the
-bench's modules and search command lines, the one-state-at-a-time
-breadth-first expansion that the bulk chunks are checked against, and
-the one-root-at-a-time deepening probe that the lockstep probe is
-checked against."""
+bench's modules and search command lines, a transposition table's
+keys as ints, the one-state-at-a-time breadth-first expansion that the
+bulk chunks are checked against, and the one-root-at-a-time deepening
+probe that the lockstep probe is checked against."""
 
 import importlib.util
 import sys
@@ -492,6 +492,19 @@ def level_ordered_forest(nodes):
         depths.append(depths[parent] + 1 if parent >= 0 else 0)
         arena.add(row, parent)
     return arena
+
+
+def int_keys(table, limbs=None):
+    """The int keys of rows of limbs, as TranspositionTable.limbs_of gives
+    them; by default those of the keys table holds, the sorted part
+    first."""
+    if limbs is None:
+        parts = (part.view(np.uint64 if table.limbs == 1 else ">u8") for part in (table.keys, table.run_keys))
+        limbs = np.concatenate([part.reshape(-1, table.limbs) for part in parts])
+    keys = limbs[:, 0].tolist()
+    for j in range(1, table.limbs):
+        keys = [key << table.bits | limb for key, limb in zip(keys, limbs[:, j].tolist())]
+    return keys
 
 
 def sequential_expand(search):

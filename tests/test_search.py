@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import bench_module, search_from_argv, sequential_expand, sequential_probes, walk_depths
+from helpers import bench_module, int_keys, search_from_argv, sequential_expand, sequential_probes, walk_depths
 from shipsearch import search as search_mod
 from shipsearch.pattern import classify_ship
 from shipsearch.rules import parse_rule
@@ -182,7 +182,7 @@ class TestCarriedKeys:
             caller = sys._getframe(1).f_locals
             nodes = caller["frontier"] if "frontier" in caller else range(caller["start"], caller["start"] + len(keys))
             recorded = set(fresh.tolist())
-            for i, (idx, key) in enumerate(zip(np.asarray(nodes).tolist(), table.ints_of(keys))):
+            for i, (idx, key) in enumerate(zip(np.asarray(nodes).tolist(), int_keys(table, keys))):
                 check(searches[-1], key, idx, ("fresh",) if i in recorded else ("duplicate",))
             return fresh
 
@@ -286,7 +286,7 @@ class TestChildKeys:
         at = np.sort(np.array([rng.randrange(len(parents)) for _ in range(80)], dtype=np.intp))
         rows = np.array([rng.getrandbits(w) if rng.random() < 0.5 else 0 for _ in at], dtype=np.uint64)
         limbs = child_keys(params, arena.windows(parents, history(params)), at, rows)
-        keys = TranspositionTable(params).ints_of(limbs)
+        keys = int_keys(TranspositionTable(params), limbs)
         # a child's state key: its parent's last 2p - 1 rows, then its own
         want = [fold_rows(arena.rows_back(parents[i], 2 * p - 1) + [row], w) for i, row in zip(at.tolist(), rows.tolist())]
         assert keys == want and 0 in want
@@ -358,10 +358,10 @@ class TestWeekenderFill:
             while search.queue and not search.arena_full():
                 search_mod._expand_head(search)
             arena = search.arena
-            return search, (search.queue.nodes().tolist(), (arena.rows, arena.parents, arena.starts), sorted(search.tt))
+            return search, (search.queue.nodes().tolist(), (arena.rows, arena.parents, arena.starts), sorted(int_keys(search.tt)))
 
         def sequential(table, keys):
-            fresh = [i for i, key in enumerate(table.ints_of(keys)) if transposition_insert(table, key) == ("fresh",)]
+            fresh = [i for i, key in enumerate(int_keys(table, keys)) if transposition_insert(table, key) == ("fresh",)]
             return np.array(fresh, dtype=np.intp)
 
         search, bulk = fill()
@@ -389,7 +389,7 @@ class TestReseed:
             search_mod._expand_head(search)
         for step in (search_mod.compact, reduce_width):
             step(search)
-            assert sorted(search.tt) == queued_keys(search)
+            assert sorted(int_keys(search.tt)) == queued_keys(search)
             assert len(search.queue) > 100 and search.tt.limbs == (1 if search.params.period == 3 else 2)
 
 
@@ -507,7 +507,7 @@ class TestFrontierHistory:
             before = histories(search)
             original_compact(search)
             assert histories(search) == before
-            assert sorted(search.tt) == queued_keys(search)
+            assert sorted(int_keys(search.tt)) == queued_keys(search)
             done["compact"] += 1
 
         def checked_reduce(search):
@@ -552,7 +552,7 @@ class TestFrontierHistory:
         assert search.queue
         reduce_width(search)
         assert not search.queue and search.params.width == top
-        assert list(search.tt) == queued_keys(search) == [0]  # the seed's state
+        assert int_keys(search.tt) == queued_keys(search) == [0]  # the seed's state
 
 
 PROBE_CASES = pytest.mark.parametrize(
@@ -729,7 +729,7 @@ class TestSeedChain:
             assert search.arena.rows[:n].tolist() == [0] * n
             assert search.arena.parents[:n].tolist() == [-1, *range(n - 1)]
             assert search.level_of(n - 1) == 0
-            assert sorted(search.tt) == queued_keys(search)  # the seed's state and the frontier's
+            assert sorted(int_keys(search.tt)) == queued_keys(search)  # the seed's state and the frontier's
             widths.append(search.params.width)
 
         monkeypatch.setattr(search_mod, "compact", checked)
@@ -788,49 +788,6 @@ class TestProgress:
         assert seen[-1].outcome == EXHAUSTED
 
 
-def _refresh_on_every_call(self, force=False):
-    # Search._tick as it was before the status refresh was gated on a
-    # report: every call refreshes it
-    self.status.nodes_in_arena = len(self.arena)
-    if self.queue:
-        self.status.frontier_level = self.level_of(self.queue[0])
-    if self.progress is None:
-        return
-    interval = self.config.progress_interval
-    due = interval and self.status.states_expanded - self._last_progress >= interval
-    if force or due:
-        self._last_progress = self.status.states_expanded
-        self.progress(replace(self.status))
-
-
-class TestGatedRefresh:
-    @pytest.mark.parametrize(
-        "params, config",
-        [
-            (SearchParams(LIFE, 4, 1, 5, EVEN_MIRROR), SearchConfig(progress_interval=1)),
-            (SearchParams(LIFE, 4, 1, 5, EVEN_MIRROR), SearchConfig(progress_interval=97)),
-            (SearchParams(LIFE, 4, 1, 5, EVEN_MIRROR), SearchConfig()),
-            (SearchParams(LIFE, 4, 1, 4, translation=DIAGONAL), SearchConfig(progress_interval=5)),
-            # deepening rounds, compaction, narrowing and a drained queue
-            (
-                SearchParams(LIFE, 3, 1, 6, EVEN_MIRROR),
-                SearchConfig(node_capacity=256, max_deepening=6, continue_after_find=True, progress_interval=3),
-            ),
-        ],
-        ids=["exhaust-every", "exhaust-97", "exhaust-final-only", "diagonal-find", "c3-even-deepen"],
-    )
-    def test_reports_and_final_status_unchanged(self, monkeypatch, params, config):
-        def run(progress):
-            seen = []
-            res = run_search(params, config, progress=seen.append if progress else None)
-            return seen, res.status
-
-        gated = run(True), run(False)
-        monkeypatch.setattr(Search, "_tick", _refresh_on_every_call)
-        assert gated == (run(True), run(False))
-        assert gated[0][0][-1] == gated[1][1]
-
-
 NEVER = 1 << 62  # a batch minimum no level reaches
 DEFAULT_BATCH_MIN = search_mod.BATCH_MIN  # read before any test patches it
 
@@ -884,9 +841,8 @@ class TestBatchedLevels:
     # arena sizes, compaction points and ships, in the same order
 
     def check_same(self, monkeypatch, log, params, config):
-        # with a report at every expansion each chunk is one parent; at
-        # intervals 7 and 97 chunks span many parents and end where a
-        # report falls due
+        # at every interval chunks span many parents, and a report comes
+        # at the end of a chunk or a probe step
         log.paused = True
         for interval in (1, 7, 97):
             single = _reports(monkeypatch, NEVER, params, config, interval)
@@ -920,50 +876,76 @@ class TestBatchedLevels:
     @pytest.mark.parametrize("interval", [7, 97, 1000])
     @pytest.mark.parametrize("name", list(bench_module("workloads").QUICK))
     def test_reports_due_inside_a_chunk(self, monkeypatch, name, interval):
-        # a chunk ends at the parent after which a report falls due, and
-        # is cut only by a full arena or a ship; a chunk that ends one
-        # parent late or early reports other counts
+        # a report comes at the end of the first chunk or probe step past
+        # its due count, whether the chunk's rows come from the kernel or
+        # from successors() on each state
         params, config = search_from_argv(bench_module("workloads").QUICK[name].argv())
         single = _reports(monkeypatch, NEVER, params, config, interval)
         for minimum in (1, DEFAULT_BATCH_MIN):
             assert _reports(monkeypatch, minimum, params, config, interval) == single
 
-    @pytest.mark.parametrize("interval", [0, 7, 50])  # the shortest search makes 78 expansions
+    @pytest.mark.parametrize("interval", [7, 50])  # the shortest search makes 78 expansions
     @pytest.mark.parametrize("name", list(bench_module("workloads").QUICK))
-    def test_chunks_end_where_reports_fall_due(self, monkeypatch, name, interval):
-        # with reports on, no chunk carries the count past the report due
-        # when it starts, and some end right there; with reports off, a
-        # chunk falls short of BATCH_CHUNK parents only where the queue
+    def test_reports_leave_the_work_unchanged(self, monkeypatch, name, interval):
+        # with reports on, the chunks and the kernel calls are those with
+        # reports off, and a report comes less than BATCH_CHUNK
+        # expansions after it falls due: at most one chunk or probe step.
+        # A chunk falls short of BATCH_CHUNK parents only where the queue
         # runs out, the arena has no more room or a ship ends the search
         params, config = search_from_argv(bench_module("workloads").QUICK[name].argv())
-        expand, at_due, short = search_mod._expand_head, [], []
+        expand, kernel = search_mod._expand_head, search_mod.successors_batch
 
-        def checked(search):
-            due = search._last_progress + interval
-            before, queued = search.status.states_expanded, len(search.queue)
-            room = search.config.node_capacity - (1 << search.params.width) - len(search.arena)
-            expand(search)
-            after = search.status.states_expanded
-            if interval:
-                assert before < after <= due
-                at_due.append(after == due)
-            elif after - before < BATCH_CHUNK:
-                assert after - before in (queued, max(1, room)) or search.arena_full() or search.status.outcome != RUNNING
-                short.append(after - before)
+        def work(interval):
+            chunks, calls = [], []
 
-        monkeypatch.setattr(search_mod, "_expand_head", checked)
-        _reports(monkeypatch, DEFAULT_BATCH_MIN, params, config, interval)
-        assert any(at_due) if interval else short
+            def logged_expand(search):
+                before, queued = search.status.states_expanded, len(search.queue)
+                room = search.config.node_capacity - (1 << search.params.width) - len(search.arena)
+                expand(search)
+                size = search.status.states_expanded - before
+                short = size < BATCH_CHUNK and size not in (queued, max(1, room))
+                assert not short or search.arena_full() or search.status.outcome != RUNNING
+                chunks.append(size)
+
+            def logged_kernel(*args):
+                calls.append(1)
+                return kernel(*args)
+
+            monkeypatch.setattr(search_mod, "_expand_head", logged_expand)
+            monkeypatch.setattr(search_mod, "successors_batch", logged_kernel)
+            reports = _reports(monkeypatch, DEFAULT_BATCH_MIN, params, config, interval)[0]
+            return reports, (chunks, len(calls))
+
+        reports, on = work(interval)
+        assert on == work(0)[1]
+        counts = [0] + [status.states_expanded for status in reports]
+        assert all(count - (last + interval) < BATCH_CHUNK for last, count in zip(counts, counts[1:]))
 
     @pytest.mark.parametrize("minimum", [1, 3, 5])
     def test_drained_queue_keeps_the_last_head(self, monkeypatch, minimum):
-        # c/3 odd width 4 exhausts in a chunk that spans two levels with
-        # no fresh child: the final status still gives the level of the
-        # head noted last, 29 (28 if it kept the chunk's first)
+        # c/3 odd width 4 exhausts at level 29, its states there having
+        # no fresh child. Queued behind the level-28 state expanded last
+        # (its children all known by then), the first of them ends a chunk
+        # of two levels that drains the queue: the final status gives the
+        # level of the chunk's last parent, 29, as expanding one state at
+        # a time does (28 if it kept the chunk's first)
+        monkeypatch.setattr(search_mod, "BATCH_MIN", minimum)
         params = SearchParams(LIFE, 3, 1, 4, ODD_MIRROR)
-        batched = _reports(monkeypatch, minimum, params, SearchConfig(), interval=0)
-        assert batched == _reports(monkeypatch, NEVER, params, SearchConfig(), interval=0)
-        assert batched[1].frontier_level == 29
+
+        def drained(expand):
+            search = Search(params)
+            while search.level_of(search.queue[0]) < 29:
+                before = search.queue[0]
+                sequential_expand(search)
+            search.queue = NodeQueue([before, search.queue[0]])
+            search._tick()
+            while search.queue:
+                expand(search)
+            search._tick(force=True)
+            return search.status
+
+        bulk = drained(search_mod._expand_head)
+        assert bulk == drained(sequential_expand) and bulk.frontier_level == 29
 
     def test_history_modes_with_random_capacities(self, monkeypatch):
         rng = random.Random(1)
@@ -990,22 +972,26 @@ class TestBatchedLevels:
 
 
 class TestSequentialExpansion:
-    # a chunk expanded in one bulk pass must be indistinguishable from
-    # expanding its states one queue head at a time: the same reports,
-    # final status (arena size and frontier level too) and ships, in the
-    # same order
+    # a chunk expanded in one bulk pass must leave what expanding its
+    # states one queue head at a time leaves: the same final status (arena
+    # size and frontier level too) and ships, and at the count of each
+    # report the same status
 
     def check_same(self, monkeypatch, params, config):
-        # at interval 1 each chunk is one parent; at 7, 97 and with
-        # reports off (0) a chunk spans many, and every report inside it
-        # is checked against one-at-a-time expansion
+        # at every interval (0: reports off) the final status and ships are
+        # those of one-at-a-time expansion, and each report, in order, is
+        # one that one-at-a-time expansion makes at interval 1, where it
+        # reports after every expansion
         bulk = search_mod._expand_head
+        monkeypatch.setattr(search_mod, "_expand_head", sequential_expand)
+        every, *sequential = _reports(monkeypatch, DEFAULT_BATCH_MIN, params, config, interval=1)
+        monkeypatch.setattr(search_mod, "_expand_head", bulk)
         for interval in (1, 7, 97, 0):
-            monkeypatch.setattr(search_mod, "_expand_head", sequential_expand)
-            sequential = _reports(monkeypatch, DEFAULT_BATCH_MIN, params, config, interval)
-            monkeypatch.setattr(search_mod, "_expand_head", bulk)
-            assert _reports(monkeypatch, DEFAULT_BATCH_MIN, params, config, interval) == sequential
-        return sequential[1]
+            reports, *final = _reports(monkeypatch, DEFAULT_BATCH_MIN, params, config, interval)
+            assert final == sequential and reports[-1] == final[0]
+            among = iter(every)
+            assert all(report in among for report in reports)
+        return sequential[0]
 
     @pytest.mark.parametrize("name", list(bench_module("workloads").QUICK))
     def test_quick_workloads(self, monkeypatch, name):
