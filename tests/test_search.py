@@ -884,10 +884,10 @@ class TestBatchedLevels:
         for minimum in (1, DEFAULT_BATCH_MIN):
             assert _reports(monkeypatch, minimum, params, config, interval) == single
 
-    @pytest.mark.parametrize("interval", [7, 50])  # the shortest search makes 78 expansions
+    @pytest.mark.parametrize("interval", [1, 7, 50])  # the shortest search makes 78 expansions
     @pytest.mark.parametrize("name", list(bench_module("workloads").QUICK))
     def test_reports_leave_the_work_unchanged(self, monkeypatch, name, interval):
-        # with reports on, the chunks and the kernel calls are those with
+        # with reports on, even one due after every expansion, the chunks and the kernel calls are those with
         # reports off, and a report comes less than BATCH_CHUNK
         # expansions after it falls due: at most one chunk or probe step.
         # A chunk falls short of BATCH_CHUNK parents only where the queue
@@ -977,7 +977,7 @@ class TestSequentialExpansion:
     # size and frontier level too) and ships, and at the count of each
     # report the same status
 
-    def check_same(self, monkeypatch, params, config):
+    def check_same(self, monkeypatch, params, config, intervals=(1, 7, 97, 0)):
         # at every interval (0: reports off) the final status and ships are
         # those of one-at-a-time expansion, and each report, in order, is
         # one that one-at-a-time expansion makes at interval 1, where it
@@ -986,7 +986,7 @@ class TestSequentialExpansion:
         monkeypatch.setattr(search_mod, "_expand_head", sequential_expand)
         every, *sequential = _reports(monkeypatch, DEFAULT_BATCH_MIN, params, config, interval=1)
         monkeypatch.setattr(search_mod, "_expand_head", bulk)
-        for interval in (1, 7, 97, 0):
+        for interval in intervals:
             reports, *final = _reports(monkeypatch, DEFAULT_BATCH_MIN, params, config, interval)
             assert final == sequential and reports[-1] == final[0]
             among = iter(every)
@@ -997,6 +997,26 @@ class TestSequentialExpansion:
     def test_quick_workloads(self, monkeypatch, name):
         params, config = search_from_argv(bench_module("workloads").QUICK[name].argv())
         self.check_same(monkeypatch, params, config)
+
+    @pytest.mark.parametrize(
+        "params, config",
+        [
+            (SearchParams(LIFE, 4, 1, 5, EVEN_MIRROR), SearchConfig(progress_interval=1)),
+            (SearchParams(LIFE, 4, 1, 5, EVEN_MIRROR), SearchConfig(progress_interval=97)),
+            (SearchParams(LIFE, 4, 1, 5, EVEN_MIRROR), SearchConfig()),
+            (SearchParams(LIFE, 4, 1, 4, translation=DIAGONAL), SearchConfig(progress_interval=5)),
+            # deepening rounds, compaction, narrowing and a drained queue
+            (
+                SearchParams(LIFE, 3, 1, 6, EVEN_MIRROR),
+                SearchConfig(node_capacity=256, max_deepening=6, continue_after_find=True, progress_interval=3),
+            ),
+        ],
+        ids=["exhaust-every", "exhaust-97", "exhaust-final-only", "diagonal-find", "c3-even-deepen"],
+    )
+    def test_reports_and_final_status_unchanged(self, monkeypatch, params, config):
+        # at the configured interval and with reports off (the default,
+        # where only the final status is reported)
+        self.check_same(monkeypatch, params, config, intervals={config.progress_interval, 0})
 
     def test_history_modes_with_random_capacities(self, monkeypatch):
         rng = random.Random(3)
