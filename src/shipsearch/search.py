@@ -127,9 +127,9 @@ class Search:
     # -- small helpers ----------------------------------------------------
 
     def level_of(self, idx: int) -> int:
-        """Rows appended beyond the all-dead seed, nodes 0..2p-1 (compaction
-        keeps them there: they are everyone's ancestors)."""
-        return self.arena.depth(idx) - (2 * self.params.period - 1)
+        """Rows appended beyond the all-dead seed chain, nodes 0..hist-1
+        (compaction keeps them there: they are everyone's ancestors)."""
+        return self.arena.depth(idx) - (self.hist - 1)
 
     def arena_full(self) -> bool:
         """True when one more expansion could overrun the node capacity: a
@@ -322,7 +322,7 @@ def _dfs_probe(search: Search, roots: list[int], limit: int) -> list[bool]:
     arena, status = search.arena, search.status
     ships = [[] for _ in roots]  # per root, the probe rows down to each ship it found
     windows = arena.windows(roots, search.hist).tolist()
-    levels = (np.searchsorted(arena.starts, roots, side="right") - 2 * search.params.period).tolist()  # as level_of reads them
+    levels = (np.searchsorted(arena.starts, roots, side="right") - search.hist).tolist()  # as level_of reads them
     walks = [_probe_walk(search, window, level, limit, found) for window, level, found in zip(windows, levels, ships)]
     keep, expanded = [False] * len(roots), [0] * len(roots)  # per root: its verdict, its expansions so far
     waiting = [(i, next(walk)) for i, walk in enumerate(walks)]  # per walk that needs rows: its root, the window

@@ -273,9 +273,6 @@ def _view(buffer: array) -> np.ndarray:
     return np.frombuffer(buffer, dtype=buffer.typecode)
 
 
-_LEVEL_ORDER = "nodes must be appended in level order"
-
-
 class NodeArena:
     """Store of the breadth-first tree's nodes: the seed chain, then
     children appended in bulk; compaction builds a fresh one.
@@ -301,23 +298,19 @@ class NodeArena:
         return bisect_right(self.starts, idx) - 1
 
     def add(self, row: int, parent: int) -> int:
-        low, last = self._last_levels()
-        if parent < low:
-            raise ValueError(_LEVEL_ORDER)
-        if parent >= last:
-            self.starts.append(len(self))
-        self.rows.append(row)
-        self.parents.append(parent)
-        return len(self.rows) - 1
+        """add_children([parent], [row]); returns the new node's index."""
+        self.add_children([parent], [row])
+        return len(self) - 1
 
-    def add_children(self, parents, rows: np.ndarray) -> None:
-        """add(rows[i], parents[i]) for each i in order."""
+    def add_children(self, parents, rows) -> None:
+        """Append a node of row rows[i] and parent parents[i] for each i in
+        order; ValueError, and nothing appended, if that breaks level order."""
         parents = np.asarray(parents, dtype=np.int32)
         low, last = self._last_levels()
         deeper = parents >= last  # the children that open a level: they come last
         same = len(parents) - np.count_nonzero(deeper)
         if len(parents) and (parents.min() < low or not deeper[same:].all()):
-            raise ValueError(_LEVEL_ORDER)
+            raise ValueError("nodes must be appended in level order")
         if same < len(parents):
             self.starts.append(len(self) + same)
         self._extend(rows, parents)
@@ -350,22 +343,19 @@ class NodeArena:
 
     def windows(self, nodes, count: int) -> np.ndarray:
         """rows_back(idx, count) for every idx in nodes, as the rows of one
-        (len(nodes), count) uint32 array, read in count steps of all nodes
-        at once; a walk that has left the arena (index -1) reads a dead row.
-        When none can, each step is two plain gathers."""
+        (len(nodes), count) uint32 array, read in count steps of two
+        gathers over all nodes at once. Each node must have count - 1
+        ancestors, as the seed chain gives every node the search reads;
+        a walk that would pass a root raises ValueError."""
         rows, parents = _view(self.rows), _view(self.parents)
         out = np.empty((count, len(nodes)), dtype=np.uint32)
         cur = np.asarray(nodes, dtype=np.intp)
-        if len(cur) and self.depth(int(cur.min())) >= count - 1:  # the least index is the shallowest node
-            for step in range(count):
-                if step:
-                    cur = parents.take(cur)
-                rows.take(cur, out=out[-1 - step])
-            return out.T
+        if len(cur) and self.depth(int(cur.min())) < count - 1:  # the least index is the shallowest node
+            raise ValueError(f"a window of {count} rows reaches past a root")
         for step in range(count):
-            inside = cur >= 0
-            out[-1 - step] = np.where(inside, rows[cur], 0)
-            cur = np.where(inside, parents[cur], -1)
+            if step:
+                cur = parents.take(cur)
+            rows.take(cur, out=out[-1 - step])
         return out.T
 
     def all_rows(self, idx: int) -> list[int]:
@@ -437,10 +427,12 @@ class NodeQueue:
 
 
 def make_initial_state(params: SearchParams) -> tuple[NodeArena, int]:
-    """Root chain of 2p dead rows; returns the arena and the tip index."""
+    """Root chain of history(params) dead rows, so that every node the
+    search reads holds a whole successor window; returns the arena and the
+    tip index."""
     arena = NodeArena()
     tip = -1
-    for _ in range(2 * params.period):
+    for _ in range(history(params)):
         tip = arena.add(0, tip)
     return arena, tip
 
@@ -461,14 +453,8 @@ def state_key(params: SearchParams, arena: NodeArena, idx: int) -> int:
 
 def is_goal(params: SearchParams, arena: NodeArena, idx: int) -> bool:
     """Last 2p rows dead and something earlier alive."""
-    rows, parents = arena.rows, arena.parents
-    for _ in range(2 * params.period):
-        if idx < 0 or rows[idx]:
-            return False
-        idx = parents[idx]
-    while idx >= 0 and not rows[idx]:
-        idx = parents[idx]
-    return idx >= 0
+    rows = arena.all_rows(idx)
+    return not any(rows[-2 * params.period :]) and any(rows)
 
 
 def extract_ship(params: SearchParams, rows: list[int]) -> Pattern:

@@ -32,8 +32,9 @@ samples come from the mode geometry in statespace.
 
 successors() reads the last statespace.history(params) rows of the
 window it is given, counted from the end; rows before the sequence start
-must be present as dead rows (NodeArena.rows_back pads with them). A
-longer window gives the same rows, a shorter one raises IndexError.
+must be present as dead rows (the search's tree starts from a chain of
+that many, statespace.make_initial_state). A longer window gives the
+same rows, a shorter one raises IndexError.
 
 Which window row each lookup-index field samples, with what shift, mirror
 reflection or glide reversal, is the same at every level. So build_tables

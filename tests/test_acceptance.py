@@ -210,6 +210,80 @@ def test_search_finds_every_small_oracle_ship():
     assert {(2, ORTHOGONAL), (3, ORTHOGONAL), (4, DIAGONAL)} <= set(searched)
 
 
+def _symmetric_modes(rule, ships):
+    """The mirror and glide-reflect search modes (p, k, width, symmetry)
+    in which the oracle's ships fit, at most 6 columns wide. An
+    orthogonal ship of period P and shift k, W cells across its motion
+    over all P phases, fits even mirror at width W/2 (W even) or odd
+    mirror at width (W+1)/2 (W odd) when every phase is its own mirror
+    across the line of motion, and fits glide-reflect at period P/2,
+    shift k/2 and width W when phase P/2 is the mirror of phase 0 moved
+    k/2 cells along the line of motion."""
+    modes = set()
+    for pattern, desc in ships:
+        period, dx, dy = desc.period, desc.dx, desc.dy
+        if dx and dy:
+            continue
+        cells = {(x, y) for y, row in enumerate(pattern.rows) for x in range(pattern.width) if row >> x & 1}
+        if dx:  # make the motion run along y
+            cells, dy = {(y, x) for x, y in cells}, dx
+        phases = evolve_cells(rule, cells, period - 1)
+        xs = [x for phase in phases for x, _ in phase]
+        lo, hi, k = min(xs), max(xs), abs(dy)
+        width = hi - lo + 1
+
+        def mirrored(cells, moved=0):
+            return {(lo + hi - x, y + moved) for x, y in cells}
+
+        if all(mirrored(phase) == phase for phase in phases) and math.gcd(k, period) == 1 and (width + 1) // 2 <= 6:
+            modes.add((period, k, (width + 1) // 2, ODD_MIRROR if width % 2 else EVEN_MIRROR))
+        if period % 2 == 0 and k % 2 == 0 and math.gcd(k // 2, period // 2) == 1 and width <= 6:
+            if phases[period // 2] == mirrored(phases[0], dy // 2):
+                modes.add((period // 2, k // 2, width, GLIDE_REFLECT))
+    return sorted(modes)
+
+
+# The draws of _drawn_rule from random.Random(7) whose ships from
+# oracle_ship_search(rule, (4, 3), 8) fit a mirror or glide-reflect mode:
+# all 7 among the first 120 draws, B34/S013567 (odd p5 k2 w3),
+# B3456/S147 (even p5 w2), B348/S34578 (even p3 w2), B34/S01358 (odd p5
+# k2 w3), B35/S234 (glide p3 w5), B37/S12468 (even p2 w2) and B3467/S34
+# (even p3 w2), and the first glide pair after them, B35/S126 (glide p3
+# w4).
+SYMMETRIC_DRAWS = (5, 21, 23, 37, 46, 72, 113, 127)
+
+
+def test_search_finds_every_small_symmetric_oracle_ship():
+    # completeness in the modes the paper's searches use: where the
+    # brute-force oracle finds a ship in a 4x3 seed box that is its own
+    # mirror, or its own mirror half a period on, the search in that
+    # mirror or glide-reflect mode and width finds a ship too, without
+    # narrowing, whatever the node capacity
+    rng = random.Random(7)
+    rules = [_drawn_rule(rng) for _ in range(SYMMETRIC_DRAWS[-1] + 1)]
+    searched = []
+
+    def within_budget(status):
+        # each finds its ship within 600 expansions; one that misses it
+        # deepens without end, as nothing narrows the strip
+        assert status.states_expanded < 100_000, status
+
+    for rule in [rules[n] for n in SYMMETRIC_DRAWS]:
+        modes = _symmetric_modes(rule, oracle_ship_search(rule, (4, 3), 8))
+        assert modes, str(rule)
+        for p, k, width, symmetry in modes:
+            params = SearchParams(rule, p, k, width, symmetry)
+            for capacity in (4 * p, 64, 1 << 22):
+                config = SearchConfig(node_capacity=capacity, progress_interval=10_000)
+                outcome = run_search(params, config, progress=within_budget).status.outcome
+                assert outcome == SHIP_FOUND, (str(rule), p, k, width, symmetry, capacity)
+            searched.append((symmetry, p))
+    assert sorted(searched) == [
+        (EVEN_MIRROR, 2), (EVEN_MIRROR, 3), (EVEN_MIRROR, 3), (EVEN_MIRROR, 5),
+        (GLIDE_REFLECT, 3), (GLIDE_REFLECT, 3), (ODD_MIRROR, 5), (ODD_MIRROR, 5),
+    ]
+
+
 @pytest.mark.slow
 def test_continue_ships_depend_on_capacity_as_documented():
     # the README's --continue contract: one ship per pre-goal state until

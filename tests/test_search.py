@@ -174,7 +174,7 @@ class TestCarriedKeys:
 
         def checked(table, key):
             verdict = original_insert(table, key)
-            check(searches[-1], key, 2 * searches[-1].params.period - 1, verdict)
+            check(searches[-1], key, searches[-1].hist - 1, verdict)
             return verdict
 
         def checked_many(table, keys):
@@ -311,7 +311,7 @@ def queued_keys(search, nodes=None):
     once and sorted: what a table started from them holds."""
     params, arena = search.params, search.arena
     nodes = search.queue.nodes().tolist() if nodes is None else nodes
-    return sorted({state_key(params, arena, idx) for idx in [2 * params.period - 1, *nodes]})
+    return sorted({state_key(params, arena, idx) for idx in [search.hist - 1, *nodes]})
 
 
 class TestStoreMemory:
@@ -370,7 +370,7 @@ class TestWeekenderFill:
         assert len(bulk[0]) > 1 << 14 and len(bulk[2]) > 1 << 14
         # a duplicate's key is an earlier node's, so the keys of all
         # nodes past the seed's tip are those of the nodes ever queued
-        added = range(2 * params.period, len(search.arena))
+        added = range(search.hist, len(search.arena))
         assert bulk[2] == queued_keys(search, added)
 
 
@@ -577,7 +577,7 @@ class TestProbeArena:
         # while a block of probes runs, also when the block records a ship
         # or its ship ends the search, and after every append anywhere in
         # the search it holds at most node_capacity nodes
-        original_probe, original_add, original_extend = search_mod._dfs_probe, NodeArena.add, NodeArena._extend
+        original_probe, original_extend = search_mod._dfs_probe, NodeArena._extend
         original_record = Search._record_ship
         probing, appends, recorded = [], [], []
 
@@ -585,11 +585,6 @@ class TestProbeArena:
             assert not probing
             assert len(arena) <= config.node_capacity
             appends.append(len(arena))
-
-        def checked_add(arena, row, parent):
-            idx = original_add(arena, row, parent)
-            check(arena)
-            return idx
 
         def checked_extend(arena, rows, parents):
             original_extend(arena, rows, parents)
@@ -606,14 +601,13 @@ class TestProbeArena:
             finally:
                 probing.pop()
 
-        monkeypatch.setattr(NodeArena, "add", checked_add)
         monkeypatch.setattr(NodeArena, "_extend", checked_extend)
         monkeypatch.setattr(Search, "_record_ship", checked_record)
         monkeypatch.setattr(search_mod, "_dfs_probe", checked_probe)
         res = run_search(params, config)
         assert res.ships
         assert any(recorded)  # some ship is recorded inside a block
-        assert len(appends) > 2 * params.period  # the tree grew past its seed chain
+        assert len(appends) > history(params)  # the tree grew past its seed chain, one append a seed node
 
     @PROBE_CASES
     def test_probe_children_carry_their_state_keys(self, monkeypatch, params, config):
@@ -716,25 +710,55 @@ class TestLevelOrder:
 
 
 class TestSeedChain:
-    def test_seed_chain_survives_compaction_and_narrowing(self, monkeypatch):
-        # level_of counts from node 2p-1: every compaction, also the one
-        # after a narrowing, keeps the dead seed chain as nodes 0..2p-1
-        params = SearchParams(LIFE, 3, 1, 6, EVEN_MIRROR)
-        n = 2 * params.period
+    @staticmethod
+    def check_chain(search):
+        # the seed chain is one successor window of dead rows, nodes
+        # 0..hist-1, its tip at level 0; a window reaching past it raises
+        n, arena = history(search.params), search.arena
+        assert search.hist == n
+        assert arena.rows[:n].tolist() == [0] * n
+        assert arena.parents[:n].tolist() == [-1, *range(n - 1)]
+        assert search.level_of(n - 1) == 0
+        assert arena.windows([n - 1], n).tolist() == [[0] * n]
+        with pytest.raises(ValueError, match="past a root"):
+            arena.windows([0], 2)
+
+    def run_checked(self, monkeypatch, params, config):
+        """run_search's result, and the width at each compaction, after
+        each of which the seed chain and the table are checked."""
         original = search_mod.compact
         widths = []
 
         def checked(search):
             original(search)
-            assert search.arena.rows[:n].tolist() == [0] * n
-            assert search.arena.parents[:n].tolist() == [-1, *range(n - 1)]
-            assert search.level_of(n - 1) == 0
+            self.check_chain(search)
             assert sorted(int_keys(search.tt)) == queued_keys(search)  # the seed's state and the frontier's
             widths.append(search.params.width)
 
         monkeypatch.setattr(search_mod, "compact", checked)
-        res = run_search(params, SearchConfig(node_capacity=256, max_deepening=6, continue_after_find=True))
+        return run_search(params, config), widths
+
+    def test_seed_chain_survives_compaction_and_narrowing(self, monkeypatch):
+        # level_of counts from node hist-1: every compaction, also the one
+        # after a narrowing, keeps the dead seed chain as nodes 0..hist-1
+        params = SearchParams(LIFE, 3, 1, 6, EVEN_MIRROR)
+        config = SearchConfig(node_capacity=256, max_deepening=6, continue_after_find=True)
+        res, widths = self.run_checked(monkeypatch, params, config)
         assert res.ships
+        assert len(widths) > 2 and widths[-1] < params.width
+
+    def test_seed_chain_holds_a_whole_window(self, monkeypatch):
+        # Life p3 k2 glide w5 reads p + 2k = 7 rows, one more than 2p: its
+        # seed chain holds all 7, from Search() on and through every
+        # compaction, also those after narrowings (capacity 4p fills at
+        # once, and the cap narrows the strip down to width 2)
+        params = SearchParams(LIFE, *next(mode for mode in HISTORY_MODES if mode[:2] == (3, 2)))
+        assert history(params) == 7 > 2 * params.period
+        search = Search(params)
+        self.check_chain(search)
+        assert len(search.arena) == 7 and search.queue.nodes().tolist() == [6]
+        res, widths = self.run_checked(monkeypatch, params, SearchConfig(node_capacity=4 * params.period, max_deepening=2))
+        assert res.status.outcome == EXHAUSTED
         assert len(widths) > 2 and widths[-1] < params.width
 
 

@@ -361,24 +361,29 @@ class TestRowsBack:
     )
     def test_windows_match_rows_back(self, nodes, picks, count, ordered):
         # any nodes of a random forest in level order, in queue-like
-        # order or not, with repeats; walks that leave the arena read dead
-        # rows, never rows[-1]
+        # order or not, with repeats: those whose walks stay inside the
+        # forest for count rows read what rows_back reads, and a set with
+        # one walk that would pass a root raises
         arena = level_ordered_forest(nodes)
         picks = [i % len(arena) for i in picks]
         if ordered:
             picks.sort()
-        arena.add(2**32 - 1, len(arena) - 1)  # what a walk would read at index -1
-        got = arena.windows(picks, count)
-        assert got.dtype == np.uint32 and got.shape == (len(picks), count)
-        assert got.tolist() == [arena.rows_back(i, count) for i in picks]
+        inside = [i for i in picks if arena.depth(i) >= count - 1]
+        got = arena.windows(inside, count)
+        assert got.dtype == np.uint32 and got.shape == (len(inside), count)
+        assert got.tolist() == [arena.rows_back(i, count) for i in inside]
+        if len(inside) < len(picks):
+            with pytest.raises(ValueError, match="past a root"):
+                arena.windows(picks, count)
 
     @pytest.mark.parametrize("count", range(1, statespace.history(SearchParams(LIFE, 4, 1, 7)) + 3))
     def test_windows_of_deep_shallow_and_mixed_nodes(self, count):
         # a forest of live rows, its first root among them, levels
         # 0..count + 1 deep, and the arena ancestry() rebuilds from some of
         # its nodes; on each, node sets whose walks all stay inside the
-        # arena for count rows (the deep ones), all leave it (the shallow
-        # ones) or some of each, in any order, with repeats
+        # arena for count rows (the deep ones) read what rows_back reads,
+        # and sets with a walk that would leave it (the shallow ones, or
+        # some of each) raise, in any order, with repeats
         rng = random.Random(count)
         arena, level = NodeArena(), [-1]
         for _ in range(count + 2):
@@ -388,11 +393,14 @@ class TestRowsBack:
             deep = [i for i in range(len(forest)) if forest.depth(i) >= count - 1]
             shallow = [i for i in range(len(forest)) if forest.depth(i) < count - 1]
             assert forest.rows[0] and deep and (shallow or count == 1)
-            for nodes in (deep, shallow, deep + shallow):
-                picks = rng.choices(nodes, k=12) if nodes else []
-                got = forest.windows(picks, count)
-                assert got.shape == (len(picks), count)
-                assert got.tolist() == [forest.rows_back(i, count) for i in picks]
+            picks = rng.choices(deep, k=12)
+            got = forest.windows(picks, count)
+            assert got.shape == (len(picks), count)
+            assert got.tolist() == [forest.rows_back(i, count) for i in picks]
+            if shallow:
+                for nodes in (rng.choices(shallow, k=12), rng.sample(picks + rng.choices(shallow, k=3), 15)):
+                    with pytest.raises(ValueError, match="past a root"):
+                        forest.windows(nodes, count)
 
 
 class TestAddChildren:

@@ -745,12 +745,13 @@ class TestSuccessorsBatch:
         search, hist = Search(params), history(params)
         for _ in range(3):
             search_mod._expand_head(search)
-        nodes = np.arange(len(search.arena))
-        windows = search.arena.windows(nodes, hist)
+        arena = search.arena
+        nodes = [i for i in range(len(arena)) if arena.depth(i) >= hist + 2]  # those that hold hist + 3 rows
+        windows = arena.windows(nodes, hist)
         assert windows.dtype == np.uint32 and not windows.flags.c_contiguous and len(windows) > 100
         want = [successors(params, search.tables, rows) for rows in windows.tolist()]
         assert sum(map(len, want)) > 100
-        longer = search.arena.windows(nodes, hist + 3)[:, 3:]  # a slice of longer windows
+        longer = arena.windows(nodes, hist + 3)[:, 3:]  # a slice of longer windows
         for form in (windows, windows.astype(np.intp), np.ascontiguousarray(windows), windows.tolist(), longer):
             assert _batch_rows(params, search.tables, form) == want
         assert _batch_rows(params, search.tables, windows[::3]) == want[::3]
