@@ -10,11 +10,11 @@ can launch one deliberately; nothing in the test suite depends on them.
     python3 scripts/long_searches.py --run weekender [--capacity 2**26]
 
 Memory grows with --capacity. The search tree, its duplicate table and
-the queue take about 29 bytes a node at the weekender's 126-bit state
+the queue take about 30 bytes a node at the weekender's 126-bit state
 keys. On a 2-core x86-64 VM (Python 3.11, NumPy 2.4; 30 MB of imports),
-the weekender filled its tree to 2^22 nodes in 1.7 s, peaking at 182 MB
-resident (ru_maxrss), and to 2^24 nodes in 5.6 s, peaking at 562 MB,
-34 bytes a node. Stopped 120 s into its first deepening round, 21M
+the weekender filled its tree to 2^22 nodes in 1.5 s, peaking at 174 MB
+resident (ru_maxrss), and to 2^24 nodes in 7.0 s, peaking at 524 MB,
+31 bytes a node. Stopped 120 s into its first deepening round, 21M
 expansions in, the 2^24 run had peaked at 830 MB, the probes' own tables
 of the states they met included (each is freed when its probe ends).
 That is about 50 bytes a node, so the default --capacity 2**26 needs

@@ -165,7 +165,9 @@ def _build_parser() -> argparse.ArgumentParser:
     search.add_argument("--width", type=int, required=True, help="searched strip width (half-width under mirror symmetry)")
     search.add_argument("--symmetry", choices=sorted(_SYMMETRIES), default="none")
     search.add_argument("--translation", choices=(ORTHOGONAL, DIAGONAL), default=ORTHOGONAL)
-    search.add_argument("--node-capacity", type=int, default=SearchConfig.node_capacity)
+    search.add_argument("--node-capacity", type=int, default=SearchConfig.node_capacity,
+                        help="most nodes in the search tree; deepening rounds and compaction start when "
+                        "it fills (4p to 2**31)")
     search.add_argument("--max-deepening", type=int, default=None,
                         help="narrow the strip when deepening outruns the frontier by this many rows")
     search.add_argument("--continue", dest="continue_after_find", action="store_true",

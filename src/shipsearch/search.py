@@ -82,6 +82,8 @@ class SearchConfig:
         """Raise ValueError for a setting no search with params accepts."""
         if self.node_capacity < 4 * params.period:
             raise ValueError(f"node_capacity must be at least 4 periods ({4 * params.period} nodes)")
+        if self.node_capacity > 1 << 31:  # node indices are stored as int32
+            raise ValueError(f"node_capacity must be at most 2**31 ({1 << 31} nodes)")
         if self.max_deepening is not None and self.max_deepening < 0:
             raise ValueError("max_deepening must not be negative")
         if self.progress_interval < 0:

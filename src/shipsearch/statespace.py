@@ -23,7 +23,6 @@ rows" a sound equivalence).
 from __future__ import annotations
 
 import math
-import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -268,9 +267,10 @@ def frame_offsets(params: SearchParams, ref: RowRef | None = None) -> tuple[int 
 # node arena, state keys, goal test, extraction
 
 
-def _view(buffer: array) -> np.ndarray:
-    """A NumPy view of a typed array; drop it before the array is resized."""
-    return np.frombuffer(buffer, dtype=buffer.typecode)
+def _view(buffer: array, dtype=None) -> np.ndarray:
+    """A NumPy view of a typed array, of its own type or of dtype; drop it
+    before the array is resized, which raises BufferError while it lives."""
+    return np.frombuffer(buffer, dtype=buffer.typecode if dtype is None else dtype)
 
 
 class NodeArena:
@@ -532,26 +532,36 @@ class TranspositionTable:
     starts a fresh table from the seed and the frontier, so the table
     never holds more keys than the arena has nodes.
 
-    The keys live in two sorted arrays (uint64, or for keys of several
-    limbs byte strings of their big-endian limbs, which sort the same
-    way): the sorted part, and the run of keys added since the last
-    fold. A bulk offer (transposition_insert_many) takes a (n, limbs)
+    The keys live in one typed array of bytes, read through _view as
+    uint64, or for keys of several limbs as byte strings of their
+    big-endian limbs, which sort the same way: keys, the sorted part of
+    the first `folded`, then run_keys, the sorted run of those added
+    since. A bulk offer (transposition_insert_many) takes a (n, limbs)
     uint64 array of key_limbs limbs, the most significant first
     (limbs_of), and transposition_insert, which the search uses only for
-    the seed's key 0, one int key. An offer inserts its fresh keys into
-    the run, and the run is folded into the sorted part once it holds
-    more than RECENT_MIN keys and more than an eighth of it (_fold).
-    While it folds, the table briefly holds the old sorted part beside
-    the merged one, plus scratch of up to the run's size."""
+    the seed's key 0, one int key. An offer appends its fresh keys and
+    merges them into the run; the run is folded into the sorted part once
+    it holds more than RECENT_MIN keys and more than an eighth of it
+    (_fold). Both merges sort in place, so the array grows by the fresh
+    keys alone and no fold copies the sorted part. An offer of fresh keys
+    raises BufferError, and changes nothing, while a view of them lives."""
 
     def __init__(self, params: SearchParams):
         rows, self.limbs = key_limbs(params)
         self.bits = rows * params.width  # per limb
-        empty = self._sortable(np.zeros((0, self.limbs), dtype=np.uint64))
-        self.keys, self.run_keys = empty.copy(), empty.copy()  # a fold resizes the sorted part, so it owns its keys
+        self.dtype = self._sortable(np.zeros((0, self.limbs), dtype=np.uint64)).dtype
+        self._keys, self.folded = array("B"), 0
 
     def __len__(self) -> int:
-        return len(self.keys) + len(self.run_keys)
+        return len(self._keys) // self.dtype.itemsize
+
+    @property
+    def keys(self) -> np.ndarray:  # a view, as is run_keys
+        return _view(self._keys, self.dtype)[: self.folded]
+
+    @property
+    def run_keys(self) -> np.ndarray:
+        return _view(self._keys, self.dtype)[self.folded :]
 
     def limbs_of(self, keys) -> np.ndarray:
         """The limbs of int keys, as bulk offers take them."""
@@ -566,37 +576,28 @@ class TranspositionTable:
             return np.ascontiguousarray(limbs[:, 0])
         return np.ascontiguousarray(limbs, dtype=">u8").view(f"S{8 * self.limbs}")[:, 0]
 
-    def _add(self, keys: np.ndarray, at: np.ndarray) -> None:
-        """Insert sorted keys, absent from the table, into the run at its
-        insertion points at, and fold the run once it is due."""
-        self.run_keys = np.insert(self.run_keys, at, keys)
-        if len(self.run_keys) > max(RECENT_MIN, len(self.keys) // 8):
+    def _add(self, keys: np.ndarray) -> None:
+        """Append sorted keys absent from the table, merge them into the run
+        by one stable sort of its slice, and fold the run once it is due."""
+        self._keys.frombytes(keys.view(np.uint8))
+        self.run_keys.sort(kind="stable")
+        if len(self) - self.folded > max(RECENT_MIN, self.folded // 8):
             self._fold()
 
     def _fold(self) -> None:
-        """Merge the run into the sorted part: the sorted part grows to the
-        merged length (ValueError while a view of it lives, rather than
-        leave the view dangling; ndarray.resize's own check would also
-        count a profiler's reference), the run is copied to its end, and
-        one stable sort, timsort, merges the two sorted stretches in a
-        galloping pass. The resize copies the sorted part (NumPy 2.4:
-        growing 33.6 MB of keys by an eighth raised ru_maxrss by 33.7 MB),
-        which tracemalloc sees only as the growth, and the sort's scratch
-        of up to the run's size is allocated outside tracemalloc."""
-        run, n = self.run_keys, len(self.keys)
-        if sys.getrefcount(self.keys) > 2:  # this attribute and getrefcount's argument
-            raise ValueError("cannot resize the sorted keys while a view of them lives")
-        self.keys.resize(n + len(run), refcheck=False)
-        self.keys[n:] = run
-        self.keys.sort(kind="stable")
-        self.run_keys = run[:0].copy()  # a view would keep the old run alive
+        """Merge the run into the sorted part: one stable sort, timsort,
+        of the whole array merges the two sorted stretches in place in a
+        galloping pass, with scratch of up to the run's size, which NumPy
+        allocates outside tracemalloc."""
+        _view(self._keys, self.dtype).sort(kind="stable")
+        self.folded = len(self)
 
 
-def _absent(keys: np.ndarray, query: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """Per query key, whether the sorted keys lack it; at is keys.searchsorted(query)."""
+def _absent(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Per query key, whether the sorted keys lack it."""
     if not len(keys):
         return np.ones(len(query), dtype=bool)
-    return keys[np.minimum(at, len(keys) - 1)] != query
+    return keys[np.minimum(keys.searchsorted(query), len(keys) - 1)] != query
 
 
 def transposition_insert(table: TranspositionTable, key: int) -> tuple[str]:
@@ -608,10 +609,8 @@ def transposition_insert_many(table: TranspositionTable, keys: np.ndarray) -> np
     """Adds each row i of keys (limbs, as TranspositionTable takes them);
     returns, in order, the positions i of the fresh offers: each key's
     first offer, where the table lacked that key."""
-    # each key's first offer, then those neither sorted part holds; the
-    # run is searched once, for the check and for where they go in it
+    # each key's first offer, then those neither sorted part holds
     sortable, first = np.unique(table._sortable(keys), return_index=True)
-    at = table.run_keys.searchsorted(sortable)
-    fresh = _absent(table.keys, sortable, table.keys.searchsorted(sortable)) & _absent(table.run_keys, sortable, at)
-    table._add(sortable[fresh], at[fresh])
+    fresh = _absent(table.keys, sortable) & _absent(table.run_keys, sortable)
+    table._add(sortable[fresh])
     return np.sort(first[fresh])

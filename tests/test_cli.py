@@ -87,9 +87,10 @@ class TestSearchCommand:
         [
             (["--node-capacity", "0"], "error: node_capacity must be at least 4 periods (8 nodes)"),
             (["--node-capacity", "-5"], "error: node_capacity must be at least 4 periods (8 nodes)"),
+            (["--node-capacity", "2147483649"], "error: node_capacity must be at most 2**31 (2147483648 nodes)"),
             (["--max-deepening", "-1"], "error: max_deepening must not be negative"),
         ],
-        ids=["capacity-zero", "capacity-negative", "deepening-negative"],
+        ids=["capacity-zero", "capacity-negative", "capacity-past-int32", "deepening-negative"],
     )
     def test_bad_config_prints_only_the_error(self, extra, message, capsys):
         args = [a for a in search_args(*extra) if a != "--quiet"]
@@ -146,8 +147,9 @@ class TestSearchCommand:
         assert "2bo$obobo$bobo2$2bo!" in captured.out
 
     def test_node_capacity_reserves_nothing_up_front(self, capsys):
-        # 2^40 nodes: any per-capacity allocation at set-up would fail here
-        assert main(search_args("--node-capacity", str(1 << 40))) == 0
+        # 2^31 nodes, the most that int32 node indices allow: any
+        # per-capacity allocation at set-up would fail here
+        assert main(search_args("--node-capacity", str(1 << 31))) == 0
         assert "#C period 4, dx 0, dy -2, speed 2c/4 = c/2" in capsys.readouterr().out
 
     def test_progress_goes_to_stderr(self, capsys):

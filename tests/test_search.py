@@ -326,7 +326,7 @@ class TestStoreMemory:
         ids=["c4-one-limb-exhaust", "weekender-two-limbs-fill"],
     )
     def test_arena_and_table_bytes_a_node(self, params, config, nodes, most):
-        # the arena takes 12 bytes a node and the table 8 a key limb,
+        # the arena takes 8 bytes a node and the table 8 a key limb,
         # with its recent keys folded into its sorted part; what the two
         # stores hold is what freeing them returns
         tracemalloc.start()

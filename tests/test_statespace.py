@@ -10,6 +10,8 @@ and require is_consistent to accept it (and to reject a perturbation).
 import cProfile
 import math
 import random
+import subprocess
+import sys
 import tracemalloc
 from collections import deque
 from dataclasses import replace
@@ -741,24 +743,34 @@ class TestTranspositionFolds:
         assert len(folded) >= 4 and folded[0] == (5000, 0)  # the fifth chunk passes RECENT_MIN
         assert all(run <= max(statespace.RECENT_MIN, keys // 8) for keys, run in sizes)
 
+    @staticmethod
+    def refused(table, keys):
+        # an offer of fresh keys while a view of the table's keys lives
+        # raises BufferError, as the typed array under them may not grow,
+        # and leaves the table as it was
+        before = len(table), table.keys.copy(), table.run_keys.copy()
+        with pytest.raises(BufferError):
+            transposition_insert_many(table, keys)
+        assert len(table) == before[0]
+        assert np.array_equal(table.keys, before[1]) and np.array_equal(table.run_keys, before[2])
+
     def test_fold_refuses_a_live_view(self):
-        # the fold grows the sorted part in place: a view of it that
-        # outlived the offer would dangle, so the fold raises instead
+        # the keys grow in place: a view of them that outlived the offer
+        # would dangle, so the offer raises instead
         params = SearchParams(LIFE, 2, 1, 8)
         table, rng = TranspositionTable(params), np.random.default_rng(1)
         transposition_insert_many(table, rng.integers(0, 2**32, size=(5000, 1), dtype=np.uint64))
         assert len(table.keys) == 5000 and not len(table.run_keys)
         view = table.keys[:10]
-        with pytest.raises(ValueError, match="resize"):
-            transposition_insert_many(table, rng.integers(0, 2**32, size=(5000, 1), dtype=np.uint64))
+        self.refused(table, rng.integers(0, 2**32, size=(5000, 1), dtype=np.uint64))
         del view
         transposition_insert_many(table, rng.integers(0, 2**32, size=(5000, 1), dtype=np.uint64))
         assert (table.keys[1:] > table.keys[:-1]).all()
 
     def test_folds_under_a_profiler(self):
         # a profiler holds one more reference to an array while a method of
-        # it runs, which ndarray.resize's own check counts as a live view;
-        # the fold still merges, and still refuses a real view
+        # it runs, which is no view of the keys: the fold still merges, and
+        # an offer still refuses a real view
         params = SearchParams(LIFE, 2, 1, 8)
         table, rng = TranspositionTable(params), np.random.default_rng(2)
         keys = rng.integers(0, 2**32, size=(15000, 1), dtype=np.uint64)
@@ -768,11 +780,10 @@ class TestTranspositionFolds:
             for lo in range(0, 10000, 5000):
                 transposition_insert_many(table, keys[lo : lo + 5000])
             assert len(table.keys) == len(np.unique(keys[:10000])) and not len(table.run_keys)
-            view = table.keys[:10]
-            with pytest.raises(ValueError, match="resize"):
-                transposition_insert_many(table, keys[10000:])
+            view = table.run_keys
+            self.refused(table, keys[10000:])
             del view
-            transposition_insert_many(table, keys[:1])  # a duplicate: the run folds
+            transposition_insert_many(table, keys[10000:])
         finally:
             profiler.disable()
         assert len(table.keys) == len(np.unique(keys)) and not len(table.run_keys)
@@ -781,14 +792,16 @@ class TestTranspositionFolds:
     @pytest.mark.parametrize("width", [16, 18], ids=["64-bit-one-limb", "72-bit-two-limbs"])
     def test_fold_holds_one_merged_copy(self, width):
         # a sorted part of 200,000 keys and a run of an eighth of that,
-        # folded by one more scalar offer; the old run is freed with it.
-        # This is tracemalloc's view only: it sees the sorted part grow by
-        # the run's slots (0.13 times the old sorted part, against 0.52
-        # and 0.38 for the slice-by-slice merge that the bound was set for
-        # and 1.64 and 1.38 for a merge into a new array), but not that
-        # ndarray.resize copies the sorted part, nor the stable sort's
-        # merge buffer, which NumPy allocates outside tracemalloc; peak
-        # resident memory grows by about the old sorted part
+        # folded by one more scalar offer. This is tracemalloc's view
+        # only: the run already sits after the sorted part in the table's
+        # one array, and the fold sorts that array in place, so tracemalloc
+        # sees only the offer's own scratch (0.002 times the old sorted
+        # part, against 0.13 for growing a separate sorted part by the
+        # run's slots, 0.52 and 0.38 for the slice-by-slice merge that the
+        # bound was set for and 1.64 and 1.38 for a merge into a new
+        # array). It does not see the stable sort's merge buffer, of up to
+        # the run's size, which NumPy allocates outside tracemalloc;
+        # test_fold_peak_resident_memory bounds the resident peak
         params = SearchParams(LIFE, 2, 1, width)
         n = 200_000
         tracemalloc.start()
@@ -815,7 +828,52 @@ class TestTranspositionFolds:
         assert len(table.keys) == n + n // 8 + 1 and not len(table.run_keys)
         run, step, size = n // 8 + 1, max(statespace.RECENT_MIN, n // 8 + 1), table.keys.itemsize
         assert peak - held < (size + 8) * (run + step) + 8 * step < old
-        assert after - held < old // 16  # the old run is freed as its keys move
+        assert after - held < old // 16  # the fold leaves the array as it found it
+
+    # in a fresh process: a table of 2^22 sorted keys, then a run of
+    # 2^19 + 1 keys between them, whose last offer folds it. Both parts
+    # are offered in chunks of 2^16 keys, and the first is then marked
+    # folded with no fold (RECENT_MIN is raised while it is offered), so
+    # that set-up neither copies nor sorts it whole and does not set the
+    # peak. Prints the fold's rise of ru_maxrss and the sorted part's bytes
+    FOLD_PEAK = """
+import resource, sys
+import numpy as np
+from shipsearch import statespace
+from shipsearch.rules import parse_rule
+from shipsearch.statespace import SearchParams, TranspositionTable, transposition_insert_many
+
+table = TranspositionTable(SearchParams(parse_rule("B3/S23"), 2, 1, int(sys.argv[1])))
+n, run, chunk, recent_min = 1 << 22, (1 << 19) + 1, 1 << 16, statespace.RECENT_MIN
+
+def offer(lo, hi, scale, plus):
+    limbs = np.zeros((hi - lo, table.limbs), dtype=np.uint64)
+    limbs[:, -1] = np.arange(lo, hi, dtype=np.uint64) * np.uint64(scale) + np.uint64(plus)
+    transposition_insert_many(table, limbs)
+
+statespace.RECENT_MIN = n
+for lo in range(0, n, chunk):
+    offer(lo, lo + chunk, 2, 0)  # the even keys below 2n, the run sorted after each
+table.folded, statespace.RECENT_MIN = n, recent_min
+for lo in range(0, run - 1, chunk):
+    offer(lo, lo + chunk, 16, 1)  # odd keys among them
+assert len(table.keys) == n and len(table.run_keys) == run - 1
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+offer(run - 1, run, 16, 1)
+assert len(table.keys) == n + run and not len(table.run_keys)
+print(1024 * (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before), n * table.dtype.itemsize)
+"""
+
+    @pytest.mark.parametrize("width", [16, 18], ids=["64-bit-one-limb", "72-bit-two-limbs"])
+    def test_fold_peak_resident_memory(self, width):
+        # the fold sorts the run in place after the sorted part, so the
+        # resident peak rises by the merge buffer (up to the run's bytes,
+        # an eighth of the sorted part's) and never by a copy of the
+        # sorted part, as a resize into a new block raised it
+        proc = subprocess.run([sys.executable, "-c", self.FOLD_PEAK, str(width)], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        rise, sorted_bytes = map(int, proc.stdout.split())
+        assert rise < sorted_bytes // 2
 
 
 class TestExtraction:
