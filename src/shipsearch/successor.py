@@ -198,17 +198,21 @@ def _ll_table(rule: Rule):
     whose lookahead-track triple lt has some 5-windows x5, y5 satisfying
     both next-step instances:
     center3(evolve5(a5,b5,x5)) == r3 and center3(evolve5(b5,x5,y5)) == lt.
-    An allowed lt allows the whole byte of edges with that lt."""
+    An allowed lt allows the whole byte of edges with that lt.
+
+    All eight r3 of one (a5, b5) come from one shift-and-OR over x5: the
+    lt that some y5 gives, t2[b5, x5], shifted into byte r3 =
+    center3(evolve5(a5,b5,x5)) of a uint64, eight planes of a5 at a time
+    (64 KB). Each lt bit of the bytes, taken as [r3, a5, b5], then widens
+    to its byte of edges."""
     ev = np.array(evolution_table(rule), dtype=np.uint8)
     ev5c = _evolve5_center3(ev)
-    pow2 = (1 << np.arange(8)).astype(np.uint8)
-    t2 = np.bitwise_or.reduce(pow2[ev5c], axis=2)  # [b5, x5] mask over lt
-    out = np.zeros((8, 32, 32), dtype=np.uint8)  # [r3, a5, b5]
-    for r3 in range(8):
-        sel = np.where(ev5c == r3, t2[None, :, :], np.uint8(0))
-        out[r3] = np.bitwise_or.reduce(sel, axis=2)
-    lts = np.unpackbits(out.reshape(-1, 1), axis=1, bitorder="little")  # [entry, lt]
-    return _masks_from_bits(np.repeat(lts, 8, axis=1))
+    t2 = np.bitwise_or.reduce(np.uint8(1) << ev5c, axis=2).astype(np.uint64)  # [b5, x5] mask over lt
+    lts = np.empty((32, 32), dtype="<u8")  # [a5, b5], byte r3 a mask over lt
+    for a in range(0, 32, 8):
+        np.bitwise_or.reduce(t2 << (ev5c[a : a + 8] << np.uint8(3)), axis=2, out=lts[a : a + 8])
+    by_r3 = lts.view(np.uint8).reshape(32, 32, 8).transpose(2, 0, 1)  # [r3, a5, b5]
+    return (np.unpackbits(by_r3, bitorder="little") * np.uint8(0xFF)).view("<u8").tolist()
 
 
 _POP2 = np.array([0, 1, 1, 2], dtype=np.uint8)
@@ -216,56 +220,36 @@ _POP2 = np.array([0, 1, 1, 2], dtype=np.uint8)
 
 def _pack32(bits: np.ndarray) -> np.ndarray:
     """Runs of 32 truth values (the last axis) as little-endian uint32s."""
-    return np.packbits(bits.astype(bool), bitorder="little").view(np.uint32)
+    return np.packbits(bits.astype(bool, copy=False), bitorder="little").view(np.uint32)
 
 
 _CLOSURE_PLANES = 4
-
-
-def _closure_pass(valid: np.ndarray, good: np.ndarray) -> np.ndarray:
-    """One full pass of _backward_closure: good with bit d of good[a,b,c]
-    set wherever valid[a,c,d] & good[b,c,d] is nonzero. The ANDs go
-    through one buffer of _CLOSURE_PLANES values of a, 512 KB where all
-    32 would take 4 MB."""
-    new = good.copy()
-    planes = np.empty((_CLOSURE_PLANES, 32, 32, 32), dtype=np.uint32)  # [a, b, c, d] for a slab of a
-    for a in range(0, 32, _CLOSURE_PLANES):
-        np.bitwise_and(valid[a : a + _CLOSURE_PLANES, None], good[None], out=planes)
-        new[a : a + _CLOSURE_PLANES] |= _pack32(planes).reshape(-1, 32, 32)
-    return new
 
 
 def _backward_closure(valid: np.ndarray) -> np.ndarray:
     """The strips that can reach the all-dead strip under valid appends:
     good[a,b,c] bit d <=> strip rows (a,b,c,d) oldest-first can reach it,
     where valid[a,c,d] bit x allows appending x to (a,b,c,d) when
-    (b,c,d,x) is good. Bit d of good[a,b,c] thus reads good[b,c,d]
-    alone, so each pass recomputes only the slabs good[:, b, c] whose
-    sources good[b, c, :] changed in the pass before (semi-naive
-    evaluation). Where most slabs changed, one full pass over all of them
-    (_closure_pass, a few planes of a at a time) costs less than
-    gathering valid for each."""
-    by_c = np.ascontiguousarray(valid.transpose(1, 0, 2))  # [c, a, d]
+    (b,c,d,x) is good. Passes raise good in place, _CLOSURE_PLANES values
+    of a at a time through two buffers that every slab reuses, 512 KB of
+    ANDs and 128 KB of their truth values (all 32 would take 5 MB), each
+    slab reading the slabs this pass has already raised: the system is
+    monotone, so any order of raising reaches the same least fixpoint,
+    and the passes stop at the first that changes nothing."""
     good = np.zeros((32, 32, 32), dtype=np.uint32)
     good[0, 0, 0] = 1
-    changed = np.zeros((32, 32), dtype=bool)  # [b, c]: some good[b, c, :] changed
-    changed[0, 0] = True
-    while changed.any():
-        if changed.sum() > 512:
-            new = _closure_pass(valid, good)
-            changed = (new != good).any(axis=2)
-            good = new
-            continue
-        b, c = np.nonzero(changed)
-        old = good[:, b, c]
-        reach = by_c[c]  # a gathered copy, ANDed in place
-        reach &= good[b, c, None, :]
-        new = old | _pack32(reach).reshape(-1, 32).T
-        del reach  # so that it does not outlive the pass
-        good[:, b, c] = new
-        changed = np.zeros((32, 32), dtype=bool)
-        a, at = np.nonzero(new != old)
-        changed[a, b[at]] = True
+    planes = np.empty((_CLOSURE_PLANES, 32, 32, 32), dtype=np.uint32)  # [a, b, c, d] for a slab of a
+    hit = np.empty(planes.shape, dtype=bool)
+    changed = True
+    while changed:
+        changed = False
+        for a in range(0, 32, _CLOSURE_PLANES):
+            np.bitwise_and(valid[a : a + _CLOSURE_PLANES, None], good[None], out=planes)
+            slab = good[a : a + _CLOSURE_PLANES]
+            np.not_equal(planes, np.uint32(0), out=hit)
+            raised = _pack32(hit).reshape(-1, 32, 32)
+            changed = changed or (raised & ~slab).any()
+            slab |= raised
     return good
 
 

@@ -7,7 +7,7 @@ stage1 that the compiled ones are checked against, the closed-form
 vertex folds and the vertex-set form of stages 2 and 3 that the
 edge-mask steps are checked against, the share of a table's entries
 pruned, the p2 table's backward closure as a plain fixed-point loop,
-the star and p2 tables built over their whole unfactored grids, the
+the star, ll and p2 tables built over their whole unfactored grids, the
 bench's modules and search command lines, a transposition table's
 keys as ints, the one-state-at-a-time breadth-first expansion that the
 bulk chunks are checked against, and the one-root-at-a-time deepening
@@ -22,7 +22,7 @@ import numpy as np
 from shipsearch import cli
 from shipsearch.oracle import frame_row, instance_holds, state_rows
 from shipsearch.pattern import Pattern
-from shipsearch.rules import evolution_table, parse_rule
+from shipsearch.rules import evolution_table, evolve_row_triple, parse_rule
 from shipsearch.search import RUNNING, SearchConfig
 from shipsearch.statespace import (
     DIAGONAL,
@@ -264,6 +264,28 @@ def reference_star_tables(rule):
 
     full = cond_a[:, None, :] & cond_l  # bit position ct | lt<<3 = lt-major
     return _masks_from_bits(full.reshape(8192, 64))
+
+
+def reference_ll_table(rule):
+    """successor._ll_table over the whole 32^4 grid of (a5, b5, x5, y5):
+    each grid point marks lt = center3(evolve5(b5,x5,y5)) allowed in the
+    entry of r3 = center3(evolve5(a5,b5,x5)), and each allowed lt allows
+    its whole byte of edges ct | lt<<3. center3 comes from evolving each
+    triple of 5-windows cell by cell, not from successor._evolve5_center3."""
+    ev = evolution_table(rule)
+    ev5c = np.array(
+        [evolve_row_triple(ev, a, b, c, 5) >> 1 & 7 for a in range(32) for b in range(32) for c in range(32)],
+        dtype=np.intp,
+    ).reshape(32, 32, 32)
+    a5 = np.arange(32)[:, None, None, None]
+    b5 = np.arange(32)[None, :, None, None]
+    x5 = np.arange(32)[None, None, :, None]
+    y5 = np.arange(32)[None, None, None, :]
+    allowed = np.zeros((8, 32, 32, 8), dtype=bool)  # [r3, a5, b5, lt]
+    allowed[ev5c[a5, b5, x5], a5, b5, ev5c[b5, x5, y5]] = True
+
+    # entry index = b5 | a5<<5 | r3<<10, bit = ct | lt<<3
+    return _masks_from_bits(np.repeat(allowed.reshape(8192, 8), 8, axis=1))
 
 
 def reference_p2_table(rule):

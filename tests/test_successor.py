@@ -8,7 +8,10 @@ ship's interleaved rows in must always yield the ship's actual next row.
 
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 from dataclasses import replace
@@ -27,6 +30,7 @@ from helpers import (
     left_vertices,
     padded,
     pruned_percent,
+    reference_ll_table,
     reference_p2_table,
     reference_row_count,
     reference_star_tables,
@@ -57,6 +61,7 @@ from shipsearch.statespace import (
 from shipsearch.successor import (
     _LEFT_OF,
     _RIGHT_OF,
+    _ll_table,
     _next_allowed,
     _next_allowed_int,
     _p2_table,
@@ -116,7 +121,7 @@ class TestP2Table:
         assert _p2_table(LIFE)[0] & 1  # dead windows, dead triples
 
     @pytest.mark.parametrize("rule", ["B3/S23", "B36/S23", "B2/S", "B3678/S34678"])
-    def test_semi_naive_closure_matches_fixed_point(self, monkeypatch, rule):
+    def test_closure_matches_fixed_point(self, monkeypatch, rule):
         built = _p2_table.__wrapped__(parse_rule(rule))
         monkeypatch.setattr(successor_mod, "_backward_closure", fixed_point_closure)
         assert built == _p2_table.__wrapped__(parse_rule(rule))
@@ -199,6 +204,24 @@ class TestLlTable:
                         lt = center3(b5, x5, y5)
                         mask |= 0xFF << 8 * lt  # every edge ct | lt << 3
                 assert tables.filter[idx] == mask
+
+    @pytest.mark.parametrize("rule", WHOLE_TABLE_RULES)
+    def test_whole_table_matches_unfactored_build(self, rule):
+        assert _ll_table.__wrapped__(parse_rule(rule)) == reference_ll_table(parse_rule(rule))
+
+
+def test_importing_the_cli_builds_no_rule_table():
+    # the bench's setup_s times the rule tables as Search() builds them;
+    # no bench metric times imports, so a build moved there would hide
+    code = (
+        "import shipsearch.cli\n"
+        "from shipsearch import successor as s\n"
+        "print([f.cache_info().currsize for f in (s._star_tables, s._ll_table, s._p2_table)])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, 0, 0]
 
 
 MODE_CASES = [
