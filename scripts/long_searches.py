@@ -9,18 +9,21 @@ can launch one deliberately; nothing in the test suite depends on them.
     python3 scripts/long_searches.py --list
     python3 scripts/long_searches.py --run weekender [--capacity 2**26]
 
-Memory grows with --capacity. The search tree, its duplicate table and
-the queue take about 30 bytes a node at the weekender's 126-bit state
-keys. On a 2-core x86-64 VM (Python 3.11, NumPy 2.4; 30 MB of imports),
-the weekender filled its tree to 2^22 nodes in 1.5 s, peaking at 174 MB
-resident (ru_maxrss), and to 2^24 nodes in 7.0 s, peaking at 524 MB,
-31 bytes a node. Stopped 120 s into its first deepening round, 21M
-expansions in, the 2^24 run had peaked at 830 MB, the probes' own tables
-of the states they met included (each is freed when its probe ends).
-That is about 50 bytes a node, so the default --capacity 2**26 needs
-about 3.3 GB, more the longer a round runs. A 2^22 run stopped the same
-way peaked at 305 MB, 73 bytes a node, as the imports and the probes'
-tables weigh more against a smaller tree.
+Memory grows with --capacity. The search tree and its duplicate table
+take about 26 bytes a node at the weekender's 126-bit state keys; the
+states waiting to be expanded are the tree's last nodes and cost nothing
+more. On a 2-core x86-64 VM (Python 3.11, NumPy 2.4; 30 MB of imports),
+the weekender filled its tree to 2^22 nodes in 1.5-1.8 s, peaking at
+157 MB resident (ru_maxrss), and to 2^24 nodes in 8.1 s, peaking at
+456 MB, 27 bytes a node. Stopped 120 s into its first deepening round,
+21M expansions in, the 2^24 run had peaked at 830 MB, the probes' own
+tables of the states they met included (each is freed when its probe
+ends); that was measured while the frontier still kept a queue of 4
+bytes a state beside the tree. That is about 50 bytes a node, so the
+default --capacity 2**26 needs about 3.3 GB, more the longer a round
+runs. A 2^22 run stopped the same way peaked at 305 MB, 73 bytes a
+node, as the imports and the probes' tables weigh more against a
+smaller tree.
 
 The test suites cover the same machinery at desk scale (small Life
 ships, the turtle, oracle sweeps), which is why these stay optional.

@@ -1,22 +1,25 @@
 """Breadth-first ship search with depth-first pruning rounds.
 
 The frontier grows breadth-first so the shortest ships surface first.
-When the node arena approaches capacity, a deepening round probes every
-frontier state depth-first to a limit that rises by one period each
-round: roots whose subtree dies before the limit are dropped, the
-survivors are kept, and compaction rebuilds the arena from them. With a
-tiny capacity this degrades into plain iterative deepening; with a large
-one the rounds are rare. If max_deepening is set and the limit outruns
-the frontier by more than that, the strip is narrowed by one column
-instead.
+It is the node arena's tail, arena[head:]: only fresh children are
+stored, in order, and a round drops its dead roots, which are leaves.
+Capacity counts every child grown since the last compaction, duplicates
+and goals too (Search.generated). When that count approaches capacity,
+a deepening round probes every frontier state depth-first to a limit
+that rises by one period each round: roots whose subtree dies before
+the limit are dropped, the survivors are kept, and compaction rebuilds
+the arena from them. With a tiny capacity this degrades into plain
+iterative deepening; with a large one the rounds are rare. If
+max_deepening is set and the limit outruns the frontier by more than
+that, the strip is narrowed by one column instead.
 
 Both phases work on many states at once: the breadth-first loop expands
-up to BATCH_CHUNK queued states of any levels as one chunk, a deepening
+up to BATCH_CHUNK frontier states of any levels as one chunk, a deepening
 round runs the depth-first walks of up to BATCH_CHUNK roots in lockstep,
 one generator each, and both take the rows of at least BATCH_MIN windows
 from one successors_batch call, of fewer from successors() on each. A
 chunk is cut only by a full arena or a ship. Its children reach the
-arena and the transposition table in one bulk pass, its finished ships
+transposition table and the arena in one bulk pass, its finished ships
 caught among them before they reach either; the frontier that
 compaction keeps is offered in bulk too. Counts and ships are those of
 handling one state at a time, and nothing configures the batching.
@@ -43,7 +46,6 @@ from .pattern import Pattern, ShipDescriptor, classify_ship
 from .statespace import (
     GLIDE_REFLECT,
     ORTHOGONAL,
-    NodeQueue,
     SearchParams,
     TranspositionTable,
     child_keys,
@@ -117,8 +119,8 @@ class Search:
         self.progress = progress
         self.tables = build_tables(params)
         self.hist = history(params)  # the window successors() reads
-        self.arena, tip = make_initial_state(params)
-        self.queue = NodeQueue([tip])
+        self.arena, self.head = make_initial_state(params)  # the frontier is arena[head:], the seed's tip
+        self.generated = len(self.arena)  # the nodes compaction left, then every child grown since
         self._new_table(())  # the seed is the whole frontier
         self.limit: int | None = None  # deepening level reached by previous rounds
         self.ships: list[tuple[Pattern, ShipDescriptor]] = []
@@ -134,17 +136,17 @@ class Search:
         return self.arena.depth(idx) - (self.hist - 1)
 
     def arena_full(self) -> bool:
-        """True when one more expansion could overrun the node capacity: a
-        deepening round and compaction come first."""
-        return len(self.arena) + (1 << self.params.width) > self.config.node_capacity
+        """True when one more expansion could take the nodes generated past
+        the node capacity: a deepening round and compaction come first."""
+        return self.generated + (1 << self.params.width) > self.config.node_capacity
 
     def _new_table(self, frontier) -> None:
         """Start a transposition table holding the all-dead seed's state,
         key 0, then the states of frontier.
 
-        Key 0 goes in first so that the all-dead state is never queued:
-        every later offer of it, a goal child's among them, is a
-        duplicate. The goal test relies on that key (see _expand_head).
+        Key 0 goes in first so that the all-dead state never joins the
+        frontier: every later offer of it, a goal child's among them, is
+        a duplicate. The goal test relies on that key (see _expand_head).
         It stays a scalar transposition_insert: bench/worker.py
         counts the table's duplicate ratio from that function's calls."""
         params, arena = self.params, self.arena
@@ -157,11 +159,11 @@ class Search:
             transposition_insert_many(self.tt, keys)
 
     def _tick(self, force: bool = False) -> None:
-        # a step's end: refresh the status (a drained queue keeps the
-        # frontier level) and report when forced or when due
-        self.status.nodes_in_arena = len(self.arena)
-        if self.queue:
-            self.status.frontier_level = self.level_of(self.queue[0])
+        # a step's end: refresh the status (an empty frontier keeps its
+        # last level) and report when forced or when due
+        self.status.nodes_in_arena = self.generated
+        if self.head < len(self.arena):
+            self.status.frontier_level = self.level_of(self.head)
         if self.progress is None:
             return
         interval = self.config.progress_interval
@@ -209,28 +211,29 @@ def _successor_lists(search: Search, windows: list) -> list[list[int]]:
 
 
 def _expand_head(search: Search) -> None:
-    """Expand the first queued states as one chunk, in one pass, exactly
-    as expanding them one at a time in queue order would. The chunk takes
-    BATCH_CHUNK parents, fewer where the arena has less room, and is cut
-    only where run_search would stop expanding: before the parent at
+    """Expand the first frontier states as one chunk, in one pass, exactly
+    as expanding them one at a time in frontier order would. The chunk
+    takes BATCH_CHUNK parents, fewer where the arena has less room, and is
+    cut only where run_search would stop expanding: before the parent at
     which the arena would be full, or at a ship that ends the search;
-    parents not reached stay queued. A chunk that drains the queue leaves
-    the frontier level at its last parent's, as the tick before that
-    parent's own expansion would. Only a child whose state key is 0 can
-    finish a ship, so only those are goal-tested, in order, from their
-    parent's window before the chunk reaches the arena. A ship that ends
-    the search cuts the chunk at its child: the arena takes the children
-    through it, only those before it are offered, and its parent is the
-    last one expanded. Other goal children are offered with the rest, and
-    the seed's key 0 in the table turns them away."""
-    queue, status = search.queue, search.status
+    parents not reached stay in the frontier. A chunk that empties the
+    frontier leaves the frontier level at its last parent's, as the tick
+    before that parent's own expansion would. Only a child whose state key
+    is 0 can finish a ship, so only those are goal-tested, in order, from
+    their parent's window before the chunk reaches the table. A ship that
+    ends the search cuts the chunk at its child, and its parent is the
+    last one expanded. The table, which holds the seed's key 0, turns
+    every goal child away; the fresh children are appended, so the
+    frontier stays the arena's tail, and every child grown counts toward
+    capacity."""
+    status = search.status
     if status.outcome != RUNNING or search.arena_full():
         return
-    params, arena = search.params, search.arena
-    room = search.config.node_capacity - (1 << params.width)  # arena_full() <=> len(arena) > room
+    params, arena, head = search.params, search.arena, search.head
+    room = search.config.node_capacity - (1 << params.width) - search.generated  # children grown before full
     # each parent with a child brings the arena a node nearer to full, so
-    # parents past the first room - len(arena) are seldom reached
-    chunk = queue.nodes(min(BATCH_CHUNK, max(1, room - len(arena))))
+    # parents past the first room are seldom reached
+    chunk = np.arange(head, head + min(BATCH_CHUNK, max(1, room), len(arena) - head))
     windows = arena.windows(chunk, search.hist)
     if len(chunk) >= BATCH_MIN:
         at, rows = successors_batch(params, search.tables, windows)
@@ -240,26 +243,26 @@ def _expand_head(search: Search) -> None:
         rows = np.fromiter(chain.from_iterable(found), dtype=np.uint64, count=len(at))
     keys = child_keys(params, windows, at, rows)
     first = [0, *np.cumsum(np.bincount(at, minlength=len(chunk))).tolist()]  # each parent's first child
-    # parents 0..end-1: the arena fills before the first parent at which
-    # its length would pass room
-    end = min(len(chunk), bisect_right(first, room - len(arena)))
-    stop = hi = first[end]  # the arena takes children 0..stop-1, the table 0..hi-1
+    # parents 0..end-1, children 0..stop-1: the arena fills before the
+    # first parent at which the children grown would pass room
+    end = min(len(chunk), bisect_right(first, room))
+    stop = first[end]
     # A child is a goal when its key is 0 and its parent's window holds a
     # live row. A key-0 state is expanded only when nothing before it
-    # lives: the seed's key 0 from _new_table turns every key-0 child away
-    # from the queue, and a probe pushes a key-0 child only when its
+    # lives: the seed's key 0 from _new_table keeps every key-0 child out
+    # of the frontier, and a probe pushes a key-0 child only when its
     # window is dead. So a live row older than the window would have made
     # the parent a goal, never expanded.
-    for i in np.flatnonzero(~keys[:hi].any(axis=1)).tolist():
+    for i in np.flatnonzero(~keys[:stop].any(axis=1)).tolist():
         if windows[at[i]].any() and search._record_ship(arena.all_rows(int(chunk[at[i]])) + [int(rows[i])]):
-            end, stop, hi = int(at[i]) + 1, i + 1, i
+            end, stop = int(at[i]) + 1, i + 1
             break
-    start = len(arena)
-    arena.add_children(chunk[at[:stop]], rows[:stop])
-    queue.pop(end)
-    queue.extend(start + transposition_insert_many(search.tt, keys[:hi]))
+    fresh = transposition_insert_many(search.tt, keys[:stop])
+    arena.add_children(chunk[at[fresh]], rows[fresh])
+    search.head += end
+    search.generated += stop
     status.states_expanded += end
-    if not queue:
+    if search.head == len(arena):
         status.frontier_level = search.level_of(int(chunk[end - 1]))
     if status.outcome == RUNNING:
         search._tick()  # none after a ship that ends the search
@@ -353,12 +356,12 @@ def _dfs_probe(search: Search, roots: list[int], limit: int) -> list[bool]:
 
 
 def dfs_round(search: Search) -> None:
-    """One deepening round over the whole frontier; prunes dead roots in
-    place and raises the limit, or narrows the strip when capped. The
-    roots are probed in blocks of up to BATCH_CHUNK, in queue order; a
-    block's roots leave the queue once it is probed."""
-    queue = search.queue
-    frontier = search.level_of(queue[0])
+    """One deepening round over the whole frontier; drops its dead roots
+    and raises the limit, or narrows the strip when capped. The roots are
+    probed in blocks of up to BATCH_CHUNK, in frontier order; the head
+    passes a block's roots once it is probed."""
+    start = search.head
+    frontier = search.level_of(start)
     p = search.params.period
     limit = frontier + p
     if search.limit is not None:
@@ -369,30 +372,33 @@ def dfs_round(search: Search) -> None:
         return
     search.limit = limit
     search.status.deepening_limit = limit
-    survivors = NodeQueue()
-    while queue:
-        roots = queue.nodes(BATCH_CHUNK)
-        keep = _dfs_probe(search, roots.tolist(), limit)
-        queue.pop(len(keep))
+    end = len(search.arena)
+    keep = np.zeros(end - start, dtype=bool)
+    for lo in range(start, end, BATCH_CHUNK):
+        search.head = lo
+        verdicts = _dfs_probe(search, list(range(lo, min(lo + BATCH_CHUNK, end))), limit)
+        keep[lo - start : lo - start + len(verdicts)] = verdicts
         if search.status.outcome != RUNNING:
+            search.head += len(verdicts)
             return
-        survivors.extend(roots[np.array(keep, dtype=bool)])
-    search.queue = survivors
+    search.arena.keep_tail(start, keep)
+    search.head = start
     search._tick(force=True)
 
 
 def compact(search: Search) -> None:
-    """Rebuild the arena from the frontier and its ancestry. The
-    transposition table starts over from the seed and the frontier, so it
-    never holds more keys than the arena has nodes. With no frontier
+    """Rebuild the arena from the frontier and its ancestry, the frontier
+    again its tail, and start counting the nodes generated from its size.
+    The transposition table starts over from the seed and the frontier, so
+    it never holds more keys than the arena has nodes. With no frontier
     left, exhaustion is declared next: the arena is left as it is and the
     table starts over from the seed alone, so that after a narrowing it
     holds no key of the old width."""
-    if not search.queue:
+    if search.head == len(search.arena):
         search._new_table(())
         return
-    search.arena, frontier = search.arena.ancestry(search.queue.nodes())
-    search.queue = NodeQueue(frontier)
+    search.arena, frontier = search.arena.ancestry(np.arange(search.head, len(search.arena)))
+    search.head, search.generated = int(frontier[0]), len(search.arena)
     search._new_table(frontier)
     search._tick(force=True)
 
@@ -407,13 +413,13 @@ def reduce_width(search: Search) -> None:
         return
     bit = params.width - 1
     glide = params.symmetry == GLIDE_REFLECT
-    queue, kept = search.queue.nodes(), NodeQueue()
-    for lo in range(0, len(queue), BATCH_CHUNK):
-        chunk = queue[lo : lo + BATCH_CHUNK]
-        windows = search.arena.windows(chunk, search.hist)
+    start, end = search.head, len(search.arena)
+    keep = np.empty(end - start, dtype=bool)
+    for lo in range(start, end, BATCH_CHUNK):
+        windows = search.arena.windows(range(lo, min(lo + BATCH_CHUNK, end)), search.hist)
         live = windows if glide else windows >> bit & 1
-        kept.extend(chunk[~live.any(axis=1)])
-    search.queue = kept
+        keep[lo - start : lo - start + len(windows)] = ~live.any(axis=1)
+    search.arena.keep_tail(start, keep)
     search.params = replace(params, width=params.width - 1)
     search.tables = build_tables(search.params)
     search.status.current_width = search.params.width
@@ -425,7 +431,7 @@ def run_search(params: SearchParams, config: SearchConfig | None = None, progres
     """Drive a search to completion and return the ships found."""
     search = Search(params, config, progress)
     while search.status.outcome == RUNNING:
-        if not search.queue:
+        if search.head == len(search.arena):
             search.status.outcome = EXHAUSTED
             break
         if search.arena_full():

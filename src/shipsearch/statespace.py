@@ -278,11 +278,11 @@ class NodeArena:
     children appended in bulk; compaction builds a fresh one.
 
     Rows and parents are typed arrays, 8 bytes a node. Nodes come in
-    level order, as a breadth-first queue expands them, so a node's depth
+    level order, as breadth-first expansion appends them, so a node's depth
     is read from starts, the index of each level's first node; an append
     that would break that order raises ValueError. Indexing a typed array
     gives a Python int; bulk work reads them through _view, whose views
-    must be gone before the next add or truncate: an array that exports
+    must be gone before the next add or keep_tail: an array that exports
     its buffer cannot be resized."""
 
     def __init__(self):
@@ -327,9 +327,21 @@ class NodeArena:
         for buffer, values in ((self.rows, rows), (self.parents, parents)):
             buffer.frombytes(np.ascontiguousarray(values, dtype=buffer.typecode).view(np.uint8))
 
-    def truncate(self, n: int) -> None:
-        """Drop every node from index n on."""
-        del self.rows[n:], self.parents[n:], self.starts[bisect_left(self.starts, n) :]
+    def keep_tail(self, start: int, keep) -> None:
+        """Keep each node start + i where keep[i] and drop the others. Every
+        node from start on must be a leaf whose parent comes before start,
+        as the frontier's nodes are; ValueError, and nothing dropped, if
+        not. So only those nodes and the levels that start past start
+        change."""
+        keep = np.asarray(keep, dtype=bool)
+        parents = _view(self.parents)[start:]
+        if len(keep) != len(parents) or parents.max(initial=-1) >= start:
+            raise ValueError("keep_tail takes one flag for each node from start on, all leaves below start")
+        rows, parents = _view(self.rows)[start:][keep], parents[keep]
+        del self.rows[start:], self.parents[start:]
+        self._extend(rows, parents)
+        starts = [s if s <= start else start + int(np.count_nonzero(keep[: s - start])) for s in self.starts]
+        self.starts = starts[: bisect_left(starts, len(self))]  # levels left empty are the last
 
     def rows_back(self, idx: int, count: int) -> list[int]:
         """The last `count` rows ending at idx, oldest first, dead-padded."""
@@ -386,44 +398,6 @@ class NodeArena:
         starts = (remap[self.starts] + ~kept[self.starts]).tolist()
         fresh.starts = starts[: bisect_left(starts, len(fresh))]
         return fresh, remap[tips]
-
-
-class NodeQueue:
-    """First-in, first-out queue of arena nodes, 4 bytes a node: an int32
-    typed array and the index of its head. pop moves the head; once the
-    head passes half the array, the popped part is cut off, so the array
-    holds at most about twice the queue and each node is moved at most
-    about once on average."""
-
-    def __init__(self, nodes=()):
-        self._nodes = array("i")
-        self._head = 0
-        self.extend(nodes)
-
-    def __len__(self) -> int:
-        return len(self._nodes) - self._head
-
-    def __getitem__(self, i: int) -> int:
-        """The i-th queued node, counting from the head at 0."""
-        if not 0 <= i < len(self):
-            raise IndexError("queue index out of range")
-        return self._nodes[self._head + i]
-
-    def nodes(self, n: int | None = None) -> np.ndarray:
-        """The first n queued nodes (all by default), as a new int32 array."""
-        return _view(self._nodes)[self._head :][:n].copy()
-
-    def pop(self, n: int) -> None:
-        """Drop the first n queued nodes."""
-        if not 0 <= n <= len(self):
-            raise IndexError("pop past the end of the queue")
-        self._head += n
-        if self._head > len(self._nodes) // 2:
-            del self._nodes[: self._head]
-            self._head = 0
-
-    def extend(self, nodes) -> None:
-        self._nodes.frombytes(np.ascontiguousarray(nodes, dtype=np.int32).view(np.uint8))
 
 
 def make_initial_state(params: SearchParams) -> tuple[NodeArena, int]:

@@ -9,12 +9,14 @@ edge-mask steps are checked against, the share of a table's entries
 pruned, the p2 table's backward closure as a plain fixed-point loop,
 the star, ll and p2 tables built over their whole unfactored grids, the
 bench's modules and search command lines, a transposition table's
-keys as ints, the one-state-at-a-time breadth-first expansion that the
-bulk chunks are checked against, and the one-root-at-a-time deepening
-probe that the lockstep probe is checked against."""
+keys as ints, an arena cut back to a length, a search's frontier, the
+one-state-at-a-time breadth-first expansion that the bulk chunks are
+checked against, and the one-root-at-a-time deepening probe that the
+lockstep probe is checked against."""
 
 import importlib.util
 import sys
+from bisect import bisect_left
 from pathlib import Path
 
 import numpy as np
@@ -529,25 +531,39 @@ def int_keys(table, limbs=None):
     return keys
 
 
+def truncate(arena, n):
+    """Drop every node of arena from index n on."""
+    del arena.rows[n:], arena.parents[n:], arena.starts[bisect_left(arena.starts, n) :]
+
+
+def frontier(search):
+    """The nodes search has still to expand, the arena's tail from its
+    head on, as a list of indices."""
+    return list(range(search.head, len(search.arena)))
+
+
 def sequential_expand(search):
-    """The breadth-first expansion of the queue head on its own, which
-    _expand_head must match parent for parent: each successor row is added to
-    the arena as a child of the head, a child that finishes a ship is
-    recorded, and one whose ship ends the search ends the expansion with
-    no tick; every other child is offered to the table, one at a time,
-    and queued when fresh. A tick follows."""
-    params, arena, queue = search.params, search.arena, search.queue
-    idx = queue[0]
-    queue.pop(1)
+    """The breadth-first expansion of the frontier's head on its own, which
+    _expand_head must match parent for parent: each successor row is added
+    to the arena as a child of the head and counted as generated, a child
+    that finishes a ship is recorded, and one whose ship ends the search
+    ends the expansion with no tick; every other child is offered to the
+    table, one at a time. Only a fresh child stays in the arena, so the
+    frontier stays its tail. A tick follows."""
+    params, arena, idx = search.params, search.arena, search.head
+    search.head += 1
     search.status.states_expanded += 1
     for c in successors(params, search.tables, arena.rows_back(idx, search.hist)):
         child = arena.add(c, idx)
+        search.generated += 1
         if is_goal(params, arena, child):
-            if search._record_ship(arena.all_rows(child)):
+            rows = arena.all_rows(child)
+            truncate(arena, child)
+            if search._record_ship(rows):
                 return
             continue  # a finished ship only grows dead rows from here
-        if transposition_insert(search.tt, state_key(params, arena, child)) == ("fresh",):
-            queue.extend([child])
+        if transposition_insert(search.tt, state_key(params, arena, child)) != ("fresh",):
+            truncate(arena, child)
     search._tick()
 
 
@@ -582,7 +598,7 @@ def sequential_probe(search, root, limit):
     seen = {}
     while frames and search.status.outcome == RUNNING:
         children, mark, window = frames[-1]
-        arena.truncate(mark)
+        truncate(arena, mark)
         step = next(children, None)
         if step is None:
             frames.pop()
@@ -595,11 +611,11 @@ def sequential_probe(search, root, limit):
         if prev is not None or len(seen) < search.config.node_capacity:
             seen[key] = level
         if level >= limit:
-            arena.truncate(start)
+            truncate(arena, start)
             return True
         frames.append(push(child, [*window[1:], arena.rows[child]]))
         search._tick()
-    arena.truncate(start)
+    truncate(arena, start)
     return False
 
 

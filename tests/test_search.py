@@ -15,7 +15,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import bench_module, int_keys, search_from_argv, sequential_expand, sequential_probes, walk_depths
+from helpers import (
+    bench_module,
+    frontier,
+    int_keys,
+    search_from_argv,
+    sequential_expand,
+    sequential_probes,
+    truncate,
+    walk_depths,
+)
 from shipsearch import search as search_mod
 from shipsearch.pattern import classify_ship
 from shipsearch.rules import parse_rule
@@ -38,7 +47,6 @@ from shipsearch.statespace import (
     ODD_MIRROR,
     ORTHOGONAL,
     NodeArena,
-    NodeQueue,
     SearchParams,
     TranspositionTable,
     child_keys,
@@ -163,7 +171,8 @@ class TestCarriedKeys:
         verdict is what transposition_insert returns for that offer. The
         seed's tip is the node of the one scalar offer, key 0; a bulk
         offer's nodes are the frontier that _new_table reseeds from, or
-        the children that _expand_head added from `start` on."""
+        the children that _expand_head grew, which are not in the arena
+        yet: each is added for its check and cut back after."""
         searches = []
         original_init = Search.__init__
         original_insert, original_many = search_mod.transposition_insert, search_mod.transposition_insert_many
@@ -179,11 +188,16 @@ class TestCarriedKeys:
 
         def checked_many(table, keys):
             fresh = original_many(table, keys)
-            caller = sys._getframe(1).f_locals
-            nodes = caller["frontier"] if "frontier" in caller else range(caller["start"], caller["start"] + len(keys))
+            caller, search = sys._getframe(1).f_locals, searches[-1]
             recorded = set(fresh.tolist())
-            for i, (idx, key) in enumerate(zip(np.asarray(nodes).tolist(), int_keys(table, keys))):
-                check(searches[-1], key, idx, ("fresh",) if i in recorded else ("duplicate",))
+            for i, key in enumerate(int_keys(table, keys)):
+                verdict = ("fresh",) if i in recorded else ("duplicate",)
+                if "frontier" in caller:
+                    check(search, key, int(caller["frontier"][i]), verdict)
+                else:
+                    idx = search.arena.add(int(caller["rows"][i]), int(caller["chunk"][caller["at"][i]]))
+                    check(search, key, idx, verdict)
+                    truncate(search.arena, idx)
             return fresh
 
         monkeypatch.setattr(Search, "__init__", init)
@@ -193,11 +207,11 @@ class TestCarriedKeys:
 
     @CARRIED_KEY_CASES
     def test_table_keys_are_state_keys_and_goals_are_caught(self, monkeypatch, params, config):
-        # every child the breadth-first loop adds is offered to the
-        # transposition table, but for one whose ship ends the search; a
-        # key that differs from state_key shows here, and so does a goal
-        # that is not recorded as a ship or that the table takes: the
-        # seed's key 0 must turn every goal away
+        # every child the breadth-first loop grows is offered to the
+        # transposition table, one whose ship ends the search too; a key
+        # that differs from state_key shows here, and so does a goal that
+        # is not recorded as a ship or that the table takes: the seed's
+        # key 0 must turn every goal away
         offered, goals = [], []
 
         def check(search, key, idx, verdict):
@@ -212,13 +226,14 @@ class TestCarriedKeys:
         res = self.run_offering(monkeypatch, params, config, check)
         assert res.ships
         assert len(offered) > res.status.states_expanded // 2
-        assert bool(goals) == config.continue_after_find  # only a ship that ends the search is not offered
+        assert goals
 
     @CARRIED_KEY_CASES
     def test_duplicates_keep_a_node_no_deeper(self, monkeypatch, params, config):
         # nodes reach the table in nondecreasing depth, so the first node
-        # offered fresh for a state is a shallowest one; each table's
-        # first nodes are noted here, since the table keeps keys alone
+        # offered fresh for a state is a shallowest one; the depth of each
+        # table's first nodes is noted here, since the table keeps keys
+        # alone and a grown child is in the arena only for its check
         dups, first, table = [], {}, None
 
         def check(search, key, idx, verdict):
@@ -228,9 +243,9 @@ class TestCarriedKeys:
                 first.clear()
             if verdict == ("fresh",):
                 assert key not in first
-                first[key] = idx
+                first[key] = search.arena.depth(idx)
             else:
-                assert search.arena.depth(first[key]) <= search.arena.depth(idx)
+                assert first[key] <= search.arena.depth(idx)
                 dups.append(idx)
 
         self.run_offering(monkeypatch, params, config, check)
@@ -253,17 +268,17 @@ class TestGoalRule:
         recorded = []
         monkeypatch.setattr(Search, "_record_ship", lambda search, rows: recorded.append(rows) or True)
         for back in range(n, hist + 1):
-            for expand in (search_mod._expand_head, lambda search: search_mod._dfs_probe(search, [search.queue[0]], 99)):
+            for expand in (search_mod._expand_head, lambda search: search_mod._dfs_probe(search, [search.head], 99)):
                 search = Search(params)
-                arena, parent = search.arena, search.queue[0]
+                arena, parent = search.arena, search.head
                 for row in [1] + [0] * (back - 1):
                     parent = arena.add(row, parent)
                 window = arena.rows_back(parent, hist)
                 assert successors(params, search.tables, window)[0] == 0  # the key-0 child comes first
                 rows = arena.all_rows(parent) + [0]
                 assert is_goal(params, arena, arena.add(0, parent))  # the reference, on a scratch child
-                arena.truncate(parent + 1)
-                search.queue = NodeQueue([parent])
+                truncate(arena, parent + 1)
+                search.head = parent  # the parent is the whole frontier
                 recorded.clear()
                 expand(search)
                 assert recorded == [rows], (back, window)
@@ -306,35 +321,38 @@ class TestSetupMemory:
 
 
 def queued_keys(search, nodes=None):
-    """The state keys of the seed's tip and of nodes (by default the
-    queue, which holds the tip itself until a first expansion), each
-    once and sorted: what a table started from them holds."""
+    """The seed's state key, 0, and the state keys of nodes (by default
+    the frontier, which holds the seed's tip itself until a first
+    expansion), each once and sorted: what a table started from them
+    holds."""
     params, arena = search.params, search.arena
-    nodes = search.queue.nodes().tolist() if nodes is None else nodes
-    return sorted({state_key(params, arena, idx) for idx in [search.hist - 1, *nodes]})
+    nodes = frontier(search) if nodes is None else nodes
+    return sorted({0, *(state_key(params, arena, idx) for idx in nodes)})
 
 
 class TestStoreMemory:
     @pytest.mark.parametrize(
-        "params, config, nodes, most",
+        "params, config, nodes, generated, most",
         [
             # the one-limb table of Life c/4 even w6 to exhaustion
-            (SearchParams(LIFE, 4, 1, 6, EVEN_MIRROR), SearchConfig(), 34205, 22),
+            (SearchParams(LIFE, 4, 1, 6, EVEN_MIRROR), SearchConfig(), 34168, 34205, 22),
             # the two-limb weekender, filled to its first deepening round
-            (SearchParams(LIFE, 7, 2, 9, EVEN_MIRROR), SearchConfig(node_capacity=1 << 15, max_deepening=42), 32282, 30),
+            (SearchParams(LIFE, 7, 2, 9, EVEN_MIRROR), SearchConfig(node_capacity=1 << 15, max_deepening=42), 32281, 32282, 30),
         ],
         ids=["c4-one-limb-exhaust", "weekender-two-limbs-fill"],
     )
-    def test_arena_and_table_bytes_a_node(self, params, config, nodes, most):
+    def test_arena_and_table_bytes_a_node(self, params, config, nodes, generated, most):
         # the arena takes 8 bytes a node and the table 8 a key limb,
         # with its recent keys folded into its sorted part; what the two
-        # stores hold is what freeing them returns
+        # stores hold is what freeing them returns. The arena stores the
+        # fresh children alone; generated counts the others too
         tracemalloc.start()
         try:
             search = Search(params, config)
-            while search.queue and not search.arena_full():
+            while frontier(search) and not search.arena_full():
                 search_mod._expand_head(search)
             size, folded = len(search.arena), len(search.tt.keys)
+            assert search.generated == generated
             held = tracemalloc.get_traced_memory()[0]
             del search.arena, search.tt
             freed = held - tracemalloc.get_traced_memory()[0]
@@ -348,17 +366,17 @@ class TestWeekenderFill:
     def test_bulk_offers_match_one_at_a_time(self, monkeypatch):
         # the weekender profile of scripts/long_searches.py (126-bit keys,
         # two limbs) at capacity 2^15, up to its first deepening round:
-        # queue, arena and table equal those of a run whose bulk offers
+        # frontier, arena and table equal those of a run whose bulk offers
         # go through transposition_insert one key at a time, and the
         # table holds the state key of every node the run added
         params = SearchParams(LIFE, 7, 2, 9, EVEN_MIRROR)
 
         def fill():
             search = Search(params, SearchConfig(node_capacity=1 << 15, max_deepening=42))
-            while search.queue and not search.arena_full():
+            while frontier(search) and not search.arena_full():
                 search_mod._expand_head(search)
             arena = search.arena
-            return search, (search.queue.nodes().tolist(), (arena.rows, arena.parents, arena.starts), sorted(int_keys(search.tt)))
+            return search, (frontier(search), (arena.rows, arena.parents, arena.starts), sorted(int_keys(search.tt)))
 
         def sequential(table, keys):
             fresh = [i for i, key in enumerate(int_keys(table, keys)) if transposition_insert(table, key) == ("fresh",)]
@@ -368,8 +386,8 @@ class TestWeekenderFill:
         monkeypatch.setattr(search_mod, "transposition_insert_many", sequential)
         assert bulk == fill()[1]
         assert len(bulk[0]) > 1 << 14 and len(bulk[2]) > 1 << 14
-        # a duplicate's key is an earlier node's, so the keys of all
-        # nodes past the seed's tip are those of the nodes ever queued
+        # the arena stores only fresh children, so it holds a node for
+        # each key the table took past the seed's
         added = range(search.hist, len(search.arena))
         assert bulk[2] == queued_keys(search, added)
 
@@ -385,12 +403,12 @@ class TestReseed:
         # the table holds the keys of the seed's tip and the frontier,
         # each once (the weekender's table folds)
         search = Search(params, SearchConfig(node_capacity=capacity, continue_after_find=True))
-        while search.queue and not search.arena_full():
+        while frontier(search) and not search.arena_full():
             search_mod._expand_head(search)
         for step in (search_mod.compact, reduce_width):
             step(search)
             assert sorted(int_keys(search.tt)) == queued_keys(search)
-            assert len(search.queue) > 100 and search.tt.limbs == (1 if search.params.period == 3 else 2)
+            assert len(frontier(search)) > 100 and search.tt.limbs == (1 if search.params.period == 3 else 2)
 
 
 def _watch_walks(monkeypatch, watch):
@@ -501,7 +519,7 @@ class TestFrontierHistory:
         done = {"compact": 0, "narrow": 0}
 
         def histories(search):
-            return [search.arena.all_rows(idx) for idx in search.queue.nodes().tolist()]
+            return [search.arena.all_rows(idx) for idx in frontier(search)]
 
         def checked_compact(search):
             before = histories(search)
@@ -545,13 +563,13 @@ class TestFrontierHistory:
         # but the table must already hold keys of the new width
         params = SearchParams(LIFE, 3, 1, 6, EVEN_MIRROR)
         search = Search(params)
-        while search.level_of(search.queue[0]) < 3:
+        while search.level_of(search.head) < 3:
             search_mod._expand_head(search)
         top = params.width - 1
-        search.queue = NodeQueue([i for i in search.queue.nodes().tolist() if any(r >> top for r in search.arena.rows_back(i, search.hist))])
-        assert search.queue
+        search.arena.keep_tail(search.head, [any(r >> top for r in search.arena.rows_back(i, search.hist)) for i in frontier(search)])
+        assert frontier(search)
         reduce_width(search)
-        assert not search.queue and search.params.width == top
+        assert not frontier(search) and search.params.width == top
         assert int_keys(search.tt) == queued_keys(search) == [0]  # the seed's state
 
 
@@ -756,7 +774,7 @@ class TestSeedChain:
         assert history(params) == 7 > 2 * params.period
         search = Search(params)
         self.check_chain(search)
-        assert len(search.arena) == 7 and search.queue.nodes().tolist() == [6]
+        assert len(search.arena) == search.generated == 7 and frontier(search) == [6]
         res, widths = self.run_checked(monkeypatch, params, SearchConfig(node_capacity=4 * params.period, max_deepening=2))
         assert res.status.outcome == EXHAUSTED
         assert len(widths) > 2 and widths[-1] < params.width
@@ -914,7 +932,7 @@ class TestBatchedLevels:
         # with reports on, even one due after every expansion, the chunks and the kernel calls are those with
         # reports off, and a report comes less than BATCH_CHUNK
         # expansions after it falls due: at most one chunk or probe step.
-        # A chunk falls short of BATCH_CHUNK parents only where the queue
+        # A chunk falls short of BATCH_CHUNK parents only where the frontier
         # runs out, the arena has no more room or a ship ends the search
         params, config = search_from_argv(bench_module("workloads").QUICK[name].argv())
         expand, kernel = search_mod._expand_head, search_mod.successors_batch
@@ -923,8 +941,8 @@ class TestBatchedLevels:
             chunks, calls = [], []
 
             def logged_expand(search):
-                before, queued = search.status.states_expanded, len(search.queue)
-                room = search.config.node_capacity - (1 << search.params.width) - len(search.arena)
+                before, queued = search.status.states_expanded, len(frontier(search))
+                room = search.config.node_capacity - (1 << search.params.width) - search.generated
                 expand(search)
                 size = search.status.states_expanded - before
                 short = size < BATCH_CHUNK and size not in (queued, max(1, room))
@@ -948,22 +966,24 @@ class TestBatchedLevels:
     @pytest.mark.parametrize("minimum", [1, 3, 5])
     def test_drained_queue_keeps_the_last_head(self, monkeypatch, minimum):
         # c/3 odd width 4 exhausts at level 29, its states there having
-        # no fresh child. Queued behind the level-28 state expanded last
-        # (its children all known by then), the first of them ends a chunk
-        # of two levels that drains the queue: the final status gives the
-        # level of the chunk's last parent, 29, as expanding one state at
-        # a time does (28 if it kept the chunk's first)
+        # no fresh child. The level-28 state expanded last (its children
+        # all known by then) is put back at the frontier's head, and the
+        # frontier cut back to it and the first level-29 state: one chunk
+        # of two levels drains it, and the final status gives the level of
+        # the chunk's last parent, 29, as expanding one state at a time
+        # does (28 if it kept the chunk's first)
         monkeypatch.setattr(search_mod, "BATCH_MIN", minimum)
         params = SearchParams(LIFE, 3, 1, 4, ODD_MIRROR)
 
         def drained(expand):
             search = Search(params)
-            while search.level_of(search.queue[0]) < 29:
-                before = search.queue[0]
+            while search.level_of(search.head) < 29:
                 sequential_expand(search)
-            search.queue = NodeQueue([before, search.queue[0]])
+            search.head -= 1
+            truncate(search.arena, search.head + 2)
+            assert search.level_of(search.head) == 28
             search._tick()
-            while search.queue:
+            while frontier(search):
                 expand(search)
             search._tick(force=True)
             return search.status
@@ -997,7 +1017,7 @@ class TestBatchedLevels:
 
 class TestSequentialExpansion:
     # a chunk expanded in one bulk pass must leave what expanding its
-    # states one queue head at a time leaves: the same final status (arena
+    # states one frontier head at a time leaves: the same final status (arena
     # size and frontier level too) and ships, and at the count of each
     # report the same status
 
@@ -1005,16 +1025,45 @@ class TestSequentialExpansion:
         # at every interval (0: reports off) the final status and ships are
         # those of one-at-a-time expansion, and each report, in order, is
         # one that one-at-a-time expansion makes at interval 1, where it
-        # reports after every expansion
-        bulk = search_mod._expand_head
-        monkeypatch.setattr(search_mod, "_expand_head", sequential_expand)
-        every, *sequential = _reports(monkeypatch, DEFAULT_BATCH_MIN, params, config, interval=1)
-        monkeypatch.setattr(search_mod, "_expand_head", bulk)
+        # reports after every expansion. After every step of either, the
+        # frontier is the arena's tail: its nodes are leaves whose parents
+        # lie before the head. Each bulk step leaves the expansions, nodes
+        # generated, arena size and head that some one-at-a-time step
+        # leaves, in order; and there, generated equals the length the
+        # reference arena would have if it kept every child added to it
+        bulk, add, steps = search_mod._expand_head, NodeArena.add, []
+
+        def stepping(expand):
+            def step(search):
+                expand(search)
+                arena, head = search.arena, search.head
+                assert max(arena.parents[head:], default=-1) < head
+                steps.append((search.status.states_expanded, search.generated, len(arena), head))
+
+            return step
+
+        def grow(arena, row, parent):
+            arena.grown = getattr(arena, "grown", len(arena)) + 1  # the nodes it was built with, then every add
+            return add(arena, row, parent)
+
+        def reference(search):
+            sequential_expand(search)
+            assert search.generated == getattr(search.arena, "grown", len(search.arena))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(NodeArena, "add", grow)
+            patch.setattr(search_mod, "_expand_head", stepping(reference))
+            every, *sequential = _reports(patch, DEFAULT_BATCH_MIN, params, config, interval=1)
+        one_at_a_time = steps[:]
+        monkeypatch.setattr(search_mod, "_expand_head", stepping(bulk))
         for interval in intervals:
+            steps.clear()
             reports, *final = _reports(monkeypatch, DEFAULT_BATCH_MIN, params, config, interval)
             assert final == sequential and reports[-1] == final[0]
             among = iter(every)
             assert all(report in among for report in reports)
+            among = iter(one_at_a_time)
+            assert all(step in among for step in steps)
         return sequential[0]
 
     @pytest.mark.parametrize("name", list(bench_module("workloads").QUICK))
@@ -1029,7 +1078,7 @@ class TestSequentialExpansion:
             (SearchParams(LIFE, 4, 1, 5, EVEN_MIRROR), SearchConfig(progress_interval=97)),
             (SearchParams(LIFE, 4, 1, 5, EVEN_MIRROR), SearchConfig()),
             (SearchParams(LIFE, 4, 1, 4, translation=DIAGONAL), SearchConfig(progress_interval=5)),
-            # deepening rounds, compaction, narrowing and a drained queue
+            # deepening rounds, compaction, narrowing and a drained frontier
             (
                 SearchParams(LIFE, 3, 1, 6, EVEN_MIRROR),
                 SearchConfig(node_capacity=256, max_deepening=6, continue_after_find=True, progress_interval=3),
@@ -1055,29 +1104,29 @@ class TestSequentialExpansion:
         assert outcomes == {SHIP_FOUND, EXHAUSTED}
 
     def test_ship_that_drains_the_queue(self):
-        # the LWSS's goal parent queued behind the node expanded just
-        # before it, whose children are all known by then (re-expanding it
-        # keeps the arena in level order): the one chunk that expands both
-        # ends at the ship with the queue drained, and the final status
-        # gives the goal parent's level, that of the head at the last tick
-        # of a one-at-a-time expansion
+        # the LWSS's goal parent, the frontier cut back to it and the node
+        # expanded just before it, whose children are all known by then
+        # (re-expanding it keeps the arena in level order): the one chunk
+        # that expands both ends at the ship with the frontier drained, and
+        # the final status gives the goal parent's level, that of the head
+        # at the last tick of a one-at-a-time expansion
         params = SearchParams(LIFE, 2, 1, 5, GLIDE_REFLECT)
         search = Search(params)
         while search.status.outcome == RUNNING:
             sequential_expand(search)
-        goal_parent = search.arena.parents[-1]  # the ship's last row is the last node added
+        goal_parent = search.head - 1  # the ship's parent is the last node expanded
 
         def drained(expand):
             search = Search(params)
-            while search.queue[0] != goal_parent:
-                before = search.queue[0]
+            while search.head != goal_parent:
                 sequential_expand(search)
-            search.queue = NodeQueue([before, goal_parent])
+            search.head -= 1
+            truncate(search.arena, goal_parent + 1)
             search._tick()
-            while search.queue and search.status.outcome == RUNNING:
+            while frontier(search) and search.status.outcome == RUNNING:
                 expand(search)
             search._tick(force=True)
-            return search.status, search.ships, len(search.queue)
+            return search.status, search.ships, len(frontier(search))
 
         sequential = drained(sequential_expand)
         assert drained(search_mod._expand_head) == sequential
@@ -1133,7 +1182,7 @@ class TestLockstepProbes:
     def test_reports_fall_between_steps(self, monkeypatch, interval):
         # quick c/3: whatever the batch minimum, the same reports, some of
         # them made between the steps of a block, each of those counting
-        # the arena as the block found it
+        # the nodes generated as the block found them
         params, config = search_from_argv(bench_module("workloads").QUICK["quick-c3-even-w6-deepen"].argv())
         lockstep = search_mod._dfs_probe
 
@@ -1142,7 +1191,7 @@ class TestLockstepProbes:
             start, reports, inside = [], [], []
 
             def probe(search, roots, limit):
-                start.append(len(search.arena))
+                start.append(search.generated)
                 try:
                     return lockstep(search, roots, limit)
                 finally:

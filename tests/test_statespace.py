@@ -13,7 +13,6 @@ import random
 import subprocess
 import sys
 import tracemalloc
-from collections import deque
 from dataclasses import replace
 from unittest import mock
 
@@ -32,7 +31,6 @@ from shipsearch.statespace import (
     ODD_MIRROR,
     ORTHOGONAL,
     NodeArena,
-    NodeQueue,
     SearchParams,
     TranspositionTable,
     constraint_indices,
@@ -56,6 +54,7 @@ from helpers import (
     level_ordered_forest,
     merged_sequence,
     orient_upward,
+    truncate,
     walk_depths,
 )
 
@@ -434,7 +433,7 @@ class TestAddChildren:
             return [arena.add(7, idx), *arena.rows_back(idx, 7), *arena.all_rows(idx), arena.depth(idx), arena.parents[idx]]
 
         checked = reads(arena, n + 2)
-        arena.truncate(n + 2)
+        truncate(arena, n + 2)
         checked += reads(arena, n + 1)
         arena, tips = arena.ancestry(np.array([n + 1, n + 2]))
         checked += reads(arena, int(tips[1])) + [arena.rows[-1]]
@@ -460,7 +459,7 @@ class TestLevelOrder:
         parents = sorted(data.draw(st.lists(st.integers(low, len(arena) - 1), max_size=12)))
         arena.add_children(parents, np.arange(len(parents), dtype=np.uint64))
         self.check(arena)
-        arena.truncate(data.draw(st.integers(0, len(arena))))
+        truncate(arena, data.draw(st.integers(0, len(arena))))
         self.check(arena)
         arena.add(1, len(arena) - 1)  # a root, if truncate emptied the arena
         self.check(arena)
@@ -494,50 +493,62 @@ class TestLevelOrder:
         assert (arena.rows.tolist(), arena.parents.tolist(), arena.starts) == before
 
 
-class TestNodeQueue:
-    @pytest.mark.parametrize("seed", range(4))
-    def test_matches_a_deque(self, seed):
-        # random pops and extends, of one node or several, against a
-        # deque, long enough for the popped part to be cut off many times
-        rng = random.Random(seed)
-        queue, model = NodeQueue([5, 6]), deque([5, 6])
-        trims = 0
-        for _ in range(3000):
-            op = rng.random()
-            if op < 0.4:
-                n = rng.randrange(len(model) + 1)
-                head = queue._head
-                queue.pop(n)
-                for _ in range(n):
-                    model.popleft()
-                trims += queue._head < head + n
-            elif op < 0.7:
-                node = rng.randrange(-1, 2**31)
-                queue.extend([node])
-                model.append(node)
-            else:
-                nodes = [rng.randrange(2**31) for _ in range(rng.randrange(12))]
-                queue.extend(np.array(nodes, dtype=rng.choice([np.int32, np.int64, np.intp])))
-                model.extend(nodes)
-            assert len(queue) == len(model) and queue._head <= len(queue._nodes) // 2
-            n = rng.randrange(len(model) + 2)
-            head = queue.nodes(n)
-            assert head.dtype == np.int32 and head.tolist() == list(model)[:n]
-            if model:
-                assert type(queue[0]) is int and queue[0] == model[0] and queue[len(model) - 1] == model[-1]
-        assert queue.nodes().tolist() == list(model)
-        assert trims > 20
+class TestKeepTail:
+    @given(FORESTS, st.data())
+    def test_matches_the_kept_nodes_added_one_at_a_time(self, nodes, data):
+        # a tail of leaves whose parents come before it, some appended in
+        # bulk: keeping any of them leaves the arena that adding the kept
+        # nodes one at a time builds, appends in level order go on from
+        # it, and one out of level order still raises
+        arena = level_ordered_forest(nodes)
+        depths = walk_depths(arena)
+        low = depths.index(max(depths[-1] - 1, 0))
+        parents = sorted(data.draw(st.lists(st.integers(low, len(arena) - 1), max_size=12)))
+        arena.add_children(parents, np.arange(len(parents), dtype=np.uint64))
+        start = data.draw(st.sampled_from([s for s in range(len(arena) + 1) if max(arena.parents[s:], default=-1) < s]))
+        keep = data.draw(st.lists(st.booleans(), min_size=len(arena) - start, max_size=len(arena) - start))
+        model = NodeArena()
+        for i in [*range(start), *(start + j for j, kept in enumerate(keep) if kept)]:
+            model.add(arena.rows[i], arena.parents[i])
+        arena.keep_tail(start, keep)
+        assert (arena.rows, arena.parents, arena.starts) == (model.rows, model.parents, model.starts)
+        for _ in range(3):  # a root if the arena was emptied, then two levels below the last node
+            arena.add(1, len(arena) - 1)
+            TestLevelOrder.check(arena)
+        depths = walk_depths(arena)
+        before = (arena.rows.tolist(), arena.parents.tolist(), list(arena.starts))
+        with pytest.raises(ValueError, match="level order"):
+            arena.add(0, depths.index(depths[-1] - 2))
+        assert (arena.rows.tolist(), arena.parents.tolist(), arena.starts) == before
 
-    def test_bounds(self):
-        queue = NodeQueue(np.arange(3))
-        with pytest.raises(IndexError):
-            queue[3]
-        with pytest.raises(IndexError):
-            queue.pop(4)
-        queue.pop(3)
-        assert not queue and queue.nodes().tolist() == []
-        with pytest.raises(IndexError):
-            queue[0]
+    def test_an_emptied_tail_level(self):
+        # levels 0-2, the tail the last level-1 node and both level-2
+        # nodes: dropping level 2 leaves level 1 the last, a child of a
+        # level-1 node opens level 2 again, and a root's child then raises
+        arena = NodeArena()
+        for row, parent in [(1, -1), (2, -1), (3, 0), (4, 0), (5, 1), (6, 2), (7, 3)]:
+            arena.add(row, parent)
+        assert arena.starts == [0, 2, 5]
+        arena.keep_tail(4, [True, False, False])
+        assert arena.rows.tolist() == [1, 2, 3, 4, 5] and arena.starts == [0, 2]
+        assert arena.add(8, 4) == 5 and arena.depth(5) == 2 and arena.starts == [0, 2, 5]
+        with pytest.raises(ValueError, match="level order"):
+            arena.add(9, 0)
+
+    def test_a_tail_that_is_not_all_leaves_raises(self):
+        # node 3 is node 2's parent, so a tail from 2 holds a node that is
+        # not a leaf; a flag too few or too many raises too, and the arena
+        # is left as it was
+        arena = NodeArena()
+        for row, parent in [(1, -1), (2, 0), (3, 1), (4, 2), (5, 2)]:
+            arena.add(row, parent)
+        before = (arena.rows.tolist(), arena.parents.tolist(), list(arena.starts))
+        for start, keep in [(2, [True, False, True]), (3, [True]), (3, [True, True, True])]:
+            with pytest.raises(ValueError, match="keep_tail"):
+                arena.keep_tail(start, keep)
+            assert (arena.rows.tolist(), arena.parents.tolist(), arena.starts) == before
+        arena.keep_tail(3, [False, True])
+        assert arena.rows.tolist() == [1, 2, 3, 5] and arena.parents.tolist() == [-1, 0, 1, 2]
 
 
 class TestFilterFlags:
