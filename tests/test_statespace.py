@@ -13,6 +13,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from collections import deque
 from dataclasses import replace
 from unittest import mock
 
@@ -494,6 +495,49 @@ class TestLevelOrder:
 
 
 class TestKeepTail:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_frontier_matches_a_deque(self, seed):
+        # the frontier as the arena's tail, arena[head:], against a deque
+        # of root-to-node row paths: random expansions of a few head nodes
+        # (their children appended in bulk), drops of frontier nodes with
+        # keep_tail, and compactions whose tips must come out as the
+        # fresh arena's tail, long enough to compact and empty it often
+        rng = random.Random(seed)
+        arena, head, model = NodeArena(), 0, deque()
+        compactions = emptied = 0
+        for _ in range(1500):
+            if not model:
+                row = rng.randrange(2**32)
+                arena, head, model = NodeArena(), 0, deque([(row,)])
+                arena.add(row, -1)
+            op = rng.random()
+            if op < 0.5:
+                n = rng.randrange(1, min(len(model), 4) + 1)
+                parents, rows = [], []
+                for node in range(head, head + n):
+                    path = model.popleft()
+                    for _ in range(rng.choice([0, 1, 1, 2, 2, 3])):
+                        rows.append(rng.randrange(2**32))
+                        parents.append(node)
+                        model.append((*path, rows[-1]))
+                head += n
+                arena.add_children(parents, np.array(rows, dtype=np.uint64))
+            elif op < 0.8:
+                drop = rng.choice([0.1, 0.3, 0.7])
+                keep = [rng.random() >= drop for _ in model]
+                arena.keep_tail(head, keep)
+                model = deque(path for path, kept in zip(model, keep) if kept)
+                emptied += not model
+            else:
+                arena, tips = arena.ancestry(np.arange(head, len(arena)))
+                head = len(arena) - len(tips)
+                assert tips.tolist() == list(range(head, len(arena)))
+                compactions += 1
+            assert len(arena) - head == len(model)
+            TestLevelOrder.check(arena)
+            assert [tuple(arena.all_rows(i)) for i in range(head, len(arena))] == list(model)
+        assert compactions > 200 and emptied > 20
+
     @given(FORESTS, st.data())
     def test_matches_the_kept_nodes_added_one_at_a_time(self, nodes, data):
         # a tail of leaves whose parents come before it, some appended in
